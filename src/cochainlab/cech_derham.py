@@ -15,14 +15,13 @@ strictly inside the arcs and extension by zero is exact).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy, zigzag_yx
-from .polyalg import MultiPoly, to_string
+from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy
+from .polyalg import MultiPoly, sort_sign, to_string
 
 Interval = Tuple[Fraction, Fraction]
 Index = Tuple[int, ...]
@@ -272,7 +271,6 @@ class PwPoly:
             order = segs
         out = []
         const = Fraction(0)
-        prev_end = None
         for lo, hi, poly in order:
             prim = _antideriv(poly)
             # continuity at the junction (possibly across the wrap): const
@@ -280,7 +278,6 @@ class PwPoly:
             const = const - _eval(prim, Fraction(lo))
             out.append((lo, hi, prim + MultiPoly.const(const)))
             const = const + _eval(prim, Fraction(hi))
-            prev_end = hi
         res = PwPoly(out)
         return res - PwPoly.on(res.domain(), MultiPoly.const(res.eval(basepoint)))
 
@@ -388,20 +385,6 @@ def default_cover() -> CoverSpec:
 # Cochains and operators
 
 
-def _sort_sign(idx: Sequence[int]) -> Tuple[Optional[Index], int]:
-    s = list(idx)
-    sign = 1
-    for i in range(1, len(s)):
-        j = i
-        while j > 0 and s[j - 1] > s[j]:
-            s[j - 1], s[j] = s[j], s[j - 1]
-            sign = -sign
-            j -= 1
-    if any(a == b for a, b in zip(s, s[1:])):
-        return None, 0
-    return tuple(s), sign
-
-
 class CechForm:
     """Cech p-cochain of q-forms: map from increasing (p+1)-tuples of arc
     indices (nonempty intersections only) to PwPoly coefficients (the
@@ -435,7 +418,7 @@ class CechForm:
         return CechForm(cover, p, q, {})
 
     def component(self, idx: Sequence[int]) -> Optional[PwPoly]:
-        sidx, sign = _sort_sign(idx)
+        sidx, sign = sort_sign(idx)
         if sidx is None:
             dom = self.cover.intersection(tuple(sorted(set(idx))))
             return PwPoly.zero(dom) if dom else None
@@ -516,7 +499,7 @@ class ConstCochain:
         raise AttributeError("ConstCochain is immutable")
 
     def component(self, idx) -> Fraction:
-        sidx, sign = _sort_sign(idx)
+        sidx, sign = sort_sign(idx)
         if sidx is None:
             return Fraction(0)
         return self.comps.get(sidx, Fraction(0)) * sign
@@ -692,7 +675,6 @@ def _signed(w: CechForm, p: int) -> CechForm:
 
 def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
     cover = cover if cover is not None else default_cover()
-    narcs = len(cover.arcs)
 
     def sample(rng, p, q):
         if q > 1:

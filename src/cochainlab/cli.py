@@ -11,7 +11,8 @@ Expressions follow the grammar
   term   := factor (('*'|'/\\') factor)*
   factor := rational | var | 'e'<i> | 'd'<var> | factor '^' int | '(' expr ')'
 with variables g<i>_<j>, m<i>_<j>, y_<j>, t<i>, x, x_<j>.  Exit codes:
-0 success, 1 check failure, 2 usage or parse error.
+0 success, 1 check failure, 2 usage or parse error (a term degree past
+polyalg.DEGREE_CAP included).
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ from typing import Dict, List, Optional, Tuple
 
 from .forms import Chart, PolyForm
 from .liealg import CEElement, LieAlgebra
-from .polyalg import MultiPoly, canonical_vars, format_rat, to_string, var_key
+from .polyalg import (
+    DegreeOverflowError,
+    MultiPoly,
+    canonical_vars,
+    format_rat,
+    sort_sign,
+    to_string,
+    var_key,
+)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -107,7 +116,7 @@ def _vneg(a: Value) -> Value:
     return {k: -v for k, v in a.items()}
 
 
-def _vmul(a: Value, b: Value, line: int, col: int) -> Value:
+def _vmul(a: Value, b: Value) -> Value:
     out: Value = {}
     for ka, pa in a.items():
         for kb, pb in b.items():
@@ -168,7 +177,7 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "op" and tok[1] == "*" or tok[0] == "wedge":
                 self.next()
-                value = _vmul(value, self.factor(), tok[2], tok[3])
+                value = _vmul(value, self.factor())
             else:
                 return value
 
@@ -210,23 +219,6 @@ class _Parser:
         self.error(f"unexpected {text!r}" if text else "unexpected end of input", tok)
 
 
-def _sort_atoms(key: Tuple, order) -> Tuple[Optional[Tuple], int]:
-    """Sort atoms into canonical order with the permutation sign; None for a
-    repeated atom."""
-    ranked = sorted(range(len(key)), key=lambda i: order(key[i]))
-    sorted_key = tuple(key[i] for i in ranked)
-    if any(a == b for a, b in zip(sorted_key, sorted_key[1:])):
-        return None, 0
-    sign = 1
-    perm = list(ranked)
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sorted_key, sign
-
-
 def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
     """Parse an expression to a MultiPoly, PolyForm, or CEElement.
 
@@ -255,13 +247,10 @@ def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
             idx = tuple(atom[1] for atom in key)
             if any(i < 0 or i >= algebra.dim for i in idx):
                 raise UnknownVariable("covector index out of range", 1, 1)
-            sidx, sign = _sort_atoms(
-                tuple(("e", i) for i in idx), lambda a: a[1]
-            )
-            if sidx is None:
+            tgt, sign = sort_sign(idx)
+            if tgt is None:
                 continue
             coef = Fraction(poly.constant_value()) * sign
-            tgt = tuple(a[1] for a in sidx)
             comps[tgt] = [comps.get(tgt, [Fraction(0)])[0] + coef]
         return CEElement(algebra, None, degree, comps)
     # d-atoms: build a form on the chart of all appearing variables
@@ -273,7 +262,7 @@ def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
     pos = {name: i for i, name in enumerate(coords)}
     fcomps: Dict[Tuple[int, ...], MultiPoly] = {}
     for key, poly in value.items():
-        sidx, sign = _sort_atoms(key, lambda a: var_key(a[1]))
+        sidx, sign = sort_sign(key, key=lambda a: var_key(a[1]))
         if sidx is None:
             continue
         idx = tuple(pos[a[1]] for a in sidx)
@@ -345,6 +334,8 @@ class RunConfig:
             raise ValueError("bounds must be positive")
         if self.instance not in instance_names():
             raise ValueError(f"unknown instance {self.instance!r}")
+        if self.instance == "matrix" and self.max_p > 3:
+            raise ValueError(f"the matrix instance supports max_p <= 3, got {self.max_p}")
 
 
 def instance_names() -> List[str]:
@@ -434,7 +425,7 @@ def run_verify(config: RunConfig) -> Tuple[int, dict]:
 
     name = config.instance
     if name == "matrix":
-        inst = matrix_instance(config.seed, max_p=min(config.max_p, 3))
+        inst = matrix_instance(config.seed, max_p=config.max_p)
         checks = verify_instance(inst, seed=config.seed, trials=config.trials)
     elif name.startswith("pair-r"):
         checks = _pair_suite(int(name[len("pair-r"):]), config)
@@ -602,8 +593,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # A degree past DEGREE_CAP comes from the input or the bounds, so it is a
+    # usage error, not a check failure.
     if args.command == "verify":
-        code, report = run_verify(config)
+        try:
+            code, report = run_verify(config)
+        except DegreeOverflowError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         payload = json.dumps(report, indent=2, default=str)
         if config.report:
             with open(config.report, "w", encoding="utf-8") as fh:
@@ -615,7 +612,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         text = _read_input(args.input)
         result = apply_map(config, args.command, text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, DegreeOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.report:

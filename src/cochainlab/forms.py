@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
-from .polyalg import MultiPoly, canonical_vars
+from .polyalg import MultiPoly, sort_sign
 
 Index = Tuple[int, ...]
 
@@ -34,22 +34,6 @@ class Chart:
         return self.coords.index(name)
 
 
-def _sort_index(idx: Sequence[int]):
-    """Sort an index tuple, returning (sorted tuple, sign); sign 0 on repeats."""
-    idx = list(idx)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
-
-
 class PolyForm:
     """Differential form with MultiPoly coefficients on a Chart."""
 
@@ -60,7 +44,7 @@ class PolyForm:
         for idx, coef in terms.items():
             if len(idx) != degree:
                 raise ValueError(f"index {idx} does not have degree {degree}")
-            sidx, sign = _sort_index(idx)
+            sidx, sign = sort_sign(idx)
             if sign == 0 or coef.is_zero():
                 continue
             c = coef if sign == 1 else -coef
@@ -93,7 +77,7 @@ class PolyForm:
         return not self.terms
 
     def coefficient(self, idx: Sequence[int]) -> MultiPoly:
-        sidx, sign = _sort_index(idx)
+        sidx, sign = sort_sign(idx)
         coef = self.terms.get(sidx)
         if coef is None or sign == 0:
             return MultiPoly.zero()
@@ -158,7 +142,7 @@ def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     deg = a.degree + b.degree
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
-            idx, sign = _sort_index(ia + ib)
+            idx, sign = sort_sign(ia + ib)
             if sign == 0:
                 continue
             c = ca * cb * sign
@@ -173,7 +157,7 @@ def exterior_d(a: PolyForm) -> PolyForm:
             dc = coef.diff(name)
             if dc.is_zero():
                 continue
-            sidx, sign = _sort_index((j,) + idx)
+            sidx, sign = sort_sign((j,) + idx)
             if sign == 0:
                 continue
             c = dc * sign

@@ -12,10 +12,12 @@ test in the group module pins this against the group data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from .polyalg import sort_sign
 
 Rat = Fraction
 Vec = Tuple[Rat, ...]
@@ -41,7 +43,6 @@ class NilpotencyClassWrong(LieAlgebraError):
 def _rref(rows: List[List[Rat]]) -> List[List[Rat]]:
     """Reduced row echelon form over the rationals; drops zero rows."""
     rows = [list(r) for r in rows]
-    pivot_cols = []
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
@@ -55,7 +56,6 @@ def _rref(rows: List[List[Rat]]) -> List[List[Rat]]:
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
         r += 1
         if r == len(rows):
             break
@@ -363,15 +363,6 @@ class CEElement:
         return f"CEElement(deg={self.degree}, comps={self.comps})"
 
 
-def insert_index(idx: Index, k: int) -> Tuple[Optional[Index], int]:
-    """Insert k into an increasing tuple; returns (new tuple, sign) or
-    (None, 0) if k already occurs."""
-    if k in idx:
-        return None, 0
-    pos = sum(1 for i in idx if i < k)
-    return idx[:pos] + (k,) + idx[pos:], (-1) ** pos
-
-
 def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[Index, list]:
     """Chevalley-Eilenberg differential on raw component maps.
 
@@ -399,7 +390,7 @@ def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[
                 for k, c in enumerate(alg.bracket_basis(J[a], J[b])):
                     if c == 0:
                         continue
-                    ins, sgn_ins = insert_index(rest, k)
+                    ins, sgn_ins = sort_sign((k,) + rest)
                     if ins is None:
                         continue
                     vec = comps.get(ins)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .forms import Chart, PolyForm, PolyVF
 from .liealg import LieAlgebra, Representation
-from .polyalg import MultiPoly, Rat
+from .polyalg import MultiPoly, Rat, mat_vec, slot_shift
 
 MAX_BCH_CLASS = 4
 
@@ -176,17 +176,23 @@ def group_chart(group: PolyGroup, slots: int = 0) -> Chart:
     return Chart(fiber_vars(group.dim), params)
 
 
+def as_coeffs(n: int, xi: Union[int, Sequence[Rat]]) -> List[Fraction]:
+    """Coefficient vector of an algebra element given as a basis index or
+    as coefficients."""
+    if isinstance(xi, int):
+        out = [Fraction(0)] * n
+        out[xi] = Fraction(1)
+        return out
+    return [Fraction(c) for c in xi]
+
+
 def left_invariant_vf(
     group: PolyGroup, xi: Union[int, Sequence[Rat]], slots: int = 0
 ) -> PolyVF:
     """Left-invariant vector field of xi (basis index or coefficient
     vector), in the fiber coordinates."""
     n = group.dim
-    if isinstance(xi, int):
-        coeffs = [Fraction(0)] * n
-        coeffs[xi] = Fraction(1)
-    else:
-        coeffs = [Fraction(c) for c in xi]
+    coeffs = as_coeffs(n, xi)
     jac = _right_jacobian(group)
     comps = []
     for j in range(n):
@@ -198,39 +204,50 @@ def left_invariant_vf(
     return PolyVF(group_chart(group, slots), tuple(comps))
 
 
-def _poly_mat_inverse(mat: List[List[MultiPoly]]) -> List[List[MultiPoly]]:
-    """Inverse of I + N with N nilpotent (entries vanishing at 0): Neumann
-    series.  Raises NonUnipotentJacobian if the series does not terminate."""
-    n = len(mat)
-    ident = [
+def _identity(n: int) -> List[List[MultiPoly]]:
+    return [
         [MultiPoly.const(1) if i == j else MultiPoly.zero() for j in range(n)]
         for i in range(n)
     ]
-    nil = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    for row in nil:
-        for entry in row:
-            if not all(sum(e) > 0 for e in entry.terms):
-                raise NonUnipotentJacobian("frame Jacobian is not unipotent")
-    result = [row[:] for row in ident]
-    power = [row[:] for row in ident]
-    for step in range(1, n + 1):
+
+
+def nilpotent_series(
+    nil: List[List[MultiPoly]], coef: Callable[[int], Rat]
+) -> List[List[MultiPoly]]:
+    """I + sum_{k >= 1} coef(k) N^k for a nilpotent polynomial matrix N,
+    summed until N^k = 0.  Raises NotNilpotent if N^n != 0 (n x n)."""
+    n = len(nil)
+    result = _identity(n)
+    power = _identity(n)
+    for k in range(1, n + 1):
         power = [
             [
-                sum((power[i][k] * nil[k][j] for k in range(n)), MultiPoly.zero())
+                sum((power[i][m] * nil[m][j] for m in range(n)), MultiPoly.zero())
                 for j in range(n)
             ]
             for i in range(n)
         ]
         if all(e.is_zero() for row in power for e in row):
-            break
-        sgn = (-1) ** step
+            return result
+        c = coef(k)
         result = [
-            [result[i][j] + power[i][j] * sgn for j in range(n)] for i in range(n)
+            [result[i][j] + power[i][j] * c for j in range(n)] for i in range(n)
         ]
-    else:
-        if not all(e.is_zero() for row in power for e in row):
-            raise NonUnipotentJacobian("Neumann series for coframe did not terminate")
-    return result
+    raise NotNilpotent("matrix power series does not terminate")
+
+
+def _poly_mat_inverse(mat: List[List[MultiPoly]]) -> List[List[MultiPoly]]:
+    """Inverse of I + N with N nilpotent (entries vanishing at 0): Neumann
+    series.  Raises NonUnipotentJacobian if an entry of N does not vanish
+    at 0."""
+    n = len(mat)
+    ident = _identity(n)
+    nil = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    for row in nil:
+        for entry in row:
+            if not all(sum(e) > 0 for e in entry.terms):
+                raise NonUnipotentJacobian("frame Jacobian is not unipotent")
+    return nilpotent_series(nil, lambda k: (-1) ** k)
 
 
 def maurer_cartan_coframe(group: PolyGroup, slots: int = 0) -> List[PolyForm]:
@@ -395,64 +412,36 @@ class GroupCochain:
         return f"GroupCochain(p={self.degree}, values={self.values})"
 
 
-def _slot_shift_sub(group: PolyGroup, degree: int, mapping: Mapping[int, int]) -> dict:
-    """Substitution renaming slot s to slot mapping[s]."""
-    sub = {}
-    for s, target in mapping.items():
-        for j in range(1, group.dim + 1):
-            sub[f"g{s}_{j}"] = MultiPoly.var(f"g{target}_{j}")
-    return sub
+def group_faces(group: PolyGroup, p: int) -> List[Tuple[dict, int]]:
+    """(substitution, sign) of the simplicial faces 0..p taking a function
+    of p group slots to one of p + 1: face 0 drops g1, face i merges slots
+    i and i+1.  The last face, p + 1, depends on the complex."""
+    n = group.dim
+    faces = [(slot_shift("g", 1, p, n), 1)]
+    for i in range(1, p + 1):
+        prod = group.multiply(_vec(slot_vars(i, n)), _vec(slot_vars(i + 1, n)))
+        sub = slot_shift("g", i + 1, p, n)
+        sub.update({f"g{i}_{j}": prod[j - 1] for j in range(1, n + 1)})
+        faces.append((sub, (-1) ** i))
+    return faces
 
 
 def group_delta(f: GroupCochain) -> GroupCochain:
     """Simplicial differential on polynomial group cochains; the last face
     twists by the inverse representation matrix."""
     group, rep, p = f.group, f.rep, f.degree
-    n = group.dim
     out = [MultiPoly.zero() for _ in range(rep.dim)]
-
-    # face 0: drop g1
-    sub0 = _slot_shift_sub(group, p, {s: s + 1 for s in range(1, p + 1)})
-    out = [o + v.subst(sub0) for o, v in zip(out, f.values)]
-
-    # faces 1..p: merge slots i, i+1
-    for i in range(1, p + 1):
-        gi = [MultiPoly.var(f"g{i}_{j}") for j in range(1, n + 1)]
-        gi1 = [MultiPoly.var(f"g{i+1}_{j}") for j in range(1, n + 1)]
-        prod = group.multiply(gi, gi1)
-        sub = {}
-        for j in range(1, n + 1):
-            sub[f"g{i}_{j}"] = prod[j - 1]
-        for s in range(i + 1, p + 1):
-            for j in range(1, n + 1):
-                sub[f"g{s}_{j}"] = MultiPoly.var(f"g{s+1}_{j}")
-        sgn = (-1) ** i
+    for sub, sgn in group_faces(group, p):
         out = [o + v.subst(sub) * sgn for o, v in zip(out, f.values)]
-
     # face p+1: drop g_{p+1}, acting by rho(g_{p+1})^{-1} on the value
-    rho_inv = rep.inverse_matrix()
-    last = [
-        [
-            e.subst({f"y_{j}": MultiPoly.var(f"g{p+1}_{j}") for j in range(1, n + 1)})
-            for e in row
-        ]
-        for row in rho_inv
-    ]
+    rho_inv = rep.matrix_at(group.invert(_vec(slot_vars(p + 1, group.dim))))
     sgn = (-1) ** (p + 1)
-    for r in range(rep.dim):
-        acc = MultiPoly.zero()
-        for c in range(rep.dim):
-            if not last[r][c].is_zero():
-                acc = acc + last[r][c] * f.values[c]
-        out[r] = out[r] + acc * sgn
-
+    out = [o + t * sgn for o, t in zip(out, mat_vec(rho_inv, f.values))]
     return GroupCochain(group, rep, p + 1, out)
 
 
 # ---------------------------------------------------------------------------
 # Registry
-
-_ALGEBRA_BUILDERS = {}
 
 
 def registered_groups() -> List[str]:

@@ -11,12 +11,11 @@ geodesic map and integrates exactly over the unit cube.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .forms import Chart, PolyForm, exterior_d, wedge
-from .polyalg import MultiPoly, to_string
+from .forms import Chart, PolyForm, cube_integrate, pullback
+from .polyalg import MultiPoly, slot_shift, to_string
 
 Index = Tuple[int, ...]
 
@@ -95,11 +94,7 @@ def as_delta(f: ASCochain) -> ASCochain:
     acc = MultiPoly.zero()
     for i in range(p + 2):
         # omit point i: old point s >= i reads the new point s + 1
-        sub = {}
-        for s in range(i, p + 1):
-            for j in range(1, n + 1):
-                sub[f"m{s}_{j}"] = MultiPoly.var(f"m{s+1}_{j}")
-        acc = acc + f.value.subst(sub) * ((-1) ** i)
+        acc = acc + f.value.subst(slot_shift("m", i, p, n)) * ((-1) ** i)
     return ASCochain(n, p + 1, acc)
 
 
@@ -162,10 +157,4 @@ def pair_r(n: int, alpha: PolyForm) -> ASCochain:
         tuple(f"m{s}_{j}" for s in range(p + 1) for j in range(1, n + 1)),
     )
     phi = {f"x_{j}": geo[j - 1] for j in range(1, n + 1)}
-    from .forms import pullback
-
-    pulled = pullback(alpha, phi, cube)
-    integrand = pulled.coefficient(tuple(range(p)))
-    for s in range(1, p + 1):
-        integrand = integrand.defint01(f"t{s}")
-    return ASCochain(n, p, integrand)
+    return ASCochain(n, p, cube_integrate(pullback(alpha, phi, cube)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 Bidegree = Tuple[int, int]
 
@@ -410,29 +410,27 @@ def _rand_fraction(rng: random.Random) -> Fraction:
 def _rand_invertible(rng: random.Random, n: int) -> List[List[Fraction]]:
     """Random invertible rational matrix: unit triangular L, U with small
     entries, times a permutation."""
-    while True:
-        lower = [
-            [
-                Fraction(1) if i == j else (_rand_fraction(rng) if i > j else Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
+    lower = [
+        [
+            Fraction(1) if i == j else (_rand_fraction(rng) if i > j else Fraction(0))
+            for j in range(n)
         ]
-        upper = [
-            [
-                Fraction(1) if i == j else (_rand_fraction(rng) if i < j else Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
+        for i in range(n)
+    ]
+    upper = [
+        [
+            Fraction(1) if i == j else (_rand_fraction(rng) if i < j else Fraction(0))
+            for j in range(n)
         ]
-        perm = list(range(n))
-        rng.shuffle(perm)
-        pmat = [
-            [Fraction(1) if j == perm[i] else Fraction(0) for j in range(n)]
-            for i in range(n)
-        ]
-        prod = _mm(_mm(lower, upper), pmat)
-        return prod
+        for i in range(n)
+    ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pmat = [
+        [Fraction(1) if j == perm[i] else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    return _mm(_mm(lower, upper), pmat)
 
 
 def _mm(a, b):
@@ -572,87 +570,50 @@ def matrix_instance(seed: int = 0, max_p: int = 3, max_q: int = 3) -> DoubleComp
     def dim(p, q):
         return A.dim(p) * B.dim(q)
 
-    def zero(p, q):
-        return Vec((Fraction(0),) * dim(p, q))
+    # A payload of A^p (x) B^q is stored row-major: entry i * nb + j holds
+    # the A-coordinate i and the B-coordinate j.  Each applier takes the
+    # dimension of the factor it leaves alone.
+    def on_a(op, v: Vec, nb: int) -> Vec:
+        cols = [op(Vec(v.entries[j::nb])).entries for j in range(nb)]
+        return Vec(tuple(x for row in zip(*cols) for x in row))
 
-    def split(p, q, v: Vec):
-        """View a tensor vector as an A.dim(p) x B.dim(q) array of rows."""
-        nb = B.dim(q)
-        return [Vec(v.entries[i * nb : (i + 1) * nb]) for i in range(A.dim(p))]
-
-    def join(rows) -> Vec:
-        out = []
-        for r in rows:
-            out.extend(r.entries)
-        return Vec(tuple(out))
-
-    def apply_A(op, p, q, v: Vec, na_t: int) -> Vec:
-        # act on the A index: columns of the array are B-coordinates
-        nb = B.dim(q)
-        cols_out = []
-        for j in range(nb):
-            col = Vec(tuple(v.entries[i * nb + j] for i in range(A.dim(p))))
-            cols_out.append(op(col))
-        return Vec(
-            tuple(cols_out[j].entries[i] for i in range(na_t) for j in range(nb))
-        )
-
-    def apply_B(op, p, q, v: Vec, target_q: int) -> Vec:
-        rows = split(p, q, v)
-        return join([op(r) for r in rows])
+    def on_b(op, v: Vec, na: int) -> Vec:
+        nb = len(v.entries) // na if na else 0
+        return Vec(tuple(
+            x for i in range(na) for x in op(Vec(v.entries[i * nb : (i + 1) * nb])).entries
+        ))
 
     def delta(p, q, x):
-        return apply_A(lambda c: A.d(p, c), p, q, x, A.dim(p + 1))
+        return on_a(lambda c: A.d(p, c), x, B.dim(q))
 
     def d(p, q, x):
-        out = apply_B(lambda r: B.d(q, r), p, q, x, q + 1)
+        out = on_b(lambda r: B.d(q, r), x, A.dim(p))
         return -out if p % 2 else out
 
     def h(p, q, x):
-        return apply_A(lambda c: A.h(p, c), p, q, x, A.dim(p - 1))
+        return on_a(lambda c: A.h(p, c), x, B.dim(q))
 
     def k(p, q, x):
-        out = apply_B(lambda r: B.h(q, r), p, q, x, q - 1)
+        out = on_b(lambda r: B.h(q, r), x, A.dim(p))
         return -out if p % 2 else out
 
     def p_proj(q, x):
-        return apply_A(A.proj, 0, q, x, A.x_dim)
+        return on_a(A.proj, x, B.dim(q))
 
     def i_inc(q, xe):
-        # xe lives in X_A (x) B^q with X_A of dim A.x_dim
-        nb = B.dim(q)
-        rows = [Vec(xe.entries[i * nb : (i + 1) * nb]) for i in range(A.x_dim)]
-        cols_out = []
-        for j in range(nb):
-            col = Vec(tuple(rows[i].entries[j] for i in range(A.x_dim)))
-            cols_out.append(A.inc(col))
-        return Vec(
-            tuple(cols_out[j].entries[i] for i in range(A.dim(0)) for j in range(nb))
-        )
+        return on_a(A.inc, xe, B.dim(q))
 
     def q_proj(p, x):
-        return apply_B(B.proj, p, 0, x, 0)
+        return on_b(B.proj, x, A.dim(p))
 
     def j_inc(p, ye):
-        nx = B.x_dim
-        rows = [Vec(ye.entries[i * nx : (i + 1) * nx]) for i in range(A.dim(p))]
-        return join([B.inc(r) for r in rows])
+        return on_b(B.inc, ye, A.dim(p))
 
     def d_x(q, xe):
-        nb = B.dim(q)
-        rows = [Vec(xe.entries[i * nb : (i + 1) * nb]) for i in range(A.x_dim)]
-        return join([B.d(q, r) for r in rows])
+        return on_b(lambda r: B.d(q, r), xe, A.x_dim)
 
     def delta_y(p, ye):
-        nx = B.x_dim
-        na_t = A.dim(p + 1)
-        cols_out = []
-        for j in range(nx):
-            col = Vec(tuple(ye.entries[i * nx + j] for i in range(A.dim(p))))
-            cols_out.append(A.d(p, col))
-        return Vec(
-            tuple(cols_out[j].entries[i] for i in range(na_t) for j in range(nx))
-        )
+        return on_a(lambda c: A.d(p, c), ye, B.x_dim)
 
     def sample(rng2, p, q):
         return Vec(tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(dim(p, q))))

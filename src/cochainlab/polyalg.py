@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Rat = Fraction
 Exponent = Tuple[int, ...]
@@ -313,3 +313,45 @@ def to_string(p: MultiPoly) -> str:
         else:
             chunks.append(f"+ {body}" if coef > 0 else f"- {body}")
     return " ".join(chunks)
+
+
+# ---------------------------------------------------------------------------
+# Shared sign, face-map and matrix conventions
+
+
+def sort_sign(items: Sequence, key=None) -> Tuple[Optional[tuple], int]:
+    """Sort ``items`` (by ``key``), returning (sorted tuple, sign of the
+    sorting permutation), or (None, 0) when two keys are equal: the one
+    sign convention for wedge monomials and simplices."""
+    items = tuple(items)
+    keys = items if key is None else tuple(map(key, items))
+    sign = 1
+    for a in range(len(keys)):
+        for b in range(a + 1, len(keys)):
+            if keys[a] == keys[b]:
+                return None, 0
+            if keys[a] > keys[b]:
+                sign = -sign
+    return tuple(sorted(items, key=key)), sign
+
+
+def slot_shift(prefix: str, first: int, last: int, n: int) -> Dict[str, MultiPoly]:
+    """Face-map substitution in which slot s reads slot s + 1, for
+    first <= s <= last, on the variables <prefix><s>_1..<prefix><s>_n."""
+    return {
+        f"{prefix}{s}_{j}": MultiPoly.var(f"{prefix}{s + 1}_{j}")
+        for s in range(first, last + 1)
+        for j in range(1, n + 1)
+    }
+
+
+def mat_vec(mat: Sequence[Sequence[MultiPoly]], vec: Sequence[MultiPoly]) -> List[MultiPoly]:
+    """Matrix times vector over polynomials; zero entries of vec are skipped."""
+    out = []
+    for row in mat:
+        acc = MultiPoly.zero()
+        for m, v in zip(row, vec):
+            if not v.is_zero():
+                acc = acc + m * v
+        out.append(acc)
+    return out

@@ -35,24 +35,28 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .forms import Chart, PolyForm, PolyVF, contract, exterior_d, homotopy_T, pullback, wedge
-from .liealg import CEElement, Representation, ce_diff, ce_diff_comps, trivial_rep
+from .forms import Chart, PolyForm, PolyVF, contract, cube_integrate, homotopy_T, pullback, wedge
+from .liealg import CEElement, ce_diff, ce_diff_comps
 from .nilgroup import (
     GroupCochain,
     PolyGroup,
     PolyRep,
+    as_coeffs,
     fiber_vars,
     group_chart,
     group_delta,
+    group_faces,
     left_invariant_vf,
     maurer_cartan_coframe,
+    nilpotent_series,
     slot_vars,
     trivial_poly_rep,
 )
 from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy, zigzag_yx
-from .polyalg import MultiPoly, Rat, to_string
+from .polyalg import MultiPoly, Rat, mat_vec, sort_sign, to_string
 
 Index = Tuple[int, ...]
 
@@ -170,25 +174,8 @@ def bg_delta(psi: BigradedElement) -> BigradedElement:
             cur = out.get(idx)
             out[idx] = term if cur is None else [a + b for a, b in zip(cur, term)]
 
-    # face 0: drop g1, shift the rest down
-    accumulate(
-        {
-            f"g{s}_{j}": MultiPoly.var(f"g{s+1}_{j}")
-            for s in range(1, p + 1)
-            for j in range(1, n + 1)
-        },
-        1,
-    )
-    # faces 1..p: merge slots i, i+1
-    for i in range(1, p + 1):
-        gi = [MultiPoly.var(f"g{i}_{j}") for j in range(1, n + 1)]
-        gi1 = [MultiPoly.var(f"g{i+1}_{j}") for j in range(1, n + 1)]
-        prod = group.multiply(gi, gi1)
-        sub = {f"g{i}_{j}": prod[j - 1] for j in range(1, n + 1)}
-        for s in range(i + 1, p + 1):
-            for j in range(1, n + 1):
-                sub[f"g{s}_{j}"] = MultiPoly.var(f"g{s+1}_{j}")
-        accumulate(sub, (-1) ** i)
+    for sub, sgn in group_faces(group, p):
+        accumulate(sub, sgn)
     # face p+1: merge g_{p+1} into the base point
     gp1 = [MultiPoly.var(f"g{p+1}_{j}") for j in range(1, n + 1)]
     yv = [MultiPoly.var(v) for v in fiber_vars(n)]
@@ -278,22 +265,15 @@ def frame_convert(obj, direction: str):
         group, rep = psi.group, psi.rep
         theta = maurer_cartan_coframe(group, slots=psi.p)
         chart = group_chart(group, slots=psi.p)
-        rho = rep.rho
-        forms = []
-        for r in range(rep.dim):
-            acc = PolyForm.zero(chart, psi.q)
-            for idx, vec in psi.comps.items():
-                coef = MultiPoly.zero()
-                for c in range(rep.dim):
-                    if not vec[c].is_zero():
-                        coef = coef + rho[r][c] * vec[c]
+        forms = [PolyForm.zero(chart, psi.q)] * rep.dim
+        for idx, vec in psi.comps.items():
+            for r, coef in enumerate(mat_vec(rep.rho, vec)):
                 if coef.is_zero():
                     continue
                 term = PolyForm.function(chart, coef)
                 for i in idx:
                     term = wedge(term, theta[i])
-                acc = acc + term
-            forms.append(acc)
+                forms[r] = forms[r] + term
         return FormPicture(group, rep, psi.p, psi.q, tuple(forms))
     if direction == "to_components":
         fp: FormPicture = obj
@@ -312,14 +292,7 @@ def frame_convert(obj, direction: str):
                 for i in idx:
                     form = contract(form, frames[i])
                 paired.append(form.coefficient(()))
-            vec = []
-            for c in range(rep.dim):
-                acc = MultiPoly.zero()
-                for r in range(rep.dim):
-                    if not paired[r].is_zero():
-                        acc = acc + rho_inv[c][r] * paired[r]
-                vec.append(acc)
-            comps[idx] = tuple(vec)
+            comps[idx] = tuple(mat_vec(rho_inv, paired))
         return BigradedElement(group, rep, fp.p, fp.q, comps)
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -364,16 +337,8 @@ def bg_i_inc(group: PolyGroup, rep: PolyRep, alpha: CEElement) -> BigradedElemen
 
 def bg_j_inc(f: GroupCochain) -> BigradedElement:
     """(j f)(g_1..g_p; y) = rho(y)^{-1} f(g_1..g_p)."""
-    rep = f.rep
-    rho_inv = rep.inverse_matrix()
-    vec = []
-    for r in range(rep.dim):
-        acc = MultiPoly.zero()
-        for c in range(rep.dim):
-            if not f.values[c].is_zero():
-                acc = acc + rho_inv[r][c] * f.values[c]
-        vec.append(acc)
-    return BigradedElement(f.group, rep, f.degree, 0, {(): tuple(vec)})
+    vec = tuple(mat_vec(f.rep.inverse_matrix(), f.values))
+    return BigradedElement(f.group, f.rep, f.degree, 0, {(): vec})
 
 
 def bg_q_proj(psi: BigradedElement) -> GroupCochain:
@@ -389,18 +354,10 @@ def bg_q_proj(psi: BigradedElement) -> GroupCochain:
 # Covariant derivatives and Lie derivative
 
 
-def _as_coeffs(group: PolyGroup, xi: Union[int, Sequence[Rat]]) -> List[Fraction]:
-    if isinstance(xi, int):
-        out = [Fraction(0)] * group.dim
-        out[xi] = Fraction(1)
-        return out
-    return [Fraction(c) for c in xi]
-
-
 _T = "t1"
 
 
-def _curve(group: PolyGroup, coeffs: Sequence[Fraction]) -> List[MultiPoly]:
+def _curve(coeffs: Sequence[Fraction]) -> List[MultiPoly]:
     t = MultiPoly.var(_T)
     return [t * c for c in coeffs]
 
@@ -429,8 +386,7 @@ def nabla(i: int, xi: Union[int, Sequence[Rat]], f: GroupCochain) -> GroupCochai
     group, p = f.group, f.degree
     if not 1 <= i <= p:
         raise VanEstError(f"slot {i} out of range 1..{p}")
-    coeffs = _as_coeffs(group, xi)
-    a = _curve(group, coeffs)
+    a = _curve(as_coeffs(group.dim, xi))
     n = group.dim
     if i < p:
         sub = _interior_sub(group, i, a)
@@ -439,19 +395,8 @@ def nabla(i: int, xi: Union[int, Sequence[Rat]], f: GroupCochain) -> GroupCochai
         gp = [MultiPoly.var(f"g{p}_{j}") for j in range(1, n + 1)]
         moved = group.multiply(gp, a)
         sub = {f"g{p}_{j}": moved[j - 1] for j in range(1, n + 1)}
-        rho_a = [
-            [e.subst({f"y_{j}": a[j - 1] for j in range(1, n + 1)}) for e in row]
-            for row in f.rep.rho
-        ]
         shifted = [v.subst(sub) for v in f.values]
-        vals = []
-        for r in range(f.rep.dim):
-            acc = MultiPoly.zero()
-            for c in range(f.rep.dim):
-                if not shifted[c].is_zero():
-                    acc = acc + rho_a[r][c] * shifted[c]
-            vals.append(_ddt_at_zero(acc))
-        vals = tuple(vals)
+        vals = tuple(_ddt_at_zero(v) for v in mat_vec(f.rep.matrix_at(a), shifted))
     return GroupCochain(group, f.rep, p, vals)
 
 
@@ -464,7 +409,7 @@ def nabla_bigraded(
     group, p = psi.group, psi.p
     if not 1 <= i <= p:
         raise VanEstError(f"slot {i} out of range 1..{p}")
-    a = _curve(group, _as_coeffs(group, xi))
+    a = _curve(as_coeffs(group.dim, xi))
     n = group.dim
     if i < p:
         sub = _interior_sub(group, i, a)
@@ -485,8 +430,8 @@ def lie_bigraded(
     """Module Lie derivative: left-invariant derivative on the base point
     plus the infinitesimal V-representation."""
     group = psi.group
-    coeffs = _as_coeffs(group, xi)
-    a = _curve(group, coeffs)
+    coeffs = as_coeffs(group.dim, xi)
+    a = _curve(coeffs)
     n = group.dim
     yv = [MultiPoly.var(v) for v in fiber_vars(n)]
     moved = group.multiply(yv, a)
@@ -522,7 +467,6 @@ def ve_closed(f: GroupCochain) -> CEElement:
     alg = group.algebra
     rep_inf = f.rep.infinitesimal()
     if p == 0:
-        zero = {}
         val = tuple(Fraction(v.constant_value()) for v in f.values)
         return CEElement(alg, rep_inf, 0, {(): val})
     all_zero = {
@@ -534,7 +478,7 @@ def ve_closed(f: GroupCochain) -> CEElement:
     for idx in combinations(range(group.dim), p):
         total = [Fraction(0)] * f.rep.dim
         for perm in permutations(range(p)):
-            sign = _perm_sign(perm)
+            sign = sort_sign(perm)[1]
             cur = f
             for slot in range(p, 0, -1):
                 cur = nabla(slot, idx[perm[slot - 1]], cur)
@@ -542,15 +486,6 @@ def ve_closed(f: GroupCochain) -> CEElement:
             total = [t + sign * v for t, v in zip(total, vals)]
         comps[idx] = tuple(total)
     return CEElement(alg, rep_inf, p, comps)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -604,45 +539,15 @@ def r_closed(
         tuple(f"t{s}" for s in range(1, p + 1)),
         tuple(f"g{s}_{j}" for s in range(1, p + 1) for j in range(1, n + 1)),
     )
-    ychart = Chart(fiber_vars(n))
-    theta = maurer_cartan_coframe(group)
     phi = {f"y_{j}": gm.components[j - 1] for j in range(1, n + 1)}
-    vals = []
-    for r in range(rep.dim):
-        acc = PolyForm.zero(ychart, p)
-        for idx, vec in alpha.comps.items():
-            coef = MultiPoly.zero()
-            for c in range(rep.dim):
-                if vec[c] != 0:
-                    coef = coef + rep.rho[r][c] * vec[c]
-            if coef.is_zero():
-                continue
-            term = PolyForm.function(ychart, coef)
-            for i in idx:
-                term = wedge(term, theta[i])
-            acc = acc + term
-        pulled = pullback(acc, phi, cube)
-        integrand = pulled.coefficient(tuple(range(p)))
-        for s in range(1, p + 1):
-            integrand = integrand.defint01(f"t{s}")
-        vals.append(integrand)
+    twisted = frame_convert(bg_i_inc(group, rep, alpha), "to_form")
+    vals = [cube_integrate(pullback(form, phi, cube)) for form in twisted.forms]
     # translate the V-value back to the unit
     prod = [MultiPoly.var(f"g1_{j}") for j in range(1, n + 1)]
     for s in range(2, p + 1):
         prod = group.multiply(prod, [MultiPoly.var(f"g{s}_{j}") for j in range(1, n + 1)])
-    inv_prod = group.invert(prod)
-    rho_back = [
-        [e.subst({f"y_{j}": inv_prod[j - 1] for j in range(1, n + 1)}) for e in row]
-        for row in rep.rho
-    ]
-    out = []
-    for r in range(rep.dim):
-        acc = MultiPoly.zero()
-        for c in range(rep.dim):
-            if not vals[c].is_zero():
-                acc = acc + rho_back[r][c] * vals[c]
-        out.append(acc)
-    return GroupCochain(group, rep, p, tuple(out))
+    rho_back = rep.matrix_at(group.invert(prod))
+    return GroupCochain(group, rep, p, tuple(mat_vec(rho_back, vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -778,33 +683,6 @@ def r_zigzag(
 # Standard unipotent representations for the registry
 
 
-def _exp_nilpotent(mat: List[List[MultiPoly]]) -> Tuple[Tuple[MultiPoly, ...], ...]:
-    """Exact exponential of a nilpotent polynomial matrix (finite sum)."""
-    d = len(mat)
-    out = [
-        [MultiPoly.const(1) if i == j else MultiPoly.zero() for j in range(d)]
-        for i in range(d)
-    ]
-    power = [row[:] for row in out]
-    fact = 1
-    for step in range(1, d):
-        power = [
-            [
-                sum((power[i][k] * mat[k][j] for k in range(d)), MultiPoly.zero())
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        if all(e.is_zero() for row in power for e in row):
-            break
-        fact *= step
-        inv = Fraction(1, fact)
-        out = [
-            [out[i][j] + power[i][j] * inv for j in range(d)] for i in range(d)
-        ]
-    return tuple(tuple(row) for row in out)
-
-
 def _exp_rep(group: PolyGroup, generators: List[List[List[int]]]) -> PolyRep:
     """Representation exp(sum_i y_i X_i) from nilpotent generator matrices
     realizing the structure constants; exact because the group law is the
@@ -817,7 +695,8 @@ def _exp_rep(group: PolyGroup, generators: List[List[List[int]]]) -> PolyRep:
             for c in range(d):
                 if gen[r][c]:
                     mat[r][c] = mat[r][c] + y * gen[r][c]
-    return PolyRep(group, d, _exp_nilpotent(mat))
+    exp = nilpotent_series(mat, lambda k: Fraction(1, factorial(k)))
+    return PolyRep(group, d, tuple(tuple(row) for row in exp))
 
 
 def standard_poly_rep(group: PolyGroup) -> PolyRep:

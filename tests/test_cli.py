@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction
@@ -171,6 +172,20 @@ def test_reports_deterministic():
 def test_usage_errors():
     assert main(["verify", "--instance", "nope"]) == 2
     assert main(["ve", "/nonexistent/input", "--instance", "abelian-2"]) == 2
+
+
+def test_degree_overflow_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("g1_1^30*g2_2"))
+    assert main(["ve", "-", "--instance", "heisenberg3"]) == 2
+    assert main(["verify", "--instance", "pair-r1", "--max-deg", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: term of total degree") == 2
+
+
+def test_matrix_max_p_above_3_rejected():
+    with pytest.raises(ValueError):
+        RunConfig("matrix", max_p=9)
+    assert main(["verify", "--instance", "matrix", "--max-p", "9"]) == 2
 
 
 def test_map_via_files(tmp_path):

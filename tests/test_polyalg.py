@@ -10,6 +10,7 @@ from cochainlab.polyalg import (
     MultiPoly,
     canonical_vars,
     format_rat,
+    sort_sign,
     to_string,
     var_key,
 )
@@ -114,3 +115,28 @@ def test_to_string_roundtrip(a):
     from cochainlab.cli import parse_expr
 
     assert parse_expr(to_string(a)) == a
+
+
+def _cycle_parity(items, key):
+    """Reference sign: sort positions by key, then count the transpositions
+    that undo the sorting permutation cycle by cycle."""
+    ranked = sorted(range(len(items)), key=lambda i: key(items[i]))
+    sign = 1
+    perm = list(ranked)
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return tuple(items[i] for i in ranked), sign
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 6), max_size=7), st.sampled_from([None, lambda i: -i]))
+def test_sort_sign_matches_cycle_parity(items, key):
+    ref_key = key or (lambda i: i)
+    result, sign = sort_sign(items, key=key)
+    if len({ref_key(i) for i in items}) < len(items):
+        assert (result, sign) == (None, 0)
+    else:
+        assert (result, sign) == _cycle_parity(items, ref_key)
