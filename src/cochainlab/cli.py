@@ -334,8 +334,15 @@ class RunConfig:
             raise ValueError("bounds must be positive")
         if self.instance not in instance_names():
             raise ValueError(f"unknown instance {self.instance!r}")
-        if self.instance == "matrix" and self.max_p > 3:
-            raise ValueError(f"the matrix instance supports max_p <= 3, got {self.max_p}")
+        if self.coeff_rep not in ("trivial", "standard"):
+            raise ValueError(f"unknown coefficient representation {self.coeff_rep!r}")
+        limit = 3 if self.instance == "matrix" else None
+        if self.instance.startswith("pair-r"):
+            limit = int(self.instance[len("pair-r"):])
+        if limit is not None and self.max_p > limit:
+            raise ValueError(
+                f"the {self.instance} instance supports max_p <= {limit}, got {self.max_p}"
+            )
 
 
 def instance_names() -> List[str]:
@@ -357,11 +364,7 @@ def _group_rep(group, coeff_rep: str):
     from .nilgroup import trivial_poly_rep
     from .vanest import standard_poly_rep
 
-    if coeff_rep == "trivial":
-        return trivial_poly_rep(group)
-    if coeff_rep == "standard":
-        return standard_poly_rep(group)
-    raise ValueError(f"unknown coefficient representation {coeff_rep!r}")
+    return standard_poly_rep(group) if coeff_rep == "standard" else trivial_poly_rep(group)
 
 
 def _pair_suite(n: int, config: RunConfig) -> List[dict]:
@@ -385,7 +388,7 @@ def _pair_suite(n: int, config: RunConfig) -> List[dict]:
         reports.append(rec)
 
     base = [f"x_{j}" for j in range(1, n + 1)]
-    for p in range(min(config.max_p, n) + 1):
+    for p in range(config.max_p + 1):
         for _ in range(config.trials):
             # random monomial p-form
             idx = tuple(sorted(rng.sample(range(n), p)))
@@ -621,7 +624,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         print(result)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

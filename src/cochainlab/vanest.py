@@ -27,6 +27,10 @@ complex and as the closed permutation formula over iterated covariant
 derivatives; the integration map both as a zig-zag and as the exact cube
 integral of the pulled-back left-invariant form.  Their agreement is a
 theorem, tested rather than assumed.
+
+Every infinitesimal action (the covariant derivatives, the Lie derivative
+and d) is a chain-rule derivative along invariant vector fields: a point
+moved to x exp(t xi) has the left-invariant field of xi at x as velocity.
 """
 
 from __future__ import annotations
@@ -201,36 +205,15 @@ def bg_h(psi: BigradedElement) -> BigradedElement:
     return BigradedElement(group, psi.rep, p - 1, psi.q, out)
 
 
-def _frame_fields(group: PolyGroup) -> List[Tuple[MultiPoly, ...]]:
-    return [left_invariant_vf(group, j).components for j in range(group.dim)]
-
-
 def bg_d(psi: BigradedElement) -> BigradedElement:
     """Vertical differential: (-1)^p times the Chevalley-Eilenberg
     differential for the combined action (left-invariant derivative on the
     base point plus the infinitesimal V-representation)."""
-    group = psi.group
-    frames = _frame_fields(group)
+    group, n = psi.group, psi.group.dim
     inf = psi.rep.infinitesimal()
-    yv = fiber_vars(group.dim)
-
-    def action(j: int, vec):
-        frame = frames[j]
-        out = []
-        for r, c in enumerate(vec):
-            acc = MultiPoly.zero()
-            for k in range(group.dim):
-                dc = c.diff(yv[k])
-                if not dc.is_zero():
-                    acc = acc + frame[k] * dc
-            for cidx in range(len(vec)):
-                m = inf.matrices[j][r][cidx]
-                if m != 0:
-                    acc = acc + vec[cidx] * m
-            out.append(acc)
-        return out
-
-    raw = ce_diff_comps(group.algebra, psi.q, psi.comps, action)
+    fields = [left_invariant_vf(group, j).components for j in range(n)]
+    moves = [(_velocity(group, fields[j], fiber_vars(n)), inf.matrices[j]) for j in range(n)]
+    raw = ce_diff_comps(group.algebra, psi.q, psi.comps, lambda j, vec: _act(vec, *moves[j]))
     sgn = (-1) ** psi.p
     out = {idx: tuple(c * sgn for c in vec) for idx, vec in raw.items()}
     return BigradedElement(group, psi.rep, psi.p, psi.q + 1, out)
@@ -354,50 +337,66 @@ def bg_q_proj(psi: BigradedElement) -> GroupCochain:
 # Covariant derivatives and Lie derivative
 
 
-_T = "t1"
+def _velocity(
+    group: PolyGroup, field: Sequence[MultiPoly], names: Sequence[str], left: bool = False
+) -> Dict[str, MultiPoly]:
+    """Velocity at t = 0 of the point x with coordinates ``names`` moved by
+    a = exp(t xi), given the left-invariant field of xi in the y_*: for x a
+    it is that field at x; for a^{-1} x (``left``) it is minus the field at
+    x^{-1}, because a^{-1} x = (x^{-1} a)^{-1} and inversion is negation in
+    the exponential coordinates of bch_multiplication."""
+    if left:
+        inverse = group.invert([MultiPoly.var(v) for v in names])
+        sub = dict(zip(fiber_vars(group.dim), inverse))
+        return {v: -c.subst(sub) for v, c in zip(names, field)}
+    sub = {y: MultiPoly.var(v) for y, v in zip(fiber_vars(group.dim), names) if y != v}
+    return {v: c.subst(sub) for v, c in zip(names, field)}
 
 
-def _curve(coeffs: Sequence[Fraction]) -> List[MultiPoly]:
-    t = MultiPoly.var(_T)
-    return [t * c for c in coeffs]
+def _twist(inf, xi: Union[int, Sequence[Rat]]) -> List[List[Fraction]]:
+    """rho_*(xi) = sum_j xi_j rho_*(e_j) as a rational matrix."""
+    pairs = list(zip(inf.matrices, as_coeffs(len(inf.matrices), xi)))
+    rows = range(inf.dim)
+    return [[sum(m[r][c] * x for m, x in pairs) for c in rows] for r in rows]
 
 
-def _ddt_at_zero(poly: MultiPoly) -> MultiPoly:
-    return poly.diff(_T).subst({_T: Fraction(0)})
+def _act(vec, velocity: Mapping[str, MultiPoly], twist=None) -> Tuple[MultiPoly, ...]:
+    """Infinitesimal action on a vector of values by the chain rule:
+    sum_v d(value)/dv * velocity_v, plus twist . vec."""
+    out = []
+    for r, c in enumerate(vec):
+        acc = MultiPoly.zero()
+        for v, vel in velocity.items():
+            dc = c.diff(v)
+            if not dc.is_zero():
+                acc = acc + vel * dc
+        if twist is not None:
+            for m, other in zip(twist[r], vec):
+                if m != 0 and not other.is_zero():
+                    acc = acc + other * m
+        out.append(acc)
+    return tuple(out)
 
 
-def _interior_sub(group: PolyGroup, i: int, a: List[MultiPoly]) -> Dict[str, MultiPoly]:
-    """Substitution for the i-th action, i < p: (g_i a, a^{-1} g_{i+1})."""
-    n = group.dim
-    gi = [MultiPoly.var(f"g{i}_{j}") for j in range(1, n + 1)]
-    gi1 = [MultiPoly.var(f"g{i+1}_{j}") for j in range(1, n + 1)]
-    a_inv = [-c for c in a]
-    left = group.multiply(gi, a)
-    right = group.multiply(a_inv, gi1)
-    sub = {f"g{i}_{j}": left[j - 1] for j in range(1, n + 1)}
-    sub.update({f"g{i+1}_{j}": right[j - 1] for j in range(1, n + 1)})
-    return sub
+def _slot_velocity(group: PolyGroup, i: int, p: int, xi, base=()) -> Dict[str, MultiPoly]:
+    """Velocity of the i-th slot action: (g_i a, a^{-1} g_{i+1}) for i < p,
+    (g_p a, a^{-1} x) for i = p, x the point with coordinates ``base``."""
+    if not 1 <= i <= p:
+        raise VanEstError(f"slot {i} out of range 1..{p}")
+    field = left_invariant_vf(group, xi).components
+    vel = _velocity(group, field, slot_vars(i, group.dim))
+    pulled = slot_vars(i + 1, group.dim) if i < p else base
+    vel.update(_velocity(group, field, pulled, left=True))
+    return vel
 
 
 def nabla(i: int, xi: Union[int, Sequence[Rat]], f: GroupCochain) -> GroupCochain:
     """Covariant derivative along the i-th slot action, at the unit of the
     acting copy: for i < p the action is (g_i a, a^{-1} g_{i+1}); for i = p
     it is g_p a combined with the V-representation of a."""
-    group, p = f.group, f.degree
-    if not 1 <= i <= p:
-        raise VanEstError(f"slot {i} out of range 1..{p}")
-    a = _curve(as_coeffs(group.dim, xi))
-    n = group.dim
-    if i < p:
-        sub = _interior_sub(group, i, a)
-        vals = tuple(_ddt_at_zero(v.subst(sub)) for v in f.values)
-    else:
-        gp = [MultiPoly.var(f"g{p}_{j}") for j in range(1, n + 1)]
-        moved = group.multiply(gp, a)
-        sub = {f"g{p}_{j}": moved[j - 1] for j in range(1, n + 1)}
-        shifted = [v.subst(sub) for v in f.values]
-        vals = tuple(_ddt_at_zero(v) for v in mat_vec(f.rep.matrix_at(a), shifted))
-    return GroupCochain(group, f.rep, p, vals)
+    vel = _slot_velocity(f.group, i, f.degree, xi)
+    twist = _twist(f.rep.infinitesimal(), xi) if i == f.degree else None
+    return GroupCochain(f.group, f.rep, f.degree, _act(f.values, vel, twist))
 
 
 def nabla_bigraded(
@@ -406,22 +405,9 @@ def nabla_bigraded(
     """The same covariant derivatives on D^{p,q}; the p-th action moves the
     base point, (g_p a; a^{-1} y), instead of twisting by the
     representation."""
-    group, p = psi.group, psi.p
-    if not 1 <= i <= p:
-        raise VanEstError(f"slot {i} out of range 1..{p}")
-    a = _curve(as_coeffs(group.dim, xi))
-    n = group.dim
-    if i < p:
-        sub = _interior_sub(group, i, a)
-    else:
-        gp = [MultiPoly.var(f"g{p}_{j}") for j in range(1, n + 1)]
-        yv = [MultiPoly.var(v) for v in fiber_vars(n)]
-        moved = group.multiply(gp, a)
-        a_inv = [-c for c in a]
-        ymoved = group.multiply(a_inv, yv)
-        sub = {f"g{p}_{j}": moved[j - 1] for j in range(1, n + 1)}
-        sub.update({f"y_{j}": ymoved[j - 1] for j in range(1, n + 1)})
-    return psi.map_comps(lambda c: _ddt_at_zero(c.subst(sub)))
+    vel = _slot_velocity(psi.group, i, psi.p, xi, fiber_vars(psi.group.dim))
+    comps = {idx: _act(vec, vel) for idx, vec in psi.comps.items()}
+    return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
 
 
 def lie_bigraded(
@@ -429,30 +415,11 @@ def lie_bigraded(
 ) -> BigradedElement:
     """Module Lie derivative: left-invariant derivative on the base point
     plus the infinitesimal V-representation."""
-    group = psi.group
-    coeffs = as_coeffs(group.dim, xi)
-    a = _curve(coeffs)
-    n = group.dim
-    yv = [MultiPoly.var(v) for v in fiber_vars(n)]
-    moved = group.multiply(yv, a)
-    sub = {f"y_{j}": moved[j - 1] for j in range(1, n + 1)}
-    inf = psi.rep.infinitesimal()
-    mat = [
-        [
-            sum((inf.matrices[j][r][c] * coeffs[j] for j in range(n)), Fraction(0))
-            for c in range(psi.rep.dim)
-        ]
-        for r in range(psi.rep.dim)
-    ]
-    out: Dict[Index, Tuple[MultiPoly, ...]] = {}
-    for idx, vec in psi.comps.items():
-        deriv = [_ddt_at_zero(c.subst(sub)) for c in vec]
-        for r in range(psi.rep.dim):
-            for c in range(psi.rep.dim):
-                if mat[r][c] != 0 and not vec[c].is_zero():
-                    deriv[r] = deriv[r] + vec[c] * mat[r][c]
-        out[idx] = tuple(deriv)
-    return BigradedElement(group, psi.rep, psi.p, psi.q, out)
+    field = left_invariant_vf(psi.group, xi).components
+    vel = _velocity(psi.group, field, fiber_vars(psi.group.dim))
+    twist = _twist(psi.rep.infinitesimal(), xi)
+    comps = {idx: _act(vec, vel, twist) for idx, vec in psi.comps.items()}
+    return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
 
 
 # ---------------------------------------------------------------------------

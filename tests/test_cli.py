@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -172,20 +176,26 @@ def test_reports_deterministic():
 def test_usage_errors():
     assert main(["verify", "--instance", "nope"]) == 2
     assert main(["ve", "/nonexistent/input", "--instance", "abelian-2"]) == 2
+    assert main(["verify", "--instance", "heisenberg3", "--coeff-rep", "bogus"]) == 2
 
 
 def test_degree_overflow_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("g1_1^30*g2_2"))
     assert main(["ve", "-", "--instance", "heisenberg3"]) == 2
-    assert main(["verify", "--instance", "pair-r1", "--max-deg", "40"]) == 2
+    assert main(["verify", "--instance", "pair-r1", "--max-p", "1", "--max-deg", "40"]) == 2
     err = capsys.readouterr().err
     assert err.count("error: term of total degree") == 2
 
 
-def test_matrix_max_p_above_3_rejected():
+def test_max_p_above_instance_limit_rejected():
     with pytest.raises(ValueError):
         RunConfig("matrix", max_p=9)
     assert main(["verify", "--instance", "matrix", "--max-p", "9"]) == 2
+    # pair-r<n> checks degrees up to n, not a silently clamped range
+    RunConfig("pair-r2", max_p=2)
+    with pytest.raises(ValueError):
+        RunConfig("pair-r2", max_p=3)
+    assert main(["verify", "--instance", "pair-r1", "--max-p", "3"]) == 2
 
 
 def test_map_via_files(tmp_path):
@@ -203,3 +213,15 @@ def test_list_instances(capsys):
     assert main(["list-instances"]) == 0
     out = capsys.readouterr().out
     assert "heisenberg3" in out and "cech-circle3" in out
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cochainlab", "list-instances"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.split() == instance_names()

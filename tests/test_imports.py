@@ -30,3 +30,36 @@ def unused_imports(path: Path):
 def test_no_unused_imports():
     problems = [p for path in sorted(SRC.glob("*.py")) for p in unused_imports(path)]
     assert problems == []
+
+
+def dead_private_names(paths):
+    """Module-level private names (``_x``, not dunders) that no module of the
+    package references: leftovers of a deleted code path."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    defined = {}
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [f"{where}: {name}" for name, where in defined.items() if name not in referenced]
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_names(sorted(SRC.glob("*.py"))) == []

@@ -4,8 +4,15 @@ from fractions import Fraction
 import pytest
 
 from cochainlab.liealg import CEElement, ce_diff
-from cochainlab.nilgroup import GroupCochain, build_group, group_delta, slot_vars
-from cochainlab.polyalg import MultiPoly
+from cochainlab.nilgroup import (
+    GroupCochain,
+    build_group,
+    fiber_vars,
+    group_delta,
+    slot_vars,
+    trivial_poly_rep,
+)
+from cochainlab.polyalg import MultiPoly, mat_vec
 from cochainlab.vanest import (
     BigradedElement,
     bg_d,
@@ -197,6 +204,73 @@ def test_lie_derivative_exchange(heisenberg_group):
         lhs = lie_bigraded(xi, bg_h(psi))
         rhs = bg_h(nabla_bigraded(p, xi, psi) + lie_bigraded(xi, psi))
         assert lhs == rhs
+
+
+# Reference definition of the infinitesimal actions, independent of the
+# chain rule in vanest: move the points along a = exp(t xi) through the
+# group law, then differentiate in t at t = 0.
+
+
+def _curve_derivative(group, xi, vec, moves, rep=None):
+    """d/dt at t = 0 of rho(a) vec(moved points), rho left out when rep is
+    None; ``moves`` pairs slot variables with "right" (x -> x a) or "left"
+    (x -> a^{-1} x)."""
+    t = MultiPoly.var("t")
+    a = [t * c for c in xi]
+    sub = {}
+    for names, side in moves:
+        x = [MultiPoly.var(v) for v in names]
+        moved = group.multiply(x, a) if side == "right" else group.multiply(group.invert(a), x)
+        sub.update(zip(names, moved))
+    vals = [c.subst(sub) for c in vec]
+    if rep is not None:
+        vals = mat_vec(rep.matrix_at(a), vals)
+    return tuple(v.diff("t").subst({"t": 0}) for v in vals)
+
+
+XI_REF = (1, Fraction(-1, 2), 2, -1)
+REF_CASES = [("heisenberg3", standard_poly_rep), ("filiform4", trivial_poly_rep)]
+
+
+@pytest.mark.parametrize("name, make_rep", REF_CASES)
+def test_nabla_matches_curve_reference(name, make_rep):
+    group = build_group(name)
+    rep, n = make_rep(group), group.dim
+    xi = XI_REF[:n]
+    rng = random.Random(41)
+    for p in (1, 2, 3):
+        variables = [v for s in range(1, p + 1) for v in slot_vars(s, n)]
+        values = tuple(random_poly(rng, variables, 3, 6) for _ in range(rep.dim))
+        f = GroupCochain(group, rep, p, values)
+        for i in range(1, p + 1):
+            if i < p:
+                moves = [(slot_vars(i, n), "right"), (slot_vars(i + 1, n), "left")]
+                expected = _curve_derivative(group, xi, values, moves)
+            else:
+                expected = _curve_derivative(group, xi, values, [(slot_vars(p, n), "right")], rep)
+            assert nabla(i, xi, f).values == expected
+
+
+@pytest.mark.parametrize("name, make_rep", REF_CASES)
+def test_bigraded_actions_match_curve_reference(name, make_rep):
+    group = build_group(name)
+    rep, n = make_rep(group), group.dim
+    xi = XI_REF[:n]
+    rng = random.Random(42)
+    g1, g2, y = slot_vars(1, n), slot_vars(2, n), fiber_vars(n)
+    for q in (0, 1):
+        psi = _random_bigraded(rng, group, rep, 2, q)
+        cases = [
+            (nabla_bigraded(1, xi, psi), [(g1, "right"), (g2, "left")], None),
+            (nabla_bigraded(2, xi, psi), [(g2, "right"), (y, "left")], None),
+            (lie_bigraded(xi, psi), [(y, "right")], rep),
+        ]
+        for got, moves, twist in cases:
+            expected = {
+                idx: _curve_derivative(group, xi, vec, moves, twist)
+                for idx, vec in psi.comps.items()
+            }
+            assert got == BigradedElement(group, rep, 2, q, expected)
 
 
 def test_normalized_h_side_conditions(heisenberg_group):
