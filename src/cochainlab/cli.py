@@ -319,6 +319,11 @@ def form_to_string(form: PolyForm) -> str:
 # Instances
 
 
+#: Largest ``--trials``: each trial re-samples every check, so a run's time
+#: grows linearly in it.
+MAX_TRIALS = 1000
+
+
 @dataclass
 class RunConfig:
     instance: str
@@ -332,6 +337,8 @@ class RunConfig:
     def __post_init__(self):
         if self.max_p < 0 or self.max_deg < 0 or self.trials <= 0:
             raise ValueError("bounds must be positive")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if self.instance not in instance_names():
             raise ValueError(f"unknown instance {self.instance!r}")
         if self.coeff_rep not in ("trivial", "standard"):
@@ -624,3 +631,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         print(result)
     return 0
+
+
+if __name__ == "__main__":
+    # ``python -m cochainlab.cli`` would run a second copy of this module
+    # beside the one the package imported; the entry point is __main__.py.
+    print("error: run the command line as `python -m cochainlab ...`", file=sys.stderr)
+    sys.exit(2)

@@ -9,13 +9,20 @@ inverses.
 Also provides the left-invariant frame, the dual coframe (with polynomial
 entries, by unipotence of the Jacobian), polynomial group cochains with
 the simplicial differential, and unipotent polynomial representations.
+
+The structure every operator reads -- a group's right Jacobian, frame,
+coframe matrix and face substitutions, a representation's rho_* and
+rho^{-1} -- is computed once per object, on first use, and kept on that
+object as tuples and read-only mappings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .forms import Chart, PolyForm, PolyVF
 from .liealg import LieAlgebra, Representation
@@ -114,6 +121,53 @@ class PolyGroup:
         sub = {f"g1_{j}": av for j, av in enumerate(a, start=1)}
         return [m.subst(sub) for m in self.inv]
 
+    @cached_property
+    def right_jacobian(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+        """B(y)[j][i] = d m_j / d (second argument)_i at (y, 0): the matrix of
+        the left-invariant frame in exponential coordinates."""
+        n = self.dim
+        sub: Dict[str, object] = {f"g1_{k}": MultiPoly.var(f"y_{k}") for k in range(1, n + 1)}
+        sub.update({f"g2_{k}": Fraction(0) for k in range(1, n + 1)})
+        return tuple(
+            tuple(m_j.diff(f"g2_{i}").subst(sub) for i in range(1, n + 1))
+            for m_j in self.mult
+        )
+
+    @cached_property
+    def frame(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+        """frame[i]: the y_* components of the left-invariant field of the
+        basis element e_i, column i of the right Jacobian."""
+        jac = self.right_jacobian
+        return tuple(tuple(row[i] for row in jac) for i in range(self.dim))
+
+    @cached_property
+    def coframe_matrix(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+        """B(y)^{-1}: row i holds the dy_* coefficients of theta^i."""
+        return tuple(tuple(row) for row in _poly_mat_inverse(self.right_jacobian))
+
+    @cached_property
+    def _faces(self) -> Dict[int, Tuple[Tuple[Mapping[str, MultiPoly], int], ...]]:
+        return {}
+
+    def faces(self, p: int) -> Tuple[Tuple[Mapping[str, MultiPoly], int], ...]:
+        """(substitution, sign) of the simplicial faces 0..p + 1 taking a
+        function of p group slots and a base point y to one of p + 1 slots:
+        face 0 drops g1, face i merges slots i and i + 1, and face p + 1
+        merges g_{p+1} into y.  A group cochain has no base point; its last
+        face twists by the representation instead (``group_delta``)."""
+        if p not in self._faces:
+            n = self.dim
+            faces = [(slot_shift("g", 1, p, n), 1)]
+            for i in range(1, p + 1):
+                prod = self.multiply(_vec(slot_vars(i, n)), _vec(slot_vars(i + 1, n)))
+                sub = slot_shift("g", i + 1, p, n)
+                sub.update({f"g{i}_{j}": prod[j - 1] for j in range(1, n + 1)})
+                faces.append((sub, (-1) ** i))
+            merged = self.multiply(_vec(slot_vars(p + 1, n)), _vec(fiber_vars(n)))
+            faces.append((dict(zip(fiber_vars(n), merged)), (-1) ** (p + 1)))
+            self._faces[p] = tuple((MappingProxyType(sub), sgn) for sub, sgn in faces)
+        return self._faces[p]
+
 
 def bch_multiplication(alg: LieAlgebra) -> PolyGroup:
     """Build the PolyGroup of a nilpotent algebra via truncated BCH and
@@ -150,24 +204,6 @@ def bch_multiplication(alg: LieAlgebra) -> PolyGroup:
 # Left-invariant frame and coframe
 
 
-def _right_jacobian(group: PolyGroup) -> List[List[MultiPoly]]:
-    """B(y)[j][i] = d m_j / d (second argument)_i at (y, 0): the matrix of
-    the left-invariant frame in exponential coordinates."""
-    n = group.dim
-    yv = fiber_vars(n)
-    rows = []
-    for j in range(n):
-        m_j = group.mult[j]
-        row = []
-        for i in range(n):
-            d = m_j.diff(f"g2_{i+1}")
-            sub = {f"g1_{k}": MultiPoly.var(yv[k - 1]) for k in range(1, n + 1)}
-            sub.update({f"g2_{k}": Fraction(0) for k in range(1, n + 1)})
-            row.append(d.subst(sub))
-        rows.append(row)
-    return rows
-
-
 def group_chart(group: PolyGroup, slots: int = 0) -> Chart:
     """Chart with fiber coordinates y_* and the slot variables as params."""
     params: Tuple[str, ...] = ()
@@ -190,16 +226,15 @@ def left_invariant_vf(
     group: PolyGroup, xi: Union[int, Sequence[Rat]], slots: int = 0
 ) -> PolyVF:
     """Left-invariant vector field of xi (basis index or coefficient
-    vector), in the fiber coordinates."""
-    n = group.dim
-    coeffs = as_coeffs(n, xi)
-    jac = _right_jacobian(group)
+    vector), in the fiber coordinates: sum_i xi_i times the frame of e_i."""
+    if isinstance(xi, int):
+        return PolyVF(group_chart(group, slots), group.frame[xi])
+    pairs = [(c, field) for c, field in zip(as_coeffs(group.dim, xi), group.frame) if c != 0]
     comps = []
-    for j in range(n):
+    for j in range(group.dim):
         acc = MultiPoly.zero()
-        for i in range(n):
-            if coeffs[i] != 0:
-                acc = acc + jac[j][i] * coeffs[i]
+        for c, field in pairs:
+            acc = acc + field[j] * c
         comps.append(acc)
     return PolyVF(group_chart(group, slots), tuple(comps))
 
@@ -253,14 +288,11 @@ def _poly_mat_inverse(mat: List[List[MultiPoly]]) -> List[List[MultiPoly]]:
 def maurer_cartan_coframe(group: PolyGroup, slots: int = 0) -> List[PolyForm]:
     """Left-invariant coframe theta^1..theta^n dual to the frame:
     theta^i = sum_j (B^{-1})_{ij} dy_j."""
-    n = group.dim
-    inv = _poly_mat_inverse(_right_jacobian(group))
     chart = group_chart(group, slots)
-    out = []
-    for i in range(n):
-        terms = {(j,): inv[i][j] for j in range(n) if not inv[i][j].is_zero()}
-        out.append(PolyForm(chart, 1, terms))
-    return out
+    return [
+        PolyForm(chart, 1, {(j,): c for j, c in enumerate(row) if not c.is_zero()})
+        for row in group.coframe_matrix
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -306,32 +338,38 @@ class PolyRep:
         sub = {f"y_{j}": p for j, p in enumerate(point, start=1)}
         return [[e.subst(sub) for e in row] for row in self.rho]
 
-    def inverse_matrix(self) -> List[List[MultiPoly]]:
+    def inverse_matrix(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
         """rho(y)^{-1} = rho(inv(y)), polynomial by unipotence."""
+        return self._inverse
+
+    def infinitesimal(self) -> Representation:
+        """d/dt rho(t e_i) at t = 0, as a rational matrix representation."""
+        return self._infinitesimal
+
+    @cached_property
+    def _inverse(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
         n = self.group.dim
         inv_pt = [
             p.subst({f"g1_{j}": MultiPoly.var(f"y_{j}") for j in range(1, n + 1)})
             for p in self.group.inv
         ]
-        return self.matrix_at(inv_pt)
+        return tuple(tuple(row) for row in self.matrix_at(inv_pt))
 
-    def infinitesimal(self) -> Representation:
-        """d/dt rho(t e_i) at t = 0, as a rational matrix representation."""
+    @cached_property
+    def _infinitesimal(self) -> Representation:
         n = self.group.dim
-        d = self.dim
-        mats = []
-        for i in range(n):
-            mat = []
-            for r in range(d):
-                row = []
-                for c in range(d):
-                    entry = self.rho[r][c]
-                    deriv = entry.diff(f"y_{i+1}")
-                    zero = {f"y_{j}": Fraction(0) for j in range(1, n + 1)}
-                    row.append(Fraction(deriv.subst(zero).constant_value()))
-                mat.append(tuple(row))
-            mats.append(tuple(mat))
-        return Representation(self.group.algebra, d, tuple(mats))
+        zero = {f"y_{j}": Fraction(0) for j in range(1, n + 1)}
+        mats = tuple(
+            tuple(
+                tuple(
+                    Fraction(entry.diff(f"y_{i}").subst(zero).constant_value())
+                    for entry in row
+                )
+                for row in self.rho
+            )
+            for i in range(1, n + 1)
+        )
+        return Representation(self.group.algebra, self.dim, mats)
 
 
 def trivial_poly_rep(group: PolyGroup) -> PolyRep:
@@ -412,26 +450,12 @@ class GroupCochain:
         return f"GroupCochain(p={self.degree}, values={self.values})"
 
 
-def group_faces(group: PolyGroup, p: int) -> List[Tuple[dict, int]]:
-    """(substitution, sign) of the simplicial faces 0..p taking a function
-    of p group slots to one of p + 1: face 0 drops g1, face i merges slots
-    i and i+1.  The last face, p + 1, depends on the complex."""
-    n = group.dim
-    faces = [(slot_shift("g", 1, p, n), 1)]
-    for i in range(1, p + 1):
-        prod = group.multiply(_vec(slot_vars(i, n)), _vec(slot_vars(i + 1, n)))
-        sub = slot_shift("g", i + 1, p, n)
-        sub.update({f"g{i}_{j}": prod[j - 1] for j in range(1, n + 1)})
-        faces.append((sub, (-1) ** i))
-    return faces
-
-
 def group_delta(f: GroupCochain) -> GroupCochain:
     """Simplicial differential on polynomial group cochains; the last face
     twists by the inverse representation matrix."""
     group, rep, p = f.group, f.rep, f.degree
     out = [MultiPoly.zero() for _ in range(rep.dim)]
-    for sub, sgn in group_faces(group, p):
+    for sub, sgn in group.faces(p)[:-1]:
         out = [o + v.subst(sub) * sgn for o, v in zip(out, f.values)]
     # face p+1: drop g_{p+1}, acting by rho(g_{p+1})^{-1} on the value
     rho_inv = rep.matrix_at(group.invert(_vec(slot_vars(p + 1, group.dim))))

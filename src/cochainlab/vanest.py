@@ -52,7 +52,6 @@ from .nilgroup import (
     fiber_vars,
     group_chart,
     group_delta,
-    group_faces,
     left_invariant_vf,
     maurer_cartan_coframe,
     nilpotent_series,
@@ -169,26 +168,13 @@ class BigradedElement:
 def bg_delta(psi: BigradedElement) -> BigradedElement:
     """Horizontal differential: alternating sum of face substitutions; the
     last face merges g_{p+1} into the base point."""
-    group, p, n = psi.group, psi.p, psi.group.dim
     out: Dict[Index, list] = {}
-
-    def accumulate(sub, sgn):
+    for sub, sgn in psi.group.faces(psi.p):
         for idx, vec in psi.comps.items():
             term = [c.subst(sub) * sgn for c in vec]
             cur = out.get(idx)
             out[idx] = term if cur is None else [a + b for a, b in zip(cur, term)]
-
-    for sub, sgn in group_faces(group, p):
-        accumulate(sub, sgn)
-    # face p+1: merge g_{p+1} into the base point
-    gp1 = [MultiPoly.var(f"g{p+1}_{j}") for j in range(1, n + 1)]
-    yv = [MultiPoly.var(v) for v in fiber_vars(n)]
-    merged = group.multiply(gp1, yv)
-    accumulate(
-        {f"y_{j}": merged[j - 1] for j in range(1, n + 1)},
-        (-1) ** (p + 1),
-    )
-    return BigradedElement(group, psi.rep, p + 1, psi.q, out)
+    return BigradedElement(psi.group, psi.rep, psi.p + 1, psi.q, out)
 
 
 def bg_h(psi: BigradedElement) -> BigradedElement:
@@ -209,10 +195,12 @@ def bg_d(psi: BigradedElement) -> BigradedElement:
     """Vertical differential: (-1)^p times the Chevalley-Eilenberg
     differential for the combined action (left-invariant derivative on the
     base point plus the infinitesimal V-representation)."""
-    group, n = psi.group, psi.group.dim
+    group = psi.group
     inf = psi.rep.infinitesimal()
-    fields = [left_invariant_vf(group, j).components for j in range(n)]
-    moves = [(_velocity(group, fields[j], fiber_vars(n)), inf.matrices[j]) for j in range(n)]
+    moves = [
+        (_velocity(group, field, fiber_vars(group.dim)), twist)
+        for field, twist in zip(group.frame, inf.matrices)
+    ]
     raw = ce_diff_comps(group.algebra, psi.q, psi.comps, lambda j, vec: _act(vec, *moves[j]))
     sgn = (-1) ** psi.p
     out = {idx: tuple(c * sgn for c in vec) for idx, vec in raw.items()}
@@ -262,10 +250,7 @@ def frame_convert(obj, direction: str):
         fp: FormPicture = obj
         group, rep = fp.group, fp.rep
         chart = group_chart(group, slots=fp.p)
-        frames = [
-            PolyVF(chart, left_invariant_vf(group, j).components)
-            for j in range(group.dim)
-        ]
+        frames = [PolyVF(chart, field) for field in group.frame]
         rho_inv = rep.inverse_matrix()
         comps: Dict[Index, Tuple[MultiPoly, ...]] = {}
         for idx in combinations(range(group.dim), fp.q):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cochainlab.cli import (
+    MAX_TRIALS,
     ParseError,
     RunConfig,
     UnknownVariable,
@@ -177,6 +178,10 @@ def test_usage_errors():
     assert main(["verify", "--instance", "nope"]) == 2
     assert main(["ve", "/nonexistent/input", "--instance", "abelian-2"]) == 2
     assert main(["verify", "--instance", "heisenberg3", "--coeff-rep", "bogus"]) == 2
+    assert main(["verify", "--instance", "matrix", "--trials", str(MAX_TRIALS + 1)]) == 2
+    with pytest.raises(ValueError):
+        RunConfig("matrix", trials=MAX_TRIALS + 1)
+    RunConfig("matrix", trials=MAX_TRIALS)
 
 
 def test_degree_overflow_is_a_usage_error(monkeypatch, capsys):
@@ -217,11 +222,20 @@ def test_list_instances(capsys):
 
 def test_module_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "cochainlab", "list-instances"],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    )
+
+    def run(module):
+        return subprocess.run(
+            [sys.executable, "-m", module, "list-instances"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+
+    proc = run("cochainlab")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.split() == instance_names()
+    # the module form of cli.py is not an entry point, and says which one is
+    proc = run("cochainlab.cli")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "python -m cochainlab ..." in proc.stderr

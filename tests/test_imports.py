@@ -1,5 +1,6 @@
-"""Static hygiene of the package sources: no module imports a name it never
-uses.  Stdlib ``ast`` only, so it runs wherever the tests do."""
+"""Static hygiene of the package sources: no unused imports, no dead
+private helpers and no process-wide caches.  Stdlib ``ast`` only, so it
+runs wherever the tests do."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,60 @@ def dead_private_names(paths):
 
 def test_no_dead_private_helpers():
     assert dead_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+#: Module-level values that a function could fill as a process-wide cache.
+MUTABLE_VALUES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_FACTORIES = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                     "WeakKeyDictionary", "WeakValueDictionary"}
+MUTATORS = {"__setitem__", "add", "append", "clear", "extend", "insert", "pop",
+            "popitem", "setdefault", "update"}
+
+
+def global_caches(path: Path):
+    """``functools.cache``/``lru_cache`` uses, ``global`` statements, and
+    module-level containers that a function writes to: state that outlives
+    the objects it was computed from."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    where = f"{path.name}:"
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            names = [node.attr]
+        else:
+            continue
+        problems += [f"{where}{node.lineno}: functools.{n}" for n in names
+                     if n in ("cache", "lru_cache")]
+    containers = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(value, MUTABLE_VALUES)
+            or isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None)) in MUTABLE_FACTORIES
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                problems += [f"{where}{node.lineno}: global {n}" for n in node.names]
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                if getattr(node.value, "id", None) in containers:
+                    problems.append(f"{where}{node.lineno}: writes {node.value.id}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if (getattr(node.func.value, "id", None) in containers
+                        and node.func.attr in MUTATORS):
+                    problems.append(f"{where}{node.lineno}: writes {node.func.value.id}")
+    return problems
+
+
+def test_no_process_wide_caches():
+    # Derived structure is cached on the object it belongs to, so it lives
+    # and dies with that object.
+    problems = [p for path in sorted(SRC.glob("*.py")) for p in global_caches(path)]
+    assert problems == []

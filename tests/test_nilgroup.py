@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from cochainlab import liealg
+from cochainlab.cli import RunConfig, run_verify
 from cochainlab.forms import PolyVF, contract, exterior_d, wedge
 from cochainlab.liealg import validate_lie_algebra
 from cochainlab.nilgroup import (
     ClassTooHigh,
     GroupCochain,
+    PolyGroup,
+    PolyRep,
     bch_multiplication,
     build_group,
     fiber_vars,
@@ -185,3 +189,51 @@ def test_rep_inverse_is_negation(heisenberg_group):
     for i in range(rep.dim):
         for j in range(rep.dim):
             assert prod[i][j] == MultiPoly.const(1 if i == j else 0)
+
+
+def test_structure_is_built_once_per_object(monkeypatch):
+    # The objects are kept, so no id is reused by a later object.
+    jacobians, reps, validations = [], [], []
+    prop = PolyGroup.__dict__["right_jacobian"]
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda group: jacobians.append(group) or build(group))
+    rep_check = PolyRep.__post_init__
+    monkeypatch.setattr(PolyRep, "__post_init__", lambda rep: reps.append(rep) or rep_check(rep))
+    inf_check = liealg.Representation.__post_init__
+    monkeypatch.setattr(
+        liealg.Representation, "__post_init__",
+        lambda inf: validations.append(inf) or inf_check(inf),
+    )
+    code, _ = run_verify(RunConfig("heisenberg3", coeff_rep="standard", max_p=2, trials=1))
+    assert code == 0
+    assert jacobians and len({id(g) for g in jacobians}) == len(jacobians)
+    assert reps and len(validations) <= len(reps)
+
+
+def test_cached_structure_is_read_only():
+    group = build_group("heisenberg3")
+    rep = standard_poly_rep(group)
+    jac = group.right_jacobian
+    field = left_invariant_vf(group, 2).components
+    faces = group.faces(2)
+    inverse = rep.inverse_matrix()
+    matrices = rep.infinitesimal().matrices
+    zero = MultiPoly.zero()
+    for container, key in (
+        (jac, 0), (jac[0], 0), (field, 0), (group.frame[2], 0), (faces, 0),
+        (faces[1][0], "g1_1"), (inverse[0], 0), (matrices[0][0], 0),
+    ):
+        with pytest.raises(TypeError):
+            container[key] = zero
+    with pytest.raises(AttributeError):
+        group.frame = ()
+    # A second call, on this object and on a fresh one, gives equal values.
+    fresh = build_group("heisenberg3")
+    for g in (group, fresh):
+        assert g.right_jacobian == jac
+        assert left_invariant_vf(g, 2).components == field
+        assert [(dict(sub), sgn) for sub, sgn in g.faces(2)] == [
+            (dict(sub), sgn) for sub, sgn in faces
+        ]
+    assert standard_poly_rep(fresh).inverse_matrix() == inverse
+    assert rep.infinitesimal().matrices == matrices
