@@ -10,21 +10,26 @@ Expressions follow the grammar
   expr   := term (('+'|'-') term)*
   term   := factor (('*'|'/\\') factor)*
   factor := rational | var | 'e'<i> | 'd'<var> | factor '^' int | '(' expr ')'
-with variables g<i>_<j>, m<i>_<j>, y_<j>, t<i>, x, x_<j>.  Exit codes:
-0 success, 1 check failure, 2 usage or parse error (a term degree past
-polyalg.DEGREE_CAP included).
+with variables g<i>_<j>, m<i>_<j>, y_<j>, t<i>, x, x_<j>; parentheses nest
+at most MAX_NESTING deep and a rational's denominator is nonzero.  Exit
+codes: 0 success, 1 check failure, 2 usage or parse error (a term degree
+past polyalg.DEGREE_CAP included).
+
+``verify`` writes no check record itself: ``perturb.verify_instance`` makes
+them for every double complex instance and ``pairgpd.verify_pair`` for the
+pair groupoid.  This module picks the suite, marks the failures the instance
+declares (``side_conditions == "fails"``: the ``perturb.SIDE_CHECKS``) as
+expected, and wraps the records in the versioned report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .forms import Chart, PolyForm
@@ -129,10 +134,16 @@ def _vmul(a: Value, b: Value) -> Value:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+#: Deepest parenthesis nesting the parser accepts; each level costs four
+#: Python frames, so this stays well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -200,9 +211,16 @@ class _Parser:
         tok = self.next()
         kind, text = tok[0], tok[1]
         if kind == "number":
-            return _scalar(MultiPoly.const(Fraction(text)))
+            try:
+                return _scalar(MultiPoly.const(Fraction(text)))
+            except ZeroDivisionError:
+                self.error("division by zero", tok)
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nest deeper than {MAX_NESTING} levels", tok)
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             close = self.next()
             if not (close[0] == "op" and close[1] == ")"):
                 self.error("expected ')'", close)
@@ -298,23 +316,6 @@ def ce_to_string(alpha: CEElement) -> str:
     return " ".join(chunks)
 
 
-def form_to_string(form: PolyForm) -> str:
-    if form.degree == 0:
-        return to_string(form.coefficient(()))
-    chunks = []
-    any_term = False
-    for idx in combinations(range(len(form.chart.coords)), form.degree):
-        coef = form.coefficient(idx)
-        if coef.is_zero():
-            continue
-        any_term = True
-        body = "/\\".join(f"d{form.chart.coords[i]}" for i in idx)
-        chunks.append(f"({to_string(coef)})*{body}")
-    if not any_term:
-        return "0"
-    return " + ".join(chunks)
-
-
 # ---------------------------------------------------------------------------
 # Instances
 
@@ -362,102 +363,45 @@ def instance_names() -> List[str]:
     )
 
 
-# Checks that are REQUIRED to fail (with a stored witness): the good-cover
-# homotopy of the circle instance violates the side conditions.
-EXPECTED_FAIL = {"cech-circle3": ("side_hk", "side_pk")}
+def _instance(config: RunConfig):
+    """The double complex instance that a run of any instance but
+    ``pair-r<n>`` verifies."""
+    name = config.instance
+    if name == "matrix":
+        from .perturb import matrix_instance
 
+        return matrix_instance(config.seed, max_p=config.max_p)
+    if name == "cech-circle3":
+        from .cech_derham import cech_instance
 
-def _group_rep(group, coeff_rep: str):
-    from .nilgroup import trivial_poly_rep
-    from .vanest import standard_poly_rep
+        return cech_instance()
+    from .nilgroup import build_group, trivial_poly_rep
+    from .vanest import build_double_complex, standard_poly_rep
 
-    return standard_poly_rep(group) if coeff_rep == "standard" else trivial_poly_rep(group)
-
-
-def _pair_suite(n: int, config: RunConfig) -> List[dict]:
-    """Verification suite for the pair-groupoid maps on coordinate n-space."""
-    from .pairgpd import ASCochain, as_delta, pair_r, pair_ve
-
-    rng = random.Random(config.seed)
-    name = f"pair:r{n}"
-    reports: List[dict] = []
-
-    def entry(check, p, ok, witness=None):
-        rec = {
-            "instance": name,
-            "check": check,
-            "bidegree": [p, 0],
-            "status": "pass" if ok else "fail",
-            "seed": config.seed,
-        }
-        if not ok and witness is not None:
-            rec["counterexample"] = witness
-        reports.append(rec)
-
-    base = [f"x_{j}" for j in range(1, n + 1)]
-    for p in range(config.max_p + 1):
-        for _ in range(config.trials):
-            # random monomial p-form
-            idx = tuple(sorted(rng.sample(range(n), p)))
-            poly = MultiPoly.const(rng.choice((-2, -1, 1, 2)))
-            for _e in range(rng.randrange(config.max_deg + 1)):
-                poly = poly * MultiPoly.var(rng.choice(base))
-            chart = Chart(tuple(base))
-            alpha = PolyForm(chart, p, {idx: poly})
-            back = pair_ve(pair_r(n, alpha))
-            entry("pair_ve_pair_r_identity", p, (back - alpha).is_zero(),
-                  form_to_string(alpha))
-
-            # delta^2 = 0 on random decomposable cochains
-            factors = []
-            for _s in range(p + 1):
-                f = MultiPoly.const(rng.choice((-1, 1, 2)))
-                for _e in range(rng.randrange(config.max_deg + 1)):
-                    f = f * MultiPoly.var(rng.choice(base))
-                factors.append(f)
-            c = ASCochain.decomposable(n, factors)
-            entry("delta_squared", p, as_delta(as_delta(c)).is_zero(), repr(c))
-
-            # differentiation of a decomposable is f0 df1 ^ ... ^ dfp
-            from .forms import exterior_d, wedge
-
-            expected = PolyForm(chart, 0, {(): factors[0]})
-            for f in factors[1:]:
-                expected = wedge(expected, exterior_d(PolyForm(chart, 0, {(): f})))
-            entry("ve_decomposable", p, (pair_ve(c) - expected).is_zero(), repr(c))
-    return reports
+    group = build_group(name)
+    rep = standard_poly_rep(group) if config.coeff_rep == "standard" else trivial_poly_rep(group)
+    return build_double_complex(group, rep, max_p=config.max_p, sample_deg=config.max_deg)
 
 
 def run_verify(config: RunConfig) -> Tuple[int, dict]:
     """Run the verification suite for the configured instance; returns
-    (exit code, JSON-ready report)."""
-    from .perturb import matrix_instance, verify_instance
+    (exit code, JSON-ready report).  The side checks of an instance whose
+    side conditions fail must fail with a witness; they are reported as
+    expected failures."""
+    from .perturb import SIDE_CHECKS, verify_instance
 
     name = config.instance
-    if name == "matrix":
-        inst = matrix_instance(config.seed, max_p=config.max_p)
-        checks = verify_instance(inst, seed=config.seed, trials=config.trials)
-    elif name.startswith("pair-r"):
-        checks = _pair_suite(int(name[len("pair-r"):]), config)
-    elif name == "cech-circle3":
-        from .cech_derham import cech_instance
+    if name.startswith("pair-r"):
+        from .pairgpd import verify_pair
 
-        inst = cech_instance()
-        checks = verify_instance(inst, seed=config.seed, trials=config.trials)
+        n = int(name[len("pair-r"):])
+        checks = verify_pair(n, config.seed, config.trials, config.max_p, config.max_deg)
+        expected_fail = ()
     else:
-        from .nilgroup import build_group
-        from .vanest import build_double_complex
-
-        group = build_group(name)
-        inst = build_double_complex(
-            group,
-            _group_rep(group, config.coeff_rep),
-            max_p=config.max_p,
-            sample_deg=config.max_deg,
-        )
+        inst = _instance(config)
         checks = verify_instance(inst, seed=config.seed, trials=config.trials)
+        expected_fail = SIDE_CHECKS if inst.side_conditions == "fails" else ()
 
-    expected_fail = EXPECTED_FAIL.get(name, ())
     unexpected = 0
     witnessed = {check: 0 for check in expected_fail}
     for rec in checks:

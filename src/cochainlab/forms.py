@@ -30,9 +30,6 @@ class Chart:
         if set(self.coords) & set(self.params):
             raise ValueError("coords and params must be disjoint")
 
-    def coord_index(self, name: str) -> int:
-        return self.coords.index(name)
-
 
 class PolyForm:
     """Differential form with MultiPoly coefficients on a Chart."""
@@ -68,10 +65,6 @@ class PolyForm:
     @staticmethod
     def function(chart: Chart, f: MultiPoly) -> "PolyForm":
         return PolyForm(chart, 0, {(): f})
-
-    @staticmethod
-    def d_coord(chart: Chart, name: str) -> "PolyForm":
-        return PolyForm(chart, 1, {(chart.coord_index(name),): MultiPoly.const(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -118,9 +111,6 @@ class PolyForm:
 
     def __repr__(self):
         return f"PolyForm(deg={self.degree}, terms={self.terms})"
-
-    def map_coefficients(self, fn) -> "PolyForm":
-        return PolyForm(self.chart, self.degree, {i: fn(c) for i, c in self.terms.items()})
 
 
 @dataclass(frozen=True)

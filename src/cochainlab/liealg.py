@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .polyalg import sort_sign
+from .polyalg import mat_mul, rref, sort_sign
 
 Rat = Fraction
 Vec = Tuple[Rat, ...]
@@ -38,28 +38,6 @@ class JacobiViolation(LieAlgebraError):
 
 class NilpotencyClassWrong(LieAlgebraError):
     pass
-
-
-def _rref(rows: List[List[Rat]]) -> List[List[Rat]]:
-    """Reduced row echelon form over the rationals; drops zero rows."""
-    rows = [list(r) for r in rows]
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r] if any(x != 0 for x in row)]
 
 
 @dataclass(frozen=True)
@@ -187,8 +165,8 @@ def _nilpotency_class(alg: LieAlgebra) -> int:
                 w = alg.bracket(basis(i), v)
                 if any(x != 0 for x in w):
                     nxt.append(w)
-        nxt = _rref(nxt)
-        if len(nxt) >= len(_rref(current)) and nxt:
+        nxt = rref(nxt)
+        if len(nxt) >= len(rref(current)) and nxt:
             return 0  # series stabilized at nonzero: not nilpotent
         current = nxt
         if not current:
@@ -214,8 +192,8 @@ class Representation:
         for i in range(n):
             for j in range(n):
                 comm = _mat_sub(
-                    _mat_mul(self.matrices[i], self.matrices[j]),
-                    _mat_mul(self.matrices[j], self.matrices[i]),
+                    mat_mul(self.matrices[i], self.matrices[j]),
+                    mat_mul(self.matrices[j], self.matrices[i]),
                 )
                 expected = _mat_zero(self.dim)
                 for k, c in enumerate(self.algebra.bracket_basis(i, j)):
@@ -242,14 +220,6 @@ class Representation:
 def trivial_rep(alg: LieAlgebra) -> Representation:
     zero = ((Fraction(0),),)
     return Representation(alg, 1, tuple(zero for _ in range(alg.dim)))
-
-
-def _mat_mul(a, b):
-    n, m, l = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(l)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
 
 
 def _mat_add(a, b):

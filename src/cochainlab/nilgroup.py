@@ -222,13 +222,11 @@ def as_coeffs(n: int, xi: Union[int, Sequence[Rat]]) -> List[Fraction]:
     return [Fraction(c) for c in xi]
 
 
-def left_invariant_vf(
-    group: PolyGroup, xi: Union[int, Sequence[Rat]], slots: int = 0
-) -> PolyVF:
+def left_invariant_vf(group: PolyGroup, xi: Union[int, Sequence[Rat]]) -> PolyVF:
     """Left-invariant vector field of xi (basis index or coefficient
     vector), in the fiber coordinates: sum_i xi_i times the frame of e_i."""
     if isinstance(xi, int):
-        return PolyVF(group_chart(group, slots), group.frame[xi])
+        return PolyVF(group_chart(group), group.frame[xi])
     pairs = [(c, field) for c, field in zip(as_coeffs(group.dim, xi), group.frame) if c != 0]
     comps = []
     for j in range(group.dim):
@@ -236,7 +234,7 @@ def left_invariant_vf(
         for c, field in pairs:
             acc = acc + field[j] * c
         comps.append(acc)
-    return PolyVF(group_chart(group, slots), tuple(comps))
+    return PolyVF(group_chart(group), tuple(comps))
 
 
 def _identity(n: int) -> List[List[MultiPoly]]:

@@ -7,14 +7,22 @@ f_0 (x) ... (x) f_p it is f_0 df_1 ^ ... ^ df_p; in general it is the
 antisymmetrized mixed-derivative formula at the diagonal, which extends it
 linearly.  Integration pulls a p-form back along the iterated straight-line
 geodesic map and integrates exactly over the unit cube.
+
+``verify_pair`` is the model's verification suite (the ``pair-r<n>``
+instances of the command line): sampled checks that differentiation undoes
+integration, that delta^2 = 0, and the decomposable formula above, each
+written as a ``perturb.check_record``.  The model has no contraction data,
+so it is not a ``DoubleComplexInstance`` and expects no failures.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Sequence, Tuple
+import random
+from itertools import combinations, product
+from typing import List, Sequence, Tuple
 
-from .forms import Chart, PolyForm, cube_integrate, pullback
+from .forms import Chart, PolyForm, cube_integrate, exterior_d, pullback, wedge
+from .perturb import check_record
 from .polyalg import MultiPoly, slot_shift, to_string
 
 Index = Tuple[int, ...]
@@ -158,3 +166,65 @@ def pair_r(n: int, alpha: PolyForm) -> ASCochain:
     )
     phi = {f"x_{j}": geo[j - 1] for j in range(1, n + 1)}
     return ASCochain(n, p, cube_integrate(pullback(alpha, phi, cube)))
+
+
+# ---------------------------------------------------------------------------
+# Verification
+
+
+def form_to_string(form: PolyForm) -> str:
+    """Serialize a form as a sum of ``(coefficient)*dx_i/\\dx_j`` terms."""
+    if form.degree == 0:
+        return to_string(form.coefficient(()))
+    chunks = []
+    for idx in combinations(range(len(form.chart.coords)), form.degree):
+        coef = form.coefficient(idx)
+        if coef.is_zero():
+            continue
+        body = "/\\".join(f"d{form.chart.coords[i]}" for i in idx)
+        chunks.append(f"({to_string(coef)})*{body}")
+    return " + ".join(chunks) if chunks else "0"
+
+
+def verify_pair(n: int, seed: int, trials: int, max_p: int, max_deg: int) -> List[dict]:
+    """Verification suite for the pair-groupoid maps on coordinate n-space:
+    per degree p <= max_p and trial, pair_ve(pair_r(alpha)) = alpha on a
+    random monomial p-form, delta^2 = 0 and pair_ve(f_0 (x) ... (x) f_p) =
+    f_0 df_1 ^ ... ^ df_p on a random decomposable cochain, with factors of
+    degree at most max_deg."""
+    rng = random.Random(seed)
+    name = f"pair:r{n}"
+    reports: List[dict] = []
+
+    def run(check, p, ok, witness):
+        reports.append(check_record(name, check, p, 0, ok, seed, counterexample=witness))
+
+    base = [f"x_{j}" for j in range(1, n + 1)]
+    chart = Chart(tuple(base))
+    for p in range(max_p + 1):
+        for _ in range(trials):
+            # random monomial p-form
+            idx = tuple(sorted(rng.sample(range(n), p)))
+            poly = MultiPoly.const(rng.choice((-2, -1, 1, 2)))
+            for _e in range(rng.randrange(max_deg + 1)):
+                poly = poly * MultiPoly.var(rng.choice(base))
+            alpha = PolyForm(chart, p, {idx: poly})
+            back = pair_ve(pair_r(n, alpha))
+            run("pair_ve_pair_r_identity", p, (back - alpha).is_zero(), form_to_string(alpha))
+
+            # delta^2 = 0 on random decomposable cochains
+            factors = []
+            for _s in range(p + 1):
+                f = MultiPoly.const(rng.choice((-1, 1, 2)))
+                for _e in range(rng.randrange(max_deg + 1)):
+                    f = f * MultiPoly.var(rng.choice(base))
+                factors.append(f)
+            c = ASCochain.decomposable(n, factors)
+            run("delta_squared", p, as_delta(as_delta(c)).is_zero(), repr(c))
+
+            # differentiation of a decomposable is f0 df1 ^ ... ^ dfp
+            expected = PolyForm(chart, 0, {(): factors[0]})
+            for f in factors[1:]:
+                expected = wedge(expected, exterior_d(PolyForm(chart, 0, {(): f})))
+            run("ve_decomposable", p, (pair_ve(c) - expected).is_zero(), repr(c))
+    return reports

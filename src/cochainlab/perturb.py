@@ -11,7 +11,11 @@ identically zero.
 The engine provides the finite Neumann inversion (1 + dh)^{-1}, the two
 zig-zag maps between X and Y, the perturbed homotopy/projection
 h' = h(1+dh)^{-1}, p-hat' = p-hat(1+dh)^{-1}, and a sampling verifier for
-the full list of homotopy identities.
+the full list of homotopy identities.  It owns the report format: every
+check record is a ``check_record``, and the only failures an instance may
+expect are the ``SIDE_CHECKS`` of one whose side conditions fail.  A failing
+zig-zag back-and-forth carries the step-by-step ``ZigzagTrace`` of both
+zig-zags.
 
 Graded commutators of odd operators are used throughout:
 [a, b] = a b + b a.
@@ -23,6 +27,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
+
+from .polyalg import mat_mul, rref
 
 Bidegree = Tuple[int, int]
 
@@ -135,8 +141,8 @@ class DoubleComplexInstance:
     max_q: int = 3
     #: "holds": side conditions h k = 0, p-hat k = 0 are claimed (checked,
     #: and the zig-zag back-and-forth is then also checked); "fails": they
-    #: are checked and expected to fail (reports carry the witness);
-    #: "skip": not checked.
+    #: are checked and their SIDE_CHECKS expected to fail (reports carry the
+    #: witness); "skip": not checked.
     side_conditions: str = "holds"
     serialize: Callable = staticmethod(lambda p, q, x: str(x))
 
@@ -228,61 +234,68 @@ def graded_perturbed_h(inst: DoubleComplexInstance, g: Graded) -> Graded:
 
 @dataclass
 class ZigzagTrace:
-    steps: List[Tuple[str, Bidegree, str]] = field(default_factory=list)
+    """The steps of a zig-zag as report-ready entries: the operator's name,
+    the bidegree it lands in and the serialized element there."""
+
+    steps: List[dict] = field(default_factory=list)
 
     def record(self, opname: str, p: int, q: int, snapshot: str):
-        self.steps.append((opname, (p, q), snapshot))
+        self.steps.append({"op": opname, "bidegree": [p, q], "value": snapshot})
+
+
+def _staircase(inst, p, include, ops, project, trace):
+    """(-1)^p project (b a)^p include, the staircase of both zig-zags.
+
+    ``include`` is (name, included element, its bidegree) and ``ops`` holds
+    the alternating operators a, b as (name, operator, bidegree shift).
+    Every step, the inclusion first, is recorded in ``trace``."""
+    name, elt, (bp, bq) = include
+    for opname, op, (dp, dq) in ((name, None, (0, 0)),) + ops * p:
+        if op is not None:
+            elt = op(bp, bq, elt)
+            bp, bq = bp + dp, bq + dq
+        if trace is not None:
+            trace.record(opname, bp, bq, inst.serialize(bp, bq, elt))
+    out = project(p, elt)
+    return -out if p % 2 else out
 
 
 def zigzag_xy(inst: DoubleComplexInstance, p: int, y, trace: Optional[ZigzagTrace] = None):
     """(-1)^p p-hat (dh)^p j-hat: Y^p -> X^p (the differentiation direction)."""
     if inst.j_inc is None:
         raise PerturbError("instance has no vertical augmentation j-hat")
-    elt = inst.j_inc(p, y)
-    if trace is not None:
-        trace.record("j", p, 0, inst.serialize(p, 0, elt))
-    for m in range(p):
-        pp, qq = p - m, m
-        elt = inst.h(pp, qq, elt)
-        if trace is not None:
-            trace.record("h", pp - 1, qq, inst.serialize(pp - 1, qq, elt))
-        elt = inst.d(pp - 1, qq, elt)
-        if trace is not None:
-            trace.record("d", pp - 1, qq + 1, inst.serialize(pp - 1, qq + 1, elt))
-    out = inst.p_proj(p, elt)
-    if p % 2:
-        out = -out
-    return out
+    return _staircase(
+        inst, p, ("j", inst.j_inc(p, y), (p, 0)),
+        (("h", inst.h, (-1, 0)), ("d", inst.d, (0, 1))), inst.p_proj, trace,
+    )
 
 
 def zigzag_yx(inst: DoubleComplexInstance, p: int, x, trace: Optional[ZigzagTrace] = None):
     """(-1)^p q-hat (delta k)^p i-hat: X^p -> Y^p (the integration direction)."""
     if inst.k is None or inst.q_proj is None:
         raise PerturbError("instance has no vertical contraction")
-    elt = inst.i_inc(p, x)
-    if trace is not None:
-        trace.record("i", 0, p, inst.serialize(0, p, elt))
-    for m in range(p):
-        pp, qq = m, p - m
-        elt = inst.k(pp, qq, elt)
-        if trace is not None:
-            trace.record("k", pp, qq - 1, inst.serialize(pp, qq - 1, elt))
-        elt = inst.delta(pp, qq - 1, elt)
-        if trace is not None:
-            trace.record("delta", pp + 1, qq - 1, inst.serialize(pp + 1, qq - 1, elt))
-    out = inst.q_proj(p, elt)
-    if p % 2:
-        out = -out
-    return out
+    return _staircase(
+        inst, p, ("i", inst.i_inc(p, x), (0, p)),
+        (("k", inst.k, (0, -1)), ("delta", inst.delta, (1, 0))), inst.q_proj, trace,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Verification
 
 
-def _report(inst, check, p, q, ok, seed, counterexample=None, trace=None):
+#: The side-condition checks h k = 0 and p-hat k = 0.  An instance whose
+#: ``side_conditions`` is "fails" expects exactly these to fail, each with a
+#: stored counterexample.
+SIDE_CHECKS = ("side_hk", "side_pk")
+
+
+def check_record(name, check, p, q, ok, seed, counterexample=None, trace=None) -> dict:
+    """One report entry: the result of ``check`` on instance ``name`` at
+    bidegree (p, q), with the counterexample of a failure and an optional
+    step-by-step trace."""
     entry = {
-        "instance": inst.name,
+        "instance": name,
         "check": check,
         "bidegree": [p, q],
         "status": "pass" if ok else "fail",
@@ -295,14 +308,9 @@ def _report(inst, check, p, q, ok, seed, counterexample=None, trace=None):
     return entry
 
 
-def verify_instance(
-    inst: DoubleComplexInstance,
-    seed: int = 0,
-    trials: int = 25,
-    max_p: Optional[int] = None,
-    max_q: Optional[int] = None,
-) -> List[dict]:
-    """Sampled verification of every homotopy identity the instance claims.
+def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25) -> List[dict]:
+    """Sampled verification of every homotopy identity the instance claims,
+    in every bidegree up to (inst.max_p, inst.max_q).
 
     Per bidegree and trial: d^2 = 0, delta^2 = 0, d delta + delta d = 0,
     [h, delta] = 1 - i p-hat, the perturbed identity
@@ -310,27 +318,27 @@ def verify_instance(
     [k, d] = 1 - j q-hat and the side conditions h k = 0, p-hat k = 0; when
     the side conditions hold, the zig-zag back-and-forth
     zigzag_xy(zigzag_yx(x)) = x on X.  Failures become report entries with
-    a serialized counterexample.
+    a serialized counterexample; a failing back-and-forth also carries the
+    steps of both zig-zags.
     """
     if inst.sample is None:
         raise PerturbError("instance has no sampler")
-    pmax = inst.max_p if max_p is None else max_p
-    qmax = inst.max_q if max_q is None else max_q
+    hk_check, pk_check = SIDE_CHECKS
     reports: List[dict] = []
 
     def run(check, p, q, x, diff, extra_trace=None):
         ok = diff.is_zero() if hasattr(diff, "is_zero") else not diff
         reports.append(
-            _report(
-                inst, check, p, q, ok, seed,
+            check_record(
+                inst.name, check, p, q, ok, seed,
                 counterexample=None if ok else inst.serialize(p, q, x),
                 trace=extra_trace if not ok else None,
             )
         )
 
     rng = random.Random(seed)
-    for p in range(pmax + 1):
-        for q in range(qmax + 1):
+    for p in range(inst.max_p + 1):
+        for q in range(inst.max_q + 1):
             for _ in range(trials):
                 x = inst.sample(rng, p, q)
                 run("d_squared", p, q, x, inst.d(p, q + 1, inst.d(p, q, x)))
@@ -371,10 +379,10 @@ def verify_instance(
 
                     if inst.side_conditions != "skip":
                         hk = inst.h(p, q - 1, inst.k(p, q, x))
-                        run("side_hk", p, q, x, hk)
+                        run(hk_check, p, q, x, hk)
                         if p == 0 and q > 0:
                             pk = inst.p_proj(q - 1, inst.k(0, q, x))
-                            run("side_pk", p, q, x, pk)
+                            run(pk_check, p, q, x, pk)
 
             # p-hat i = id and p-hat' i = id on X
             if p == 0 and inst.sample_x is not None:
@@ -390,11 +398,16 @@ def verify_instance(
 
     # zig-zag back-and-forth on X, valid when the side conditions hold
     if inst.has_vertical() and inst.side_conditions == "holds" and inst.sample_x is not None:
-        for p in range(pmax + 1):
+        for p in range(inst.max_p + 1):
             for _ in range(trials):
                 xe = inst.sample_x(rng, p)
-                round_trip = zigzag_xy(inst, p, zigzag_yx(inst, p, xe))
-                run("zigzag_back_and_forth", p, 0, xe, round_trip - xe)
+                diff = zigzag_xy(inst, p, zigzag_yx(inst, p, xe)) - xe
+                steps = None
+                if not diff.is_zero():
+                    trace = ZigzagTrace()
+                    zigzag_xy(inst, p, zigzag_yx(inst, p, xe, trace), trace)
+                    steps = trace.steps
+                run("zigzag_back_and_forth", p, 0, xe, diff, extra_trace=steps)
 
     return reports
 
@@ -403,58 +416,27 @@ def verify_instance(
 # Matrix-model instance: an exact finite-dimensional oracle
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return rng.choice(SAMPLE_COEFFS)
+def _identity(n: int) -> List[List[Fraction]]:
+    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def _rand_invertible(rng: random.Random, n: int) -> List[List[Fraction]]:
+def _rand_invertible(rng: random.Random, n: int):
     """Random invertible rational matrix: unit triangular L, U with small
     entries, times a permutation."""
-    lower = [
-        [
-            Fraction(1) if i == j else (_rand_fraction(rng) if i > j else Fraction(0))
-            for j in range(n)
+    def unit_triangular(lower):
+        return [
+            [
+                Fraction(1) if i == j
+                else rng.choice(SAMPLE_COEFFS) if (i > j) == lower else Fraction(0)
+                for j in range(n)
+            ]
+            for i in range(n)
         ]
-        for i in range(n)
-    ]
-    upper = [
-        [
-            Fraction(1) if i == j else (_rand_fraction(rng) if i < j else Fraction(0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+
+    product = mat_mul(unit_triangular(True), unit_triangular(False))
     perm = list(range(n))
     rng.shuffle(perm)
-    pmat = [
-        [Fraction(1) if j == perm[i] else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    return _mm(_mm(lower, upper), pmat)
-
-
-def _mm(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def _mat_inv(a):
-    n = len(a)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return mat_mul(product, [_identity(n)[k] for k in perm])
 
 
 def _mat_vec(a, v: Vec) -> Vec:
@@ -466,18 +448,23 @@ def _mat_vec(a, v: Vec) -> Vec:
     )
 
 
+#: Dimension of the homology summand X of a random based complex, and of
+#: each of its cones.
+_X_DIM = 1
+_CONE_DIM = 2
+
+
 @dataclass(frozen=True)
 class _BasedComplex:
     """Cochain complex of rational vector spaces with an exact contraction
-    onto its degree-0 homology summand X: [h, d] = 1 - i p, p i = 1, and
-    (by construction) h i = 0, h h = 0, p h = 0."""
+    onto its degree-0 homology summand X of dimension _X_DIM: [h, d] = 1 - i p,
+    p i = 1, and (by construction) h i = 0, h h = 0, p h = 0."""
 
     dims: Tuple[int, ...]
-    x_dim: int
     d_mats: Tuple  # d_mats[p]: dims[p] -> dims[p+1]
     h_mats: Tuple  # h_mats[p]: dims[p] -> dims[p-1]
-    p_mat: Tuple  # dims[0] -> x_dim
-    i_mat: Tuple  # x_dim -> dims[0]
+    p_mat: Tuple  # dims[0] -> _X_DIM
+    i_mat: Tuple  # _X_DIM -> dims[0]
 
     def dim(self, p: int) -> int:
         return self.dims[p] if 0 <= p < len(self.dims) else 0
@@ -502,67 +489,62 @@ class _BasedComplex:
         return _mat_vec(self.i_mat, v)
 
 
-def random_based_complex(rng: random.Random, length: int, x_dim: int = 1,
-                         cone_dim: int = 2) -> _BasedComplex:
+def _inverse(a) -> List[List[Fraction]]:
+    """Inverse of an invertible matrix: the right half of rref([a | 1])."""
+    n = len(a)
+    return [row[n:] for row in rref([list(r) + e for r, e in zip(a, _identity(n))])]
+
+
+def random_based_complex(rng: random.Random, length: int) -> _BasedComplex:
     """Random based complex of the given length (top degree), built by
     conjugating the standard model X_(0) + cones(p -> p+1) with random
     invertible changes of basis.  All contraction identities hold exactly."""
-    # standard-model dimensions: degree p holds cones arriving from p-1 and
-    # cones leaving to p+1 (plus X at p = 0)
-    cones = [cone_dim for _ in range(length)]  # cone p -> p+1 for p < length
-    dims = []
-    for p in range(length + 1):
-        n = (x_dim if p == 0 else 0)
-        n += cones[p - 1] if p >= 1 else 0  # arriving
-        n += cones[p] if p < length else 0  # leaving
-        dims.append(n)
+    # standard-model coordinates of degree p: X (at p = 0 only), then the
+    # cone arriving from p-1 (p >= 1), then the cone leaving to p+1 (p < length)
+    def arr_off(p):
+        return _X_DIM if p == 0 else 0
 
-    def offsets(p):
-        x_off = 0
-        arr_off = (x_dim if p == 0 else 0)
-        leave_off = arr_off + (cones[p - 1] if p >= 1 else 0)
-        return x_off, arr_off, leave_off
+    def leave_off(p):
+        return arr_off(p) + (_CONE_DIM if p >= 1 else 0)
+
+    dims = [leave_off(p) + (_CONE_DIM if p < length else 0) for p in range(length + 1)]
 
     d_std = []
     for p in range(length):
         mat = [[Fraction(0)] * dims[p] for _ in range(dims[p + 1])]
-        _, _, leave = offsets(p)
-        _, arr_next, _ = offsets(p + 1)
-        for t in range(cones[p]):
-            mat[arr_next + t][leave + t] = Fraction(1)
+        for t in range(_CONE_DIM):
+            mat[arr_off(p + 1) + t][leave_off(p) + t] = Fraction(1)
         d_std.append(mat)
     h_std = [None]
     for p in range(1, length + 1):
         mat = [[Fraction(0)] * dims[p] for _ in range(dims[p - 1])]
-        _, arr, _ = offsets(p)
-        _, _, leave_prev = offsets(p - 1)
-        for t in range(cones[p - 1]):
-            mat[leave_prev + t][arr + t] = Fraction(1)
+        for t in range(_CONE_DIM):
+            mat[leave_off(p - 1) + t][arr_off(p) + t] = Fraction(1)
         h_std.append(mat)
-    p_std = [[Fraction(1) if i == j else Fraction(0) for j in range(dims[0])]
-             for i in range(x_dim)]
-    i_std = [[Fraction(1) if i == j else Fraction(0) for j in range(x_dim)]
-             for i in range(dims[0])]
+    p_std = _identity(dims[0])[:_X_DIM]
+    i_std = [row[:_X_DIM] for row in _identity(dims[0])]
 
     bases = [_rand_invertible(rng, dims[p]) for p in range(length + 1)]
-    inverses = [_mat_inv(b) for b in bases]
+    inverses = [_inverse(b) for b in bases]
     d_mats = tuple(
-        _mm(_mm(bases[p + 1], d_std[p]), inverses[p]) for p in range(length)
+        mat_mul(mat_mul(bases[p + 1], d_std[p]), inverses[p]) for p in range(length)
     )
     h_mats = (None,) + tuple(
-        _mm(_mm(bases[p - 1], h_std[p]), inverses[p]) for p in range(1, length + 1)
+        mat_mul(mat_mul(bases[p - 1], h_std[p]), inverses[p]) for p in range(1, length + 1)
     )
-    p_mat = _mm(p_std, inverses[0])
-    i_mat = _mm(bases[0], i_std)
-    return _BasedComplex(tuple(dims), x_dim, d_mats, h_mats, p_mat, i_mat)
+    p_mat = mat_mul(p_std, inverses[0])
+    i_mat = mat_mul(bases[0], i_std)
+    return _BasedComplex(tuple(dims), d_mats, h_mats, p_mat, i_mat)
 
 
-def matrix_instance(seed: int = 0, max_p: int = 3, max_q: int = 3) -> DoubleComplexInstance:
+def matrix_instance(seed: int = 0, max_p: int = 3) -> DoubleComplexInstance:
     """Tensor-product double complex of two random based complexes:
     delta = d_A (x) 1, d = (-1)^p 1 (x) d_B, h = h_A (x) 1,
-    k = (-1)^p 1 (x) k_B.  All contraction hypotheses hold exactly; the side
-    conditions h k = 0 and p-hat k = 0 are NOT claimed (they fail for
-    generic bases, just like generic good-cover homotopies)."""
+    k = (-1)^p 1 (x) k_B, checked up to bidegree (max_p, 3).  All
+    contraction hypotheses hold exactly; the side conditions h k = 0 and
+    p-hat k = 0 are NOT claimed (they fail for generic bases, just like
+    generic good-cover homotopies)."""
+    max_q = 3
     rng = random.Random(seed)
     A = random_based_complex(rng, max_p + 2)
     B = random_based_complex(rng, max_q + 2)
@@ -610,22 +592,22 @@ def matrix_instance(seed: int = 0, max_p: int = 3, max_q: int = 3) -> DoubleComp
         return on_b(B.inc, ye, A.dim(p))
 
     def d_x(q, xe):
-        return on_b(lambda r: B.d(q, r), xe, A.x_dim)
+        return on_b(lambda r: B.d(q, r), xe, _X_DIM)
 
     def delta_y(p, ye):
-        return on_a(lambda c: A.d(p, c), ye, B.x_dim)
+        return on_a(lambda c: A.d(p, c), ye, _X_DIM)
 
     def sample(rng2, p, q):
         return Vec(tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(dim(p, q))))
 
     def sample_x(rng2, q):
         return Vec(
-            tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(A.x_dim * B.dim(q)))
+            tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(_X_DIM * B.dim(q)))
         )
 
     def sample_y(rng2, p):
         return Vec(
-            tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(A.dim(p) * B.x_dim))
+            tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(A.dim(p) * _X_DIM))
         )
 
     return DoubleComplexInstance(

@@ -125,9 +125,6 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def support(self) -> Tuple[str, ...]:
         """Variables that actually occur with positive exponent."""
         used = [False] * len(self.vars)
@@ -355,3 +352,34 @@ def mat_vec(mat: Sequence[Sequence[MultiPoly]], vec: Sequence[MultiPoly]) -> Lis
                 acc = acc + m * v
         out.append(acc)
     return out
+
+
+def rref(rows: Sequence[Sequence[Rat]]) -> List[List[Rat]]:
+    """Reduced row echelon form over the rationals; drops zero rows."""
+    rows = [list(r) for r in rows]
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return [row for row in rows[:r] if any(x != 0 for x in row)]
+
+
+def mat_mul(a, b):
+    """Product of two rational matrices, as a tuple of row tuples."""
+    n, m, l = len(a), len(b[0]), len(b)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(l)), Fraction(0)) for j in range(m))
+        for i in range(n)
+    )

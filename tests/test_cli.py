@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -174,7 +175,7 @@ def test_reports_deterministic():
     assert run_verify(cfg) == run_verify(cfg)
 
 
-def test_usage_errors():
+def test_usage_errors(monkeypatch):
     assert main(["verify", "--instance", "nope"]) == 2
     assert main(["ve", "/nonexistent/input", "--instance", "abelian-2"]) == 2
     assert main(["verify", "--instance", "heisenberg3", "--coeff-rep", "bogus"]) == 2
@@ -182,6 +183,15 @@ def test_usage_errors():
     with pytest.raises(ValueError):
         RunConfig("matrix", trials=MAX_TRIALS + 1)
     RunConfig("matrix", trials=MAX_TRIALS)
+    # a zero denominator and a deep nesting are parse errors that point at
+    # the offending number or parenthesis
+    nested = "(" * 5000 + "g1_1" + ")" * 5000
+    for text, culprit in (("1/0*g1_1", "1"), (nested, "(")):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert err.value.line == 1 and text[err.value.col - 1] == culprit
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["ve", "-", "--instance", "abelian-1"]) == 2
 
 
 def test_degree_overflow_is_a_usage_error(monkeypatch, capsys):
@@ -239,3 +249,28 @@ def test_module_entry_point():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "python -m cochainlab ..." in proc.stderr
+
+
+#: sha256 of each sorted-key JSON report at max_p=1, trials=1, seed=3.
+REPORT_DIGESTS = {
+    ("matrix", "trivial"): "bb3497cd4ad62d6548c090307b8dbdd51c19ac1fcf3dac91fb1d360bca649372",
+    ("abelian-1", "trivial"): "4e45fe965be712116342cf2cd6469bd9aa40fe9122a6eacda8b96be63fd6f865",
+    ("abelian-2", "trivial"): "015acebaee905c679fd19f3f7600a684ac67332308d0e761adcb42b2d31ff318",
+    ("abelian-3", "trivial"): "788ff806956931dd04e4b82324af1f1a77b1b88fcd377357bcc4a02aa602a8f9",
+    ("heisenberg3", "trivial"): "5bd6ca80704e29f74cc8c7514e1212627ec0fd63a0c1da7dbb27c22bb94d6557",
+    ("filiform4", "trivial"): "9fcb0820abe152f55d438156fa8bb2b0e62d70eed35f1b4bdb911d89e28086c7",
+    ("pair-r1", "trivial"): "652169b70e05db90fa4474874d18c2b5bf83b8ce8d34d945d45af82d83a32503",
+    ("pair-r2", "trivial"): "3883eae3d50e30512bbbe405971dd070afb7576a4b826c5935524fa2504f06b5",
+    ("pair-r3", "trivial"): "b47363d25cad5c1c18cd89e6fd6ea74e99323847f5b7c2a220850df97ec4bbcf",
+    ("cech-circle3", "trivial"): "163a79aceed2937478e67df48f5b804ccf49428ea6ff6de3d241a4081f21b8ed",
+    ("heisenberg3", "standard"): "a5dba6a1ef618b4f1b90c48cf21e35e94a038432965e3305a56b53c8374a779e",
+}
+
+
+def test_report_digests_pinned():
+    cases = [(name, "trivial") for name in instance_names()] + [("heisenberg3", "standard")]
+    assert sorted(cases) == sorted(REPORT_DIGESTS)
+    for name, rep in cases:
+        report = run_verify(RunConfig(name, max_p=1, trials=1, seed=3, coeff_rep=rep))[1]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == REPORT_DIGESTS[name, rep], (name, rep)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -112,3 +113,27 @@ def test_verify_report_schema():
         "perturbed_p_i_identity",
     ):
         assert checks[required] > 0
+
+
+def test_failing_zigzag_carries_its_trace():
+    # Doubling k scales the degree-p back-and-forth by 2^p, so it fails.
+    inst = build_double_complex(build_group("abelian-2"), max_p=2)
+    broken = dataclasses.replace(inst, k=lambda p, q, x: inst.k(p, q, x) + inst.k(p, q, x))
+    reports = verify_instance(broken, seed=0, trials=1)
+    [failed] = [
+        r for r in reports
+        if r["check"] == "zigzag_back_and_forth" and r["bidegree"] == [2, 0]
+    ]
+    assert failed["status"] == "fail"
+    steps = [(step["op"], tuple(step["bidegree"])) for step in failed["trace"]]
+    assert steps == [
+        ("i", (0, 2)), ("k", (0, 1)), ("delta", (1, 1)), ("k", (1, 0)), ("delta", (2, 0)),
+        ("j", (2, 0)), ("h", (1, 0)), ("d", (1, 1)), ("h", (0, 1)), ("d", (0, 2)),
+    ]
+    assert all(isinstance(step["value"], str) for step in failed["trace"])
+    # only a failing back-and-forth is traced
+    traced = [r for r in reports if "trace" in r]
+    assert traced and all(
+        r["check"] == "zigzag_back_and_forth" and r["status"] == "fail" for r in traced
+    )
+    assert not any("trace" in r for r in verify_instance(inst, seed=0, trials=1))
