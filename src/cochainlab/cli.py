@@ -11,9 +11,10 @@ Expressions follow the grammar
   term   := factor (('*'|'/\\') factor)*
   factor := rational | var | 'e'<i> | 'd'<var> | factor '^' int | '(' expr ')'
 with variables g<i>_<j>, m<i>_<j>, y_<j>, t<i>, x, x_<j>; parentheses nest
-at most MAX_NESTING deep and a rational's denominator is nonzero.  Exit
-codes: 0 success, 1 check failure, 2 usage or parse error (a term degree
-past polyalg.DEGREE_CAP included).
+at most MAX_NESTING deep, a rational's denominator is nonzero and a constant
+power has at most MAX_COEFF_DIGITS digits.  Exit codes: 0 success, 1 check
+failure, 2 usage or parse error (a term degree past polyalg.DEGREE_CAP
+included).
 
 ``verify`` writes no check record itself: ``perturb.verify_instance`` makes
 them for every double complex instance and ``pairgpd.verify_pair`` for the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -139,6 +141,16 @@ def _vmul(a: Value, b: Value) -> Value:
 MAX_NESTING = 100
 
 
+#: Most decimal digits a parsed constant power may have: Python's default
+#: limit on int-to-str conversion, so every accepted coefficient prints.
+MAX_COEFF_DIGITS = 4300
+
+
+def _digits(c: Fraction) -> float:
+    """Decimal digits that each power of ``c`` adds to its larger part."""
+    return math.log10(max(abs(c.numerator), c.denominator))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -203,7 +215,16 @@ class _Parser:
                     self.error("exponent must be a nonnegative integer", etok)
                 if set(value) != {()}:
                     self.error("only scalars can be raised to a power", tok)
-                value = _scalar(value[()] ** int(etok[1]))
+                base = value[()]
+                # The length test comes first: int() refuses longer digit strings.
+                if len(etok[1]) > MAX_COEFF_DIGITS or base.is_constant() and (
+                    _digits(base.constant_value()) * int(etok[1]) > MAX_COEFF_DIGITS
+                ):
+                    self.error(
+                        f"exponent too large: a constant power may have at most "
+                        f"{MAX_COEFF_DIGITS} digits", etok,
+                    )
+                value = _scalar(base ** int(etok[1]))
             else:
                 return value
 

@@ -14,6 +14,16 @@ simplicial face operators stay mechanical:
 
 The canonical ordering is t-block, then g-block (slot-major), then m-block,
 then y-block; anything else sorts last, lexicographically.
+
+The variable order lives on the polynomials: each one carries the
+``var_key`` of its variables in a tuple that every result over the same
+variables shares.  Aligning two polynomials merges those keys, so ``var_key``
+parses a name only when a public constructor or ``extend`` first meets it.
+Ring operations build their results through a trusted constructor that
+skips re-coercing coefficients.  The degree cap is checked wherever a term
+can pass it: by the public constructor, and by products, powers and
+substitutions; sums, negation, scaling, ``extend``, ``diff`` and
+``defint01`` cannot raise the degree and skip the check.
 """
 
 from __future__ import annotations
@@ -65,15 +75,67 @@ def format_rat(r: Rat) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+def _max_degree(terms) -> int:
+    return max(map(sum, terms), default=-1)
+
+
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_CAP:
+        raise DegreeOverflowError(f"term of total degree {degree} exceeds cap {DEGREE_CAP}")
+
+
+def _product(ta: Mapping[Exponent, Rat], tb: Mapping[Exponent, Rat]) -> Dict[Exponent, Rat]:
+    """Product of two term dicts over one variable order; cancelled
+    coefficients stay in as zeros for the caller to drop."""
+    out: Dict[Exponent, Rat] = {}
+    get = out.get
+    add = int.__add__
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(map(add, ea, eb))
+            c = get(e)
+            out[e] = ca * cb if c is None else c + ca * cb
+    return out
+
+
+def _accumulate(out: Dict[Exponent, Rat], terms: Mapping[Exponent, Rat]) -> None:
+    """Add ``terms`` into ``out`` in place; cancelled coefficients stay in
+    as zeros."""
+    get = out.get
+    for e, c in terms.items():
+        prev = get(e)
+        out[e] = c if prev is None else prev + c
+
+
+def _nonzero(terms: Mapping[Exponent, Rat]) -> Dict[Exponent, Rat]:
+    return {e: c for e, c in terms.items() if c}
+
+
+_set = object.__setattr__
+
+
+def _make(vs: Tuple[str, ...], keys: tuple, terms: Dict[Exponent, Rat]) -> "MultiPoly":
+    """Trusted constructor for the results of ring operations: ``terms``
+    already has exponent tuples of length len(vs), nonzero ``Fraction``
+    coefficients and degrees within the cap, and ``keys`` are the
+    ``var_key`` values of ``vs``, shared with the operands."""
+    p = object.__new__(MultiPoly)
+    _set(p, "vars", vs)
+    _set(p, "terms", terms)
+    _set(p, "_keys", keys)
+    return p
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with Fraction coefficients.
 
     Immutable; ``terms`` maps exponent tuples (one entry per variable in
     ``vars``) to nonzero coefficients.  Two polynomials over the same
-    variable tuple are equal iff their term dicts are identical.
+    variable tuple are equal iff their term dicts are identical.  ``_keys``
+    holds the ``var_key`` of each variable (see the module docstring).
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_keys")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Rat]):
         vs = tuple(variables)
@@ -84,13 +146,11 @@ class MultiPoly:
                 continue
             if len(exp) != len(vs):
                 raise ValueError(f"exponent {exp} does not match vars {vs}")
-            if sum(exp) > DEGREE_CAP:
-                raise DegreeOverflowError(
-                    f"term of total degree {sum(exp)} exceeds cap {DEGREE_CAP}"
-                )
+            _check_degree(sum(exp))
             clean[tuple(exp)] = c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", clean)
+        _set(self, "vars", vs)
+        _set(self, "terms", clean)
+        _set(self, "_keys", tuple(map(var_key, vs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -109,6 +169,13 @@ class MultiPoly:
     @staticmethod
     def var(name: str) -> "MultiPoly":
         return MultiPoly((name,), {(1,): Fraction(1)})
+
+    def _like(self, terms: Dict[Exponent, Rat]) -> "MultiPoly":
+        """A trusted result over self's variables."""
+        return _make(self.vars, self._keys, terms)
+
+    def _constant(self, c: Rat) -> "MultiPoly":
+        return self._like({(0,) * len(self.vars): c} if c else {})
 
     # -- structural helpers ----------------------------------------------
 
@@ -134,46 +201,58 @@ class MultiPoly:
                     used[i] = True
         return tuple(v for v, u in zip(self.vars, used) if u)
 
-    def extend(self, variables: Iterable[str]) -> "MultiPoly":
-        """Reindex over the canonical union of self.vars and ``variables``."""
-        target = canonical_vars(tuple(self.vars) + tuple(variables))
-        if target == self.vars:
+    def extend(self, variables: Union[Iterable[str], "MultiPoly"]) -> "MultiPoly":
+        """Reindex over the canonical union of self.vars and ``variables``,
+        names or a polynomial; a polynomial's carried keys are reused."""
+        if isinstance(variables, MultiPoly):
+            extra = variables._keys
+        else:
+            extra = tuple(var_key(v) for v in variables if v not in self.vars)
+        keys = tuple(sorted(set(self._keys).union(extra)))
+        if keys == self._keys:
             return self
-        pos = {v: i for i, v in enumerate(target)}
+        return self._reindexed(tuple(k[-1] for k in keys), keys)
+
+    def _reindexed(self, vs: Tuple[str, ...], keys: tuple) -> "MultiPoly":
+        """Self over ``vs``, which holds every variable of self."""
+        if vs == self.vars:
+            return self
+        pos = {v: i for i, v in enumerate(vs)}
+        index = [pos[v] for v in self.vars]
+        n = len(vs)
         out: Dict[Exponent, Rat] = {}
         for exp, coef in self.terms.items():
-            new = [0] * len(target)
-            for v, e in zip(self.vars, exp):
-                new[pos[v]] = e
+            new = [0] * n
+            for i, e in zip(index, exp):
+                new[i] = e
             out[tuple(new)] = coef
-        return MultiPoly(target, out)
+        return _make(vs, keys, out)
 
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
             return self, other
-        a = self.extend(other.vars)
-        b = other.extend(self.vars)
-        return a, b
+        a = self.extend(other)
+        # a.vars is canonical and holds other's variables
+        return a, other._reindexed(a.vars, a._keys)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: Union["MultiPoly", int, Rat]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(Fraction(other), self.vars)
+            other = self._constant(Fraction(other))
         a, b = self._aligned(other)
         out = dict(a.terms)
-        for exp, coef in b.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coef
-        return MultiPoly(a.vars, out)
+        _accumulate(out, b.terms)
+        return a._like(_nonzero(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(Fraction(other), self.vars)
+            other = self._constant(Fraction(other))
         return self + (-other)
 
     def __rsub__(self, other) -> "MultiPoly":
@@ -182,28 +261,28 @@ class MultiPoly:
     def __mul__(self, other: Union["MultiPoly", int, Rat]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return self._like({e: k * c for e, k in self.terms.items()} if c else {})
         a, b = self._aligned(other)
-        out: Dict[Exponent, Rat] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return MultiPoly(a.vars, out)
+        # Over the rationals the top-degree parts of two nonzero factors
+        # never cancel, so the product's degree is the sum of theirs (and
+        # a zero factor, of degree -1, keeps the sum under the cap).
+        _check_degree(_max_degree(a.terms) + _max_degree(b.terms))
+        return a._like(_nonzero(_product(a.terms, b.terms)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.const(1, self.vars)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self._constant(Fraction(1)) if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -214,8 +293,14 @@ class MultiPoly:
         return a.terms == b.terms
 
     def __hash__(self):
-        a = self.extend(())
-        return hash((a.vars, frozenset(a.terms.items())))
+        # As __eq__ goes: a constant hashes like the number it equals, and
+        # variables with exponent zero are left out.
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash(frozenset(
+            (tuple((v, e) for v, e in zip(self.vars, exp) if e), coef)
+            for exp, coef in self.terms.items()
+        ))
 
     def __repr__(self):
         return f"MultiPoly({to_string(self)!r})"
@@ -226,39 +311,75 @@ class MultiPoly:
         """Exact partial derivative; differentiating by an absent variable
         gives zero."""
         if v not in self.vars:
-            return MultiPoly.zero(self.vars)
+            return self._like({})
         i = self.vars.index(v)
         out: Dict[Exponent, Rat] = {}
         for exp, coef in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coef * exp[i]
-        return MultiPoly(self.vars, out)
+            e = exp[i]
+            if e:
+                out[exp[:i] + (e - 1,) + exp[i + 1:]] = coef * e
+        return self._like(out)
 
     def subst(self, assignment: Mapping[str, Union["MultiPoly", int, Rat]]) -> "MultiPoly":
-        """Simultaneous substitution; unassigned variables pass through."""
-        relevant = {v: p for v, p in assignment.items() if v in self.vars}
-        if not relevant:
+        """Simultaneous substitution; unassigned variables pass through.
+
+        Terms are grouped by their exponents in the substituted variables,
+        and each power of a substituted value is computed once per call."""
+        vs = self.vars
+        values = {
+            v: p if isinstance(p, MultiPoly) else MultiPoly.const(p)
+            for v, p in assignment.items() if v in vs
+        }
+        if not values:
             return self
-        passthrough = [v for v in self.vars if v not in relevant]
-        values: Dict[str, MultiPoly] = {}
-        for v, p in relevant.items():
-            values[v] = p if isinstance(p, MultiPoly) else MultiPoly.const(Fraction(p))
-        acc = MultiPoly.zero(passthrough)
+        keep = [i for i, v in enumerate(vs) if v not in values]
+        subbed = [i for i, v in enumerate(vs) if v in values]
+        groups: Dict[Exponent, Dict[Exponent, Rat]] = {}
         for exp, coef in self.terms.items():
-            term = MultiPoly.const(coef, passthrough)
-            for v, e in zip(self.vars, exp):
-                if e == 0:
-                    continue
-                factor = values.get(v)
-                if factor is None:
-                    factor = MultiPoly.var(v)
-                term = term * factor ** e
-            acc = acc + term
-        return acc
+            sig = tuple(exp[i] for i in subbed)
+            groups.setdefault(sig, {})[tuple(exp[i] for i in keep)] = coef
+        # The result lives over the canonical union of the passthrough
+        # variables and those of every factor some term raises to a positive
+        # power, a passthrough variable x being the factor x; it keeps the
+        # passthrough order only when every such factor is over exactly it.
+        pass_vars = tuple(vs[i] for i in keep)
+        pass_keys = tuple(self._keys[i] for i in keep)
+        used = [values[vs[i]] for j, i in enumerate(subbed) if any(sig[j] for sig in groups)]
+        if all(f.vars == pass_vars for f in used) and (
+            len(pass_vars) == 1 or not any(any(pe) for part in groups.values() for pe in part)
+        ):
+            out_vars, out_keys = pass_vars, pass_keys
+        else:
+            out_keys = tuple(sorted(set(pass_keys).union(*(f._keys for f in used))))
+            out_vars = tuple(k[-1] for k in out_keys)
+        pos = {v: i for i, v in enumerate(out_vars)}
+        keep_pos = [pos[v] for v in pass_vars]
+        n = len(out_vars)
+        powers: Dict[Tuple[int, int], MultiPoly] = {}
+
+        def power(j: int, e: int) -> "MultiPoly":
+            p = powers.get((j, e))
+            if p is None:
+                p = powers[j, e] = (values[vs[subbed[j]]] ** e)._reindexed(out_vars, out_keys)
+            return p
+
+        out: Dict[Exponent, Rat] = {}
+        for sig, part in groups.items():
+            terms: Dict[Exponent, Rat] = {}
+            for pe, coef in part.items():
+                new = [0] * n
+                for i, e in zip(keep_pos, pe):
+                    new[i] = e
+                terms[tuple(new)] = coef
+            factors = [power(j, e) for j, e in enumerate(sig) if e]
+            if factors:
+                if not all(f.terms for f in factors):
+                    continue  # a zero factor: these terms vanish
+                _check_degree(_max_degree(terms) + sum(_max_degree(f.terms) for f in factors))
+                for f in factors:
+                    terms = _product(terms, f.terms)
+            _accumulate(out, terms)
+        return _make(out_vars, out_keys, _nonzero(out))
 
     def defint01(self, v: str) -> "MultiPoly":
         """Definite integral over [0, 1] in ``v``; v is eliminated from the
@@ -268,11 +389,9 @@ class MultiPoly:
         i = self.vars.index(v)
         out: Dict[Exponent, Rat] = {}
         for exp, coef in self.terms.items():
-            new = list(exp)
-            new[i] = 0
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coef / (exp[i] + 1)
-        return MultiPoly(self.vars, out)
+            key = exp[:i] + (0,) + exp[i + 1:]
+            out[key] = out.get(key, 0) + coef / (exp[i] + 1)
+        return self._like(_nonzero(out))
 
     def eval_at(self, point: Mapping[str, Union[int, Rat]]) -> Union[Rat, "MultiPoly"]:
         """Partial evaluation; a full point yields a Fraction."""

@@ -183,10 +183,11 @@ def test_usage_errors(monkeypatch):
     with pytest.raises(ValueError):
         RunConfig("matrix", trials=MAX_TRIALS + 1)
     RunConfig("matrix", trials=MAX_TRIALS)
-    # a zero denominator and a deep nesting are parse errors that point at
-    # the offending number or parenthesis
+    # a zero denominator, a deep nesting and a constant power past the
+    # printable coefficient size are parse errors that point at the
+    # offending number, parenthesis or exponent
     nested = "(" * 5000 + "g1_1" + ")" * 5000
-    for text, culprit in (("1/0*g1_1", "1"), (nested, "(")):
+    for text, culprit in (("1/0*g1_1", "1"), (nested, "("), ("2^32000000*g1_1", "3")):
         with pytest.raises(ParseError) as err:
             parse_expr(text)
         assert err.value.line == 1 and text[err.value.col - 1] == culprit

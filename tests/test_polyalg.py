@@ -140,3 +140,152 @@ def test_sort_sign_matches_cycle_parity(items, key):
         assert (result, sign) == (None, 0)
     else:
         assert (result, sign) == _cycle_parity(items, ref_key)
+
+
+def test_hash_agrees_with_eq():
+    x, y = MultiPoly.var("t1"), MultiPoly.var("y_1")
+    padded = x + y - y
+    assert padded == x and padded.vars != x.vars
+    assert hash(padded) == hash(x)
+    assert len({x, padded}) == 1
+    three = MultiPoly.const(3) + y - y
+    assert three == 3 and hash(three) == hash(3) and len({three, 3, Fraction(3)}) == 1
+
+
+# Reference kernel: polynomials as (vars, terms) pairs, every operation
+# aligned by a full re-sort and rebuilt through the checking constructor,
+# as the kernel did before it carried its variable order.
+
+
+def _ref_make(vs, terms):
+    p = MultiPoly(vs, terms)
+    return p.vars, p.terms
+
+
+def _ref_extend(a, names):
+    vs, terms = a
+    target = canonical_vars(vs + tuple(names))
+    if target == vs:
+        return a
+    pos = {v: i for i, v in enumerate(target)}
+    out = {}
+    for exp, coef in terms.items():
+        new = [0] * len(target)
+        for v, e in zip(vs, exp):
+            new[pos[v]] = e
+        out[tuple(new)] = coef
+    return _ref_make(target, out)
+
+
+def _ref_aligned(a, b):
+    if a[0] == b[0]:
+        return a, b
+    return _ref_extend(a, b[0]), _ref_extend(b, a[0])
+
+
+def _ref_add(a, b):
+    a, b = _ref_aligned(a, b)
+    out = dict(a[1])
+    for exp, coef in b[1].items():
+        out[exp] = out.get(exp, Fraction(0)) + coef
+    return _ref_make(a[0], out)
+
+
+def _ref_mul(a, b):
+    a, b = _ref_aligned(a, b)
+    out = {}
+    for ea, ca in a[1].items():
+        for eb, cb in b[1].items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return _ref_make(a[0], out)
+
+
+def _ref_pow(a, n):
+    result = _ref_make(a[0], {(0,) * len(a[0]): Fraction(1)})
+    for _ in range(n):
+        result = _ref_mul(result, a)
+    return result
+
+
+def _ref_subst(a, assignment):
+    vs, terms = a
+    values = {v: p for v, p in assignment.items() if v in vs}
+    if not values:
+        return a
+    passthrough = tuple(v for v in vs if v not in values)
+    acc = _ref_make(passthrough, {})
+    for exp, coef in terms.items():
+        term = _ref_make(passthrough, {(0,) * len(passthrough): coef})
+        for v, e in zip(vs, exp):
+            if e:
+                factor = values.get(v, ((v,), {(1,): Fraction(1)}))
+                term = _ref_mul(term, _ref_pow(factor, e))
+        acc = _ref_add(acc, term)
+    return acc
+
+
+def _pair(p):
+    return p.vars, p.terms
+
+
+@st.composite
+def raw_polys(draw):
+    """A polynomial built directly, over any order of some of VARS."""
+    vs = tuple(draw(st.permutations(VARS))[: draw(st.integers(0, 4))])
+    exps = st.tuples(*[st.integers(0, 2)] * len(vs))
+    return MultiPoly(vs, draw(st.dictionaries(exps, rationals, max_size=4)))
+
+
+any_polys = st.one_of(polys(), raw_polys())
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_polys, any_polys, st.integers(0, 3),
+       st.dictionaries(st.sampled_from(VARS), st.one_of(any_polys, st.integers(-2, 2)),
+                       max_size=3))
+def test_kernel_matches_reference(a, b, n, assignment):
+    ra, rb = _pair(a), _pair(b)
+    ref_values = {v: _pair(p) if isinstance(p, MultiPoly) else _ref_make((), {(): p})
+                  for v, p in assignment.items()}
+    names = tuple(b.vars)
+    cases = [
+        (a + b, _ref_add(ra, rb)),
+        (a * b, _ref_mul(ra, rb)),
+        (a ** n, _ref_pow(ra, n)),
+        (a.extend(names), _ref_extend(ra, names)),
+        (a.extend(b), _ref_extend(ra, names)),
+        (a.subst(assignment), _ref_subst(ra, ref_values)),
+    ]
+    for got, (vs, terms) in cases:
+        assert got.vars == vs
+        assert got.terms == terms
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_products_powers_and_substitutions_keep_the_degree_cap():
+    x, y = MultiPoly.var("t1"), MultiPoly.var("y_1")
+    half = DEGREE_CAP // 2 + 1
+    with pytest.raises(DegreeOverflowError):
+        (x ** half) * (y ** half)
+    with pytest.raises(DegreeOverflowError):
+        (x * y + 1) ** half
+    with pytest.raises(DegreeOverflowError):
+        (x ** half).subst({"t1": y * y + x})
+    # a product of nonzero polynomials keeps its top degree; zero has none
+    assert ((x ** DEGREE_CAP) * MultiPoly.zero()).is_zero()
+    assert (x ** half).subst({"t1": 0}).is_zero()
+
+
+def test_arithmetic_over_known_variables_parses_no_names(monkeypatch):
+    import cochainlab.polyalg as polyalg
+
+    g, t, y = MultiPoly.var("g1_2"), MultiPoly.var("t1"), MultiPoly.var("y_1")
+    a, b = g * t + 1, y * y - t
+    calls = []
+    original = polyalg.var_key
+    monkeypatch.setattr(polyalg, "var_key", lambda name: calls.append(name) or original(name))
+    c = (a + b) * (a - b) + a ** 3 - 2 * b
+    c = c.subst({"t1": a, "y_1": 3}) + c.diff("g1_2") + c.defint01("t1")
+    assert c.extend(b) + a == a + c and -c != c
+    assert calls == []
