@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy
-from .polyalg import MultiPoly, sort_sign, to_string
+from .polyalg import SCALARS, Linear, MultiPoly, sort_sign, sparse, to_string
 
 Interval = Tuple[Fraction, Fraction]
 Index = Tuple[int, ...]
@@ -93,7 +93,7 @@ def _eval(p: MultiPoly, v: Fraction) -> Fraction:
     return Fraction(r.constant_value())
 
 
-class PwPoly:
+class PwPoly(Linear):
     """Piecewise polynomial on a union of fundamental-domain intervals.
 
     segments: sorted disjoint (lo, hi, MultiPoly-in-x) triples; the union
@@ -110,10 +110,17 @@ class PwPoly:
         for (lo1, hi1, _), (lo2, _h, _p) in zip(segs, segs[1:]):
             if hi1 > lo2:
                 raise CechError("overlapping segments")
-        object.__setattr__(self, "segments", tuple(segs))
+        super().__init__(tuple(segs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PwPoly is immutable")
+    def _shape(self):
+        """The domain as maximal intervals: what ``_aligned`` requires two
+        summands to share."""
+        out: List[Interval] = []
+        for lo, hi, _ in self.segments:
+            if out and out[-1][1] == lo:
+                lo = out.pop()[0]
+            out.append((lo, hi))
+        return tuple(out)
 
     @staticmethod
     def on(domain: Sequence[Interval], poly: MultiPoly) -> "PwPoly":
@@ -146,6 +153,7 @@ class PwPoly:
         return a, b
 
     def __add__(self, other: "PwPoly") -> "PwPoly":
+        # The alignment is the shape check: it raises on a domain mismatch.
         a, b = self._aligned(other)
         return PwPoly([(lo, hi, p + q) for (lo, hi, p), (_, _, q) in zip(a, b)])
 
@@ -153,26 +161,13 @@ class PwPoly:
         if isinstance(other, PwPoly):
             a, b = self._aligned(other)
             return PwPoly([(lo, hi, p * q) for (lo, hi, p), (_, _, q) in zip(a, b)])
-        return PwPoly([(lo, hi, p * other) for lo, hi, p in self.segments])
-
-    __rmul__ = __mul__
+        return self._like(tuple((lo, hi, p * other) for lo, hi, p in self.segments))
 
     def __neg__(self) -> "PwPoly":
-        return PwPoly([(lo, hi, -p) for lo, hi, p in self.segments])
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self._like(tuple((lo, hi, -p) for lo, hi, p in self.segments))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for _, _, p in self.segments)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PwPoly):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("PwPoly is unhashable")
 
     def __repr__(self):
         body = ", ".join(
@@ -385,12 +380,13 @@ def default_cover() -> CoverSpec:
 # Cochains and operators
 
 
-class CechForm:
+class CechForm(Linear):
     """Cech p-cochain of q-forms: map from increasing (p+1)-tuples of arc
     indices (nonempty intersections only) to PwPoly coefficients (the
     coefficient of dx when q = 1)."""
 
     __slots__ = ("cover", "p", "q", "comps")
+    _kind = sparse(SCALARS)
 
     def __init__(self, cover: CoverSpec, p: int, q: int, comps: Dict[Index, PwPoly]):
         clean = {}
@@ -405,13 +401,10 @@ class CechForm:
                 fn = fn.restrict(dom)
             if not fn.is_zero():
                 clean[idx] = fn
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "comps", clean)
+        super().__init__(cover, p, q, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CechForm is immutable")
+    def _shape(self):
+        return self.p, self.q
 
     @staticmethod
     def zero(cover, p, q) -> "CechForm":
@@ -428,59 +421,28 @@ class CechForm:
             return PwPoly.zero(dom) if dom else None
         return fn if sign == 1 else -fn
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __add__(self, other: "CechForm") -> "CechForm":
-        out = dict(self.comps)
-        for idx, fn in other.comps.items():
-            cur = out.get(idx)
-            out[idx] = fn if cur is None else cur + fn
-        return CechForm(self.cover, self.p, self.q, out)
-
-    def __neg__(self):
-        return CechForm(self.cover, self.p, self.q, {i: -f for i, f in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, CechForm):
-            return NotImplemented
-        return (self.p, self.q) == (other.p, other.q) and (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("CechForm is unhashable")
-
     def __repr__(self):
         return f"CechForm(p={self.p}, q={self.q}, comps={self.comps})"
 
 
-@dataclass(frozen=True)
-class GlobalForm:
+class GlobalForm(Linear):
     """A global q-form on the circle (q in {0, 1}); fn is the coefficient,
     defined on the full fundamental domain."""
 
-    q: int
-    fn: PwPoly
+    __slots__ = ("q", "fn")
 
-    def __add__(self, other):
-        return GlobalForm(self.q, self.fn + other.fn)
+    def _shape(self):
+        return self.q, self.fn._shape()
 
-    def __neg__(self):
-        return GlobalForm(self.q, -self.fn)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return self.fn.is_zero()
+    def __repr__(self):
+        return f"GlobalForm(q={self.q!r}, fn={self.fn!r})"
 
 
-class ConstCochain:
+class ConstCochain(Linear):
     """Cech p-cochain with constant (rational) coefficients."""
 
     __slots__ = ("cover", "p", "comps")
+    _kind = sparse(SCALARS)
 
     def __init__(self, cover: CoverSpec, p: int, comps: Dict[Index, Fraction]):
         clean = {}
@@ -491,41 +453,16 @@ class ConstCochain:
                 raise CechError(f"empty intersection {idx}")
             if c != 0:
                 clean[idx] = c
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "comps", clean)
+        super().__init__(cover, p, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstCochain is immutable")
+    def _shape(self):
+        return self.p
 
     def component(self, idx) -> Fraction:
         sidx, sign = sort_sign(idx)
         if sidx is None:
             return Fraction(0)
         return self.comps.get(sidx, Fraction(0)) * sign
-
-    def is_zero(self):
-        return not self.comps
-
-    def __add__(self, other):
-        out = dict(self.comps)
-        for idx, c in other.comps.items():
-            out[idx] = out.get(idx, Fraction(0)) + c
-        return ConstCochain(self.cover, self.p, out)
-
-    def __neg__(self):
-        return ConstCochain(self.cover, self.p, {i: -c for i, c in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConstCochain):
-            return NotImplemented
-        return self.p == other.p and (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("ConstCochain is unhashable")
 
     def __repr__(self):
         return f"ConstCochain(p={self.p}, comps={dict(self.comps)})"
@@ -564,7 +501,7 @@ def cech_d(w: CechForm) -> CechForm:
     """De Rham differential per intersection; zero above top degree."""
     if w.q >= 1:
         return CechForm.zero(w.cover, w.p, w.q + 1)
-    return CechForm(w.cover, w.p, 1, {i: f.diff() for i, f in w.comps.items()})
+    return CechForm(w.cover, w.p, w.q + 1, {i: f.diff() for i, f in w.comps.items()})
 
 
 def pou_h(w: CechForm) -> CechForm:

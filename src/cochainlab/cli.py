@@ -37,11 +37,14 @@ from typing import Dict, List, Optional, Tuple
 from .forms import Chart, PolyForm
 from .liealg import CEElement, LieAlgebra
 from .polyalg import (
+    SCALARS,
     DegreeOverflowError,
     MultiPoly,
+    add_into,
     canonical_vars,
     format_rat,
     sort_sign,
+    sparse,
     to_string,
     var_key,
 )
@@ -111,16 +114,8 @@ def _scalar(p: MultiPoly) -> Value:
     return {(): p}
 
 
-def _vadd(a: Value, b: Value) -> Value:
-    out = dict(a)
-    for key, poly in b.items():
-        cur = out.get(key)
-        out[key] = poly if cur is None else cur + poly
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _vneg(a: Value) -> Value:
-    return {k: -v for k, v in a.items()}
+#: Values add and negate as sparse maps of polynomials.
+_VALUES = sparse(SCALARS)
 
 
 def _vmul(a: Value, b: Value) -> Value:
@@ -130,9 +125,7 @@ def _vmul(a: Value, b: Value) -> Value:
             key = ka + kb
             if len({atom for atom in key}) != len(key):
                 continue  # repeated covector wedges to zero
-            coef = pa * pb
-            cur = out.get(key)
-            out[key] = coef if cur is None else cur + coef
+            add_into(out, key, pa * pb)
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -184,13 +177,13 @@ class _Parser:
             negate = tok[1] == "-"
         value = self.term()
         if negate:
-            value = _vneg(value)
+            value = _VALUES.neg(value)
         while True:
             tok = self.peek()
             if tok[0] == "op" and tok[1] in "+-":
                 self.next()
                 rhs = self.term()
-                value = _vadd(value, _vneg(rhs) if tok[1] == "-" else rhs)
+                value = _VALUES.add(value, _VALUES.neg(rhs) if tok[1] == "-" else rhs)
             else:
                 return value
 
@@ -304,10 +297,7 @@ def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
         sidx, sign = sort_sign(key, key=lambda a: var_key(a[1]))
         if sidx is None:
             continue
-        idx = tuple(pos[a[1]] for a in sidx)
-        cur = fcomps.get(idx)
-        term = poly * sign
-        fcomps[idx] = term if cur is None else cur + term
+        add_into(fcomps, tuple(pos[a[1]] for a in sidx), poly * sign)
     return PolyForm(chart, degree, fcomps)
 
 

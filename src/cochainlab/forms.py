@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .polyalg import MultiPoly, sort_sign
+from .polyalg import SCALARS, Linear, MultiPoly, add_into, sort_sign, sparse
 
 Index = Tuple[int, ...]
 
@@ -31,10 +31,11 @@ class Chart:
             raise ValueError("coords and params must be disjoint")
 
 
-class PolyForm:
+class PolyForm(Linear):
     """Differential form with MultiPoly coefficients on a Chart."""
 
     __slots__ = ("chart", "degree", "terms")
+    _kind = sparse(SCALARS)
 
     def __init__(self, chart: Chart, degree: int, terms: Mapping[Index, MultiPoly]):
         clean: Dict[Index, MultiPoly] = {}
@@ -51,12 +52,10 @@ class PolyForm:
                 clean.pop(sidx, None)
             else:
                 clean[sidx] = c
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(chart, degree, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyForm is immutable")
+    def _shape(self):
+        return self.chart, self.degree
 
     @staticmethod
     def zero(chart: Chart, degree: int = 0) -> "PolyForm":
@@ -66,48 +65,12 @@ class PolyForm:
     def function(chart: Chart, f: MultiPoly) -> "PolyForm":
         return PolyForm(chart, 0, {(): f})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, idx: Sequence[int]) -> MultiPoly:
         sidx, sign = sort_sign(idx)
         coef = self.terms.get(sidx)
         if coef is None or sign == 0:
             return MultiPoly.zero()
         return coef if sign == 1 else -coef
-
-    def __add__(self, other: "PolyForm") -> "PolyForm":
-        if self.chart != other.chart or self.degree != other.degree:
-            raise ValueError("cannot add forms of different chart/degree")
-        out = dict(self.terms)
-        for idx, coef in other.terms.items():
-            out[idx] = out.get(idx, MultiPoly.zero()) + coef
-        return PolyForm(self.chart, self.degree, out)
-
-    def __neg__(self) -> "PolyForm":
-        return PolyForm(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyForm") -> "PolyForm":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "PolyForm":
-        return PolyForm(
-            self.chart, self.degree, {i: c * scalar for i, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyForm):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("PolyForm is unhashable")
 
     def __repr__(self):
         return f"PolyForm(deg={self.degree}, terms={self.terms})"
@@ -135,8 +98,7 @@ def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
             idx, sign = sort_sign(ia + ib)
             if sign == 0:
                 continue
-            c = ca * cb * sign
-            out[idx] = out.get(idx, MultiPoly.zero()) + c
+            add_into(out, idx, ca * cb * sign)
     return PolyForm(a.chart, deg, out)
 
 
@@ -150,8 +112,7 @@ def exterior_d(a: PolyForm) -> PolyForm:
             sidx, sign = sort_sign((j,) + idx)
             if sign == 0:
                 continue
-            c = dc * sign
-            out[sidx] = out.get(sidx, MultiPoly.zero()) + c
+            add_into(out, sidx, dc * sign)
     return PolyForm(a.chart, a.degree + 1, out)
 
 
@@ -167,8 +128,7 @@ def contract(a: PolyForm, x: PolyVF) -> PolyForm:
             if comp.is_zero():
                 continue
             rest = idx[:pos] + idx[pos + 1 :]
-            c = coef * comp * ((-1) ** pos)
-            out[rest] = out.get(rest, MultiPoly.zero()) + c
+            add_into(out, rest, coef * comp * ((-1) ** pos))
     return PolyForm(a.chart, a.degree - 1, out)
 
 
@@ -235,9 +195,8 @@ def homotopy_T(a: PolyForm) -> PolyForm:
             # the remaining q-1 differentials each contributing a factor t.
             integrand = scaled * MultiPoly.var(a.chart.coords[j]) * tpoly ** (q - 1)
             c = integrand.defint01(t) * ((-1) ** pos)
-            if c.is_zero():
-                continue
-            out[rest] = out.get(rest, MultiPoly.zero()) + c
+            if not c.is_zero():
+                add_into(out, rest, c)
     return PolyForm(a.chart, q - 1, out)
 
 

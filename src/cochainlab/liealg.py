@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .polyalg import mat_mul, rref, sort_sign
+from .polyalg import VECTORS, Linear, add_into, is_zero, mat_mul, rref, sort_sign, sparse
 
 Rat = Fraction
 Vec = Tuple[Rat, ...]
@@ -62,21 +62,15 @@ class LieAlgebra:
         n = self.dim
         out = [u[0] * 0 for _ in range(n)]
         for i in range(n):
-            if _is_zero(u[i]):
+            if is_zero(u[i]):
                 continue
             for j in range(n):
-                if _is_zero(v[j]):
+                if is_zero(v[j]):
                     continue
                 for k, c in enumerate(self.constants[i][j]):
                     if c != 0:
                         out[k] = out[k] + u[i] * v[j] * c
         return out
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return x == 0
-    return x.is_zero()
 
 
 def validate_lie_algebra(
@@ -242,10 +236,11 @@ def _mat_zero(d):
 # Chevalley-Eilenberg cochains
 
 
-class CEElement:
+class CEElement(Linear):
     """Element of C^q(g, V): map from increasing q-subsets to V-vectors."""
 
     __slots__ = ("algebra", "rep", "degree", "comps")
+    _kind = sparse(VECTORS)
 
     def __init__(
         self,
@@ -265,13 +260,10 @@ class CEElement:
                 raise ValueError("vector length must match representation dim")
             if any(x != 0 for x in v):
                 clean[idx] = v
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", clean)
+        super().__init__(algebra, rep, degree, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CEElement is immutable")
+    def _shape(self):
+        return self.degree, self.rep.dim
 
     @staticmethod
     def zero(algebra, rep, degree) -> "CEElement":
@@ -286,61 +278,21 @@ class CEElement:
         vec[slot] = Fraction(1)
         return CEElement(algebra, rep, len(idx), {tuple(idx): vec})
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
     def component(self, idx: Index) -> Vec:
         return self.comps.get(tuple(idx), tuple(Fraction(0) for _ in range(self.rep.dim)))
-
-    def __add__(self, other: "CEElement") -> "CEElement":
-        out = dict(self.comps)
-        for idx, vec in other.comps.items():
-            cur = out.get(idx)
-            out[idx] = vec if cur is None else tuple(a + b for a, b in zip(cur, vec))
-        return CEElement(self.algebra, self.rep, self.degree, out)
-
-    def __neg__(self) -> "CEElement":
-        return CEElement(
-            self.algebra,
-            self.rep,
-            self.degree,
-            {i: tuple(-x for x in v) for i, v in self.comps.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "CEElement":
-        c = Fraction(scalar)
-        return CEElement(
-            self.algebra,
-            self.rep,
-            self.degree,
-            {i: tuple(x * c for x in v) for i, v in self.comps.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CEElement):
-            return NotImplemented
-        return self.degree == other.degree and self.comps == other.comps
-
-    def __hash__(self):
-        raise TypeError("CEElement is unhashable")
 
     def __repr__(self):
         return f"CEElement(deg={self.degree}, comps={self.comps})"
 
 
-def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[Index, list]:
+def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[Index, Sequence]:
     """Chevalley-Eilenberg differential on raw component maps.
 
     Coefficient-agnostic: works for any vectors supporting + and * by a
     Fraction (rational vectors, MultiPoly vectors).  ``action(i, vec)``
     applies the generator e_i to a coefficient vector.
     """
-    out: Dict[Index, list] = {}
+    out: Dict[Index, Sequence] = {}
     for J in combinations(range(alg.dim), degree + 1):
         total = None
         # sum_a (-1)^a e_{j_a} . alpha(J \ j_a)
@@ -352,7 +304,7 @@ def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[
             acted = action(ja, vec)
             sgn = (-1) ** a
             term = [x * sgn for x in acted] if sgn == -1 else list(acted)
-            total = term if total is None else [x + y for x, y in zip(total, term)]
+            total = term if total is None else VECTORS.add(total, term)
         # sum_{a<b} (-1)^{a+b} alpha([e_{j_a}, e_{j_b}] ^ rest)
         for a in range(len(J)):
             for b in range(a + 1, len(J)):
@@ -368,9 +320,7 @@ def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[
                         continue
                     sgn = ((-1) ** (a + b)) * sgn_ins
                     term = [x * (c * sgn) for x in vec]
-                    total = term if total is None else [
-                        x + y for x, y in zip(total, term)
-                    ]
+                    total = term if total is None else VECTORS.add(total, term)
         if total is not None:
             out[J] = total
     return out
@@ -400,9 +350,7 @@ def ce_contract(alpha: CEElement, xi: Sequence[Rat]) -> CEElement:
                 continue
             rest = idx[:pos] + idx[pos + 1 :]
             sgn = (-1) ** pos
-            term = [x * (c * sgn) for x in vec]
-            cur = out.get(rest)
-            out[rest] = term if cur is None else [a + b for a, b in zip(cur, term)]
+            add_into(out, rest, [x * (c * sgn) for x in vec], VECTORS.add)
     return CEElement(alpha.algebra, alpha.rep, alpha.degree - 1, out)
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from .forms import Chart, PolyForm, PolyVF
 from .liealg import LieAlgebra, Representation
-from .polyalg import MultiPoly, Rat, mat_vec, slot_shift
+from .polyalg import VECTORS, Linear, MultiPoly, Rat, mat_vec, slot_shift
 
 MAX_BCH_CLASS = 4
 
@@ -63,29 +63,21 @@ def _vec(names: Sequence[str]) -> List[MultiPoly]:
     return [MultiPoly.var(v) for v in names]
 
 
-def _vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _vec_scale(a, c):
-    return [x * c for x in a]
-
-
-def _bch(alg: LieAlgebra, x: List[MultiPoly], y: List[MultiPoly]) -> List[MultiPoly]:
+def _bch(alg: LieAlgebra, x: List[MultiPoly], y: List[MultiPoly]) -> Tuple[MultiPoly, ...]:
     """BCH(x, y) through bracket degree 4; exact when the class is <= 4."""
-    br = alg.bracket
-    z = _vec_add(x, y)
+    br, add, scale = alg.bracket, VECTORS.add, VECTORS.scale
+    z = add(x, y)
     if alg.nilpotency_class >= 2:
         xy = br(x, y)
-        z = _vec_add(z, _vec_scale(xy, Fraction(1, 2)))
+        z = add(z, scale(xy, Fraction(1, 2)))
         if alg.nilpotency_class >= 3:
             xxy = br(x, xy)
             yyx = br(y, br(y, x))
-            z = _vec_add(z, _vec_scale(xxy, Fraction(1, 12)))
-            z = _vec_add(z, _vec_scale(yyx, Fraction(1, 12)))
+            z = add(z, scale(xxy, Fraction(1, 12)))
+            z = add(z, scale(yyx, Fraction(1, 12)))
             if alg.nilpotency_class >= 4:
                 yxxy = br(y, xxy)
-                z = _vec_add(z, _vec_scale(yxxy, Fraction(-1, 24)))
+                z = add(z, scale(yxxy, Fraction(-1, 24)))
     return z
 
 
@@ -120,6 +112,11 @@ class PolyGroup:
     def invert(self, a: Sequence[MultiPoly]) -> List[MultiPoly]:
         sub = {f"g1_{j}": av for j, av in enumerate(a, start=1)}
         return [m.subst(sub) for m in self.inv]
+
+    def __reduce__(self):
+        # The structure cached on first use stays behind (its read-only
+        # mappings do not pickle) and is rebuilt on demand.
+        return PolyGroup, (self.algebra, self.mult, self.inv)
 
     @cached_property
     def right_jacobian(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
@@ -378,11 +375,12 @@ def trivial_poly_rep(group: PolyGroup) -> PolyRep:
 # Group cochains
 
 
-class GroupCochain:
+class GroupCochain(Linear):
     """Polynomial p-cochain: a vector of MultiPolys in the slot variables
     g1_*, ..., gp_* (vector length = coefficient dimension)."""
 
     __slots__ = ("group", "rep", "degree", "values")
+    _kind = VECTORS
 
     def __init__(
         self,
@@ -402,13 +400,10 @@ class GroupCochain:
             extra = set(v.support()) - allowed
             if extra:
                 raise ValueError(f"cochain uses variables outside its slots: {extra}")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", vals)
+        super().__init__(group, rep, degree, vals)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupCochain is immutable")
+    def _shape(self):
+        return self.degree, self.rep.dim
 
     @staticmethod
     def scalar(group, degree, poly: MultiPoly, rep=None) -> "GroupCochain":
@@ -416,33 +411,6 @@ class GroupCochain:
         if rep.dim != 1:
             raise ValueError("scalar constructor requires a 1-dim coefficient space")
         return GroupCochain(group, rep, degree, (poly,))
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
-    def __add__(self, other: "GroupCochain") -> "GroupCochain":
-        return GroupCochain(
-            self.group,
-            self.rep,
-            self.degree,
-            tuple(a + b for a, b in zip(self.values, other.values)),
-        )
-
-    def __neg__(self):
-        return GroupCochain(
-            self.group, self.rep, self.degree, tuple(-v for v in self.values)
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupCochain):
-            return NotImplemented
-        return self.degree == other.degree and list(self.values) == list(other.values)
-
-    def __hash__(self):
-        raise TypeError("GroupCochain is unhashable")
 
     def __repr__(self):
         return f"GroupCochain(p={self.degree}, values={self.values})"

@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 from .forms import Chart, PolyForm, cube_integrate, exterior_d, pullback, wedge
 from .perturb import check_record
-from .polyalg import MultiPoly, slot_shift, to_string
+from .polyalg import Linear, MultiPoly, slot_shift, to_string
 
 Index = Tuple[int, ...]
 
@@ -36,7 +36,7 @@ def base_chart(n: int) -> Chart:
     return Chart(tuple(f"x_{j}" for j in range(1, n + 1)))
 
 
-class ASCochain:
+class ASCochain(Linear):
     """Alexander-Spanier p-cochain: a polynomial in the p + 1 points
     m0, ..., mp of R^n."""
 
@@ -49,12 +49,10 @@ class ASCochain:
         extra = set(value.support()) - allowed
         if extra:
             raise ValueError(f"cochain uses variables outside its points: {extra}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "value", value)
+        super().__init__(n, degree, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ASCochain is immutable")
+    def _shape(self):
+        return self.degree
 
     @staticmethod
     def decomposable(n: int, factors: Sequence[MultiPoly]) -> "ASCochain":
@@ -65,31 +63,6 @@ class ASCochain:
             sub = {f"x_{j}": MultiPoly.var(f"m{s}_{j}") for j in range(1, n + 1)}
             acc = acc * f.subst(sub)
         return ASCochain(n, len(factors) - 1, acc)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def __add__(self, other: "ASCochain") -> "ASCochain":
-        return ASCochain(self.n, self.degree, self.value + other.value)
-
-    def __neg__(self) -> "ASCochain":
-        return ASCochain(self.n, self.degree, -self.value)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "ASCochain":
-        return ASCochain(self.n, self.degree, self.value * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ASCochain):
-            return NotImplemented
-        return self.degree == other.degree and self.value == other.value
-
-    def __hash__(self):
-        raise TypeError("ASCochain is unhashable")
 
     def __repr__(self):
         return f"ASCochain(n={self.n}, p={self.degree}, {to_string(self.value)})"

@@ -4,9 +4,9 @@ A ``DoubleComplexInstance`` bundles the operators of a first-quadrant double
 complex (d vertical, delta horizontal) together with a horizontal
 contraction (i-hat, p-hat, h) onto the column X at p = 0 and, optionally, a
 vertical contraction (j-hat, q-hat, k) onto the row Y at q = 0.  Elements
-are opaque payloads supporting +, unary -, and .is_zero(); operators are
-closures.  Everything is exact: equality means the difference is
-identically zero.
+are payloads of the vector-space protocol that ``polyalg.Linear`` implements
+(+ of equal shapes, unary -, .is_zero()); operators are closures.
+Everything is exact: equality means the difference is identically zero.
 
 The engine provides the finite Neumann inversion (1 + dh)^{-1}, the two
 zig-zag maps between X and Y, the perturbed homotopy/projection
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .polyalg import mat_mul, rref
+from .polyalg import SCALARS, VECTORS, Linear, add_into, mat_mul, rref, sparse
 
 Bidegree = Tuple[int, int]
 
@@ -46,36 +46,31 @@ class NonTermination(PerturbError):
 # Elements
 
 
-@dataclass(frozen=True)
-class Vec:
+class Vec(Linear):
     """Exact rational coordinate vector; the payload type of matrix-model
     instances."""
 
-    entries: Tuple[Fraction, ...]
+    __slots__ = ("entries",)
+    _kind = VECTORS
 
-    def __add__(self, other: "Vec") -> "Vec":
-        return Vec(tuple(a + b for a, b in zip(self.entries, other.entries)))
+    def _shape(self):
+        return len(self.entries)
 
-    def __neg__(self) -> "Vec":
-        return Vec(tuple(-a for a in self.entries))
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+    def __repr__(self):
+        return f"Vec(entries={self.entries!r})"
 
     def __str__(self):
         return "[" + ", ".join(str(a) for a in self.entries) + "]"
 
 
-class Graded:
+class Graded(Linear):
     """Finite formal sum of payloads indexed by bidegree."""
 
     __slots__ = ("parts",)
+    _kind = sparse(SCALARS)
 
     def __init__(self, parts: Dict[Bidegree, object]):
-        self.parts = {bd: x for bd, x in parts.items() if not x.is_zero()}
+        super().__init__({bd: x for bd, x in parts.items() if not x.is_zero()})
 
     @staticmethod
     def single(p: int, q: int, x) -> "Graded":
@@ -84,28 +79,12 @@ class Graded:
     def component(self, p: int, q: int, zero=None):
         return self.parts.get((p, q), zero)
 
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __add__(self, other: "Graded") -> "Graded":
-        out = dict(self.parts)
-        for bd, x in other.parts.items():
-            out[bd] = out[bd] + x if bd in out else x
-        return Graded(out)
-
-    def __neg__(self) -> "Graded":
-        return Graded({bd: -x for bd, x in self.parts.items()})
-
-    def __sub__(self, other: "Graded") -> "Graded":
-        return self + (-other)
-
     def map(self, op: Callable[[int, int, object], object], dp: int, dq: int) -> "Graded":
         out: Dict[Bidegree, object] = {}
         for (p, q), x in self.parts.items():
             y = op(p, q, x)
             if y is not None and not y.is_zero():
-                bd = (p + dp, q + dq)
-                out[bd] = out[bd] + y if bd in out else y
+                add_into(out, (p + dp, q + dq), y)
         return Graded(out)
 
 

@@ -28,9 +28,12 @@ substitutions; sums, negation, scaling, ``extend``, ``diff`` and
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 Rat = Fraction
 Exponent = Tuple[int, ...]
@@ -154,6 +157,9 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        return MultiPoly, (self.vars, self.terms)
 
     # -- constructors -----------------------------------------------------
 
@@ -432,7 +438,143 @@ def to_string(p: MultiPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared sign, face-map and matrix conventions
+# Shared vector-space, sign, face-map and matrix conventions
+
+
+def is_zero(x) -> bool:
+    """Zero test for a rational or for anything with ``is_zero``."""
+    return x == 0 if isinstance(x, (int, Fraction)) else x.is_zero()
+
+
+def add_into(out: dict, key, value, add: Callable = operator.add) -> None:
+    """``out[key] += value``, inserting ``value`` itself at a new key so that
+    keys keep their first-seen order; zero sums stay in for the caller to
+    drop."""
+    cur = out.get(key)
+    out[key] = value if cur is None else add(cur, value)
+
+
+class ValueKind(NamedTuple):
+    """How the data of a ``Linear`` class adds, negates, scales and tests
+    for zero."""
+
+    add: Callable
+    neg: Callable
+    scale: Callable
+    is_zero: Callable
+
+
+#: A single value: a rational, polynomial, piecewise polynomial or payload.
+SCALARS = ValueKind(operator.add, operator.neg, operator.mul, is_zero)
+#: A V-vector: a tuple of single values, entrywise.
+VECTORS = ValueKind(
+    lambda a, b: tuple(map(operator.add, a, b)),
+    lambda a: tuple(map(operator.neg, a)),
+    lambda a, c: tuple(x * c for x in a),
+    lambda a: all(map(is_zero, a)),
+)
+
+
+def sparse(kind: ValueKind) -> ValueKind:
+    """A map from indices to nonzero values of ``kind``; a sum keeps the
+    first-seen order of its indices."""
+
+    def nonzero(data: dict) -> dict:
+        return {k: v for k, v in data.items() if not kind.is_zero(v)}
+
+    def add(a: dict, b: dict) -> dict:
+        out = dict(a)
+        for k, v in b.items():
+            add_into(out, k, v, kind.add)
+        return nonzero(out)
+
+    return ValueKind(
+        add,
+        lambda a: {k: kind.neg(v) for k, v in a.items()},
+        lambda a, c: nonzero({k: kind.scale(v, c) for k, v in a.items()}),
+        operator.not_,
+    )
+
+
+class Linear:
+    """An element of a vector space over the rationals: the one
+    implementation of the protocol that every cochain and every payload of
+    the perturbation engine follows.
+
+    A subclass lists its constructor's arguments, in order, as its
+    ``__slots__``, the last one holding its data; names the ``ValueKind`` of
+    that data as ``_kind``; and names in ``_shape`` what two summands must
+    share (the degree or bidegree, and more where it matters).  It keeps
+    only its validating ``__init__`` (which stores the fields through the
+    base's), its ``repr`` and its domain operators.  The base makes the
+    element immutable and unhashable; adds (raising ``ValueError`` unless
+    the shapes are equal), negates, scales (``x * c`` and ``c * x``) and
+    subtracts through the kind; compares by type, shape and a zero
+    difference (``False`` across types and shapes, without raising);
+    builds arithmetic results through the trusted ``_like``; and copies and
+    pickles by rerunning the constructor.
+    """
+
+    __slots__ = ()
+    _kind = SCALARS
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            _set(self, name, value)
+
+    def _like(self, data):
+        """Self with new data: an arithmetic result, whose other fields the
+        operands already validated and whose data the kind keeps clean."""
+        new = object.__new__(type(self))
+        for name in self.__slots__[:-1]:
+            _set(new, name, getattr(self, name))
+        _set(new, self.__slots__[-1], data)
+        return new
+
+    def _data(self):
+        return getattr(self, self.__slots__[-1])
+
+    def _shape(self):
+        return ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is unhashable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def is_zero(self) -> bool:
+        return self._kind.is_zero(self._data())
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise ValueError(
+                f"cannot add {type(other).__name__} to a {type(self).__name__} "
+                f"of shape {self._shape()}"
+            )
+        return self._like(self._kind.add(self._data(), other._data()))
+
+    def __neg__(self):
+        return self._like(self._kind.neg(self._data()))
+
+    def __mul__(self, c):
+        return self._like(self._kind.scale(self._data(), c))
+
+    def __rmul__(self, c):
+        return self * c
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and other._shape() == self._shape()
+            and (self - other).is_zero()
+        )
 
 
 def sort_sign(items: Sequence, key=None) -> Tuple[Optional[tuple], int]:

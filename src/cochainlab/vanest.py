@@ -59,7 +59,17 @@ from .nilgroup import (
     trivial_poly_rep,
 )
 from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy, zigzag_yx
-from .polyalg import MultiPoly, Rat, mat_vec, sort_sign, to_string
+from .polyalg import (
+    VECTORS,
+    Linear,
+    MultiPoly,
+    Rat,
+    add_into,
+    mat_vec,
+    sort_sign,
+    sparse,
+    to_string,
+)
 
 Index = Tuple[int, ...]
 
@@ -72,10 +82,11 @@ def _zero_vec(dim: int) -> Tuple[MultiPoly, ...]:
     return tuple(MultiPoly.zero() for _ in range(dim))
 
 
-class BigradedElement:
+class BigradedElement(Linear):
     """Element of D^{p,q}(G, V) in the component picture."""
 
     __slots__ = ("group", "rep", "p", "q", "comps")
+    _kind = sparse(VECTORS)
 
     def __init__(
         self,
@@ -103,14 +114,10 @@ class BigradedElement:
                     raise ValueError(f"component uses variables outside slots: {extra}")
             if any(not c.is_zero() for c in v):
                 clean[idx] = v
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "comps", clean)
+        super().__init__(group, rep, p, q, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BigradedElement is immutable")
+    def _shape(self):
+        return self.p, self.q, self.rep.dim
 
     @staticmethod
     def zero(group, rep, p, q) -> "BigradedElement":
@@ -119,42 +126,11 @@ class BigradedElement:
     def component(self, idx: Index) -> Tuple[MultiPoly, ...]:
         return self.comps.get(tuple(idx), _zero_vec(self.rep.dim))
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
     def map_comps(self, fn) -> "BigradedElement":
         return BigradedElement(
             self.group, self.rep, self.p, self.q,
             {i: tuple(fn(c) for c in v) for i, v in self.comps.items()},
         )
-
-    def __add__(self, other: "BigradedElement") -> "BigradedElement":
-        out = dict(self.comps)
-        for idx, vec in other.comps.items():
-            cur = out.get(idx)
-            out[idx] = vec if cur is None else tuple(a + b for a, b in zip(cur, vec))
-        return BigradedElement(self.group, self.rep, self.p, self.q, out)
-
-    def __neg__(self) -> "BigradedElement":
-        return self.map_comps(lambda c: -c)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "BigradedElement":
-        return self.map_comps(lambda c: c * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BigradedElement):
-            return NotImplemented
-        return (
-            (self.p, self.q) == (other.p, other.q) and (self - other).is_zero()
-        )
-
-    def __hash__(self):
-        raise TypeError("BigradedElement is unhashable")
 
     def __repr__(self):
         body = {i: tuple(to_string(c) for c in v) for i, v in self.comps.items()}
@@ -168,12 +144,10 @@ class BigradedElement:
 def bg_delta(psi: BigradedElement) -> BigradedElement:
     """Horizontal differential: alternating sum of face substitutions; the
     last face merges g_{p+1} into the base point."""
-    out: Dict[Index, list] = {}
+    out: Dict[Index, Sequence[MultiPoly]] = {}
     for sub, sgn in psi.group.faces(psi.p):
         for idx, vec in psi.comps.items():
-            term = [c.subst(sub) * sgn for c in vec]
-            cur = out.get(idx)
-            out[idx] = term if cur is None else [a + b for a, b in zip(cur, term)]
+            add_into(out, idx, [c.subst(sub) * sgn for c in vec], VECTORS.add)
     return BigradedElement(psi.group, psi.rep, psi.p + 1, psi.q, out)
 
 

@@ -121,3 +121,38 @@ def test_no_process_wide_caches():
     # and dies with that object.
     problems = [p for path in sorted(SRC.glob("*.py")) for p in global_caches(path)]
     assert problems == []
+
+
+#: The protocol methods that ``polyalg.Linear`` implements once for every
+#: cochain and payload class.
+LINEAR_METHODS = {"__setattr__", "__hash__", "__sub__", "__rmul__", "__eq__"}
+#: Classes that define them anyway, with the reason.
+LINEAR_EXEMPT = {
+    "Linear": "the base that implements them",
+    "MultiPoly": "the ring element, not a cochain: it is hashable, and its"
+                 " arithmetic takes constant operands",
+}
+
+
+def protocol_redefinitions(path: Path):
+    """Classes other than the exempt ones that define a protocol method,
+    by ``def`` or by assignment (``__rmul__ = __mul__``)."""
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef) or node.name in LINEAR_EXEMPT:
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            problems += [f"{path.name}:{item.lineno}: {node.name}.{n}"
+                         for n in names if n in LINEAR_METHODS]
+    return problems
+
+
+def test_no_class_reimplements_the_linear_protocol():
+    problems = [p for path in sorted(SRC.glob("*.py")) for p in protocol_redefinitions(path)]
+    assert problems == []

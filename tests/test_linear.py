@@ -1,0 +1,148 @@
+"""The one vector-space protocol of every cochain and payload class
+(``polyalg.Linear``): the vector-space laws, the shape check on ``+``,
+immutability, unhashability, and copies and pickles that round-trip."""
+
+import copy
+import pickle
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from cochainlab.cech_derham import PwPoly, cech_instance
+from cochainlab.forms import Chart, PolyForm
+from cochainlab.liealg import CEElement, heisenberg3
+from cochainlab.nilgroup import GroupCochain
+from cochainlab.pairgpd import ASCochain
+from cochainlab.perturb import Graded, matrix_instance
+from cochainlab.polyalg import MultiPoly
+from cochainlab.vanest import build_double_complex, standard_poly_rep
+from conftest import random_poly
+
+#: The eleven element classes.
+NAMES = (
+    "CEElement", "BigradedElement", "GroupCochain", "PolyForm", "ASCochain",
+    "PwPoly", "CechForm", "ConstCochain", "GlobalForm", "Vec", "Graded",
+)
+
+
+@pytest.fixture(scope="module")
+def samplers(heisenberg_group):
+    """Per class, a sampler (rng, k) -> element whose shape depends on k in
+    {0, 1}, drawn from the instances' own samplers where they exist."""
+    group = heisenberg_group
+    group.faces(1)  # structure cached on the group must not stop a copy
+    van_est = build_double_complex(group, standard_poly_rep(group), max_p=2)
+    cech = cech_instance()
+    matrix = matrix_instance(seed=0)
+    chart = Chart(("x_1", "x_2", "x_3"))
+
+    def poly_form(rng, k):
+        comps = {idx: random_poly(rng, chart.coords) for idx in combinations(range(3), k + 1)}
+        return PolyForm(chart, k + 1, comps)
+
+    def pw_poly(rng, k):
+        # two pieces, so that sums align segments of one domain
+        lo, mid, hi = (Fraction(k + i, 4) for i in range(3))
+        return PwPoly([(lo, mid, random_poly(rng, ["x"])), (mid, hi, random_poly(rng, ["x"]))])
+
+    return {
+        "CEElement": lambda rng, k: van_est.sample_x(rng, k + 1),
+        "BigradedElement": lambda rng, k: van_est.sample(rng, k + 1, 1),
+        "GroupCochain": lambda rng, k: van_est.sample_y(rng, k + 1),
+        "PolyForm": poly_form,
+        "ASCochain": lambda rng, k: ASCochain.decomposable(
+            2, [random_poly(rng, ["x_1", "x_2"]) for _ in range(k + 2)]
+        ),
+        "PwPoly": pw_poly,
+        "CechForm": lambda rng, k: cech.sample(rng, k, 0),
+        "ConstCochain": lambda rng, k: cech.sample_y(rng, k),
+        "GlobalForm": lambda rng, k: cech.sample_x(rng, k),
+        "Vec": lambda rng, k: matrix.sample(rng, k, 0),
+        "Graded": lambda rng, k: Graded.single(k, 0, matrix.sample(rng, k, 0)),
+    }
+
+
+def test_the_samplers_cover_every_class(samplers):
+    rng = random.Random(0)
+    assert [type(samplers[name](rng, 0)).__name__ for name in NAMES] == list(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_vector_space_laws(samplers, name):
+    rng = random.Random(7)
+    for _ in range(3):
+        a, b, other = (samplers[name](rng, k) for k in (0, 0, 1))
+        assert a + b == b + a
+        assert (a + b) - b == a
+        assert (a - a).is_zero()
+        assert -(-a) == a
+        for c in (2, Fraction(-3, 2)):
+            assert c * a == a * c
+            assert (c * (a + b) - c * a - c * b).is_zero()
+        assert (a == other) is False and a != other
+        assert (a == 0) is False
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_adding_different_shapes_raises(samplers, name):
+    rng = random.Random(11)
+    a, b = samplers[name](rng, 0), samplers[name](rng, 1)
+    if name == "Graded":
+        # A formal sum over bidegrees has no shape of its own: its parts at
+        # one bidegree must share theirs.
+        b = Graded.single(0, 0, b.component(1, 0))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x - y
+
+
+def test_cochains_of_different_degrees_or_coefficients_do_not_add(heisenberg_group):
+    g = MultiPoly.var("g1_1")
+    with pytest.raises(ValueError):
+        GroupCochain.scalar(heisenberg_group, 2, g) + GroupCochain.scalar(heisenberg_group, 1, g)
+    # a 3-dimensional and a 1-dimensional coefficient space
+    rep = standard_poly_rep(heisenberg_group)
+    wide = GroupCochain(heisenberg_group, rep, 1, (g, g, g))
+    narrow = GroupCochain.scalar(heisenberg_group, 1, g)
+    assert (wide == narrow) is False
+    with pytest.raises(ValueError):
+        wide + narrow
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_elements_are_immutable_and_unhashable(samplers, name):
+    x = samplers[name](random.Random(5), 0)
+    with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        setattr(x, type(x).__slots__[0], None)
+    with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        x.extra = 1
+    with pytest.raises(TypeError, match=f"{name} is unhashable"):
+        hash(x)
+
+
+def _round_trips(x):
+    return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_copy_and_pickle_round_trip(samplers, name):
+    x = samplers[name](random.Random(3), 0)
+    for y in _round_trips(x):
+        assert type(y) is type(x) and y == x
+        if type(x).__repr__ is not object.__repr__:
+            assert repr(y) == repr(x)
+
+
+def test_copy_and_pickle_round_trip_of_polynomials_and_basic_values():
+    t1 = MultiPoly.var("t1")
+    chart = Chart(("y_1",), ("t1",))
+    for x in (t1, t1 * t1 * Fraction(1, 3) - 2, CEElement.basis(heisenberg3(), (0, 2)),
+              PolyForm.function(chart, t1)):
+        for y in _round_trips(x):
+            assert type(y) is type(x) and y == x and repr(y) == repr(x)
+            if isinstance(x, MultiPoly):
+                assert (y.vars, y.terms) == (x.vars, x.terms)
