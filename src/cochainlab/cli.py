@@ -19,13 +19,14 @@ included).
 ``verify`` writes no check record itself: ``perturb.verify_instance`` makes
 them for every double complex instance and ``pairgpd.verify_pair`` for the
 pair groupoid.  This module picks the suite, marks the failures the instance
-declares (``side_conditions == "fails"``: the ``perturb.SIDE_CHECKS``) as
-expected, and wraps the records in the versioned report.
+declares (``perturb.expected_failures``) as expected, and wraps the records
+in the versioned report.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -385,7 +386,9 @@ def _instance(config: RunConfig):
     if name == "cech-circle3":
         from .cech_derham import cech_instance
 
-        return cech_instance()
+        # the three-arc cover has no triple intersections: p <= 1 at most
+        inst = cech_instance()
+        return dataclasses.replace(inst, max_p=min(config.max_p, inst.max_p))
     from .nilgroup import build_group, trivial_poly_rep
     from .vanest import build_double_complex, standard_poly_rep
 
@@ -399,7 +402,7 @@ def run_verify(config: RunConfig) -> Tuple[int, dict]:
     (exit code, JSON-ready report).  The side checks of an instance whose
     side conditions fail must fail with a witness; they are reported as
     expected failures."""
-    from .perturb import SIDE_CHECKS, verify_instance
+    from .perturb import expected_failures, verify_instance
 
     name = config.instance
     if name.startswith("pair-r"):
@@ -411,7 +414,7 @@ def run_verify(config: RunConfig) -> Tuple[int, dict]:
     else:
         inst = _instance(config)
         checks = verify_instance(inst, seed=config.seed, trials=config.trials)
-        expected_fail = SIDE_CHECKS if inst.side_conditions == "fails" else ()
+        expected_fail = expected_failures(inst)
 
     unexpected = 0
     witnessed = {check: 0 for check in expected_fail}

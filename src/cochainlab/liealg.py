@@ -17,7 +17,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .polyalg import VECTORS, Linear, add_into, is_zero, mat_mul, rref, sort_sign, sparse
+from .polyalg import (
+    VECTORS, Linear, add_into, identity, is_zero, mat_add, mat_mul, mat_scale, mat_vec, rref,
+    sort_sign, sparse,
+)
 
 Rat = Fraction
 Vec = Tuple[Rat, ...]
@@ -115,18 +118,14 @@ def validate_lie_algebra(
     object.__setattr__(alg, "constants", constants)
 
     # Jacobi: [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] = 0
-    def basis(i):
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(1)
-        return v
-
+    basis = identity(dim, Fraction(0))
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
                 total = [Fraction(0)] * dim
                 for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = alg.bracket(basis(b), basis(cc))
-                    outer = alg.bracket(basis(a), inner)
+                    inner = alg.bracket(basis[b], basis[cc])
+                    outer = alg.bracket(basis[a], inner)
                     total = [x + y for x, y in zip(total, outer)]
                 if any(x != 0 for x in total):
                     raise JacobiViolation(f"Jacobi fails on ({i}, {j}, {k})")
@@ -143,20 +142,14 @@ def validate_lie_algebra(
 def _nilpotency_class(alg: LieAlgebra) -> int:
     """Length of the lower central series; 0 means not nilpotent (series
     stabilizes without reaching zero)."""
-    n = alg.dim
-
-    def basis(i):
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
-        return v
-
-    current = [basis(i) for i in range(n)]
+    basis = identity(alg.dim, Fraction(0))
+    current = basis
     step = 1
     while current:
         nxt = []
-        for i in range(n):
+        for e in basis:
             for v in current:
-                w = alg.bracket(basis(i), v)
+                w = alg.bracket(e, v)
                 if any(x != 0 for x in w):
                     nxt.append(w)
         nxt = rref(nxt)
@@ -182,54 +175,25 @@ class Representation:
     matrices: Tuple[Tuple[Vec, ...], ...]  # matrices[i][row][col]
 
     def __post_init__(self):
-        n = self.algebra.dim
+        n, zero = self.algebra.dim, Fraction(0)
         for i in range(n):
             for j in range(n):
-                comm = _mat_sub(
-                    mat_mul(self.matrices[i], self.matrices[j]),
-                    mat_mul(self.matrices[j], self.matrices[i]),
-                )
-                expected = _mat_zero(self.dim)
-                for k, c in enumerate(self.algebra.bracket_basis(i, j)):
-                    if c != 0:
-                        expected = _mat_add(expected, _mat_scale(self.matrices[k], c))
-                if comm != expected:
+                a, b = self.matrices[i], self.matrices[j]
+                comm = mat_add(mat_mul(a, b, zero), mat_scale(mat_mul(b, a, zero), -1))
+                bracket = self.algebra.bracket_basis(i, j)
+                if comm != mat_add(*map(mat_scale, self.matrices, bracket)):
                     raise LieAlgebraError(
                         f"rho([e_{i}, e_{j}]) != [rho(e_{i}), rho(e_{j})]"
                     )
 
-    def act(self, i: int, vec: Sequence):
-        """Apply rho(e_i) to a coefficient vector (entries in any ring
-        module over the rationals)."""
-        out = []
-        for row in self.matrices[i]:
-            acc = vec[0] * 0
-            for c, v in zip(row, vec):
-                if c != 0:
-                    acc = acc + v * c
-            out.append(acc)
-        return out
+    def act(self, i: int, vec: Sequence[Rat]) -> list:
+        """Apply rho(e_i) to a rational coefficient vector."""
+        return mat_vec(self.matrices[i], vec, Fraction(0))
 
 
 def trivial_rep(alg: LieAlgebra) -> Representation:
     zero = ((Fraction(0),),)
     return Representation(alg, 1, tuple(zero for _ in range(alg.dim)))
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def _mat_scale(a, c):
-    return tuple(tuple(x * c for x in r) for r in a)
-
-
-def _mat_zero(d):
-    return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +238,7 @@ class CEElement(Linear):
         """Dual-basis element e^{i1} ^ ... ^ e^{iq} (times the slot-th
         V-basis vector)."""
         rep = rep if rep is not None else trivial_rep(algebra)
-        vec = [Fraction(0)] * rep.dim
-        vec[slot] = Fraction(1)
+        vec = identity(rep.dim, Fraction(0))[slot]
         return CEElement(algebra, rep, len(idx), {tuple(idx): vec})
 
     def component(self, idx: Index) -> Vec:
@@ -326,15 +289,10 @@ def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[
     return out
 
 
-def ce_diff(alpha: CEElement, action=None) -> CEElement:
-    """Chevalley-Eilenberg differential.
-
-    ``action(i, vec) -> vec`` applies the generator e_i to a coefficient
-    vector; defaults to the matrix action of alpha's representation.
-    """
-    if action is None:
-        action = alpha.rep.act
-    out = ce_diff_comps(alpha.algebra, alpha.degree, alpha.comps, action)
+def ce_diff(alpha: CEElement) -> CEElement:
+    """Chevalley-Eilenberg differential, acting on coefficients through the
+    matrices of alpha's representation."""
+    out = ce_diff_comps(alpha.algebra, alpha.degree, alpha.comps, alpha.rep.act)
     return CEElement(alpha.algebra, alpha.rep, alpha.degree + 1, out)
 
 
@@ -354,11 +312,9 @@ def ce_contract(alpha: CEElement, xi: Sequence[Rat]) -> CEElement:
     return CEElement(alpha.algebra, alpha.rep, alpha.degree - 1, out)
 
 
-def ce_lie_derivative(alpha: CEElement, xi: Sequence[Rat], action=None) -> CEElement:
+def ce_lie_derivative(alpha: CEElement, xi: Sequence[Rat]) -> CEElement:
     """L_xi = d i_xi + i_xi d."""
-    return ce_diff(ce_contract(alpha, xi), action) + ce_contract(
-        ce_diff(alpha, action), xi
-    )
+    return ce_diff(ce_contract(alpha, xi)) + ce_contract(ce_diff(alpha), xi)
 
 
 # ---------------------------------------------------------------------------

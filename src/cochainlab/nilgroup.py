@@ -26,9 +26,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from .forms import Chart, PolyForm, PolyVF
 from .liealg import LieAlgebra, Representation
-from .polyalg import VECTORS, Linear, MultiPoly, Rat, mat_vec, slot_shift
+from .polyalg import (
+    VECTORS, Linear, MultiPoly, Rat, identity, is_zero, mat_add, mat_mul, mat_scale, mat_vec,
+    slot_shift,
+)
 
 MAX_BCH_CLASS = 4
+
+Matrix = Tuple[Tuple[MultiPoly, ...], ...]
 
 
 class GroupError(ValueError):
@@ -119,7 +124,7 @@ class PolyGroup:
         return PolyGroup, (self.algebra, self.mult, self.inv)
 
     @cached_property
-    def right_jacobian(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+    def right_jacobian(self) -> Matrix:
         """B(y)[j][i] = d m_j / d (second argument)_i at (y, 0): the matrix of
         the left-invariant frame in exponential coordinates."""
         n = self.dim
@@ -131,16 +136,15 @@ class PolyGroup:
         )
 
     @cached_property
-    def frame(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+    def frame(self) -> Matrix:
         """frame[i]: the y_* components of the left-invariant field of the
         basis element e_i, column i of the right Jacobian."""
-        jac = self.right_jacobian
-        return tuple(tuple(row[i] for row in jac) for i in range(self.dim))
+        return tuple(zip(*self.right_jacobian))
 
     @cached_property
-    def coframe_matrix(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+    def coframe_matrix(self) -> Matrix:
         """B(y)^{-1}: row i holds the dy_* coefficients of theta^i."""
-        return tuple(tuple(row) for row in _poly_mat_inverse(self.right_jacobian))
+        return tuple(map(tuple, _poly_mat_inverse(self.right_jacobian)))
 
     @cached_property
     def _faces(self) -> Dict[int, Tuple[Tuple[Mapping[str, MultiPoly], int], ...]]:
@@ -213,66 +217,39 @@ def as_coeffs(n: int, xi: Union[int, Sequence[Rat]]) -> List[Fraction]:
     """Coefficient vector of an algebra element given as a basis index or
     as coefficients."""
     if isinstance(xi, int):
-        out = [Fraction(0)] * n
-        out[xi] = Fraction(1)
-        return out
+        return identity(n, Fraction(0))[xi]
     return [Fraction(c) for c in xi]
 
 
 def left_invariant_vf(group: PolyGroup, xi: Union[int, Sequence[Rat]]) -> PolyVF:
     """Left-invariant vector field of xi (basis index or coefficient
-    vector), in the fiber coordinates: sum_i xi_i times the frame of e_i."""
+    vector), in the fiber coordinates: the right Jacobian times xi, whose
+    columns are the frame."""
     if isinstance(xi, int):
         return PolyVF(group_chart(group), group.frame[xi])
-    pairs = [(c, field) for c, field in zip(as_coeffs(group.dim, xi), group.frame) if c != 0]
-    comps = []
-    for j in range(group.dim):
-        acc = MultiPoly.zero()
-        for c, field in pairs:
-            acc = acc + field[j] * c
-        comps.append(acc)
+    comps = mat_vec(group.right_jacobian, as_coeffs(group.dim, xi))
     return PolyVF(group_chart(group), tuple(comps))
 
 
-def _identity(n: int) -> List[List[MultiPoly]]:
-    return [
-        [MultiPoly.const(1) if i == j else MultiPoly.zero() for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def nilpotent_series(
-    nil: List[List[MultiPoly]], coef: Callable[[int], Rat]
+    nil: Sequence[Sequence[MultiPoly]], coef: Callable[[int], Rat]
 ) -> List[List[MultiPoly]]:
     """I + sum_{k >= 1} coef(k) N^k for a nilpotent polynomial matrix N,
     summed until N^k = 0.  Raises NotNilpotent if N^n != 0 (n x n)."""
-    n = len(nil)
-    result = _identity(n)
-    power = _identity(n)
-    for k in range(1, n + 1):
-        power = [
-            [
-                sum((power[i][m] * nil[m][j] for m in range(n)), MultiPoly.zero())
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if all(e.is_zero() for row in power for e in row):
+    result = power = identity(len(nil))
+    for k in range(1, len(nil) + 1):
+        power = mat_mul(power, nil)
+        if all(is_zero(e) for row in power for e in row):
             return result
-        c = coef(k)
-        result = [
-            [result[i][j] + power[i][j] * c for j in range(n)] for i in range(n)
-        ]
+        result = mat_add(result, mat_scale(power, coef(k)))
     raise NotNilpotent("matrix power series does not terminate")
 
 
-def _poly_mat_inverse(mat: List[List[MultiPoly]]) -> List[List[MultiPoly]]:
+def _poly_mat_inverse(mat: Matrix) -> List[List[MultiPoly]]:
     """Inverse of I + N with N nilpotent (entries vanishing at 0): Neumann
     series.  Raises NonUnipotentJacobian if an entry of N does not vanish
     at 0."""
-    n = len(mat)
-    ident = _identity(n)
-    nil = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    nil = mat_add(mat, mat_scale(identity(len(mat)), -1))
     for row in nil:
         for entry in row:
             if not all(sum(e) > 0 for e in entry.terms):
@@ -302,38 +279,23 @@ class PolyRep:
 
     group: PolyGroup
     dim: int
-    rho: Tuple[Tuple[MultiPoly, ...], ...]
+    rho: Matrix
 
     def __post_init__(self):
         n = self.group.dim
-        d = self.dim
-        zero = {f"y_{j}": Fraction(0) for j in range(1, n + 1)}
-        for i in range(d):
-            for j in range(d):
-                v = self.rho[i][j].subst(zero)
-                expected = Fraction(1 if i == j else 0)
-                if not v == expected:
-                    raise GroupError("rho(0) is not the identity")
+        if self.matrix_at([Fraction(0)] * n) != identity(self.dim):
+            raise GroupError("rho(0) is not the identity")
         # homomorphism: rho(m(a, b)) = rho(a) rho(b)
-        a_sub = {f"y_{j}": MultiPoly.var(f"g1_{j}") for j in range(1, n + 1)}
-        b_sub = {f"y_{j}": MultiPoly.var(f"g2_{j}") for j in range(1, n + 1)}
-        m_sub = {
-            f"y_{j}": self.group.mult[j - 1] for j in range(1, n + 1)
-        }
-        for i in range(d):
-            for j in range(d):
-                lhs = self.rho[i][j].subst(m_sub)
-                rhs = MultiPoly.zero()
-                for k in range(d):
-                    rhs = rhs + self.rho[i][k].subst(a_sub) * self.rho[k][j].subst(b_sub)
-                if lhs != rhs:
-                    raise GroupError("rho is not a homomorphism for the group law")
+        rho_a = self.matrix_at(_vec(slot_vars(1, n)))
+        rho_b = self.matrix_at(_vec(slot_vars(2, n)))
+        if self.matrix_at(self.group.mult) != mat_mul(rho_a, rho_b):
+            raise GroupError("rho is not a homomorphism for the group law")
 
-    def matrix_at(self, point: Sequence[MultiPoly]) -> List[List[MultiPoly]]:
+    def matrix_at(self, point: Sequence[Union[MultiPoly, Rat]]) -> List[List[MultiPoly]]:
         sub = {f"y_{j}": p for j, p in enumerate(point, start=1)}
         return [[e.subst(sub) for e in row] for row in self.rho]
 
-    def inverse_matrix(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+    def inverse_matrix(self) -> Matrix:
         """rho(y)^{-1} = rho(inv(y)), polynomial by unipotence."""
         return self._inverse
 
@@ -342,13 +304,13 @@ class PolyRep:
         return self._infinitesimal
 
     @cached_property
-    def _inverse(self) -> Tuple[Tuple[MultiPoly, ...], ...]:
+    def _inverse(self) -> Matrix:
         n = self.group.dim
         inv_pt = [
             p.subst({f"g1_{j}": MultiPoly.var(f"y_{j}") for j in range(1, n + 1)})
             for p in self.group.inv
         ]
-        return tuple(tuple(row) for row in self.matrix_at(inv_pt))
+        return tuple(map(tuple, self.matrix_at(inv_pt)))
 
     @cached_property
     def _infinitesimal(self) -> Representation:

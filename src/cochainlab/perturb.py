@@ -2,20 +2,21 @@
 
 A ``DoubleComplexInstance`` bundles the operators of a first-quadrant double
 complex (d vertical, delta horizontal) together with a horizontal
-contraction (i-hat, p-hat, h) onto the column X at p = 0 and, optionally, a
-vertical contraction (j-hat, q-hat, k) onto the row Y at q = 0.  Elements
-are payloads of the vector-space protocol that ``polyalg.Linear`` implements
-(+ of equal shapes, unary -, .is_zero()); operators are closures.
-Everything is exact: equality means the difference is identically zero.
+contraction (i-hat, p-hat, h) onto the column X at p = 0, a vertical
+contraction (j-hat, q-hat, k) onto the row Y at q = 0, and samplers of the
+double complex, X and Y.  Elements are payloads of the vector-space
+protocol that ``polyalg.Linear`` implements (+ of equal shapes, unary -,
+.is_zero()); operators are closures.  Everything is exact: equality means
+the difference is identically zero.
 
 The engine provides the finite Neumann inversion (1 + dh)^{-1}, the two
 zig-zag maps between X and Y, the perturbed homotopy/projection
 h' = h(1+dh)^{-1}, p-hat' = p-hat(1+dh)^{-1}, and a sampling verifier for
 the full list of homotopy identities.  It owns the report format: every
 check record is a ``check_record``, and the only failures an instance may
-expect are the ``SIDE_CHECKS`` of one whose side conditions fail.  A failing
-zig-zag back-and-forth carries the step-by-step ``ZigzagTrace`` of both
-zig-zags.
+expect are the ``SIDE_CHECKS`` of one whose side conditions fail
+(``expected_failures``).  A failing zig-zag back-and-forth carries the
+step-by-step ``ZigzagTrace`` of both zig-zags.
 
 Graded commutators of odd operators are used throughout:
 [a, b] = a b + b a.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .polyalg import SCALARS, VECTORS, Linear, add_into, mat_mul, rref, sparse
+from .polyalg import SCALARS, VECTORS, Linear, add_into, identity, mat_mul, mat_vec, rref, sparse
 
 Bidegree = Tuple[int, int]
 
@@ -109,13 +110,13 @@ class DoubleComplexInstance:
     p_proj: Callable  # (q, payload at (0, q)) -> X element of degree q
     i_inc: Callable  # (q, X element) -> payload at (0, q)
     d_x: Callable  # (q, X element) -> X element of degree q+1
-    k: Optional[Callable] = None  # (p, q, x) -> payload at (p, q-1); zero on q = 0
-    q_proj: Optional[Callable] = None  # (p, payload at (p, 0)) -> Y element
-    j_inc: Optional[Callable] = None  # (p, Y element) -> payload at (p, 0)
-    delta_y: Optional[Callable] = None  # (p, Y element) -> Y element of degree p+1
-    sample: Optional[Callable] = None  # (rng, p, q) -> payload
-    sample_x: Optional[Callable] = None  # (rng, q) -> X element
-    sample_y: Optional[Callable] = None  # (rng, p) -> Y element
+    k: Callable  # (p, q, x) -> payload at (p, q-1); zero on q = 0
+    q_proj: Callable  # (p, payload at (p, 0)) -> Y element
+    j_inc: Callable  # (p, Y element) -> payload at (p, 0)
+    delta_y: Callable  # (p, Y element) -> Y element of degree p+1
+    sample: Callable  # (rng, p, q) -> payload
+    sample_x: Callable  # (rng, q) -> X element
+    sample_y: Callable  # (rng, p) -> Y element
     max_p: int = 3
     max_q: int = 3
     #: "holds": side conditions h k = 0, p-hat k = 0 are claimed (checked,
@@ -124,9 +125,6 @@ class DoubleComplexInstance:
     #: witness); "skip": not checked.
     side_conditions: str = "holds"
     serialize: Callable = staticmethod(lambda p, q, x: str(x))
-
-    def has_vertical(self) -> bool:
-        return self.k is not None and self.q_proj is not None and self.j_inc is not None
 
 
 #: Coefficient pool for seeded random sampling.
@@ -156,8 +154,6 @@ def neumann_apply(
         shift = (-1, 1)
         bound = p + 1
     elif which == "vertical":
-        if inst.k is None:
-            raise PerturbError("instance has no vertical homotopy")
         def step(pp, qq, y):
             return inst.delta(pp, qq - 1, inst.k(pp, qq, y))
         shift = (1, -1)
@@ -241,8 +237,6 @@ def _staircase(inst, p, include, ops, project, trace):
 
 def zigzag_xy(inst: DoubleComplexInstance, p: int, y, trace: Optional[ZigzagTrace] = None):
     """(-1)^p p-hat (dh)^p j-hat: Y^p -> X^p (the differentiation direction)."""
-    if inst.j_inc is None:
-        raise PerturbError("instance has no vertical augmentation j-hat")
     return _staircase(
         inst, p, ("j", inst.j_inc(p, y), (p, 0)),
         (("h", inst.h, (-1, 0)), ("d", inst.d, (0, 1))), inst.p_proj, trace,
@@ -251,8 +245,6 @@ def zigzag_xy(inst: DoubleComplexInstance, p: int, y, trace: Optional[ZigzagTrac
 
 def zigzag_yx(inst: DoubleComplexInstance, p: int, x, trace: Optional[ZigzagTrace] = None):
     """(-1)^p q-hat (delta k)^p i-hat: X^p -> Y^p (the integration direction)."""
-    if inst.k is None or inst.q_proj is None:
-        raise PerturbError("instance has no vertical contraction")
     return _staircase(
         inst, p, ("i", inst.i_inc(p, x), (0, p)),
         (("k", inst.k, (0, -1)), ("delta", inst.delta, (1, 0))), inst.q_proj, trace,
@@ -264,9 +256,18 @@ def zigzag_yx(inst: DoubleComplexInstance, p: int, x, trace: Optional[ZigzagTrac
 
 
 #: The side-condition checks h k = 0 and p-hat k = 0.  An instance whose
-#: ``side_conditions`` is "fails" expects exactly these to fail, each with a
-#: stored counterexample.
+#: ``side_conditions`` is "fails" expects these to fail, each with a stored
+#: counterexample, wherever its bidegrees let them (``expected_failures``).
 SIDE_CHECKS = ("side_hk", "side_pk")
+
+
+def expected_failures(inst: DoubleComplexInstance) -> Tuple[str, ...]:
+    """The checks that a verification of ``inst`` must see fail, each with
+    a witness: the SIDE_CHECKS of an instance whose side conditions fail,
+    without h k = 0 when only p = 0 is checked, where h vanishes."""
+    if inst.side_conditions != "fails":
+        return ()
+    return SIDE_CHECKS if inst.max_p > 0 else SIDE_CHECKS[1:]
 
 
 def check_record(name, check, p, q, ok, seed, counterexample=None, trace=None) -> dict:
@@ -293,15 +294,13 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
 
     Per bidegree and trial: d^2 = 0, delta^2 = 0, d delta + delta d = 0,
     [h, delta] = 1 - i p-hat, the perturbed identity
-    [h', d + delta] = 1 - i p-hat', p-hat' i = id; with vertical data also
-    [k, d] = 1 - j q-hat and the side conditions h k = 0, p-hat k = 0; when
-    the side conditions hold, the zig-zag back-and-forth
+    [h', d + delta] = 1 - i p-hat', [k, d] = 1 - j q-hat, p-hat i = id,
+    p-hat' i = id, and (unless skipped) the side conditions h k = 0,
+    p-hat k = 0; when the side conditions hold, the zig-zag back-and-forth
     zigzag_xy(zigzag_yx(x)) = x on X.  Failures become report entries with
     a serialized counterexample; a failing back-and-forth also carries the
     steps of both zig-zags.
     """
-    if inst.sample is None:
-        raise PerturbError("instance has no sampler")
     hk_check, pk_check = SIDE_CHECKS
     reports: List[dict] = []
 
@@ -347,24 +346,21 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                     rhs_g = rhs_g - Graded.single(0, p + q, inst.i_inc(p + q, px))
                 run("perturbed_contraction", p, q, x, lhs - rhs_g)
 
-                if inst.has_vertical():
-                    kd = inst.k(p, q + 1, inst.d(p, q, x)) + inst.d(
-                        p, q - 1, inst.k(p, q, x)
-                    )
-                    rhs = x
-                    if q == 0:
-                        rhs = rhs - inst.j_inc(p, inst.q_proj(p, x))
-                    run("k_d_contraction", p, q, x, kd - rhs)
+                kd = inst.k(p, q + 1, inst.d(p, q, x)) + inst.d(p, q - 1, inst.k(p, q, x))
+                rhs = x
+                if q == 0:
+                    rhs = rhs - inst.j_inc(p, inst.q_proj(p, x))
+                run("k_d_contraction", p, q, x, kd - rhs)
 
-                    if inst.side_conditions != "skip":
-                        hk = inst.h(p, q - 1, inst.k(p, q, x))
-                        run(hk_check, p, q, x, hk)
-                        if p == 0 and q > 0:
-                            pk = inst.p_proj(q - 1, inst.k(0, q, x))
-                            run(pk_check, p, q, x, pk)
+                if inst.side_conditions != "skip":
+                    hk = inst.h(p, q - 1, inst.k(p, q, x))
+                    run(hk_check, p, q, x, hk)
+                    if p == 0 and q > 0:
+                        pk = inst.p_proj(q - 1, inst.k(0, q, x))
+                        run(pk_check, p, q, x, pk)
 
             # p-hat i = id and p-hat' i = id on X
-            if p == 0 and inst.sample_x is not None:
+            if p == 0:
                 for _ in range(trials):
                     xe = inst.sample_x(rng, q)
                     back = inst.p_proj(q, inst.i_inc(q, xe))
@@ -376,7 +372,7 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                     )
 
     # zig-zag back-and-forth on X, valid when the side conditions hold
-    if inst.has_vertical() and inst.side_conditions == "holds" and inst.sample_x is not None:
+    if inst.side_conditions == "holds":
         for p in range(inst.max_p + 1):
             for _ in range(trials):
                 xe = inst.sample_x(rng, p)
@@ -395,8 +391,8 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
 # Matrix-model instance: an exact finite-dimensional oracle
 
 
-def _identity(n: int) -> List[List[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+#: The zero of the model's rational matrices, for the matrix kernel.
+_ZERO = Fraction(0)
 
 
 def _rand_invertible(rng: random.Random, n: int):
@@ -412,19 +408,15 @@ def _rand_invertible(rng: random.Random, n: int):
             for i in range(n)
         ]
 
-    product = mat_mul(unit_triangular(True), unit_triangular(False))
+    product = mat_mul(unit_triangular(True), unit_triangular(False), _ZERO)
     perm = list(range(n))
     rng.shuffle(perm)
-    return mat_mul(product, [_identity(n)[k] for k in perm])
+    ident = identity(n, _ZERO)
+    return mat_mul(product, [ident[k] for k in perm], _ZERO)
 
 
 def _mat_vec(a, v: Vec) -> Vec:
-    return Vec(
-        tuple(
-            sum((row[j] * v.entries[j] for j in range(len(v.entries))), Fraction(0))
-            for row in a
-        )
-    )
+    return Vec(tuple(mat_vec(a, v.entries, _ZERO)))
 
 
 #: Dimension of the homology summand X of a random based complex, and of
@@ -471,7 +463,7 @@ class _BasedComplex:
 def _inverse(a) -> List[List[Fraction]]:
     """Inverse of an invertible matrix: the right half of rref([a | 1])."""
     n = len(a)
-    return [row[n:] for row in rref([list(r) + e for r, e in zip(a, _identity(n))])]
+    return [row[n:] for row in rref([list(r) + e for r, e in zip(a, identity(n, _ZERO))])]
 
 
 def random_based_complex(rng: random.Random, length: int) -> _BasedComplex:
@@ -500,19 +492,20 @@ def random_based_complex(rng: random.Random, length: int) -> _BasedComplex:
         for t in range(_CONE_DIM):
             mat[leave_off(p - 1) + t][arr_off(p) + t] = Fraction(1)
         h_std.append(mat)
-    p_std = _identity(dims[0])[:_X_DIM]
-    i_std = [row[:_X_DIM] for row in _identity(dims[0])]
-
+    p_std = identity(dims[0], _ZERO)[:_X_DIM]
+    i_std = [row[:_X_DIM] for row in identity(dims[0], _ZERO)]
     bases = [_rand_invertible(rng, dims[p]) for p in range(length + 1)]
     inverses = [_inverse(b) for b in bases]
     d_mats = tuple(
-        mat_mul(mat_mul(bases[p + 1], d_std[p]), inverses[p]) for p in range(length)
+        mat_mul(mat_mul(bases[p + 1], d_std[p], _ZERO), inverses[p], _ZERO)
+        for p in range(length)
     )
     h_mats = (None,) + tuple(
-        mat_mul(mat_mul(bases[p - 1], h_std[p]), inverses[p]) for p in range(1, length + 1)
+        mat_mul(mat_mul(bases[p - 1], h_std[p], _ZERO), inverses[p], _ZERO)
+        for p in range(1, length + 1)
     )
-    p_mat = mat_mul(p_std, inverses[0])
-    i_mat = mat_mul(bases[0], i_std)
+    p_mat = mat_mul(p_std, inverses[0], _ZERO)
+    i_mat = mat_mul(bases[0], i_std, _ZERO)
     return _BasedComplex(tuple(dims), d_mats, h_mats, p_mat, i_mat)
 
 

@@ -28,6 +28,7 @@ substitutions; sums, negation, scaling, ``extend``, ``diff`` and
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -438,7 +439,9 @@ def to_string(p: MultiPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared vector-space, sign, face-map and matrix conventions
+# Shared conventions: vector spaces (``Linear``), signs, face maps, and the
+# matrix kernel (``mat_vec``, ``mat_mul``, ``identity``, ``mat_add``,
+# ``mat_scale`` and the rational ``rref``)
 
 
 def is_zero(x) -> bool:
@@ -496,6 +499,10 @@ def sparse(kind: ValueKind) -> ValueKind:
     )
 
 
+class ShapeError(ValueError):
+    """Raised by ``+`` on two ``Linear`` elements of different shapes."""
+
+
 class Linear:
     """An element of a vector space over the rationals: the one
     implementation of the protocol that every cochain and every payload of
@@ -507,10 +514,11 @@ class Linear:
     share (the degree or bidegree, and more where it matters).  It keeps
     only its validating ``__init__`` (which stores the fields through the
     base's), its ``repr`` and its domain operators.  The base makes the
-    element immutable and unhashable; adds (raising ``ValueError`` unless
+    element immutable and unhashable; adds (raising ``ShapeError`` unless
     the shapes are equal), negates, scales (``x * c`` and ``c * x``) and
     subtracts through the kind; compares by type, shape and a zero
-    difference (``False`` across types and shapes, without raising);
+    difference (``False`` across types and shapes, and for sums whose parts
+    at one index differ in shape, without raising);
     builds arithmetic results through the trusted ``_like``; and copies and
     pickles by rerunning the constructor.
     """
@@ -551,7 +559,7 @@ class Linear:
 
     def __add__(self, other):
         if type(other) is not type(self) or other._shape() != self._shape():
-            raise ValueError(
+            raise ShapeError(
                 f"cannot add {type(other).__name__} to a {type(self).__name__} "
                 f"of shape {self._shape()}"
             )
@@ -570,11 +578,12 @@ class Linear:
         return self + (-other)
 
     def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and other._shape() == self._shape()
-            and (self - other).is_zero()
-        )
+        if type(other) is not type(self) or other._shape() != self._shape():
+            return False
+        try:
+            return (self - other).is_zero()
+        except ShapeError:  # parts of a sum at one index differ in shape
+            return False
 
 
 def sort_sign(items: Sequence, key=None) -> Tuple[Optional[tuple], int]:
@@ -603,18 +612,6 @@ def slot_shift(prefix: str, first: int, last: int, n: int) -> Dict[str, MultiPol
     }
 
 
-def mat_vec(mat: Sequence[Sequence[MultiPoly]], vec: Sequence[MultiPoly]) -> List[MultiPoly]:
-    """Matrix times vector over polynomials; zero entries of vec are skipped."""
-    out = []
-    for row in mat:
-        acc = MultiPoly.zero()
-        for m, v in zip(row, vec):
-            if not v.is_zero():
-                acc = acc + m * v
-        out.append(acc)
-    return out
-
-
 def rref(rows: Sequence[Sequence[Rat]]) -> List[List[Rat]]:
     """Reduced row echelon form over the rationals; drops zero rows."""
     rows = [list(r) for r in rows]
@@ -637,10 +634,52 @@ def rref(rows: Sequence[Sequence[Rat]]) -> List[List[Rat]]:
     return [row for row in rows[:r] if any(x != 0 for x in row)]
 
 
-def mat_mul(a, b):
-    """Product of two rational matrices, as a tuple of row tuples."""
-    n, m, l = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(l)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
+# The matrix kernel, one for both coefficient rings.  A matrix is a sequence
+# of rows, and every result is a new list (of row lists).  Entries are
+# ``Fraction``s or ``MultiPoly``s, and one product may mix them.  A function
+# that can form an empty sum takes the zero of its result's ring as ``zero``:
+# the polynomial zero by default, ``Fraction(0)`` for a rational result.
+# Products skip zero entries, which changes no result.
+
+#: The zero of the polynomial ring, the default ``zero`` of the kernel.
+POLY_ZERO = MultiPoly.zero()
+
+
+def mat_vec(mat: Sequence[Sequence], vec: Sequence, zero=POLY_ZERO) -> list:
+    """Matrix times vector."""
+    nonzero = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
+    out = []
+    for row in mat:
+        acc = zero
+        for j, v in nonzero:
+            m = row[j]
+            if not is_zero(m):
+                acc = acc + m * v
+        out.append(acc)
+    return out
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=POLY_ZERO) -> List[list]:
+    """Matrix times matrix: row i of ``a b`` is the transpose of ``b`` times
+    row i of ``a``."""
+    columns = list(zip(*b))
+    return [mat_vec(columns, row, zero) for row in a]
+
+
+def identity(n: int, zero=POLY_ZERO) -> List[list]:
+    """The n x n identity matrix over the ring of ``zero``."""
+    one = zero + 1
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def mat_add(*mats: Sequence[Sequence]) -> List[list]:
+    """Entrywise sum of one or more matrices of one shape."""
+    return [
+        [functools.reduce(operator.add, entries) for entries in zip(*rows)]
+        for rows in zip(*mats)
+    ]
+
+
+def mat_scale(a: Sequence[Sequence], c) -> List[list]:
+    """Every entry of ``a`` times ``c``."""
+    return [[x * c for x in row] for row in a]

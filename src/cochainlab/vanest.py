@@ -65,6 +65,8 @@ from .polyalg import (
     MultiPoly,
     Rat,
     add_into,
+    mat_add,
+    mat_scale,
     mat_vec,
     sort_sign,
     sparse,
@@ -234,7 +236,7 @@ def frame_convert(obj, direction: str):
                 for i in idx:
                     form = contract(form, frames[i])
                 paired.append(form.coefficient(()))
-            comps[idx] = tuple(mat_vec(rho_inv, paired))
+            comps[idx] = mat_vec(rho_inv, paired)
         return BigradedElement(group, rep, fp.p, fp.q, comps)
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -279,7 +281,7 @@ def bg_i_inc(group: PolyGroup, rep: PolyRep, alpha: CEElement) -> BigradedElemen
 
 def bg_j_inc(f: GroupCochain) -> BigradedElement:
     """(j f)(g_1..g_p; y) = rho(y)^{-1} f(g_1..g_p)."""
-    vec = tuple(mat_vec(f.rep.inverse_matrix(), f.values))
+    vec = mat_vec(f.rep.inverse_matrix(), f.values)
     return BigradedElement(f.group, f.rep, f.degree, 0, {(): vec})
 
 
@@ -314,26 +316,22 @@ def _velocity(
 
 def _twist(inf, xi: Union[int, Sequence[Rat]]) -> List[List[Fraction]]:
     """rho_*(xi) = sum_j xi_j rho_*(e_j) as a rational matrix."""
-    pairs = list(zip(inf.matrices, as_coeffs(len(inf.matrices), xi)))
-    rows = range(inf.dim)
-    return [[sum(m[r][c] * x for m, x in pairs) for c in rows] for r in rows]
+    return mat_add(*map(mat_scale, inf.matrices, as_coeffs(len(inf.matrices), xi)))
 
 
 def _act(vec, velocity: Mapping[str, MultiPoly], twist=None) -> Tuple[MultiPoly, ...]:
     """Infinitesimal action on a vector of values by the chain rule:
     sum_v d(value)/dv * velocity_v, plus twist . vec."""
     out = []
-    for r, c in enumerate(vec):
+    for c in vec:
         acc = MultiPoly.zero()
         for v, vel in velocity.items():
             dc = c.diff(v)
             if not dc.is_zero():
                 acc = acc + vel * dc
-        if twist is not None:
-            for m, other in zip(twist[r], vec):
-                if m != 0 and not other.is_zero():
-                    acc = acc + other * m
         out.append(acc)
+    if twist is not None:
+        return VECTORS.add(out, mat_vec(twist, vec))
     return tuple(out)
 
 
@@ -473,7 +471,7 @@ def r_closed(
     for s in range(2, p + 1):
         prod = group.multiply(prod, [MultiPoly.var(f"g{s}_{j}") for j in range(1, n + 1)])
     rho_back = rep.matrix_at(group.invert(prod))
-    return GroupCochain(group, rep, p, tuple(mat_vec(rho_back, vals)))
+    return GroupCochain(group, rep, p, mat_vec(rho_back, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -613,16 +611,11 @@ def _exp_rep(group: PolyGroup, generators: List[List[List[int]]]) -> PolyRep:
     """Representation exp(sum_i y_i X_i) from nilpotent generator matrices
     realizing the structure constants; exact because the group law is the
     truncated series in exponential coordinates."""
-    d = len(generators[0])
-    mat = [[MultiPoly.zero() for _ in range(d)] for _ in range(d)]
-    for i, gen in enumerate(generators):
-        y = MultiPoly.var(f"y_{i + 1}")
-        for r in range(d):
-            for c in range(d):
-                if gen[r][c]:
-                    mat[r][c] = mat[r][c] + y * gen[r][c]
-    exp = nilpotent_series(mat, lambda k: Fraction(1, factorial(k)))
-    return PolyRep(group, d, tuple(tuple(row) for row in exp))
+    ys = [MultiPoly.var(f"y_{i}") for i in range(1, len(generators) + 1)]
+    exp = nilpotent_series(
+        mat_add(*map(mat_scale, generators, ys)), lambda k: Fraction(1, factorial(k))
+    )
+    return PolyRep(group, len(exp), tuple(map(tuple, exp)))
 
 
 def standard_poly_rep(group: PolyGroup) -> PolyRep:

@@ -214,6 +214,17 @@ def test_max_p_above_instance_limit_rejected():
     assert main(["verify", "--instance", "pair-r1", "--max-p", "3"]) == 2
 
 
+def test_cech_max_p_zero_checks_p_zero_only():
+    code, report = run_verify(RunConfig("cech-circle3", max_p=0, trials=2))
+    assert code == 0 and report["config"]["max_p"] == 0
+    assert {c["bidegree"][0] for c in report["checks"]} == {0}
+    # h vanishes on p = 0, so only p-hat k = 0 can fail there
+    assert {c["check"] for c in report["checks"] if c["status"] == "expected-fail"} == {"side_pk"}
+    # the three-arc cover's nerve stops at p = 1, whatever larger bound is asked
+    code, report = run_verify(RunConfig("cech-circle3", max_p=3, trials=1))
+    assert code == 0 and {c["bidegree"][0] for c in report["checks"]} == {0, 1}
+
+
 def test_map_via_files(tmp_path):
     src = tmp_path / "in.txt"
     dst = tmp_path / "out.txt"

@@ -15,7 +15,7 @@ from cochainlab.forms import Chart, PolyForm
 from cochainlab.liealg import CEElement, heisenberg3
 from cochainlab.nilgroup import GroupCochain
 from cochainlab.pairgpd import ASCochain
-from cochainlab.perturb import Graded, matrix_instance
+from cochainlab.perturb import Graded, Vec, matrix_instance
 from cochainlab.polyalg import MultiPoly
 from cochainlab.vanest import build_double_complex, standard_poly_rep
 from conftest import random_poly
@@ -146,3 +146,11 @@ def test_copy_and_pickle_round_trip_of_polynomials_and_basic_values():
             assert type(y) is type(x) and y == x and repr(y) == repr(x)
             if isinstance(x, MultiPoly):
                 assert (y.vars, y.terms) == (x.vars, x.terms)
+
+
+def test_sums_whose_parts_differ_in_shape_are_unequal():
+    # A formal sum has no shape of its own, so only its parts can tell.
+    short, long = (Graded.single(0, 0, Vec((Fraction(1),) * n)) for n in (9, 12))
+    assert (short == long) is False and short != long
+    assert (long == short) is False
+    assert Graded.single(0, 0, Vec((Fraction(1),) * 9)) == short

@@ -1,3 +1,5 @@
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,11 @@ from cochainlab.polyalg import (
     MultiPoly,
     canonical_vars,
     format_rat,
+    identity,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_vec,
     sort_sign,
     to_string,
     var_key,
@@ -289,3 +296,80 @@ def test_arithmetic_over_known_variables_parses_no_names(monkeypatch):
     c = c.subst({"t1": a, "y_1": 3}) + c.diff("g1_2") + c.defint01("t1")
     assert c.extend(b) + a == a + c and -c != c
     assert calls == []
+
+
+# The matrix kernel: one implementation over both coefficient rings.
+
+
+def poly_matrices(rows, cols):
+    """Small polynomial matrices; about a third of the entries are zero."""
+    entry = polys(max_terms=2, max_deg=2)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+points = st.fixed_dictionaries({v: rationals for v in VARS})
+
+
+def _at(mat, point):
+    return [[e.eval_at(point) for e in row] for row in mat]
+
+
+def _dense_mat_mul(a, b, zero):
+    """Reference product that sums every term, zero entries included."""
+    return [
+        [functools.reduce(operator.add, (row[k] * b[k][j] for k in range(len(b))), zero)
+         for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_matrix_kernel_commutes_with_evaluation(n, m, l, data):
+    a, a2 = data.draw(poly_matrices(n, m)), data.draw(poly_matrices(n, m))
+    b = data.draw(poly_matrices(m, l))
+    v = data.draw(st.lists(polys(max_terms=2, max_deg=2), min_size=m, max_size=m))
+    r = data.draw(st.lists(st.lists(rationals, min_size=m, max_size=m), min_size=n, max_size=n))
+    c, point = data.draw(rationals), data.draw(points)
+    zero = Fraction(0)
+    a_at, v_at = _at(a, point), [x.eval_at(point) for x in v]
+    # the polynomial kernel, then evaluation; and evaluation, then the
+    # rational kernel (a rational matrix times a polynomial vector included)
+    # or, entrywise, plain rational arithmetic
+    cases = [
+        (mat_mul(a, b), mat_mul(a_at, _at(b, point), zero)),
+        ([mat_vec(a, v)], [mat_vec(a_at, v_at, zero)]),
+        ([mat_vec(r, v)], [mat_vec(r, v_at, zero)]),
+        (mat_add(a, a2), [[x + y for x, y in zip(*rows)] for rows in zip(a_at, _at(a2, point))]),
+        (mat_scale(a, c), [[x * c for x in row] for row in a_at]),
+    ]
+    for poly_result, rational_result in cases:
+        assert all(isinstance(x, MultiPoly) for row in poly_result for x in row)
+        assert all(type(x) is Fraction for row in rational_result for x in row)
+        assert _at(poly_result, point) == rational_result
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_matrix_product_identity_and_associativity(n, m, l, k, data):
+    a, b = data.draw(poly_matrices(n, m)), data.draw(poly_matrices(m, l))
+    c = data.draw(poly_matrices(l, k))
+    assert mat_mul(identity(n), a) == a == mat_mul(a, identity(m))
+    assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_matrix_kernel_skips_zero_entries_without_changing_results(n, m, l, data):
+    a, b = data.draw(poly_matrices(n, m)), data.draw(poly_matrices(m, l))
+    r = data.draw(st.lists(st.lists(rationals, min_size=m, max_size=m), min_size=n, max_size=n))
+    column = [[x] for x in data.draw(st.lists(rationals, min_size=m, max_size=m))]
+    assert mat_mul(a, b) == _dense_mat_mul(a, b, MultiPoly.zero())
+    assert [[x] for x in mat_vec(a, [row[0] for row in b])] == _dense_mat_mul(
+        a, [row[:1] for row in b], MultiPoly.zero()
+    )
+    assert mat_mul(r, column, Fraction(0)) == _dense_mat_mul(r, column, Fraction(0))
+    # an empty sum is the zero that was passed, in its ring
+    zeros = [[Fraction(0)] * m for _ in range(n)]
+    assert all(type(x) is Fraction for x in mat_vec(zeros, [Fraction(1)] * m, Fraction(0)))
+    assert all(x.is_zero() for x in mat_vec(zeros, [MultiPoly.var("t1")] * m))
