@@ -356,6 +356,18 @@ class RunConfig:
             raise ValueError(f"unknown instance {self.instance!r}")
         if self.coeff_rep not in ("trivial", "standard"):
             raise ValueError(f"unknown coefficient representation {self.coeff_rep!r}")
+        # An option the instance ignores would be reported as if it had run.
+        from .nilgroup import registered_groups
+
+        if self.coeff_rep != "trivial" and self.instance not in registered_groups():
+            raise ValueError(
+                f"the {self.instance} instance ignores coeff_rep: it must be 'trivial', "
+                f"got {self.coeff_rep!r}"
+            )
+        if self.max_deg != 2 and self.instance in ("matrix", "cech-circle3"):
+            raise ValueError(
+                f"the {self.instance} instance ignores max_deg: it must be 2, got {self.max_deg}"
+            )
         limit = 3 if self.instance == "matrix" else None
         if self.instance.startswith("pair-r"):
             limit = int(self.instance[len("pair-r"):])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -59,20 +60,28 @@ class LieAlgebra:
     def bracket_basis(self, i: int, j: int) -> Vec:
         return self.constants[i][j]
 
+    @cached_property
+    def _nonzero_constants(self) -> Tuple[Tuple[int, int, Tuple[Tuple[int, Rat], ...]], ...]:
+        """(i, j, ((k, c), ...)) for each pair with [e_i, e_j] != 0, in the
+        order of i, then j, then k."""
+        return tuple(
+            (i, j, tuple((k, c) for k, c in enumerate(vec) if c != 0))
+            for i, row in enumerate(self.constants)
+            for j, vec in enumerate(row)
+            if any(c != 0 for c in vec)
+        )
+
     def bracket(self, u: Sequence, v: Sequence):
         """Bracket of coefficient vectors; works for Fractions and for any
-        ring elements supporting + and * with Fractions (e.g. MultiPoly)."""
-        n = self.dim
-        out = [u[0] * 0 for _ in range(n)]
-        for i in range(n):
-            if is_zero(u[i]):
+        ring elements supporting + and * with Fractions (e.g. MultiPoly).
+        Only the nonzero structure constants are visited."""
+        out = [u[0] * 0 for _ in range(self.dim)]
+        for i, j, entries in self._nonzero_constants:
+            if is_zero(u[i]) or is_zero(v[j]):
                 continue
-            for j in range(n):
-                if is_zero(v[j]):
-                    continue
-                for k, c in enumerate(self.constants[i][j]):
-                    if c != 0:
-                        out[k] = out[k] + u[i] * v[j] * c
+            uv = u[i] * v[j]
+            for k, c in entries:
+                out[k] = out[k] + uv * c
         return out
 
 

@@ -11,9 +11,9 @@ entries, by unipotence of the Jacobian), polynomial group cochains with
 the simplicial differential, and unipotent polynomial representations.
 
 The structure every operator reads -- a group's right Jacobian, frame,
-coframe matrix and face substitutions, a representation's rho_* and
-rho^{-1} -- is computed once per object, on first use, and kept on that
-object as tuples and read-only mappings.
+coframe matrix, face substitutions and slot velocities, a representation's
+rho_* and rho^{-1} -- is computed once per object, on first use, and kept
+on that object as tuples and read-only mappings.
 """
 
 from __future__ import annotations
@@ -126,14 +126,23 @@ class PolyGroup:
     @cached_property
     def right_jacobian(self) -> Matrix:
         """B(y)[j][i] = d m_j / d (second argument)_i at (y, 0): the matrix of
-        the left-invariant frame in exponential coordinates."""
-        n = self.dim
-        sub: Dict[str, object] = {f"g1_{k}": MultiPoly.var(f"y_{k}") for k in range(1, n + 1)}
-        sub.update({f"g2_{k}": Fraction(0) for k in range(1, n + 1)})
-        return tuple(
-            tuple(m_j.diff(f"g2_{i}").subst(sub) for i in range(1, n + 1))
-            for m_j in self.mult
-        )
+        the left-invariant frame in exponential coordinates.  At (y, 0) only
+        the terms of m_j of degree one in the second slot survive, so entry
+        (j, i) is read off the terms of m_j linear in g2_i: g2_i dropped and
+        g1_* read as y_*."""
+        column = {v: i for i, v in enumerate(slot_vars(2, self.dim))}
+        rows = []
+        for m_j in self.mult:
+            entries = [MultiPoly.zero()] * len(column)
+            for exp, coef in m_j.terms.items():
+                factors = [(v, e) for v, e in zip(m_j.vars, exp) if e]
+                second = [(v, e) for v, e in factors if v in column]
+                if len(second) == 1 and second[0][1] == 1:
+                    ys = [("y_" + v.split("_")[1], e) for v, e in factors if v not in column]
+                    term = MultiPoly([y for y, _ in ys], {tuple(e for _, e in ys): coef})
+                    entries[column[second[0][0]]] += term
+            rows.append(tuple(entries))
+        return tuple(rows)
 
     @cached_property
     def frame(self) -> Matrix:
@@ -168,6 +177,24 @@ class PolyGroup:
             faces.append((dict(zip(fiber_vars(n), merged)), (-1) ** (p + 1)))
             self._faces[p] = tuple((MappingProxyType(sub), sgn) for sub, sgn in faces)
         return self._faces[p]
+
+    @cached_property
+    def _slot_velocities(self) -> Dict[tuple, Mapping[str, MultiPoly]]:
+        return {}
+
+    def slot_velocity(
+        self, i: int, p: int, xi: Union[int, Sequence[Rat]], base: Sequence[str] = ()
+    ) -> Mapping[str, MultiPoly]:
+        """Velocity at t = 0 of the i-th slot action of a = exp(t xi) on p
+        slots: (g_i a, a^{-1} g_{i+1}) for i < p, (g_p a, a^{-1} x) for
+        i = p, x the point with coordinates ``base``.  Built once per slot,
+        p, xi and base, like ``faces``."""
+        if not 1 <= i <= p:
+            raise GroupError(f"slot {i} out of range 1..{p}")
+        key = (i, p, tuple(as_coeffs(self.dim, xi)), tuple(base))
+        if key not in self._slot_velocities:
+            self._slot_velocities[key] = MappingProxyType(_slot_velocity(self, i, p, xi, base))
+        return self._slot_velocities[key]
 
 
 def bch_multiplication(alg: LieAlgebra) -> PolyGroup:
@@ -229,6 +256,31 @@ def left_invariant_vf(group: PolyGroup, xi: Union[int, Sequence[Rat]]) -> PolyVF
         return PolyVF(group_chart(group), group.frame[xi])
     comps = mat_vec(group.right_jacobian, as_coeffs(group.dim, xi))
     return PolyVF(group_chart(group), tuple(comps))
+
+
+def velocity(
+    group: PolyGroup, field: Sequence[MultiPoly], names: Sequence[str], left: bool = False
+) -> Dict[str, MultiPoly]:
+    """Velocity at t = 0 of the point x with coordinates ``names`` moved by
+    a = exp(t xi), given the left-invariant field of xi in the y_*: for x a
+    it is that field at x; for a^{-1} x (``left``) it is minus the field at
+    x^{-1}, because a^{-1} x = (x^{-1} a)^{-1} and inversion is negation in
+    the exponential coordinates of bch_multiplication."""
+    if left:
+        inverse = group.invert(_vec(names))
+        sub = dict(zip(fiber_vars(group.dim), inverse))
+        return {v: -c.subst(sub) for v, c in zip(names, field)}
+    sub = {y: MultiPoly.var(v) for y, v in zip(fiber_vars(group.dim), names) if y != v}
+    return {v: c.subst(sub) for v, c in zip(names, field)}
+
+
+def _slot_velocity(group: PolyGroup, i: int, p: int, xi, base) -> Dict[str, MultiPoly]:
+    """The velocity ``PolyGroup.slot_velocity`` keeps, built afresh."""
+    field = left_invariant_vf(group, xi).components
+    vel = velocity(group, field, slot_vars(i, group.dim))
+    pulled = slot_vars(i + 1, group.dim) if i < p else base
+    vel.update(velocity(group, field, pulled, left=True))
+    return vel
 
 
 def nilpotent_series(

@@ -22,8 +22,8 @@ parses a name only when a public constructor or ``extend`` first meets it.
 Ring operations build their results through a trusted constructor that
 skips re-coercing coefficients.  The degree cap is checked wherever a term
 can pass it: by the public constructor, and by products, powers and
-substitutions; sums, negation, scaling, ``extend``, ``diff`` and
-``defint01`` cannot raise the degree and skip the check.
+substitutions; sums, negation, scaling, ``extend``, ``diff``,
+``truncated`` and ``defint01`` cannot raise the degree and skip the check.
 """
 
 from __future__ import annotations
@@ -326,6 +326,10 @@ class MultiPoly:
             if e:
                 out[exp[:i] + (e - 1,) + exp[i + 1:]] = coef * e
         return self._like(out)
+
+    def truncated(self, degree: int) -> "MultiPoly":
+        """The terms of total degree at most ``degree``."""
+        return self._like({e: c for e, c in self.terms.items() if sum(e) <= degree})
 
     def subst(self, assignment: Mapping[str, Union["MultiPoly", int, Rat]]) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables pass through.

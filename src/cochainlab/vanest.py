@@ -28,6 +28,13 @@ derivatives; the integration map both as a zig-zag and as the exact cube
 integral of the pulled-back left-invariant form.  Their agreement is a
 theorem, tested rather than assumed.
 
+The closed differentiation formula carries only the part of a cochain that
+can reach the units.  A covariant derivative is a first-order operator with
+polynomial coefficients (plus a constant twist at the last slot), so it
+lowers the total degree of a term by at most one; with s derivatives still
+to apply, a term of total degree > s cannot reach the constant term read at
+the end, and ``ve_closed`` drops it.
+
 Every infinitesimal action (the covariant derivatives, the Lie derivative
 and d) is a chain-rule derivative along invariant vector fields: a point
 moved to x exp(t xi) has the left-invariant field of xi at x as velocity.
@@ -38,7 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -57,6 +64,7 @@ from .nilgroup import (
     nilpotent_series,
     slot_vars,
     trivial_poly_rep,
+    velocity,
 )
 from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy, zigzag_yx
 from .polyalg import (
@@ -174,7 +182,7 @@ def bg_d(psi: BigradedElement) -> BigradedElement:
     group = psi.group
     inf = psi.rep.infinitesimal()
     moves = [
-        (_velocity(group, field, fiber_vars(group.dim)), twist)
+        (velocity(group, field, fiber_vars(group.dim)), twist)
         for field, twist in zip(group.frame, inf.matrices)
     ]
     raw = ce_diff_comps(group.algebra, psi.q, psi.comps, lambda j, vec: _act(vec, *moves[j]))
@@ -298,60 +306,32 @@ def bg_q_proj(psi: BigradedElement) -> GroupCochain:
 # Covariant derivatives and Lie derivative
 
 
-def _velocity(
-    group: PolyGroup, field: Sequence[MultiPoly], names: Sequence[str], left: bool = False
-) -> Dict[str, MultiPoly]:
-    """Velocity at t = 0 of the point x with coordinates ``names`` moved by
-    a = exp(t xi), given the left-invariant field of xi in the y_*: for x a
-    it is that field at x; for a^{-1} x (``left``) it is minus the field at
-    x^{-1}, because a^{-1} x = (x^{-1} a)^{-1} and inversion is negation in
-    the exponential coordinates of bch_multiplication."""
-    if left:
-        inverse = group.invert([MultiPoly.var(v) for v in names])
-        sub = dict(zip(fiber_vars(group.dim), inverse))
-        return {v: -c.subst(sub) for v, c in zip(names, field)}
-    sub = {y: MultiPoly.var(v) for y, v in zip(fiber_vars(group.dim), names) if y != v}
-    return {v: c.subst(sub) for v, c in zip(names, field)}
-
-
 def _twist(inf, xi: Union[int, Sequence[Rat]]) -> List[List[Fraction]]:
     """rho_*(xi) = sum_j xi_j rho_*(e_j) as a rational matrix."""
     return mat_add(*map(mat_scale, inf.matrices, as_coeffs(len(inf.matrices), xi)))
 
 
-def _act(vec, velocity: Mapping[str, MultiPoly], twist=None) -> Tuple[MultiPoly, ...]:
+def _act(vec, vel: Mapping[str, MultiPoly], twist=None) -> Tuple[MultiPoly, ...]:
     """Infinitesimal action on a vector of values by the chain rule:
-    sum_v d(value)/dv * velocity_v, plus twist . vec."""
+    sum_v d(value)/dv * vel_v, plus twist . vec."""
     out = []
     for c in vec:
         acc = MultiPoly.zero()
-        for v, vel in velocity.items():
+        for v, vel_v in vel.items():
             dc = c.diff(v)
             if not dc.is_zero():
-                acc = acc + vel * dc
+                acc = acc + vel_v * dc
         out.append(acc)
     if twist is not None:
         return VECTORS.add(out, mat_vec(twist, vec))
     return tuple(out)
 
 
-def _slot_velocity(group: PolyGroup, i: int, p: int, xi, base=()) -> Dict[str, MultiPoly]:
-    """Velocity of the i-th slot action: (g_i a, a^{-1} g_{i+1}) for i < p,
-    (g_p a, a^{-1} x) for i = p, x the point with coordinates ``base``."""
-    if not 1 <= i <= p:
-        raise VanEstError(f"slot {i} out of range 1..{p}")
-    field = left_invariant_vf(group, xi).components
-    vel = _velocity(group, field, slot_vars(i, group.dim))
-    pulled = slot_vars(i + 1, group.dim) if i < p else base
-    vel.update(_velocity(group, field, pulled, left=True))
-    return vel
-
-
 def nabla(i: int, xi: Union[int, Sequence[Rat]], f: GroupCochain) -> GroupCochain:
     """Covariant derivative along the i-th slot action, at the unit of the
     acting copy: for i < p the action is (g_i a, a^{-1} g_{i+1}); for i = p
     it is g_p a combined with the V-representation of a."""
-    vel = _slot_velocity(f.group, i, f.degree, xi)
+    vel = f.group.slot_velocity(i, f.degree, xi)
     twist = _twist(f.rep.infinitesimal(), xi) if i == f.degree else None
     return GroupCochain(f.group, f.rep, f.degree, _act(f.values, vel, twist))
 
@@ -362,7 +342,7 @@ def nabla_bigraded(
     """The same covariant derivatives on D^{p,q}; the p-th action moves the
     base point, (g_p a; a^{-1} y), instead of twisting by the
     representation."""
-    vel = _slot_velocity(psi.group, i, psi.p, xi, fiber_vars(psi.group.dim))
+    vel = psi.group.slot_velocity(i, psi.p, xi, fiber_vars(psi.group.dim))
     comps = {idx: _act(vec, vel) for idx, vec in psi.comps.items()}
     return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
 
@@ -373,7 +353,7 @@ def lie_bigraded(
     """Module Lie derivative: left-invariant derivative on the base point
     plus the infinitesimal V-representation."""
     field = left_invariant_vf(psi.group, xi).components
-    vel = _velocity(psi.group, field, fiber_vars(psi.group.dim))
+    vel = velocity(psi.group, field, fiber_vars(psi.group.dim))
     twist = _twist(psi.rep.infinitesimal(), xi)
     comps = {idx: _act(vec, vel, twist) for idx, vec in psi.comps.items()}
     return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
@@ -386,30 +366,36 @@ def lie_bigraded(
 def ve_closed(f: GroupCochain) -> CEElement:
     """Differentiation map by the closed permutation formula:
     (VE f)(xi_1..xi_p) = sum_s sign(s) nabla^{(1)}_{xi_s(1)} ...
-    nabla^{(p)}_{xi_s(p)} f, evaluated at the units."""
+    nabla^{(p)}_{xi_s(p)} f, evaluated at the units.
+
+    Only the part of f that can reach the value at the units is carried.
+    Each nabla is a first-order operator with polynomial coefficients (plus,
+    at slot p, a constant twist), so it lowers the total degree of a term by
+    at most one.  Before the step at slot s, s steps remain, so a term of
+    total degree > s cannot reach the constant term read at the end, and
+    it is dropped.  The steps run depth first over the ordered choices of
+    basis indices, slot p first, so choices that begin alike share those
+    nablas, and each slot velocity comes from the group's cache."""
     group, p = f.group, f.degree
-    alg = group.algebra
-    rep_inf = f.rep.infinitesimal()
-    if p == 0:
-        val = tuple(Fraction(v.constant_value()) for v in f.values)
-        return CEElement(alg, rep_inf, 0, {(): val})
-    all_zero = {
-        f"g{s}_{j}": Fraction(0)
-        for s in range(1, p + 1)
-        for j in range(1, group.dim + 1)
-    }
-    comps: Dict[Index, Tuple[Fraction, ...]] = {}
-    for idx in combinations(range(group.dim), p):
-        total = [Fraction(0)] * f.rep.dim
-        for perm in permutations(range(p)):
-            sign = sort_sign(perm)[1]
-            cur = f
-            for slot in range(p, 0, -1):
-                cur = nabla(slot, idx[perm[slot - 1]], cur)
-            vals = [Fraction(v.subst(all_zero).constant_value()) for v in cur.values]
-            total = [t + sign * v for t, v in zip(total, vals)]
-        comps[idx] = tuple(total)
-    return CEElement(alg, rep_inf, p, comps)
+    comps = {idx: [Fraction(0)] * f.rep.dim for idx in combinations(range(group.dim), p)}
+
+    def walk(cur: GroupCochain, slot: int, chosen: Tuple[int, ...]) -> None:
+        # ``chosen`` holds the basis indices of slots slot + 1..p, in order.
+        if slot == 0:
+            idx, sign = sort_sign(chosen)
+            comps[idx] = [
+                t + sign * v.truncated(0).constant_value() for t, v in zip(comps[idx], cur.values)
+            ]
+            return
+        jet = GroupCochain(group, f.rep, p, [v.truncated(slot) for v in cur.values])
+        if jet.is_zero():
+            return
+        for j in range(group.dim):
+            if j not in chosen:
+                walk(nabla(slot, j, jet), slot - 1, (j,) + chosen)
+
+    walk(f, p, ())
+    return CEElement(group.algebra, f.rep.infinitesimal(), p, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -175,10 +175,28 @@ def test_reports_deterministic():
     assert run_verify(cfg) == run_verify(cfg)
 
 
-def test_usage_errors(monkeypatch):
+def test_usage_errors(monkeypatch, capsys):
     assert main(["verify", "--instance", "nope"]) == 2
     assert main(["ve", "/nonexistent/input", "--instance", "abelian-2"]) == 2
     assert main(["verify", "--instance", "heisenberg3", "--coeff-rep", "bogus"]) == 2
+    # an option the instance ignores is refused, naming the option and the
+    # instance, so that no report names a configuration that never ran
+    ignored = [
+        ("matrix", "coeff_rep", ["--coeff-rep", "standard"]),
+        ("cech-circle3", "coeff_rep", ["--coeff-rep", "standard"]),
+        ("pair-r1", "coeff_rep", ["--max-p", "1", "--coeff-rep", "standard"]),
+        ("matrix", "max_deg", ["--max-deg", "7"]),
+        ("cech-circle3", "max_deg", ["--max-deg", "0"]),
+    ]
+    capsys.readouterr()
+    for instance, option, flags in ignored:
+        assert main(["verify", "--instance", instance, *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"the {instance} instance ignores {option}" in err
+    with pytest.raises(ValueError, match="the pair-r2 instance ignores coeff_rep"):
+        RunConfig("pair-r2", max_p=1, coeff_rep="standard")
+    RunConfig("pair-r2", max_p=1, max_deg=3)  # pair-r<n> honours max_deg
+    RunConfig("filiform4", max_deg=3, coeff_rep="standard")
     assert main(["verify", "--instance", "matrix", "--trials", str(MAX_TRIALS + 1)]) == 2
     with pytest.raises(ValueError):
         RunConfig("matrix", trials=MAX_TRIALS + 1)

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cochainlab.liealg import (
+    AntisymmetryViolation,
     CEElement,
     JacobiViolation,
     LieAlgebra,
+    NilpotencyClassWrong,
     Representation,
     abelian,
     ce_contract,
@@ -17,6 +21,8 @@ from cochainlab.liealg import (
     trivial_rep,
     validate_lie_algebra,
 )
+from cochainlab.nilgroup import build_group, registered_groups
+from cochainlab.polyalg import MultiPoly
 
 from conftest import COEFFS
 
@@ -96,3 +102,74 @@ def test_nontrivial_rep_ce_diff_squares():
     for degree in range(2):
         a = _random_ce(rng, alg, degree, rep)
         assert ce_diff(ce_diff(a)).is_zero()
+
+
+# The sparse bracket against the dense n^3 loop over every structure
+# constant, on the registered algebras and on raw antisymmetric constants
+# (no Jacobi check), for rational and polynomial coefficient vectors.
+
+REGISTERED = [build_group(name).algebra for name in registered_groups()]
+
+rationals = st.sampled_from([Fraction(0)] * 3 + [c for c in COEFFS if c])
+
+
+@st.composite
+def polys(draw):
+    acc = MultiPoly.zero()
+    for _ in range(draw(st.integers(0, 2))):
+        term = MultiPoly.const(draw(rationals))
+        for _ in range(draw(st.integers(0, 2))):
+            term = term * MultiPoly.var(draw(st.sampled_from(("g1_1", "g2_1", "y_2"))))
+        acc = acc + term
+    return acc
+
+
+@st.composite
+def raw_algebras(draw):
+    n = draw(st.integers(1, 4))
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                c[i][j][k] = draw(rationals)
+                c[j][i][k] = -c[i][j][k]
+    constants = tuple(tuple(tuple(vec) for vec in row) for row in c)
+    return LieAlgebra("raw", n, constants, 0)
+
+
+def _dense_bracket(alg, u, v):
+    out = [u[0] * 0 for _ in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                c = alg.constants[i][j][k]
+                if c != 0:
+                    out[k] = out[k] + u[i] * v[j] * c
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sparse_bracket_matches_dense_reference(data):
+    alg = data.draw(st.one_of(st.sampled_from(REGISTERED), raw_algebras()))
+    entries = data.draw(st.sampled_from([rationals, polys()]))
+    u = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
+    v = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
+    assert alg.bracket(u, v) == _dense_bracket(alg, u, v)
+
+
+@pytest.mark.parametrize("dim, brackets, declared, error", [
+    (4, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 3): {1: 1}}, None, JacobiViolation),
+    (3, {(0, 1): {2: 1}, (1, 0): {2: 1}}, None, AntisymmetryViolation),
+    (3, {(1, 1): {0: 1}}, None, AntisymmetryViolation),
+    (3, {(0, 1): {2: 1}}, 3, NilpotencyClassWrong),
+    (4, {(0, 1): {2: 1}, (0, 2): {3: 1}}, 2, NilpotencyClassWrong),
+])
+def test_bad_structure_constants_rejected(dim, brackets, declared, error):
+    with pytest.raises(error):
+        validate_lie_algebra("bad", dim, brackets, declared)
+
+
+def test_non_nilpotent_algebra_gets_class_zero():
+    # [e1, e2] = e2: the lower central series stops at span(e2)
+    assert validate_lie_algebra("affine", 2, {(0, 1): {1: 1}}).nilpotency_class == 0

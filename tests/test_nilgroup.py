@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cochainlab import liealg
+from cochainlab import liealg, nilgroup
 from cochainlab.cli import RunConfig, run_verify
 from cochainlab.forms import PolyVF, contract, exterior_d, wedge
 from cochainlab.liealg import validate_lie_algebra
@@ -19,10 +19,11 @@ from cochainlab.nilgroup import (
     left_invariant_vf,
     maurer_cartan_coframe,
     registered_groups,
+    slot_vars,
     trivial_poly_rep,
 )
 from cochainlab.polyalg import MultiPoly
-from cochainlab.vanest import standard_poly_rep
+from cochainlab.vanest import standard_poly_rep, ve_closed
 
 from conftest import COEFFS, random_group_cochain
 
@@ -210,18 +211,50 @@ def test_structure_is_built_once_per_object(monkeypatch):
     assert reps and len(validations) <= len(reps)
 
 
+@pytest.mark.parametrize("name", registered_groups())
+def test_right_jacobian_matches_derivative_formula(name):
+    # B(y)[j][i] = d m_j / d g2_i at (g1, g2) = (y, 0)
+    group = build_group(name)
+    n = group.dim
+    at = {f"g1_{k}": MultiPoly.var(f"y_{k}") for k in range(1, n + 1)}
+    at.update({f"g2_{k}": 0 for k in range(1, n + 1)})
+    expected = tuple(
+        tuple(m_j.diff(f"g2_{i}").subst(at) for i in range(1, n + 1)) for m_j in group.mult
+    )
+    assert group.right_jacobian == expected
+
+
+def test_slot_velocities_built_once_per_slot_and_index(monkeypatch):
+    # VE of a 3-cochain on filiform4 sums 4 choose 3 times 3! orderings of
+    # three nablas; it needs one velocity per slot and basis index.
+    built = []
+    build = nilgroup._slot_velocity
+    monkeypatch.setattr(
+        nilgroup, "_slot_velocity", lambda *args: built.append(args[1:]) or build(*args)
+    )
+    group = build_group("filiform4")
+    f = MultiPoly.const(1)
+    for s in (1, 2, 3):
+        f = f * sum((MultiPoly.var(v) for v in slot_vars(s, 4)), MultiPoly.zero())
+    ve_closed(GroupCochain.scalar(group, 3, f))
+    assert sorted(built) == [(i, 3, j, ()) for i in (1, 2, 3) for j in range(4)]
+    ve_closed(GroupCochain.scalar(group, 3, f * 2))  # the same object builds none
+    assert len(built) == 12
+
+
 def test_cached_structure_is_read_only():
     group = build_group("heisenberg3")
     rep = standard_poly_rep(group)
     jac = group.right_jacobian
     field = left_invariant_vf(group, 2).components
     faces = group.faces(2)
+    vel = group.slot_velocity(1, 2, 0)
     inverse = rep.inverse_matrix()
     matrices = rep.infinitesimal().matrices
     zero = MultiPoly.zero()
     for container, key in (
         (jac, 0), (jac[0], 0), (field, 0), (group.frame[2], 0), (faces, 0),
-        (faces[1][0], "g1_1"), (inverse[0], 0), (matrices[0][0], 0),
+        (faces[1][0], "g1_1"), (vel, "g1_1"), (inverse[0], 0), (matrices[0][0], 0),
     ):
         with pytest.raises(TypeError):
             container[key] = zero
@@ -235,5 +268,6 @@ def test_cached_structure_is_read_only():
         assert [(dict(sub), sgn) for sub, sgn in g.faces(2)] == [
             (dict(sub), sgn) for sub, sgn in faces
         ]
+        assert dict(g.slot_velocity(1, 2, 0)) == dict(vel)
     assert standard_poly_rep(fresh).inverse_matrix() == inverse
     assert rep.infinitesimal().matrices == matrices

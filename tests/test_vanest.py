@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,10 +10,12 @@ from cochainlab.nilgroup import (
     build_group,
     fiber_vars,
     group_delta,
+    left_invariant_vf,
     slot_vars,
     trivial_poly_rep,
+    velocity,
 )
-from cochainlab.polyalg import MultiPoly, mat_vec
+from cochainlab.polyalg import MultiPoly, mat_vec, sort_sign
 from cochainlab.vanest import (
     BigradedElement,
     bg_d,
@@ -249,6 +252,72 @@ def test_nabla_matches_curve_reference(name, make_rep):
             else:
                 expected = _curve_derivative(group, xi, values, [(slot_vars(p, n), "right")], rep)
             assert nabla(i, xi, f).values == expected
+
+
+# Reference for ve_closed: the plain permutation formula, one nabla per
+# permutation and slot on the whole cochain, each slot velocity built afresh
+# and the result evaluated at the units by substitution.
+
+
+def _plain_nabla(i, j, f):
+    group, p, n = f.group, f.degree, f.group.dim
+    field = left_invariant_vf(group, j).components
+    vel = velocity(group, field, slot_vars(i, n))
+    if i < p:
+        vel.update(velocity(group, field, slot_vars(i + 1, n), left=True))
+    values = [
+        sum((w * c.diff(v) for v, w in vel.items()), MultiPoly.zero()) for c in f.values
+    ]
+    if i == p:
+        twisted = mat_vec(f.rep.infinitesimal().matrices[j], f.values)
+        values = [a + b for a, b in zip(values, twisted)]
+    return GroupCochain(group, f.rep, p, values)
+
+
+def _plain_ve(f):
+    group, p = f.group, f.degree
+    units = {v: 0 for s in range(1, p + 1) for v in slot_vars(s, group.dim)}
+    comps = {}
+    for idx in combinations(range(group.dim), p):
+        total = [Fraction(0)] * f.rep.dim
+        for perm in permutations(range(p)):
+            cur = f
+            for slot in range(p, 0, -1):
+                cur = _plain_nabla(slot, idx[perm[slot - 1]], cur)
+            sign = sort_sign(perm)[1]
+            total = [t + sign * v.subst(units).constant_value() for t, v in zip(total, cur.values)]
+        comps[idx] = total
+    return CEElement(group.algebra, f.rep.infinitesimal(), p, comps)
+
+
+def _cochain_up_to(rng, group, rep, p):
+    """Random values with terms of degree up to p + 2: products of one
+    coordinate of every slot, which VE sees, times up to two more, plus
+    random terms of any slots."""
+    variables = [v for s in range(1, p + 1) for v in slot_vars(s, group.dim)]
+    values = []
+    for _ in range(rep.dim):
+        value = random_poly(rng, variables, p + 2, 4)
+        for _ in range(6):
+            term = MultiPoly.const(rng.choice([c for c in COEFFS if c]))
+            for s in range(1, p + 1):
+                term = term * MultiPoly.var(rng.choice(slot_vars(s, group.dim)))
+            for _ in range(rng.randrange(3)):
+                term = term * MultiPoly.var(rng.choice(variables))
+            value = value + term
+        values.append(value)
+    return GroupCochain(group, rep, p, values)
+
+
+@pytest.mark.parametrize("name, make_rep", REF_CASES)
+def test_ve_closed_matches_untruncated_reference(name, make_rep):
+    group = build_group(name)
+    rep = make_rep(group)
+    rng = random.Random(43)
+    for p in (1, 2, 3):
+        for _ in range(3):
+            f = _cochain_up_to(rng, group, rep, p)
+            assert ve_closed(f) == _plain_ve(f)
 
 
 @pytest.mark.parametrize("name, make_rep", REF_CASES)
