@@ -344,7 +344,6 @@ class RunConfig:
     max_deg: int = 2
     trials: int = 25
     seed: int = 0
-    report: Optional[str] = None
     coeff_rep: str = "trivial"
 
     def __post_init__(self):
@@ -520,22 +519,21 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_instance=True):
-        p.add_argument("--instance", required=need_instance)
-        p.add_argument("--max-p", type=int, default=3)
-        p.add_argument("--max-deg", type=int, default=2)
-        p.add_argument("--trials", type=int, default=25)
-        p.add_argument("--seed", type=int, default=0)
+    def common(p):
+        p.add_argument("--instance", required=True)
         p.add_argument("--report", help="write the JSON report / result here")
-        p.add_argument("--coeff-rep", default="trivial")
+        return p
 
-    common(sub.add_parser("verify", help="run an instance verification suite"))
-    pv = sub.add_parser("ve", help="apply the differentiation map")
-    pv.add_argument("input", help="expression file, or - for stdin")
-    common(pv)
-    pi = sub.add_parser("integrate", help="apply the integration map")
-    pi.add_argument("input", help="expression file, or - for stdin")
-    common(pi)
+    pv = common(sub.add_parser("verify", help="run an instance verification suite"))
+    pv.add_argument("--max-p", type=int, default=3)
+    pv.add_argument("--max-deg", type=int, default=2)
+    pv.add_argument("--trials", type=int, default=25)
+    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--coeff-rep", default="trivial")
+    # the maps read only the instance: any other bound would go unused
+    for name, what in (("ve", "differentiation"), ("integrate", "integration")):
+        pm = common(sub.add_parser(name, help=f"apply the {what} map"))
+        pm.add_argument("input", help="expression file, or - for stdin")
     sub.add_parser("list-instances", help="print registered instance names")
     return ap
 
@@ -545,6 +543,15 @@ def _read_input(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _write(path: Optional[str], text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -559,16 +566,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(name)
         return 0
 
+    # ve and integrate take no bounds: RunConfig's defaults stand for them
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "input", "report")}
     try:
-        config = RunConfig(
-            instance=args.instance,
-            max_p=args.max_p,
-            max_deg=args.max_deg,
-            trials=args.trials,
-            seed=args.seed,
-            report=args.report,
-            coeff_rep=args.coeff_rep,
-        )
+        config = RunConfig(**options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -581,12 +582,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except DegreeOverflowError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        payload = json.dumps(report, indent=2, default=str)
-        if config.report:
-            with open(config.report, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _write(args.report, json.dumps(report, indent=2, default=str))
         return code
 
     try:
@@ -595,11 +591,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError, DegreeOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.report:
-        with open(config.report, "w", encoding="utf-8") as fh:
-            fh.write(result + "\n")
-    else:
-        print(result)
+    _write(args.report, result)
     return 0
 
 

@@ -185,6 +185,10 @@ class Representation:
 
     def __post_init__(self):
         n, zero = self.algebra.dim, Fraction(0)
+        if len(self.matrices) != n or any(
+            len(m) != self.dim or any(len(row) != self.dim for row in m) for m in self.matrices
+        ):
+            raise LieAlgebraError(f"expected {n} matrices of size {self.dim} x {self.dim}")
         for i in range(n):
             for j in range(n):
                 a, b = self.matrices[i], self.matrices[j]
@@ -346,3 +350,31 @@ def filiform4() -> LieAlgebra:
     return validate_lie_algebra(
         "filiform4", 4, {(0, 1): {2: 1}, (0, 2): {3: 1}}, nilpotency_class=3
     )
+
+
+#: The (row, column) unit entries of rho_*(e_1), ..., rho_*(e_n) in a
+#: faithful nilpotent representation of each registered non-abelian algebra.
+STANDARD_GENERATORS = {
+    "heisenberg3": (((0, 1),), ((1, 2),), ((0, 2),)),  # [E12, E23] = E13
+    # X1 = E12 + E23, X2 = E35, X3 = [X1, X2] = E25, X4 = [X1, X3] = E15
+    "filiform4": (((0, 1), (1, 2)), ((2, 4),), ((1, 4),), ((0, 4),)),
+}
+
+
+def standard_rep(alg: LieAlgebra) -> Representation:
+    """A faithful nilpotent representation: rho_*(e_i) is the sum of the
+    unit matrices at the table's entries for e_i, of size one more than the
+    largest index, and an abelian algebra acts by translations,
+    rho_*(e_i) = E_{1, i+1}.  Representation checks the bracket relations."""
+    if alg.nilpotency_class == 1:
+        generators = tuple(((0, i),) for i in range(1, alg.dim + 1))
+    elif alg.name in STANDARD_GENERATORS:
+        generators = STANDARD_GENERATORS[alg.name]
+    else:
+        raise LieAlgebraError(f"no standard representation for {alg.name}")
+    size = 1 + max(max(entry) for entries in generators for entry in entries)
+    matrices = tuple(
+        tuple(tuple(Fraction(int((r, c) in entries)) for c in range(size)) for r in range(size))
+        for entries in generators
+    )
+    return Representation(alg, size, matrices)

@@ -8,11 +8,15 @@ inverses.
 
 Also provides the left-invariant frame, the dual coframe (with polynomial
 entries, by unipotence of the Jacobian), polynomial group cochains with
-the simplicial differential, and unipotent polynomial representations.
+the simplicial differential, and unipotent polynomial representations.  A
+representation is built from its derivative: rho = exp(rho_*) for a
+nilpotent representation rho_* of the algebra, exact in exponential
+coordinates, so the group side and the algebra side of van Est read one
+rho_*.
 
 The structure every operator reads -- a group's right Jacobian, frame,
 coframe matrix, face substitutions and slot velocities, a representation's
-rho_* and rho^{-1} -- is computed once per object, on first use, and kept
+rho and rho^{-1} -- is computed once per object, on first use, and kept
 on that object as tuples and read-only mappings.
 """
 
@@ -21,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .forms import Chart, PolyForm, PolyVF
-from .liealg import LieAlgebra, Representation
+from .liealg import LieAlgebra, Representation, trivial_rep
 from .polyalg import (
     VECTORS, Linear, MultiPoly, Rat, identity, is_zero, mat_add, mat_mul, mat_scale, mat_vec,
     slot_shift,
@@ -325,15 +330,18 @@ def maurer_cartan_coframe(group: PolyGroup, slots: int = 0) -> List[PolyForm]:
 
 @dataclass(frozen=True)
 class PolyRep:
-    """Unipotent polynomial representation: rho a d x d matrix of MultiPolys
-    in the fiber variables y_*.  Validated: rho(0) = I, rho a homomorphism
-    for the group law, det-1 unipotence via a polynomial inverse."""
+    """Unipotent polynomial representation rho(y) = exp(sum_i y_i
+    rho_*(e_i)) of the group, a d x d matrix in the fiber variables y_*,
+    from a representation ``tangent`` = rho_* of its algebra.  Validated:
+    rho_* of the group's algebra, nilpotent generators (NotNilpotent),
+    rho(0) = I and rho a homomorphism for the group law."""
 
     group: PolyGroup
-    dim: int
-    rho: Matrix
+    tangent: Representation
 
     def __post_init__(self):
+        if self.tangent.algebra != self.group.algebra:
+            raise GroupError("not a representation of the group's algebra")
         n = self.group.dim
         if self.matrix_at([Fraction(0)] * n) != identity(self.dim):
             raise GroupError("rho(0) is not the identity")
@@ -342,6 +350,16 @@ class PolyRep:
         rho_b = self.matrix_at(_vec(slot_vars(2, n)))
         if self.matrix_at(self.group.mult) != mat_mul(rho_a, rho_b):
             raise GroupError("rho is not a homomorphism for the group law")
+
+    @property
+    def dim(self) -> int:
+        return self.tangent.dim
+
+    @cached_property
+    def rho(self) -> Matrix:
+        ys = _vec(fiber_vars(self.group.dim))
+        nil = mat_add(*map(mat_scale, self.tangent.matrices, ys))
+        return tuple(map(tuple, nilpotent_series(nil, lambda k: Fraction(1, factorial(k)))))
 
     def matrix_at(self, point: Sequence[Union[MultiPoly, Rat]]) -> List[List[MultiPoly]]:
         sub = {f"y_{j}": p for j, p in enumerate(point, start=1)}
@@ -352,37 +370,17 @@ class PolyRep:
         return self._inverse
 
     def infinitesimal(self) -> Representation:
-        """d/dt rho(t e_i) at t = 0, as a rational matrix representation."""
-        return self._infinitesimal
+        """rho_*, the representation rho was built from."""
+        return self.tangent
 
     @cached_property
     def _inverse(self) -> Matrix:
-        n = self.group.dim
-        inv_pt = [
-            p.subst({f"g1_{j}": MultiPoly.var(f"y_{j}") for j in range(1, n + 1)})
-            for p in self.group.inv
-        ]
-        return tuple(map(tuple, self.matrix_at(inv_pt)))
-
-    @cached_property
-    def _infinitesimal(self) -> Representation:
-        n = self.group.dim
-        zero = {f"y_{j}": Fraction(0) for j in range(1, n + 1)}
-        mats = tuple(
-            tuple(
-                tuple(
-                    Fraction(entry.diff(f"y_{i}").subst(zero).constant_value())
-                    for entry in row
-                )
-                for row in self.rho
-            )
-            for i in range(1, n + 1)
-        )
-        return Representation(self.group.algebra, self.dim, mats)
+        inverse = self.group.invert(_vec(fiber_vars(self.group.dim)))
+        return tuple(map(tuple, self.matrix_at(inverse)))
 
 
 def trivial_poly_rep(group: PolyGroup) -> PolyRep:
-    return PolyRep(group, 1, ((MultiPoly.const(1),),))
+    return PolyRep(group, trivial_rep(group.algebra))
 
 
 # ---------------------------------------------------------------------------

@@ -165,13 +165,12 @@ class MultiPoly:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(variables: Iterable[str] = ()) -> "MultiPoly":
-        return MultiPoly(variables, {})
+    def zero() -> "MultiPoly":
+        return MultiPoly((), {})
 
     @staticmethod
-    def const(value: Union[int, Rat], variables: Iterable[str] = ()) -> "MultiPoly":
-        vs = tuple(variables)
-        return MultiPoly(vs, {(0,) * len(vs): Fraction(value)})
+    def const(value: Union[int, Rat]) -> "MultiPoly":
+        return MultiPoly((), {(): Fraction(value)})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":

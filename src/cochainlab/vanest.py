@@ -38,6 +38,10 @@ the end, and ``ve_closed`` drops it.
 Every infinitesimal action (the covariant derivatives, the Lie derivative
 and d) is a chain-rule derivative along invariant vector fields: a point
 moved to x exp(t xi) has the left-invariant field of xi at x as velocity.
+
+The coefficients V are one ``PolyRep``: its rho = exp(rho_*) twists the
+group side (j-hat, the form picture, the integration map) and its rho_*
+the algebra side (d, the covariant derivatives and the cochains VE returns).
 """
 
 from __future__ import annotations
@@ -46,11 +50,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .forms import Chart, PolyForm, PolyVF, contract, cube_integrate, homotopy_T, pullback, wedge
-from .liealg import CEElement, ce_diff, ce_diff_comps
+from .liealg import CEElement, ce_diff, ce_diff_comps, standard_rep
 from .nilgroup import (
     GroupCochain,
     PolyGroup,
@@ -61,7 +64,6 @@ from .nilgroup import (
     group_delta,
     left_invariant_vf,
     maurer_cartan_coframe,
-    nilpotent_series,
     slot_vars,
     trivial_poly_rep,
     velocity,
@@ -437,7 +439,7 @@ def r_closed(
     form of alpha back along gamma^{(p)}, integrate exactly over the unit
     cube, and translate the value back to the unit by rho(g_1...g_p)^{-1}.
     """
-    rep = rep if rep is not None else trivial_poly_rep(group)
+    rep = rep if rep is not None else PolyRep(group, alpha.rep)
     p = alpha.degree
     if p == 0:
         return GroupCochain(
@@ -552,9 +554,8 @@ def build_double_complex(
             tuple(_random_poly(rng, vars_, sample_deg) for _ in range(rep.dim)),
         )
 
-    rep_tag = "trivial" if rep.dim == 1 and all(
-        e.is_constant() for row in rep.rho for e in row
-    ) else f"rep{rep.dim}"
+    # a one-dimensional unipotent representation is trivial
+    rep_tag = "trivial" if rep.dim == 1 else f"rep{rep.dim}"
     return DoubleComplexInstance(
         name=f"group:{group.name}:{rep_tag}",
         d=d, delta=delta, h=h,
@@ -583,7 +584,7 @@ def r_zigzag(
     inst: Optional[DoubleComplexInstance] = None,
 ) -> GroupCochain:
     """Integration as the explicit zig-zag through the double complex."""
-    rep = rep if rep is not None else trivial_poly_rep(group)
+    rep = rep if rep is not None else PolyRep(group, alpha.rep)
     if inst is None:
         inst = build_double_complex(group, rep)
     return zigzag_yx(inst, alpha.degree, alpha)
@@ -593,60 +594,7 @@ def r_zigzag(
 # Standard unipotent representations for the registry
 
 
-def _exp_rep(group: PolyGroup, generators: List[List[List[int]]]) -> PolyRep:
-    """Representation exp(sum_i y_i X_i) from nilpotent generator matrices
-    realizing the structure constants; exact because the group law is the
-    truncated series in exponential coordinates."""
-    ys = [MultiPoly.var(f"y_{i}") for i in range(1, len(generators) + 1)]
-    exp = nilpotent_series(
-        mat_add(*map(mat_scale, generators, ys)), lambda k: Fraction(1, factorial(k))
-    )
-    return PolyRep(group, len(exp), tuple(map(tuple, exp)))
-
-
 def standard_poly_rep(group: PolyGroup) -> PolyRep:
-    """A faithful unipotent polynomial representation for the registered
-    groups that have one wired in."""
-    n = group.dim
-    if group.name == "abelian-1":
-        y = MultiPoly.var("y_1")
-        return PolyRep(
-            group, 2,
-            ((MultiPoly.const(1), y), (MultiPoly.zero(), MultiPoly.const(1))),
-        )
-    if group.name.startswith("abelian-"):
-        # translations: exp places y_1..y_n in the top row
-        gens = []
-        for i in range(n):
-            g = [[0] * (n + 1) for _ in range(n + 1)]
-            g[0][i + 1] = 1
-            gens.append(g)
-        return _exp_rep(group, gens)
-    if group.name == "filiform4":
-        # 5x5 strictly upper triangular: X1 = E12 + E23, X2 = E35,
-        # X3 = [X1, X2] = E25, X4 = [X1, X3] = E15; all other brackets zero
-        def emat(entries):
-            g = [[0] * 5 for _ in range(5)]
-            for r, c in entries:
-                g[r][c] = 1
-            return g
-
-        gens = [
-            emat([(0, 1), (1, 2)]),
-            emat([(2, 4)]),
-            emat([(1, 4)]),
-            emat([(0, 4)]),
-        ]
-        return _exp_rep(group, gens)
-    if group.name == "heisenberg3":
-        y1, y2, y3 = (MultiPoly.var(f"y_{i}") for i in (1, 2, 3))
-        half = Fraction(1, 2)
-        return PolyRep(
-            group, 3,
-            (
-                (MultiPoly.const(1), y1, y3 + y1 * y2 * half),
-                (MultiPoly.zero(), MultiPoly.const(1), y2),
-                (MultiPoly.zero(), MultiPoly.zero(), MultiPoly.const(1)),
-            ),
-        )
-    raise VanEstError(f"no standard representation wired for {group.name}")
+    """The exponential of the algebra's standard representation
+    (``liealg.standard_rep``): faithful and unipotent."""
+    return PolyRep(group, standard_rep(group.algebra))

@@ -179,6 +179,9 @@ def test_usage_errors(monkeypatch, capsys):
     assert main(["verify", "--instance", "nope"]) == 2
     assert main(["ve", "/nonexistent/input", "--instance", "abelian-2"]) == 2
     assert main(["verify", "--instance", "heisenberg3", "--coeff-rep", "bogus"]) == 2
+    # the maps read the instance alone, so a bound for them is refused
+    assert main(["ve", "-", "--instance", "heisenberg3", "--max-p", "2"]) == 2
+    assert main(["integrate", "-", "--instance", "heisenberg3", "--seed", "1"]) == 2
     # an option the instance ignores is refused, naming the option and the
     # instance, so that no report names a configuration that never ran
     ignored = [

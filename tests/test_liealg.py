@@ -10,6 +10,7 @@ from cochainlab.liealg import (
     CEElement,
     JacobiViolation,
     LieAlgebra,
+    LieAlgebraError,
     NilpotencyClassWrong,
     Representation,
     abelian,
@@ -173,3 +174,12 @@ def test_bad_structure_constants_rejected(dim, brackets, declared, error):
 def test_non_nilpotent_algebra_gets_class_zero():
     # [e1, e2] = e2: the lower central series stops at span(e2)
     assert validate_lie_algebra("affine", 2, {(0, 1): {1: 1}}).nilpotency_class == 0
+
+
+def test_representation_shape_checked():
+    alg = heisenberg3()
+    zero = ((Fraction(0),),)
+    with pytest.raises(LieAlgebraError, match="expected 3 matrices of size 1 x 1"):
+        Representation(alg, 1, (zero, zero))
+    with pytest.raises(LieAlgebraError, match="expected 3 matrices of size 2 x 2"):
+        Representation(alg, 2, (zero, zero, zero))

@@ -10,6 +10,8 @@ from cochainlab.liealg import validate_lie_algebra
 from cochainlab.nilgroup import (
     ClassTooHigh,
     GroupCochain,
+    GroupError,
+    NotNilpotent,
     PolyGroup,
     PolyRep,
     bch_multiplication,
@@ -271,3 +273,58 @@ def test_cached_structure_is_read_only():
         assert dict(g.slot_velocity(1, 2, 0)) == dict(vel)
     assert standard_poly_rep(fresh).inverse_matrix() == inverse
     assert rep.infinitesimal().matrices == matrices
+
+
+# References for the representations built as exp(rho_*): the hand-written
+# abelian-1 and Heisenberg matrices they replace, and rho_* read off rho as
+# its derivative at the unit.
+def hand_written_rho(name):
+    y1, y2, y3 = (MultiPoly.var(f"y_{i}") for i in (1, 2, 3))
+    one, zero = MultiPoly.const(1), MultiPoly.zero()
+    return {
+        "abelian-1": ((one, y1), (zero, one)),
+        "heisenberg3": (
+            (one, y1, y3 + y1 * y2 * Fraction(1, 2)), (zero, one, y2), (zero, zero, one)
+        ),
+    }[name]
+
+
+def derivative_at_unit(rep):
+    n = rep.group.dim
+    zero = {f"y_{j}": Fraction(0) for j in range(1, n + 1)}
+    return tuple(
+        tuple(tuple(e.diff(f"y_{i}").subst(zero).constant_value() for e in row) for row in rep.rho)
+        for i in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("name", ["abelian-1", "heisenberg3"])
+def test_standard_rep_matches_hand_written_matrices(name):
+    assert standard_poly_rep(build_group(name)).rho == hand_written_rho(name)
+
+
+@pytest.mark.parametrize("make_rep", [standard_poly_rep, trivial_poly_rep])
+@pytest.mark.parametrize("name", registered_groups())
+def test_infinitesimal_is_derivative_at_unit(name, make_rep):
+    rep = make_rep(build_group(name))
+    assert rep.infinitesimal().matrices == derivative_at_unit(rep)
+
+
+def test_rep_of_another_algebra_rejected(heisenberg_group):
+    for tangent in (liealg.standard_rep(liealg.filiform4()), liealg.trivial_rep(liealg.abelian(3))):
+        with pytest.raises(GroupError, match="not a representation of the group's algebra"):
+            PolyRep(heisenberg_group, tangent)
+
+
+def test_non_nilpotent_rep_rejected():
+    tangent = liealg.Representation(liealg.abelian(1), 1, (((Fraction(1),),),))
+    with pytest.raises(NotNilpotent):
+        PolyRep(build_group("abelian-1"), tangent)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "filiform4"])
+def test_swapped_generators_rejected(monkeypatch, name):
+    first, second, *rest = liealg.STANDARD_GENERATORS[name]
+    monkeypatch.setitem(liealg.STANDARD_GENERATORS, name, (second, first, *rest))
+    with pytest.raises(liealg.LieAlgebraError):
+        standard_poly_rep(build_group(name))

@@ -130,6 +130,15 @@ def test_r_closed_equals_zigzag_nontrivial_rep():
                 assert r_closed(group, alpha, rep) == r_zigzag(group, alpha, rep, inst)
 
 
+def test_integration_defaults_to_the_cochain_representation(heisenberg_group):
+    rep = standard_poly_rep(heisenberg_group)
+    inst = build_double_complex(heisenberg_group, rep, max_p=2)
+    for idx in ((0,), (0, 1), (1, 2)):
+        alpha = CEElement.basis(heisenberg_group.algebra, idx, rep=rep.infinitesimal(), slot=2)
+        assert r_closed(heisenberg_group, alpha) == r_closed(heisenberg_group, alpha, rep)
+        assert r_zigzag(heisenberg_group, alpha) == r_zigzag(heisenberg_group, alpha, rep, inst)
+
+
 def test_cochain_map_properties(heisenberg_group):
     rng = random.Random(32)
     group = heisenberg_group
