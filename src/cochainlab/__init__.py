@@ -7,7 +7,7 @@ models of nilpotent Lie groups, the pair groupoid of coordinate space,
 and the Cech-de Rham complex of an arc cover of the circle.
 """
 
-from .polyalg import MultiPoly, Rat, canonical_vars, rat, to_string
+from .polyalg import MultiPoly, Rat, canonical_vars, to_string
 from .forms import (
     Chart,
     PolyForm,
@@ -94,7 +94,7 @@ __all__ = [
     "filiform4", "gamma_map", "geodesic_map", "group_delta", "heisenberg3",
     "homotopy_T", "left_invariant_vf", "lie_derivative", "matrix_instance",
     "maurer_cartan_coframe", "nabla", "pair_r", "pair_ve", "parse_expr",
-    "perturbed_h", "perturbed_p", "pullback", "r_closed", "r_zigzag", "rat",
+    "perturbed_h", "perturbed_p", "pullback", "r_closed", "r_zigzag",
     "registered_groups", "run_verify", "standard_poly_rep", "to_string",
     "trivial_poly_rep", "trivial_rep", "ve_closed", "ve_zigzag",
     "verify_instance", "wedge", "winding_cocycle", "zigzag_xy", "zigzag_yx",

@@ -16,10 +16,11 @@ power has at most MAX_COEFF_DIGITS digits.  Exit codes: 0 success, 1 check
 failure, 2 usage or parse error (a term degree past polyalg.DEGREE_CAP
 included).
 
-``verify`` writes no check record itself: ``perturb.verify_instance`` makes
-them for every double complex instance and ``pairgpd.verify_pair`` for the
-pair groupoid.  This module picks the suite, marks the failures the instance
-declares (``perturb.expected_failures``) as expected, and wraps the records
+Every instance name is looked up in ``INSTANCES``: its suite (the records
+of ``perturb.verify_instance`` or ``pairgpd.verify_pair`` and the checks
+that must fail), its ``max_p`` limit and the options it honours.  The group
+entries come from ``nilgroup.GROUPS``, and ``ve`` and ``integrate`` take
+only those.  ``verify`` marks the expected failures and wraps the records
 in the versioned report.
 """
 
@@ -33,22 +34,26 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from .cech_derham import cech_instance
 from .forms import Chart, PolyForm
 from .liealg import CEElement, LieAlgebra
+from .nilgroup import GROUPS, GroupCochain, build_group, registered_groups, trivial_poly_rep
+from .pairgpd import verify_pair
+from .perturb import expected_failures, matrix_instance, verify_instance
 from .polyalg import (
-    SCALARS,
     DegreeOverflowError,
     MultiPoly,
     add_into,
     canonical_vars,
     format_rat,
     sort_sign,
-    sparse,
     to_string,
     var_key,
 )
+from .vanest import build_double_complex, r_closed, standard_poly_rep, ve_closed
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -115,8 +120,12 @@ def _scalar(p: MultiPoly) -> Value:
     return {(): p}
 
 
-#: Values add and negate as sparse maps of polynomials.
-_VALUES = sparse(SCALARS)
+def _balanced_sum(polys: List[MultiPoly]) -> MultiPoly:
+    """Sum in a balanced tree of ``+``, copying each summand about log2 n times."""
+    while len(polys) > 1:
+        pairs = [a + b for a, b in zip(polys[::2], polys[1::2])]
+        polys = pairs + polys[2 * len(pairs):]
+    return polys[0]
 
 
 def _vmul(a: Value, b: Value) -> Value:
@@ -171,22 +180,22 @@ class _Parser:
         return value
 
     def expr(self) -> Value:
-        tok = self.peek()
+        """A sum: the terms are collected, then added per atom key at once."""
+        parts: Dict[Tuple, List[MultiPoly]] = {}
         negate = False
+        tok = self.peek()
         if tok[0] == "op" and tok[1] in "+-":
             self.next()
             negate = tok[1] == "-"
-        value = self.term()
-        if negate:
-            value = _VALUES.neg(value)
         while True:
+            for key, poly in self.term().items():
+                parts.setdefault(key, []).append(-poly if negate else poly)
             tok = self.peek()
-            if tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                rhs = self.term()
-                value = _VALUES.add(value, _VALUES.neg(rhs) if tok[1] == "-" else rhs)
-            else:
-                return value
+            if not (tok[0] == "op" and tok[1] in "+-"):
+                sums = {key: _balanced_sum(polys) for key, polys in parts.items()}
+                return {key: poly for key, poly in sums.items() if not poly.is_zero()}
+            self.next()
+            negate = tok[1] == "-"
 
     def term(self) -> Value:
         value = self.factor()
@@ -207,9 +216,9 @@ class _Parser:
                 etok = self.next()
                 if etok[0] != "number" or "/" in etok[1]:
                     self.error("exponent must be a nonnegative integer", etok)
-                if set(value) != {()}:
+                if set(value) - {()}:
                     self.error("only scalars can be raised to a power", tok)
-                base = value[()]
+                base = value.get((), MultiPoly.zero())  # a sum drops a zero
                 # The length test comes first: int() refuses longer digit strings.
                 if len(etok[1]) > MAX_COEFF_DIGITS or base.is_constant() and (
                     _digits(base.constant_value()) * int(etok[1]) > MAX_COEFF_DIGITS
@@ -351,61 +360,71 @@ class RunConfig:
             raise ValueError("bounds must be positive")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
-        if self.instance not in instance_names():
+        if self.instance not in INSTANCES:
             raise ValueError(f"unknown instance {self.instance!r}")
         if self.coeff_rep not in ("trivial", "standard"):
             raise ValueError(f"unknown coefficient representation {self.coeff_rep!r}")
-        # An option the instance ignores would be reported as if it had run.
-        from .nilgroup import registered_groups
+        # An option the instance ignores would be reported as if it had run,
+        # so it must keep its default (the class attribute of its field).
+        entry = INSTANCES[self.instance]
+        for option in ("coeff_rep", "max_deg"):
+            default, value = getattr(RunConfig, option), getattr(self, option)
+            if option not in entry.reads and value != default:
+                raise ValueError(f"the {self.instance} instance ignores {option}: "
+                                 f"it must be {default!r}, got {value!r}")
+        if entry.max_p is not None and self.max_p > entry.max_p:
+            raise ValueError(
+                f"the {self.instance} instance supports max_p <= {entry.max_p}, got {self.max_p}"
+            )
 
-        if self.coeff_rep != "trivial" and self.instance not in registered_groups():
-            raise ValueError(
-                f"the {self.instance} instance ignores coeff_rep: it must be 'trivial', "
-                f"got {self.coeff_rep!r}"
-            )
-        if self.max_deg != 2 and self.instance in ("matrix", "cech-circle3"):
-            raise ValueError(
-                f"the {self.instance} instance ignores max_deg: it must be 2, got {self.max_deg}"
-            )
-        limit = 3 if self.instance == "matrix" else None
-        if self.instance.startswith("pair-r"):
-            limit = int(self.instance[len("pair-r"):])
-        if limit is not None and self.max_p > limit:
-            raise ValueError(
-                f"the {self.instance} instance supports max_p <= {limit}, got {self.max_p}"
-            )
+
+class Instance(NamedTuple):
+    """A registered instance: its ``suite(config)`` (check records, expected
+    failures), its ``max_p`` limit (None: any) and the options it ``reads``."""
+
+    suite: Callable[[RunConfig], Tuple[List[dict], Tuple[str, ...]]]
+    max_p: Optional[int]
+    reads: Tuple[str, ...]
+
+
+# The suites name the instance builders at call time, so that a builder
+# rebound in this module (as perfbench/layers.py traces) is the one called.
+def _checks(inst, config: RunConfig):
+    return verify_instance(inst, seed=config.seed, trials=config.trials), expected_failures(inst)
+
+
+def _matrix_suite(config: RunConfig):
+    return _checks(matrix_instance(config.seed, max_p=config.max_p), config)
+
+
+def _group_suite(config: RunConfig):
+    group = build_group(config.instance)
+    rep = standard_poly_rep(group) if config.coeff_rep == "standard" else trivial_poly_rep(group)
+    inst = build_double_complex(group, rep, max_p=config.max_p, sample_deg=config.max_deg)
+    return _checks(inst, config)
+
+
+def _pair_suite(n: int, config: RunConfig):
+    return verify_pair(n, config.seed, config.trials, config.max_p, config.max_deg), ()
+
+
+def _cech_suite(config: RunConfig):
+    # the three-arc cover has no triple intersections: p <= 1 at most
+    inst = cech_instance()
+    return _checks(dataclasses.replace(inst, max_p=min(config.max_p, inst.max_p)), config)
+
+
+#: Every instance ``verify`` runs, in ``list-instances`` order.
+INSTANCES: Dict[str, Instance] = {
+    "matrix": Instance(_matrix_suite, 3, ()),
+    **{name: Instance(_group_suite, None, ("coeff_rep", "max_deg")) for name in GROUPS},
+    **{f"pair-r{n}": Instance(partial(_pair_suite, n), n, ("max_deg",)) for n in (1, 2, 3)},
+    "cech-circle3": Instance(_cech_suite, None, ()),
+}
 
 
 def instance_names() -> List[str]:
-    from .nilgroup import registered_groups
-
-    return (
-        ["matrix"]
-        + registered_groups()
-        + ["pair-r1", "pair-r2", "pair-r3", "cech-circle3"]
-    )
-
-
-def _instance(config: RunConfig):
-    """The double complex instance that a run of any instance but
-    ``pair-r<n>`` verifies."""
-    name = config.instance
-    if name == "matrix":
-        from .perturb import matrix_instance
-
-        return matrix_instance(config.seed, max_p=config.max_p)
-    if name == "cech-circle3":
-        from .cech_derham import cech_instance
-
-        # the three-arc cover has no triple intersections: p <= 1 at most
-        inst = cech_instance()
-        return dataclasses.replace(inst, max_p=min(config.max_p, inst.max_p))
-    from .nilgroup import build_group, trivial_poly_rep
-    from .vanest import build_double_complex, standard_poly_rep
-
-    group = build_group(name)
-    rep = standard_poly_rep(group) if config.coeff_rep == "standard" else trivial_poly_rep(group)
-    return build_double_complex(group, rep, max_p=config.max_p, sample_deg=config.max_deg)
+    return list(INSTANCES)
 
 
 def run_verify(config: RunConfig) -> Tuple[int, dict]:
@@ -413,19 +432,7 @@ def run_verify(config: RunConfig) -> Tuple[int, dict]:
     (exit code, JSON-ready report).  The side checks of an instance whose
     side conditions fail must fail with a witness; they are reported as
     expected failures."""
-    from .perturb import expected_failures, verify_instance
-
-    name = config.instance
-    if name.startswith("pair-r"):
-        from .pairgpd import verify_pair
-
-        n = int(name[len("pair-r"):])
-        checks = verify_pair(n, config.seed, config.trials, config.max_p, config.max_deg)
-        expected_fail = ()
-    else:
-        inst = _instance(config)
-        checks = verify_instance(inst, seed=config.seed, trials=config.trials)
-        expected_fail = expected_failures(inst)
+    checks, expected_fail = INSTANCES[config.instance].suite(config)
 
     unexpected = 0
     witnessed = {check: 0 for check in expected_fail}
@@ -485,9 +492,6 @@ def _cochain_degree(poly: MultiPoly) -> int:
 def apply_map(config: RunConfig, map_name: str, text: str) -> str:
     """Apply the differentiation (``ve``) or integration (``integrate``)
     map to a parsed expression; returns the serialized exact result."""
-    from .nilgroup import GroupCochain, build_group
-    from .vanest import r_closed, ve_closed
-
     if config.coeff_rep != "trivial":
         raise ValueError("expression maps support trivial coefficients only")
     group = build_group(config.instance)
@@ -519,8 +523,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--instance", required=True)
+    def common(p, choices=None):
+        p.add_argument("--instance", required=True, choices=choices)
         p.add_argument("--report", help="write the JSON report / result here")
         return p
 
@@ -530,9 +534,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--coeff-rep", default="trivial")
-    # the maps read only the instance: any other bound would go unused
+    # the maps read only the instance, a group: any other bound would go unused
     for name, what in (("ve", "differentiation"), ("integrate", "integration")):
-        pm = common(sub.add_parser(name, help=f"apply the {what} map"))
+        pm = common(sub.add_parser(name, help=f"apply the {what} map"), registered_groups())
         pm.add_argument("input", help="expression file, or - for stdin")
     sub.add_parser("list-instances", help="print registered instance names")
     return ap
@@ -562,8 +566,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     if args.command == "list-instances":
-        for name in instance_names():
-            print(name)
+        print("\n".join(instance_names()))
         return 0
 
     # ve and integrate take no bounds: RunConfig's defaults stand for them

@@ -353,8 +353,10 @@ def filiform4() -> LieAlgebra:
 
 
 #: The (row, column) unit entries of rho_*(e_1), ..., rho_*(e_n) in a
-#: faithful nilpotent representation of each registered non-abelian algebra.
+#: faithful nilpotent representation of each registered algebra.
 STANDARD_GENERATORS = {
+    # an abelian algebra acts by translations: rho_*(e_i) = E_{1, i+1}
+    **{f"abelian-{n}": tuple(((0, i),) for i in range(1, n + 1)) for n in (1, 2, 3)},
     "heisenberg3": (((0, 1),), ((1, 2),), ((0, 2),)),  # [E12, E23] = E13
     # X1 = E12 + E23, X2 = E35, X3 = [X1, X2] = E25, X4 = [X1, X3] = E15
     "filiform4": (((0, 1), (1, 2)), ((2, 4),), ((1, 4),), ((0, 4),)),
@@ -364,14 +366,10 @@ STANDARD_GENERATORS = {
 def standard_rep(alg: LieAlgebra) -> Representation:
     """A faithful nilpotent representation: rho_*(e_i) is the sum of the
     unit matrices at the table's entries for e_i, of size one more than the
-    largest index, and an abelian algebra acts by translations,
-    rho_*(e_i) = E_{1, i+1}.  Representation checks the bracket relations."""
-    if alg.nilpotency_class == 1:
-        generators = tuple(((0, i),) for i in range(1, alg.dim + 1))
-    elif alg.name in STANDARD_GENERATORS:
-        generators = STANDARD_GENERATORS[alg.name]
-    else:
+    largest index.  Representation checks the bracket relations."""
+    if alg.name not in STANDARD_GENERATORS:
         raise LieAlgebraError(f"no standard representation for {alg.name}")
+    generators = STANDARD_GENERATORS[alg.name]
     size = 1 + max(max(entry) for entries in generators for entry in entries)
     matrices = tuple(
         tuple(tuple(Fraction(int((r, c) in entries)) for c in range(size)) for r in range(size))

@@ -4,7 +4,7 @@ The group law in exponential coordinates comes from the Baker-Campbell-
 Hausdorff series, truncated at the nilpotency class (exact for class <= 4,
 the supported range).  Everything downstream is a polynomial identity and
 is verified as such at construction time: unit laws, associativity,
-inverses.
+inverses.  ``GROUPS`` registers each group by the constructor of its algebra.
 
 Also provides the left-invariant frame, the dual coframe (with polynomial
 entries, by unipotence of the Jacobian), polynomial group cochains with
@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .forms import Chart, PolyForm, PolyVF
-from .liealg import LieAlgebra, Representation, trivial_rep
+from .liealg import LieAlgebra, Representation, abelian, filiform4, heisenberg3, trivial_rep
 from .polyalg import (
     VECTORS, Linear, MultiPoly, Rat, identity, is_zero, mat_add, mat_mul, mat_scale, mat_vec,
     slot_shift,
@@ -446,18 +446,19 @@ def group_delta(f: GroupCochain) -> GroupCochain:
 # Registry
 
 
+#: Each registered group's name and the constructor of its Lie algebra.
+GROUPS: Dict[str, Callable[[], LieAlgebra]] = {
+    **{f"abelian-{n}": partial(abelian, n) for n in (1, 2, 3)},
+    "heisenberg3": heisenberg3,
+    "filiform4": filiform4,
+}
+
+
 def registered_groups() -> List[str]:
-    return ["abelian-1", "abelian-2", "abelian-3", "heisenberg3", "filiform4"]
+    return list(GROUPS)
 
 
 def build_group(name: str) -> PolyGroup:
-    from . import liealg
-
-    if name.startswith("abelian-"):
-        n = int(name.split("-")[1])
-        return bch_multiplication(liealg.abelian(n))
-    if name == "heisenberg3":
-        return bch_multiplication(liealg.heisenberg3())
-    if name == "filiform4":
-        return bch_multiplication(liealg.filiform4())
-    raise GroupError(f"unknown group {name!r}")
+    if name not in GROUPS:
+        raise GroupError(f"unknown group {name!r}")
+    return bch_multiplication(GROUPS[name]())

@@ -68,10 +68,6 @@ def canonical_vars(names: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(set(names), key=var_key))
 
 
-def rat(value: Union[int, str, Rat]) -> Rat:
-    return Fraction(value)
-
-
 def format_rat(r: Rat) -> str:
     """Serialize as ``num/den``, omitting the denominator when it is 1."""
     if r.denominator == 1:

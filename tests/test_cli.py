@@ -26,6 +26,7 @@ from cochainlab.cli import (
 )
 from cochainlab.forms import PolyForm
 from cochainlab.liealg import CEElement, abelian, heisenberg3
+from cochainlab.nilgroup import registered_groups
 from cochainlab.polyalg import MultiPoly, to_string
 
 from conftest import COEFFS
@@ -307,3 +308,69 @@ def test_report_digests_pinned():
         report = run_verify(RunConfig(name, max_p=1, trials=1, seed=3, coeff_rep=rep))[1]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == REPORT_DIGESTS[name, rep], (name, rep)
+
+
+def _cubic_terms(rng, count):
+    """``count`` random cubic terms in g1_*..g4_*, as (text, polynomial)."""
+    names = [f"g{i}_{j}" for i in range(1, 5) for j in range(1, 4)]
+    terms = []
+    for _ in range(count):
+        coef = rng.choice([c for c in COEFFS if c])
+        factors = rng.sample(names, 3)
+        poly = MultiPoly.const(coef)
+        for name in factors:
+            poly = poly * MultiPoly.var(name)
+        text = "*".join([f"{abs(coef.numerator)}/{coef.denominator}", *factors])
+        terms.append(("-" if coef < 0 else "+", text, poly))
+    return terms
+
+
+def test_long_sum_parses_to_the_term_by_term_sum():
+    terms = _cubic_terms(random.Random(17), 800)
+    expected = MultiPoly.zero()
+    for _, _, poly in terms:
+        expected = expected + poly
+    parsed = parse_expr(" ".join(f"{sign} {text}" for sign, text, _ in terms))
+    assert parsed == expected
+    assert to_string(parsed) == to_string(expected)
+
+
+def test_cancelling_sum_parses_to_zero():
+    terms = _cubic_terms(random.Random(18), 200)
+    flip = {"+": "-", "-": "+"}
+    chunks = [f"{sign} {text}" for sign, text, _ in terms]
+    chunks += [f"{flip[sign]} {text}" for sign, text, _ in reversed(terms)]
+    parsed = parse_expr(" ".join(chunks))
+    assert parsed.is_zero() and parsed == MultiPoly.zero()
+    # a sum that cancels is the scalar zero, so it may be raised to a power
+    assert parse_expr("(g1_1 - g1_1)^2 + 3").constant_value() == 3
+
+
+@pytest.mark.parametrize("name", ["abelian-7", "pair-r4"])
+def test_unregistered_instance_rejected(name):
+    with pytest.raises(ValueError, match=f"unknown instance '{name}'"):
+        RunConfig(name, max_p=1)
+
+
+@pytest.mark.parametrize("command", ["ve", "integrate"])
+@pytest.mark.parametrize("name", ["matrix", "pair-r2", "cech-circle3"])
+def test_maps_take_only_group_instances(monkeypatch, capsys, command, name):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1"))
+    assert main([command, "-", "--instance", name]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: '{name}'" in err
+    assert "max_p" not in err and "unknown group" not in err
+
+
+def test_group_instances_are_the_registered_groups():
+    """Exactly the group instances honour coeff_rep, and they are listed in
+    the order of the group registry."""
+
+    def honours_coeff_rep(name):
+        try:
+            RunConfig(name, max_p=1, coeff_rep="standard")
+        except ValueError:
+            return False
+        return True
+
+    assert [name for name in instance_names() if honours_coeff_rep(name)] == registered_groups()

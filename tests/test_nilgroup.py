@@ -328,3 +328,9 @@ def test_swapped_generators_rejected(monkeypatch, name):
     monkeypatch.setitem(liealg.STANDARD_GENERATORS, name, (second, first, *rest))
     with pytest.raises(liealg.LieAlgebraError):
         standard_poly_rep(build_group(name))
+
+
+@pytest.mark.parametrize("name", ["abelian-7", "abelian-x", "matrix"])
+def test_unregistered_name_is_an_unknown_group(name):
+    with pytest.raises(GroupError, match=f"unknown group '{name}'"):
+        build_group(name)
