@@ -1,12 +1,16 @@
 """Exact Cech-de Rham double complex of an arc cover of the circle R/Z.
 
-Functions are piecewise polynomials with rational breakpoints; forms in
-degree one are f dx.  The horizontal contraction comes from a piecewise
-linear partition of unity (the collating zig-zag of a cocycle produces a
-global form); the vertical contraction integrates per-intersection
-primitives based at arc midpoints.  All double complex identities hold
-exactly; the side conditions h k = 0 and p-hat k = 0 genuinely FAIL here,
-which is the documented counterexample to the zig-zag back-and-forth.
+Each cover has one grid of rational cuts: its arc endpoints and the
+breakpoints of its partition of unity.  A function is one polynomial per
+grid cell of its domain, and a domain (an arc or an intersection of arcs)
+is a set of cells, so sums, products and restrictions go cell by cell.
+Forms in degree one are f dx.  The horizontal contraction comes from a
+piecewise linear partition of unity (the collating zig-zag of a cocycle
+produces a global form); the vertical contraction integrates
+per-intersection primitives based at arc midpoints.  All double complex
+identities hold exactly; the side conditions h k = 0 and p-hat k = 0
+genuinely FAIL here, which is the documented counterexample to the zig-zag
+back-and-forth.
 
 Default cover: three arcs of length 1/2 centered at 0, 1/3, 2/3, with hat
 functions crossfading on the middle half of each overlap (so supports are
@@ -15,10 +19,12 @@ strictly inside the arcs and extension by zero is exact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy
 from .polyalg import SCALARS, Linear, MultiPoly, sort_sign, sparse, to_string
@@ -42,7 +48,7 @@ class NonContractibleIntersection(CechError):
 
 
 # ---------------------------------------------------------------------------
-# Circle interval arithmetic (fundamental domain [0, 1))
+# Arcs and grid cells
 
 
 def arc_intervals(a: Fraction, b: Fraction) -> Tuple[Interval, ...]:
@@ -55,20 +61,15 @@ def arc_intervals(a: Fraction, b: Fraction) -> Tuple[Interval, ...]:
     return ((a, Fraction(1)), (Fraction(0), b - 1))
 
 
-def intersect_intervals(
-    xs: Sequence[Interval], ys: Sequence[Interval]
-) -> Tuple[Interval, ...]:
-    out = []
-    for lo1, hi1 in xs:
-        for lo2, hi2 in ys:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo < hi:
-                out.append((lo, hi))
-    return tuple(sorted(out))
-
-
-def _length(ivs: Sequence[Interval]) -> Fraction:
-    return sum((hi - lo for lo, hi in ivs), Fraction(0))
+def arc_cells(domain: AbstractSet[int], n: int) -> List[int]:
+    """The cells of a single arc of an n-cell grid in circular order: from
+    the cell after the arc's one gap (cell 0 when it has none), wrapping
+    through 0 when the arc does."""
+    starts = [k for k in domain if (k - 1) % n not in domain]
+    if len(starts) > 1:
+        raise NonContractibleIntersection("domain is not a single arc")
+    start = starts[0] if starts else 0
+    return [(start + i) % n for i in range(len(domain))]
 
 
 # ---------------------------------------------------------------------------
@@ -94,80 +95,80 @@ def _eval(p: MultiPoly, v: Fraction) -> Fraction:
 
 
 class PwPoly(Linear):
-    """Piecewise polynomial on a union of fundamental-domain intervals.
+    """Piecewise polynomial on a fixed grid of the fundamental domain.
 
-    segments: sorted disjoint (lo, hi, MultiPoly-in-x) triples; the union
-    of the intervals is the (fixed) domain.  Values outside the domain are
-    undefined, not zero.
+    grid: the cuts 0 = c_0 < c_1 < ... < c_n = 1.  cells: one entry per
+    cell [c_k, c_{k+1}), a MultiPoly in x, or None outside the domain.
+    Values outside the domain are undefined, not zero.  The functions of a
+    cover all live on its one grid, so sums and products go cell by cell.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("grid", "cells")
 
-    def __init__(self, segments: Sequence[Tuple[Fraction, Fraction, MultiPoly]]):
-        segs = sorted(
-            (Fraction(lo), Fraction(hi), poly) for lo, hi, poly in segments if lo < hi
-        )
-        for (lo1, hi1, _), (lo2, _h, _p) in zip(segs, segs[1:]):
-            if hi1 > lo2:
-                raise CechError("overlapping segments")
-        super().__init__(tuple(segs))
+    def __init__(self, grid: Sequence[Fraction], cells: Sequence[Optional[MultiPoly]]):
+        grid = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in grid)
+        steps = zip(grid, grid[1:])
+        if len(grid) < 2 or grid[0] != 0 or grid[-1] != 1 or any(a >= b for a, b in steps):
+            raise CechError(f"bad grid {grid}")
+        if len(cells) != len(grid) - 1:
+            raise CechError("a PwPoly has one entry per grid cell")
+        super().__init__(grid, tuple(cells))
 
     def _shape(self):
-        """The domain as maximal intervals: what ``_aligned`` requires two
-        summands to share."""
-        out: List[Interval] = []
-        for lo, hi, _ in self.segments:
-            if out and out[-1][1] == lo:
-                lo = out.pop()[0]
-            out.append((lo, hi))
-        return tuple(out)
+        return self.grid, self.domain()
 
     @staticmethod
-    def on(domain: Sequence[Interval], poly: MultiPoly) -> "PwPoly":
-        return PwPoly([(lo, hi, poly) for lo, hi in domain])
+    def on(grid: Sequence[Fraction], domain: AbstractSet[int], poly: MultiPoly) -> "PwPoly":
+        return PwPoly(grid, [poly if k in domain else None for k in range(len(grid) - 1)])
 
     @staticmethod
-    def zero(domain: Sequence[Interval]) -> "PwPoly":
-        return PwPoly.on(domain, MultiPoly.zero())
+    def zero(grid: Sequence[Fraction], domain: AbstractSet[int]) -> "PwPoly":
+        return PwPoly.on(grid, domain, MultiPoly.zero())
 
-    def domain(self) -> Tuple[Interval, ...]:
-        return tuple((lo, hi) for lo, hi, _ in self.segments)
+    def domain(self) -> FrozenSet[int]:
+        return frozenset(k for k, p in enumerate(self.cells) if p is not None)
 
-    def _aligned(self, other: "PwPoly"):
-        cuts = sorted(
-            {c for lo, hi, _ in self.segments for c in (lo, hi)}
-            | {c for lo, hi, _ in other.segments for c in (lo, hi)}
-        )
+    def _zip(self, other: "PwPoly", op) -> "PwPoly":
+        if type(other) is not PwPoly or other.grid != self.grid:
+            raise CechError("PwPoly grid mismatch")
+        cells = []
+        for p, q in zip(self.cells, other.cells):
+            if (p is None) != (q is None):
+                raise CechError("PwPoly domain mismatch")
+            cells.append(None if p is None else op(p, q))
+        return self._like(tuple(cells))
 
-        def resplit(f: "PwPoly"):
-            segs = []
-            for lo, hi, poly in f.segments:
-                pts = [lo] + [c for c in cuts if lo < c < hi] + [hi]
-                for a_, b_ in zip(pts, pts[1:]):
-                    segs.append((a_, b_, poly))
-            return segs
-
-        a, b = resplit(self), resplit(other)
-        if [s[:2] for s in a] != [s[:2] for s in b]:
-            raise CechError("PwPoly domain mismatch")
-        return a, b
+    def _map(self, op) -> "PwPoly":
+        return self._like(tuple(None if p is None else op(p) for p in self.cells))
 
     def __add__(self, other: "PwPoly") -> "PwPoly":
-        # The alignment is the shape check: it raises on a domain mismatch.
-        a, b = self._aligned(other)
-        return PwPoly([(lo, hi, p + q) for (lo, hi, p), (_, _, q) in zip(a, b)])
+        return self._zip(other, operator.add)
 
     def __mul__(self, other):
         if isinstance(other, PwPoly):
-            a, b = self._aligned(other)
-            return PwPoly([(lo, hi, p * q) for (lo, hi, p), (_, _, q) in zip(a, b)])
-        return self._like(tuple((lo, hi, p * other) for lo, hi, p in self.segments))
+            return self._zip(other, operator.mul)
+        return self._map(lambda p: p * other)
 
     def __neg__(self) -> "PwPoly":
-        return self._like(tuple((lo, hi, -p) for lo, hi, p in self.segments))
+        return self._map(operator.neg)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for _, _, p in self.segments)
+        return all(p is None or p.is_zero() for p in self.cells)
+
+    @property
+    def segments(self) -> Tuple[Tuple[Fraction, Fraction, MultiPoly], ...]:
+        """(lo, hi, poly) per maximal run of adjacent cells carrying one
+        polynomial: a read-out that does not depend on how the function
+        was computed."""
+        runs: List[list] = []
+        for k, p in enumerate(self.cells):
+            if p is None:
+                continue
+            if runs and runs[-1][1] == k and runs[-1][2] == p:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1, p])
+        return tuple((self.grid[a], self.grid[b], p) for a, b, p in runs)
 
     def __repr__(self):
         body = ", ".join(
@@ -176,46 +177,36 @@ class PwPoly(Linear):
         return f"PwPoly({body})"
 
     def diff(self) -> "PwPoly":
-        return PwPoly([(lo, hi, p.diff(X)) for lo, hi, p in self.segments])
+        return self._map(lambda p: p.diff(X))
 
-    def restrict(self, domain: Sequence[Interval]) -> "PwPoly":
-        out = []
-        for lo, hi, poly in self.segments:
-            for a, b in domain:
-                l, h = max(lo, a), min(hi, b)
-                if l < h:
-                    out.append((l, h, poly))
-        res = PwPoly(out)
-        if _length(res.domain()) != _length(domain):
+    def refine(self, grid: Sequence[Fraction]) -> "PwPoly":
+        """The same function on a grid that holds every cut of this one."""
+        if not set(self.grid) <= set(grid):
+            raise CechError("a refinement keeps every cut")
+        return PwPoly(grid, [self.cells[bisect_right(self.grid, lo) - 1] for lo in grid[:-1]])
+
+    def restrict(self, domain: AbstractSet[int]) -> "PwPoly":
+        if any(self.cells[k] is None for k in domain):
             raise CechError("restriction target not contained in domain")
-        return res
+        return self._like(tuple(p if k in domain else None for k, p in enumerate(self.cells)))
 
-    def extend_zero(self, domain: Sequence[Interval]) -> "PwPoly":
+    def extend_zero(self, domain: AbstractSet[int]) -> "PwPoly":
         """Extend by zero to a larger domain; the function must already be
         (piecewise) zero near its boundary for this to be exact, which
         holds for partition-of-unity products."""
-        out = list(self.segments)
-        own = self.domain()
-        for a, b in domain:
-            cuts = [a] + sorted(
-                {c for lo, hi in own for c in (lo, hi) if a < c < b}
-            ) + [b]
-            for l, h in zip(cuts, cuts[1:]):
-                covered = any(lo <= l and h <= hi for lo, hi in own)
-                if not covered:
-                    out.append((l, h, MultiPoly.zero()))
-        return PwPoly(out)
+        zero = MultiPoly.zero()
+        cells = (zero if p is None and k in domain else p for k, p in enumerate(self.cells))
+        return self._like(tuple(cells))
 
     def eval(self, point: Fraction) -> Fraction:
         point = Fraction(point) % 1
-        for lo, hi, poly in self.segments:
-            if lo <= point < hi:
-                return _eval(poly, point)
-        # allow evaluation at a right endpoint by continuity of the piece
-        for lo, hi, poly in self.segments:
-            if point == hi:
-                return _eval(poly, point)
-        raise CechError(f"point {point} outside domain")
+        k = bisect_right(self.grid, point) - 1
+        if self.cells[k] is None and k > 0 and self.grid[k] == point:
+            # a right endpoint, by continuity of the piece left of it
+            k -= 1
+        if self.cells[k] is None:
+            raise CechError(f"point {point} outside domain")
+        return _eval(self.cells[k], point)
 
     def integrate(self) -> Fraction:
         total = Fraction(0)
@@ -225,14 +216,12 @@ class PwPoly(Linear):
         return total
 
     def is_continuous(self) -> bool:
-        """Continuity at interior junctions (shared endpoints, including
-        the wrap 1 = 0 when both sides are present)."""
-        segs = self.segments
-        for (lo1, hi1, p1), (lo2, hi2, p2) in zip(segs, segs[1:]):
-            if hi1 == lo2 and _eval(p1, hi1) != _eval(p2, lo2):
-                return False
-        if segs and segs[0][0] == 0 and segs[-1][1] == 1:
-            if _eval(segs[-1][2], Fraction(1)) != _eval(segs[0][2], Fraction(0)):
+        """Continuity at every junction of two domain cells, including the
+        wrap 1 = 0."""
+        n = len(self.cells)
+        for k, p in enumerate(self.cells):
+            q, cut = self.cells[(k + 1) % n], self.grid[k + 1]
+            if p is not None and q is not None and _eval(p, cut) != _eval(q, cut % 1):
                 return False
         return True
 
@@ -240,41 +229,17 @@ class PwPoly(Linear):
         """Continuous primitive on a single-arc domain, vanishing at the
         basepoint.  Walks the arc in circular order (continuity across the
         wrap 1 = 0 when the arc straddles it)."""
-        segs = list(self.segments)
-        if not segs:
-            return self
-        wraps = segs[0][0] == 0 and segs[-1][1] == 1 and _length(self.domain()) < 1
-        if wraps:
-            # start at the end of the complement gap
-            gap_end = None
-            for (l1, h1), (l2, h2) in zip(self.domain(), self.domain()[1:]):
-                if h1 < l2:
-                    if gap_end is not None:
-                        raise NonContractibleIntersection(
-                            "domain is not a single arc"
-                        )
-                    gap_end = l2
-            if gap_end is None:
-                raise NonContractibleIntersection("domain is not a single arc")
-            order = [s for s in segs if s[0] >= gap_end] + [
-                s for s in segs if s[0] < gap_end
-            ]
-        else:
-            for (l1, h1), (l2, h2) in zip(self.domain(), self.domain()[1:]):
-                if h1 < l2:
-                    raise NonContractibleIntersection("domain is not a single arc")
-            order = segs
-        out = []
+        cells = list(self.cells)
         const = Fraction(0)
-        for lo, hi, poly in order:
-            prim = _antideriv(poly)
+        for k in arc_cells(self.domain(), len(cells)):
+            prim = _antideriv(cells[k])
             # continuity at the junction (possibly across the wrap): const
-            # currently holds the running value at the start of this piece
-            const = const - _eval(prim, Fraction(lo))
-            out.append((lo, hi, prim + MultiPoly.const(const)))
-            const = const + _eval(prim, Fraction(hi))
-        res = PwPoly(out)
-        return res - PwPoly.on(res.domain(), MultiPoly.const(res.eval(basepoint)))
+            # currently holds the running value at the start of this cell
+            const = const - _eval(prim, self.grid[k])
+            cells[k] = prim + MultiPoly.const(const)
+            const = const + _eval(prim, self.grid[k + 1])
+        res = self._like(tuple(cells))
+        return res - PwPoly.on(self.grid, self.domain(), MultiPoly.const(res.eval(basepoint)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,65 +248,73 @@ class PwPoly(Linear):
 
 @dataclass(frozen=True)
 class CoverSpec:
+    """An arc cover of the circle with a partition of unity and basepoints.
+
+    The cover's one grid comes from its own data: the arc endpoints (mod 1)
+    and the partition functions' cuts.  The partition functions are re-read
+    on it, every function of the cover lives on it, and an intersection of
+    arcs is a set of its cells.
+    """
+
     arcs: Tuple[Tuple[Fraction, Fraction], ...]
     pou: Tuple[PwPoly, ...]  # full-circle functions, supp strictly in arcs
     basepoints: Tuple[Fraction, ...]  # one per arc (for the vertical homotopy)
+    grid: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _arc_cells: Tuple[FrozenSet[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        total = self.pou[0]
-        for chi in self.pou[1:]:
-            total = total + chi
-        if not total == PwPoly.on(total.domain(), MultiPoly.const(1)):
+        cuts = {Fraction(0), Fraction(1)}
+        for i in range(len(self.arcs)):
+            cuts.update(c for iv in self.intervals(i) for c in iv)
+        for chi in self.pou:
+            cuts.update(chi.grid)
+        grid = tuple(sorted(cuts))
+        # a cell lies in an arc when its left end does, read mod 1
+        arcs = tuple(
+            frozenset(k for k, lo in enumerate(grid[:-1]) if (lo - a) % 1 < b - a)
+            for a, b in self.arcs
+        )
+        pou = tuple(chi.refine(grid) for chi in self.pou)
+        for name, value in (("grid", grid), ("_arc_cells", arcs), ("pou", pou)):
+            object.__setattr__(self, name, value)
+        circle = self.intersection(())
+        if not sum(pou[1:], pou[0]) == PwPoly.on(grid, circle, MultiPoly.const(1)):
             raise CechError("partition of unity does not sum to 1")
-        for (a, b), chi in zip(self.arcs, self.pou):
-            outside = _complement(arc_intervals(a, b))
-            if not chi.restrict(outside).is_zero():
+        for cells, chi in zip(arcs, pou):
+            if not chi.restrict(circle - cells).is_zero():
                 raise CechError("partition function not supported in its arc")
 
     def intervals(self, i: int) -> Tuple[Interval, ...]:
         return arc_intervals(*self.arcs[i])
 
-    def intersection(self, idx: Sequence[int]) -> Tuple[Interval, ...]:
-        ivs = self.intervals(idx[0])
-        for i in idx[1:]:
-            ivs = intersect_intervals(ivs, self.intervals(i))
-        return ivs
+    def intersection(self, idx: Sequence[int]) -> FrozenSet[int]:
+        """The grid cells of the intersection of the arcs ``idx``; the empty
+        index gives the whole circle."""
+        cells = frozenset(range(len(self.grid) - 1))
+        return cells.intersection(*(self._arc_cells[i] for i in idx))
 
     def intersection_basepoint(self, idx: Sequence[int]) -> Fraction:
-        ivs = self.intersection(idx)
-        if not ivs:
+        order = arc_cells(self.intersection(idx), len(self.grid) - 1)
+        if not order:
             raise CechError("empty intersection has no basepoint")
         if len(idx) == 1:
             return self.basepoints[idx[0]]
-        # midpoint of the (assumed single) overlap arc
-        if len(ivs) != 1:
-            raise NonContractibleIntersection("intersection is not a single arc")
-        lo, hi = ivs[0]
-        return (lo + hi) / 2
+        # midpoint of the overlap arc, which may wrap through 0
+        lo, hi = self.grid[order[0]], self.grid[order[-1] + 1]
+        if order[-1] < order[0]:
+            hi += 1
+        return (lo + hi) / 2 % 1
 
 
-def _complement(ivs: Sequence[Interval]) -> Tuple[Interval, ...]:
-    cuts = sorted(ivs)
-    out = []
-    prev = Fraction(0)
-    for lo, hi in cuts:
-        if prev < lo:
-            out.append((prev, lo))
-        prev = hi
-    if prev < 1:
-        out.append((prev, Fraction(1)))
-    return tuple(out)
-
-
-def _pl(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Tuple[Fraction, Fraction, MultiPoly]]:
-    """Linear segments through consecutive (x, value) points."""
-    segs = []
+def _pl(points: Sequence[Tuple[Fraction, Fraction]]) -> PwPoly:
+    """The piecewise linear function through consecutive (x, value) points
+    from x = 0 to x = 1."""
     x = MultiPoly.var(X)
-    for (x0, v0), (x1, v1) in zip(points, points[1:]):
-        slope = (v1 - v0) / (x1 - x0)
-        poly = MultiPoly.const(v0) + (x - MultiPoly.const(x0)) * slope
-        segs.append((x0, x1, poly))
-    return segs
+    cells = [
+        MultiPoly.const(v0) + (x - MultiPoly.const(x0)) * ((v1 - v0) / (x1 - x0))
+        for (x0, v0), (x1, v1) in zip(points, points[1:])
+    ]
+    return PwPoly([x0 for x0, _ in points], cells)
 
 
 def default_cover() -> CoverSpec:
@@ -350,28 +323,12 @@ def default_cover() -> CoverSpec:
     F = Fraction
     arcs = ((F(3, 4), F(5, 4)), (F(1, 12), F(7, 12)), (F(5, 12), F(11, 12)))
     one, zero = F(1), F(0)
-
-    def hat(pts):
-        return PwPoly(_pl(pts))
-
-    chi0 = hat(
-        [
-            (F(0), one), (F(1, 8), one), (F(5, 24), zero),
-            (F(19, 24), zero), (F(21, 24), one), (F(1), one),
-        ]
-    )
-    chi1 = hat(
-        [
-            (F(0), zero), (F(1, 8), zero), (F(5, 24), one),
-            (F(11, 24), one), (F(13, 24), zero), (F(1), zero),
-        ]
-    )
-    chi2 = hat(
-        [
-            (F(0), zero), (F(11, 24), zero), (F(13, 24), one),
-            (F(19, 24), one), (F(21, 24), zero), (F(1), zero),
-        ]
-    )
+    chi0 = _pl([(F(0), one), (F(1, 8), one), (F(5, 24), zero),
+                (F(19, 24), zero), (F(21, 24), one), (F(1), one)])
+    chi1 = _pl([(F(0), zero), (F(1, 8), zero), (F(5, 24), one),
+                (F(11, 24), one), (F(13, 24), zero), (F(1), zero)])
+    chi2 = _pl([(F(0), zero), (F(11, 24), zero), (F(13, 24), one),
+                (F(19, 24), one), (F(21, 24), zero), (F(1), zero)])
     basepoints = (F(0), F(1, 3), F(2, 3))
     return CoverSpec(arcs, (chi0, chi1, chi2), basepoints)
 
@@ -397,7 +354,9 @@ class CechForm(Linear):
             dom = cover.intersection(idx)
             if not dom:
                 raise CechError(f"empty intersection {idx}")
-            if fn.domain() != PwPoly.zero(dom).domain():
+            if fn.grid != cover.grid:
+                raise CechError(f"component {idx} is not on the cover's grid")
+            if fn.domain() != dom:
                 fn = fn.restrict(dom)
             if not fn.is_zero():
                 clean[idx] = fn
@@ -412,13 +371,10 @@ class CechForm(Linear):
 
     def component(self, idx: Sequence[int]) -> Optional[PwPoly]:
         sidx, sign = sort_sign(idx)
-        if sidx is None:
-            dom = self.cover.intersection(tuple(sorted(set(idx))))
-            return PwPoly.zero(dom) if dom else None
-        fn = self.comps.get(sidx)
+        fn = None if sidx is None else self.comps.get(sidx)
         if fn is None:
-            dom = self.cover.intersection(sidx)
-            return PwPoly.zero(dom) if dom else None
+            dom = self.cover.intersection(idx)
+            return PwPoly.zero(self.cover.grid, dom) if dom else None
         return fn if sign == 1 else -fn
 
     def __repr__(self):
@@ -469,11 +425,7 @@ class ConstCochain(Linear):
 
 
 def _nonempty_tuples(cover: CoverSpec, r: int) -> List[Index]:
-    out = []
-    for idx in combinations(range(len(cover.arcs)), r):
-        if cover.intersection(idx):
-            out.append(idx)
-    return out
+    return [idx for idx in combinations(range(len(cover.arcs)), r) if cover.intersection(idx)]
 
 
 def cech_delta(w: CechForm) -> CechForm:
@@ -485,7 +437,7 @@ def cech_delta(w: CechForm) -> CechForm:
     out: Dict[Index, PwPoly] = {}
     for idx in _nonempty_tuples(cover, w.p + 2):
         dom = cover.intersection(idx)
-        acc = PwPoly.zero(dom)
+        acc = PwPoly.zero(cover.grid, dom)
         for k in range(len(idx)):
             sub = idx[:k] + idx[k + 1 :]
             fn = w.component(sub)
@@ -504,43 +456,39 @@ def cech_d(w: CechForm) -> CechForm:
     return CechForm(w.cover, w.p, w.q + 1, {i: f.diff() for i, f in w.comps.items()})
 
 
+def _pou_sum(w: CechForm, idx: Index) -> PwPoly:
+    """sum_j chi_j w_{j idx} on the intersection of ``idx`` (the circle when
+    ``idx`` is empty), each term extended by zero from its support."""
+    cover = w.cover
+    dom = cover.intersection(idx)
+    acc = PwPoly.zero(cover.grid, dom)
+    for j in range(len(cover.arcs)):
+        fn = w.component((j,) + idx)
+        if fn is None or fn.is_zero():
+            continue
+        chi = cover.pou[j].restrict(fn.domain())
+        acc = acc + (chi * fn).extend_zero(dom)
+    return acc
+
+
 def pou_h(w: CechForm) -> CechForm:
     """Partition-of-unity contraction:
-    (h w)_{i_0..i_{p-1}} = sum_j chi_j w_{j i_0..i_{p-1}} (each term
-    extended by zero from its support)."""
-    cover = w.cover
+    (h w)_{i_0..i_{p-1}} = sum_j chi_j w_{j i_0..i_{p-1}}."""
     if w.p == 0:
-        return CechForm.zero(cover, -1, w.q)
-    out: Dict[Index, PwPoly] = {}
-    for idx in _nonempty_tuples(cover, w.p):
-        dom = cover.intersection(idx)
-        acc = PwPoly.zero(dom)
-        for j in range(len(cover.arcs)):
-            fn = w.component((j,) + idx)
-            if fn is None or fn.is_zero():
-                continue
-            sup = fn.domain()
-            chi = cover.pou[j].restrict(sup)
-            acc = acc + (chi * fn).extend_zero(dom)
-        out[idx] = acc
-    return CechForm(cover, w.p - 1, w.q, out)
+        return CechForm.zero(w.cover, -1, w.q)
+    out = {idx: _pou_sum(w, idx) for idx in _nonempty_tuples(w.cover, w.p)}
+    return CechForm(w.cover, w.p - 1, w.q, out)
 
 
 def cech_p_proj(w: CechForm) -> GlobalForm:
     """p-hat: glue a 0-cochain to the global form sum_i chi_i w_i."""
-    cover = w.cover
-    full = ((Fraction(0), Fraction(1)),)
-    acc = PwPoly.zero(full)
-    for (i,), fn in w.comps.items():
-        chi = cover.pou[i].restrict(fn.domain())
-        acc = acc + (chi * fn).extend_zero(full)
-    return GlobalForm(w.q, acc)
+    return GlobalForm(w.q, _pou_sum(w, ()))
 
 
 def cech_i_inc(cover: CoverSpec, g: GlobalForm) -> CechForm:
     """i-hat: restrict a global form to each arc."""
     comps = {
-        (i,): g.fn.restrict(cover.intervals(i)) for i in range(len(cover.arcs))
+        (i,): g.fn.restrict(cover.intersection((i,))) for i in range(len(cover.arcs))
     }
     return CechForm(cover, 0, g.q, comps)
 
@@ -571,7 +519,7 @@ def cech_q_proj(w: CechForm) -> ConstCochain:
 def cech_j_inc(cover: CoverSpec, c: ConstCochain) -> CechForm:
     """j-hat: constants as locally constant functions."""
     comps = {
-        idx: PwPoly.on(cover.intersection(idx), MultiPoly.const(v))
+        idx: PwPoly.on(cover.grid, cover.intersection(idx), MultiPoly.const(v))
         for idx, v in c.comps.items()
     }
     return CechForm(cover, c.p, 0, comps)
@@ -579,7 +527,7 @@ def cech_j_inc(cover: CoverSpec, c: ConstCochain) -> CechForm:
 
 def global_d(g: GlobalForm) -> GlobalForm:
     if g.q >= 1:
-        return GlobalForm(g.q + 1, PwPoly.zero(g.fn.domain()))
+        return GlobalForm(g.q + 1, PwPoly.zero(g.fn.grid, g.fn.domain()))
     return GlobalForm(1, g.fn.diff())
 
 
@@ -612,6 +560,8 @@ def _signed(w: CechForm, p: int) -> CechForm:
 
 def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
     cover = cover if cover is not None else default_cover()
+    n = len(cover.grid) - 1
+    circle = cover.intersection(())
 
     def sample(rng, p, q):
         if q > 1:
@@ -622,26 +572,25 @@ def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
             poly = MultiPoly.zero()
             for e in range(3):
                 poly = poly + x ** e * rng.choice(SAMPLE_COEFFS)
-            dom = cover.intersection(idx)
-            segs = []
-            for lo, hi in dom:
-                # an intersection wrapping through 0 continues past x = 1:
-                # read the same polynomial at x + 1 to stay smooth on the arc
-                wrapped = len(dom) > 1 and lo == 0
-                segs.append(
-                    (lo, hi, poly.subst({X: x + MultiPoly.const(1)}) if wrapped else poly)
-                )
-            comps[idx] = PwPoly(segs)
+            order = arc_cells(cover.intersection(idx), n)
+            # an intersection wrapping through 0 continues past x = 1: its
+            # cells after the wrap read the same polynomial at x + 1 to stay
+            # smooth on the arc
+            shifted = poly.subst({X: x + MultiPoly.const(1)}) if order[-1] < order[0] else poly
+            cells = [None] * n
+            for k in order:
+                cells[k] = poly if k >= order[0] else shifted
+            comps[idx] = PwPoly(cover.grid, cells)
         return CechForm(cover, p, q, comps)
 
     def sample_x(rng, q):
         if q > 1:
-            return GlobalForm(q, PwPoly.zero(((Fraction(0), Fraction(1)),)))
+            return GlobalForm(q, PwPoly.zero(cover.grid, circle))
         x = MultiPoly.var(X)
         # continuous on the circle: a * x (1 - x) + b keeps period-1 continuity
         a, b = rng.choice(SAMPLE_COEFFS), rng.choice(SAMPLE_COEFFS)
         poly = x * (MultiPoly.const(1) - x) * a + MultiPoly.const(b)
-        return GlobalForm(q, PwPoly.on(((Fraction(0), Fraction(1)),), poly))
+        return GlobalForm(q, PwPoly.on(cover.grid, circle, poly))
 
     def sample_y(rng, p):
         comps = {

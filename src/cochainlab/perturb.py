@@ -147,7 +147,8 @@ def neumann_apply(
     inst: DoubleComplexInstance, which: str, p: int, q: int, x
 ) -> Graded:
     """(1 + dh)^{-1} x (which='horizontal') or (1 + delta k)^{-1} x
-    (which='vertical'), as the finite alternating sum of (-dh)^m x."""
+    (which='vertical'), as the finite alternating sum of (-dh)^m x or of
+    (-delta k)^m x respectively."""
     if which == "horizontal":
         def step(pp, qq, y):
             return inst.d(pp - 1, qq, inst.h(pp, qq, y))

@@ -174,6 +174,7 @@ def test_criterion_7_circle_winding_and_side_condition_failure():
         cech_instance,
         circle_integrate,
         collate,
+        default_cover,
         winding_cocycle,
     )
 
@@ -195,8 +196,8 @@ def test_criterion_7_circle_winding_and_side_condition_failure():
     assert others == []
 
     # ... so the back-and-forth composite is NOT the identity: witness dx
-    full = ((Fraction(0), Fraction(1)),)
-    witness = GlobalForm(1, PwPoly.on(full, MultiPoly.const(1)))
+    grid = default_cover().grid
+    witness = GlobalForm(1, PwPoly.on(grid, range(len(grid) - 1), MultiPoly.const(1)))
     back = zigzag_xy(inst, 1, zigzag_yx(inst, 1, witness))
     difference = back - witness
     assert not difference.fn.is_zero()

@@ -8,9 +8,11 @@ from cochainlab.cech_derham import (
     CechError,
     CechForm,
     ConstCochain,
+    CoverSpec,
     GlobalForm,
     NotCocycle,
     PwPoly,
+    _pl,
     cech_d,
     cech_delta,
     cech_i_inc,
@@ -28,15 +30,16 @@ from cochainlab.cech_derham import (
 from cochainlab.perturb import verify_instance, zigzag_xy, zigzag_yx
 from cochainlab.polyalg import MultiPoly
 
-FULL = ((Fraction(0), Fraction(1)),)
+GRID = default_cover().grid
+FULL = frozenset(range(len(GRID) - 1))
 
 
 def test_partition_of_unity_sums_to_one():
     cover = default_cover()
-    total = PwPoly.zero(FULL)
+    total = PwPoly.zero(GRID, FULL)
     for chi in cover.pou:
         total = total + chi
-    assert total == PwPoly.on(FULL, MultiPoly.const(1))
+    assert total == PwPoly.on(GRID, FULL, MultiPoly.const(1))
 
 
 def test_pou_supported_in_arcs():
@@ -101,7 +104,7 @@ def test_back_and_forth_not_identity():
     # without the side conditions the X -> Y -> X composite differs from the
     # identity; the difference is exact (zero circle integral)
     inst = cech_instance()
-    g = GlobalForm(1, PwPoly.on(FULL, MultiPoly.const(1)))
+    g = GlobalForm(1, PwPoly.on(GRID, FULL, MultiPoly.const(1)))
     c = zigzag_yx(inst, 1, g)
     back = zigzag_xy(inst, 1, c)
     diff = back - g
@@ -113,17 +116,17 @@ def test_primitive_in_homotopy():
     # k d f = f - f(basepoint) for a smooth function on one arc
     cover = default_cover()
     x = MultiPoly.var("x")
-    f = CechForm(cover, 0, 0, {(1,): PwPoly.on(cover.intervals(1), x * x)})
+    f = CechForm(cover, 0, 0, {(1,): PwPoly.on(cover.grid, cover.intersection((1,)), x * x)})
     kd = good_cover_k(cech_d(f))
     base = cover.intersection_basepoint((1,))
     expected_poly = x * x - MultiPoly.const(base * base)
-    assert kd.comps[(1,)] == PwPoly.on(cover.intervals(1), expected_poly)
+    assert kd.comps[(1,)] == PwPoly.on(cover.grid, cover.intersection((1,)), expected_poly)
 
 
 def test_restriction_glue_roundtrip():
     cover = default_cover()
     poly = MultiPoly.var("x") * 2 + 1
-    g = GlobalForm(0, PwPoly.on(FULL, poly))
+    g = GlobalForm(0, PwPoly.on(GRID, FULL, poly))
     back = cech_p_proj(cech_i_inc(cover, g))
     assert back.fn == g.fn
 
@@ -137,12 +140,12 @@ def test_delta_squared_on_random():
 
 
 def test_pwpoly_arithmetic():
-    dom = ((Fraction(0), Fraction(1, 2)),)
+    grid, dom = (Fraction(0), Fraction(1, 2), Fraction(1)), {0}
     x = MultiPoly.var("x")
-    a = PwPoly.on(dom, x)
-    b = PwPoly.on(dom, x * x)
+    a = PwPoly.on(grid, dom, x)
+    b = PwPoly.on(grid, dom, x * x)
     assert (a + b) - b == a
-    assert a.diff() == PwPoly.on(dom, MultiPoly.const(1))
+    assert a.diff() == PwPoly.on(grid, dom, MultiPoly.const(1))
     assert a.eval(Fraction(1, 4)) == Fraction(1, 4)
 
 
@@ -151,3 +154,51 @@ def test_bad_arc_rejected():
 
     with pytest.raises(CechError):
         arc_intervals(Fraction(1, 2), Fraction(1, 4))
+
+
+def rotated_cover():
+    """The default cover turned by 1/6: arc 0 and the intersection of arcs
+    0 and 2 wrap through 0."""
+    F = Fraction
+    one, zero, half = F(1), F(0), F(1, 2)
+    arcs = ((F(11, 12), F(17, 12)), (F(1, 4), F(3, 4)), (F(7, 12), F(13, 12)))
+    pou = (
+        _pl([(F(0), half), (F(1, 24), one), (F(7, 24), one),
+             (F(9, 24), zero), (F(23, 24), zero), (F(1), half)]),
+        _pl([(F(0), zero), (F(7, 24), zero), (F(9, 24), one),
+             (F(15, 24), one), (F(17, 24), zero), (F(1), zero)]),
+        _pl([(F(0), half), (F(1, 24), zero), (F(15, 24), zero),
+             (F(17, 24), one), (F(23, 24), one), (F(1), half)]),
+    )
+    return CoverSpec(arcs, pou, (F(1, 6), F(1, 2), F(5, 6)))
+
+
+def test_intersection_wrapping_through_zero_has_a_basepoint():
+    cover = rotated_cover()
+    # the midpoint of the overlap (11/12, 13/12), read mod 1
+    assert cover.intersection_basepoint((0, 2)) == 0
+    reports = verify_instance(cech_instance(cover), seed=3, trials=4)
+    side = ("side_hk", "side_pk")
+    assert {r["check"] for r in reports if r["status"] == "fail"} == set(side)
+    assert [r for r in reports if r["check"] not in side and r["status"] != "pass"] == []
+
+
+def test_sum_of_the_partition_prints_as_one_polynomial():
+    # the printed form does not depend on how a function was computed
+    pou = default_cover().pou
+    assert repr(pou[0] + pou[1] + pou[2]) == "PwPoly([0,1): 1)"
+
+
+def test_pwpolys_on_different_grids_or_domains_do_not_mix():
+    x = MultiPoly.var("x")
+    halves = PwPoly.on((0, Fraction(1, 2), 1), {0, 1}, x)
+    thirds = PwPoly.on((0, Fraction(1, 3), 1), {0, 1}, x)
+    with pytest.raises(CechError):
+        halves + thirds
+    assert halves != thirds and (halves == thirds) is False
+    left = PwPoly.on(halves.grid, {0}, x)
+    with pytest.raises(CechError):
+        halves + left
+    with pytest.raises(CechError):
+        left.restrict({0, 1})
+    assert halves.restrict({0}) == left

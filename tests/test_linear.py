@@ -42,10 +42,12 @@ def samplers(heisenberg_group):
         comps = {idx: random_poly(rng, chart.coords) for idx in combinations(range(3), k + 1)}
         return PolyForm(chart, k + 1, comps)
 
+    quarters = tuple(Fraction(i, 4) for i in range(5))
+
     def pw_poly(rng, k):
-        # two pieces, so that sums align segments of one domain
-        lo, mid, hi = (Fraction(k + i, 4) for i in range(3))
-        return PwPoly([(lo, mid, random_poly(rng, ["x"])), (mid, hi, random_poly(rng, ["x"]))])
+        # two cells of one grid, so that sums zip the cells of one domain
+        cells = [random_poly(rng, ["x"]) if k <= i < k + 2 else None for i in range(4)]
+        return PwPoly(quarters, cells)
 
     return {
         "CEElement": lambda rng, k: van_est.sample_x(rng, k + 1),
