@@ -23,6 +23,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -76,22 +77,21 @@ def arc_cells(domain: AbstractSet[int], n: int) -> List[int]:
 # Piecewise polynomials
 
 
-def _antideriv(p: MultiPoly) -> MultiPoly:
-    out = MultiPoly.zero()
-    if p.is_zero():
-        return out
+def _powers(p: MultiPoly) -> List[Tuple[int, Fraction]]:
+    """(exponent of x, coefficient) per term of a polynomial in x."""
     if p.vars not in ((), (X,)):
         raise CechError("piecewise polynomials are univariate in x")
-    x = MultiPoly.var(X)
-    for exp, coef in p.terms.items():
-        e = exp[0] if exp else 0
-        out = out + x ** (e + 1) * Fraction(coef, e + 1)
-    return out
+    return [(exp[0] if exp else 0, coef) for exp, coef in p.terms.items()]
+
+
+def _antideriv(p: MultiPoly) -> MultiPoly:
+    if p.is_zero():
+        return MultiPoly.zero()
+    return MultiPoly((X,), {(e + 1,): coef / (e + 1) for e, coef in _powers(p)})
 
 
 def _eval(p: MultiPoly, v: Fraction) -> Fraction:
-    r = p.subst({X: Fraction(v)})
-    return Fraction(r.constant_value())
+    return sum((coef * v**e for e, coef in _powers(p)), Fraction(0))
 
 
 class PwPoly(Linear):
@@ -552,10 +552,10 @@ def circle_integrate(g: GlobalForm) -> Fraction:
 # Instance and collation
 
 
-def _signed(w: CechForm, p: int) -> CechForm:
+def _signed(w: CechForm) -> CechForm:
     """Sign (-1)^p making the vertical operators anticommute with delta in
     the total complex."""
-    return -w if p % 2 else w
+    return -w if w.p % 2 else w
 
 
 def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
@@ -600,20 +600,20 @@ def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
 
     return DoubleComplexInstance(
         name="cech:circle3",
-        d=lambda p, q, w: _signed(cech_d(w), p),
-        delta=lambda p, q, w: cech_delta(w),
-        h=lambda p, q, w: pou_h(w),
-        p_proj=lambda q, w: cech_p_proj(w),
-        i_inc=lambda q, g: cech_i_inc(cover, g),
-        d_x=lambda q, g: global_d(g),
-        k=lambda p, q, w: _signed(good_cover_k(w), p),
-        q_proj=lambda p, w: cech_q_proj(w),
-        j_inc=lambda p, c: cech_j_inc(cover, c),
-        delta_y=lambda p, c: const_delta(c),
+        d=lambda w: _signed(cech_d(w)),
+        delta=cech_delta,
+        h=pou_h,
+        p_proj=cech_p_proj,
+        i_inc=partial(cech_i_inc, cover),
+        d_x=global_d,
+        k=lambda w: _signed(good_cover_k(w)),
+        q_proj=cech_q_proj,
+        j_inc=partial(cech_j_inc, cover),
+        delta_y=const_delta,
         sample=sample, sample_x=sample_x, sample_y=sample_y,
         max_p=1, max_q=1,
         side_conditions="fails",
-        serialize=lambda p, q, w: repr(w),
+        serialize=repr,
     )
 
 

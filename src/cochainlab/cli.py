@@ -503,7 +503,7 @@ def apply_map(config: RunConfig, map_name: str, text: str) -> str:
         return ce_to_string(ve_closed(f))
     if map_name == "integrate":
         alpha = parse_expr(text, algebra=group.algebra)
-        if isinstance(alpha, MultiPoly):
+        if isinstance(alpha, MultiPoly) and alpha.is_constant():
             alpha = CEElement(group.algebra, None, 0, {(): (alpha.constant_value(),)})
         if not isinstance(alpha, CEElement):
             raise ValueError("integration input must be a Lie-algebra cochain")

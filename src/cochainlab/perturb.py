@@ -6,7 +6,9 @@ contraction (i-hat, p-hat, h) onto the column X at p = 0, a vertical
 contraction (j-hat, q-hat, k) onto the row Y at q = 0, and samplers of the
 double complex, X and Y.  Elements are payloads of the vector-space
 protocol that ``polyalg.Linear`` implements (+ of equal shapes, unary -,
-.is_zero()); operators are closures.  Everything is exact: equality means
+.is_zero()).  A payload of the double complex knows its bidegree: it
+exposes ``p`` and ``q``, so every operator takes the element alone and the
+engine threads no bidegree into it.  Everything is exact: equality means
 the difference is identically zero.
 
 The engine provides the finite Neumann inversion (1 + dh)^{-1}, the two
@@ -27,7 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .polyalg import SCALARS, VECTORS, Linear, add_into, identity, mat_mul, mat_vec, rref, sparse
 
@@ -48,17 +51,17 @@ class NonTermination(PerturbError):
 
 
 class Vec(Linear):
-    """Exact rational coordinate vector; the payload type of matrix-model
-    instances."""
+    """Exact rational coordinate vector at bidegree (p, q); the payload
+    type of matrix-model instances."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("p", "q", "entries")
     _kind = VECTORS
 
     def _shape(self):
-        return len(self.entries)
+        return self.p, self.q, len(self.entries)
 
     def __repr__(self):
-        return f"Vec(entries={self.entries!r})"
+        return f"Vec(p={self.p!r}, q={self.q!r}, entries={self.entries!r})"
 
     def __str__(self):
         return "[" + ", ".join(str(a) for a in self.entries) + "]"
@@ -80,10 +83,10 @@ class Graded(Linear):
     def component(self, p: int, q: int, zero=None):
         return self.parts.get((p, q), zero)
 
-    def map(self, op: Callable[[int, int, object], object], dp: int, dq: int) -> "Graded":
+    def map(self, op: Callable[[object], object], dp: int, dq: int) -> "Graded":
         out: Dict[Bidegree, object] = {}
         for (p, q), x in self.parts.items():
-            y = op(p, q, x)
+            y = op(x)
             if y is not None and not y.is_zero():
                 add_into(out, (p + dp, q + dq), y)
         return Graded(out)
@@ -97,26 +100,28 @@ class Graded(Linear):
 class DoubleComplexInstance:
     """Operator bundle consumed by the engine.
 
-    Operator closures take (p, q, payload) and return the payload at the
-    shifted bidegree; they must return a zero payload (or raise) outside
-    their domain rather than silently truncating.  ``h`` must vanish on
-    p = 0 and ``k`` on q = 0.
+    A payload x of D exposes its bidegree as ``x.p`` and ``x.q``, and an X
+    or Y element carries its own degree, so every operator takes the
+    element alone and returns the element at the shifted bidegree or
+    degree; it must return a zero payload (or raise) outside its domain
+    rather than silently truncating.  ``h`` must vanish on p = 0 and ``k``
+    on q = 0.
     """
 
     name: str
-    d: Callable  # (p, q, x) -> payload at (p, q+1)
-    delta: Callable  # (p, q, x) -> payload at (p+1, q)
-    h: Callable  # (p, q, x) -> payload at (p-1, q); zero on p = 0
-    p_proj: Callable  # (q, payload at (0, q)) -> X element of degree q
-    i_inc: Callable  # (q, X element) -> payload at (0, q)
-    d_x: Callable  # (q, X element) -> X element of degree q+1
-    k: Callable  # (p, q, x) -> payload at (p, q-1); zero on q = 0
-    q_proj: Callable  # (p, payload at (p, 0)) -> Y element
-    j_inc: Callable  # (p, Y element) -> payload at (p, 0)
-    delta_y: Callable  # (p, Y element) -> Y element of degree p+1
-    sample: Callable  # (rng, p, q) -> payload
-    sample_x: Callable  # (rng, q) -> X element
-    sample_y: Callable  # (rng, p) -> Y element
+    d: Callable  # payload at (p, q) -> payload at (p, q+1)
+    delta: Callable  # payload at (p, q) -> payload at (p+1, q)
+    h: Callable  # payload at (p, q) -> payload at (p-1, q); zero on p = 0
+    p_proj: Callable  # payload at (0, q) -> X element of degree q
+    i_inc: Callable  # X element of degree q -> payload at (0, q)
+    d_x: Callable  # X element of degree q -> X element of degree q+1
+    k: Callable  # payload at (p, q) -> payload at (p, q-1); zero on q = 0
+    q_proj: Callable  # payload at (p, 0) -> Y element of degree p
+    j_inc: Callable  # Y element of degree p -> payload at (p, 0)
+    delta_y: Callable  # Y element of degree p -> Y element of degree p+1
+    sample: Callable  # (rng, p, q) -> payload at (p, q)
+    sample_x: Callable  # (rng, q) -> X element of degree q
+    sample_y: Callable  # (rng, p) -> Y element of degree p
     max_p: int = 3
     max_q: int = 3
     #: "holds": side conditions h k = 0, p-hat k = 0 are claimed (checked,
@@ -124,7 +129,7 @@ class DoubleComplexInstance:
     #: are checked and their SIDE_CHECKS expected to fail (reports carry the
     #: witness); "skip": not checked.
     side_conditions: str = "holds"
-    serialize: Callable = staticmethod(lambda p, q, x: str(x))
+    serialize: Callable = str  # payload, X or Y element -> report text
 
 
 #: Coefficient pool for seeded random sampling.
@@ -150,13 +155,13 @@ def neumann_apply(
     (which='vertical'), as the finite alternating sum of (-dh)^m x or of
     (-delta k)^m x respectively."""
     if which == "horizontal":
-        def step(pp, qq, y):
-            return inst.d(pp - 1, qq, inst.h(pp, qq, y))
+        def step(y):
+            return inst.d(inst.h(y))
         shift = (-1, 1)
         bound = p + 1
     elif which == "vertical":
-        def step(pp, qq, y):
-            return inst.delta(pp, qq - 1, inst.k(pp, qq, y))
+        def step(y):
+            return inst.delta(inst.k(y))
         shift = (1, -1)
         bound = q + 1
     else:
@@ -190,7 +195,7 @@ def perturbed_p(inst: DoubleComplexInstance, p: int, q: int, x):
     comp = inv.component(0, p + q)
     if comp is None:
         return None
-    return inst.p_proj(p + q, comp)
+    return inst.p_proj(comp)
 
 
 def total_diff(inst: DoubleComplexInstance, g: Graded) -> Graded:
@@ -228,18 +233,18 @@ def _staircase(inst, p, include, ops, project, trace):
     name, elt, (bp, bq) = include
     for opname, op, (dp, dq) in ((name, None, (0, 0)),) + ops * p:
         if op is not None:
-            elt = op(bp, bq, elt)
+            elt = op(elt)
             bp, bq = bp + dp, bq + dq
         if trace is not None:
-            trace.record(opname, bp, bq, inst.serialize(bp, bq, elt))
-    out = project(p, elt)
+            trace.record(opname, bp, bq, inst.serialize(elt))
+    out = project(elt)
     return -out if p % 2 else out
 
 
 def zigzag_xy(inst: DoubleComplexInstance, p: int, y, trace: Optional[ZigzagTrace] = None):
     """(-1)^p p-hat (dh)^p j-hat: Y^p -> X^p (the differentiation direction)."""
     return _staircase(
-        inst, p, ("j", inst.j_inc(p, y), (p, 0)),
+        inst, p, ("j", inst.j_inc(y), (p, 0)),
         (("h", inst.h, (-1, 0)), ("d", inst.d, (0, 1))), inst.p_proj, trace,
     )
 
@@ -247,7 +252,7 @@ def zigzag_xy(inst: DoubleComplexInstance, p: int, y, trace: Optional[ZigzagTrac
 def zigzag_yx(inst: DoubleComplexInstance, p: int, x, trace: Optional[ZigzagTrace] = None):
     """(-1)^p q-hat (delta k)^p i-hat: X^p -> Y^p (the integration direction)."""
     return _staircase(
-        inst, p, ("i", inst.i_inc(p, x), (0, p)),
+        inst, p, ("i", inst.i_inc(x), (0, p)),
         (("k", inst.k, (0, -1)), ("delta", inst.delta, (1, 0))), inst.q_proj, trace,
     )
 
@@ -306,11 +311,11 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
     reports: List[dict] = []
 
     def run(check, p, q, x, diff, extra_trace=None):
-        ok = diff.is_zero() if hasattr(diff, "is_zero") else not diff
+        ok = diff.is_zero()
         reports.append(
             check_record(
                 inst.name, check, p, q, ok, seed,
-                counterexample=None if ok else inst.serialize(p, q, x),
+                counterexample=None if ok else inst.serialize(x),
                 trace=extra_trace if not ok else None,
             )
         )
@@ -320,20 +325,15 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
         for q in range(inst.max_q + 1):
             for _ in range(trials):
                 x = inst.sample(rng, p, q)
-                run("d_squared", p, q, x, inst.d(p, q + 1, inst.d(p, q, x)))
-                run("delta_squared", p, q, x, inst.delta(p + 1, q, inst.delta(p, q, x)))
-                anti = inst.d(p + 1, q, inst.delta(p, q, x)) + inst.delta(
-                    p, q + 1, inst.d(p, q, x)
-                )
-                run("anticommute", p, q, x, anti)
+                run("d_squared", p, q, x, inst.d(inst.d(x)))
+                run("delta_squared", p, q, x, inst.delta(inst.delta(x)))
+                run("anticommute", p, q, x, inst.d(inst.delta(x)) + inst.delta(inst.d(x)))
 
                 # [h, delta] = 1 - i p-hat
-                hd = inst.h(p + 1, q, inst.delta(p, q, x)) + inst.delta(
-                    p - 1, q, inst.h(p, q, x)
-                )
+                hd = inst.h(inst.delta(x)) + inst.delta(inst.h(x))
                 rhs = x
                 if p == 0:
-                    rhs = rhs - inst.i_inc(q, inst.p_proj(q, x))
+                    rhs = rhs - inst.i_inc(inst.p_proj(x))
                 run("h_delta_contraction", p, q, x, hd - rhs)
 
                 # perturbed identity [h', d + delta] = 1 - i p-hat'
@@ -344,29 +344,27 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                 rhs_g = Graded.single(p, q, x)
                 px = perturbed_p(inst, p, q, x)
                 if px is not None:
-                    rhs_g = rhs_g - Graded.single(0, p + q, inst.i_inc(p + q, px))
+                    rhs_g = rhs_g - Graded.single(0, p + q, inst.i_inc(px))
                 run("perturbed_contraction", p, q, x, lhs - rhs_g)
 
-                kd = inst.k(p, q + 1, inst.d(p, q, x)) + inst.d(p, q - 1, inst.k(p, q, x))
+                kd = inst.k(inst.d(x)) + inst.d(inst.k(x))
                 rhs = x
                 if q == 0:
-                    rhs = rhs - inst.j_inc(p, inst.q_proj(p, x))
+                    rhs = rhs - inst.j_inc(inst.q_proj(x))
                 run("k_d_contraction", p, q, x, kd - rhs)
 
                 if inst.side_conditions != "skip":
-                    hk = inst.h(p, q - 1, inst.k(p, q, x))
-                    run(hk_check, p, q, x, hk)
+                    run(hk_check, p, q, x, inst.h(inst.k(x)))
                     if p == 0 and q > 0:
-                        pk = inst.p_proj(q - 1, inst.k(0, q, x))
-                        run(pk_check, p, q, x, pk)
+                        run(pk_check, p, q, x, inst.p_proj(inst.k(x)))
 
             # p-hat i = id and p-hat' i = id on X
             if p == 0:
                 for _ in range(trials):
                     xe = inst.sample_x(rng, q)
-                    back = inst.p_proj(q, inst.i_inc(q, xe))
+                    back = inst.p_proj(inst.i_inc(xe))
                     run("p_i_identity", 0, q, xe, back - xe)
-                    pback = perturbed_p(inst, 0, q, inst.i_inc(q, xe))
+                    pback = perturbed_p(inst, 0, q, inst.i_inc(xe))
                     run(
                         "perturbed_p_i_identity", 0, q, xe,
                         xe if pback is None else pback - xe,
@@ -416,10 +414,6 @@ def _rand_invertible(rng: random.Random, n: int):
     return mat_mul(product, [ident[k] for k in perm], _ZERO)
 
 
-def _mat_vec(a, v: Vec) -> Vec:
-    return Vec(tuple(mat_vec(a, v.entries, _ZERO)))
-
-
 #: Dimension of the homology summand X of a random based complex, and of
 #: each of its cones.
 _X_DIM = 1
@@ -430,7 +424,8 @@ _CONE_DIM = 2
 class _BasedComplex:
     """Cochain complex of rational vector spaces with an exact contraction
     onto its degree-0 homology summand X of dimension _X_DIM: [h, d] = 1 - i p,
-    p i = 1, and (by construction) h i = 0, h h = 0, p h = 0."""
+    p i = 1, and (by construction) h i = 0, h h = 0, p h = 0.  Its maps
+    take and return coordinate sequences."""
 
     dims: Tuple[int, ...]
     d_mats: Tuple  # d_mats[p]: dims[p] -> dims[p+1]
@@ -441,24 +436,24 @@ class _BasedComplex:
     def dim(self, p: int) -> int:
         return self.dims[p] if 0 <= p < len(self.dims) else 0
 
-    def zero(self, p: int) -> Vec:
-        return Vec((Fraction(0),) * self.dim(p))
+    def zero(self, p: int) -> List[Fraction]:
+        return [_ZERO] * self.dim(p)
 
-    def d(self, p: int, v: Vec) -> Vec:
+    def d(self, p: int, v: Sequence[Fraction]) -> List[Fraction]:
         if 0 <= p < len(self.dims) - 1:
-            return _mat_vec(self.d_mats[p], v)
+            return mat_vec(self.d_mats[p], v, _ZERO)
         return self.zero(p + 1)
 
-    def h(self, p: int, v: Vec) -> Vec:
+    def h(self, p: int, v: Sequence[Fraction]) -> List[Fraction]:
         if 1 <= p < len(self.dims):
-            return _mat_vec(self.h_mats[p], v)
+            return mat_vec(self.h_mats[p], v, _ZERO)
         return self.zero(p - 1)
 
-    def proj(self, v: Vec) -> Vec:
-        return _mat_vec(self.p_mat, v)
+    def proj(self, v: Sequence[Fraction]) -> List[Fraction]:
+        return mat_vec(self.p_mat, v, _ZERO)
 
-    def inc(self, v: Vec) -> Vec:
-        return _mat_vec(self.i_mat, v)
+    def inc(self, v: Sequence[Fraction]) -> List[Fraction]:
+        return mat_vec(self.i_mat, v, _ZERO)
 
 
 def _inverse(a) -> List[List[Fraction]]:
@@ -522,73 +517,62 @@ def matrix_instance(seed: int = 0, max_p: int = 3) -> DoubleComplexInstance:
     A = random_based_complex(rng, max_p + 2)
     B = random_based_complex(rng, max_q + 2)
 
-    def dim(p, q):
-        return A.dim(p) * B.dim(q)
-
     # A payload of A^p (x) B^q is stored row-major: entry i * nb + j holds
-    # the A-coordinate i and the B-coordinate j.  Each applier takes the
+    # the A-coordinate i and the B-coordinate j.  X elements sit at (0, q)
+    # and Y elements at (p, 0), with the _X_DIM-dimensional X in place of
+    # A^0, respectively of B^0.  Each applier maps coordinates and takes the
     # dimension of the factor it leaves alone.
-    def on_a(op, v: Vec, nb: int) -> Vec:
-        cols = [op(Vec(v.entries[j::nb])).entries for j in range(nb)]
-        return Vec(tuple(x for row in zip(*cols) for x in row))
+    def on_a(op, v, nb):
+        cols = [op(v[j::nb]) for j in range(nb)]
+        return tuple(c for row in zip(*cols) for c in row)
 
-    def on_b(op, v: Vec, na: int) -> Vec:
-        nb = len(v.entries) // na if na else 0
-        return Vec(tuple(
-            x for i in range(na) for x in op(Vec(v.entries[i * nb : (i + 1) * nb])).entries
-        ))
+    def on_b(op, v, na):
+        nb = len(v) // na if na else 0
+        return tuple(c for i in range(na) for c in op(v[i * nb : (i + 1) * nb]))
 
-    def delta(p, q, x):
-        return on_a(lambda c: A.d(p, c), x, B.dim(q))
+    def delta(x):
+        return Vec(x.p + 1, x.q, on_a(partial(A.d, x.p), x.entries, B.dim(x.q)))
 
-    def d(p, q, x):
-        out = on_b(lambda r: B.d(q, r), x, A.dim(p))
-        return -out if p % 2 else out
+    def d(x):
+        out = Vec(x.p, x.q + 1, on_b(partial(B.d, x.q), x.entries, A.dim(x.p)))
+        return -out if x.p % 2 else out
 
-    def h(p, q, x):
-        return on_a(lambda c: A.h(p, c), x, B.dim(q))
+    def h(x):
+        return Vec(x.p - 1, x.q, on_a(partial(A.h, x.p), x.entries, B.dim(x.q)))
 
-    def k(p, q, x):
-        out = on_b(lambda r: B.h(q, r), x, A.dim(p))
-        return -out if p % 2 else out
+    def k(x):
+        out = Vec(x.p, x.q - 1, on_b(partial(B.h, x.q), x.entries, A.dim(x.p)))
+        return -out if x.p % 2 else out
 
-    def p_proj(q, x):
-        return on_a(A.proj, x, B.dim(q))
+    def p_proj(x):
+        return Vec(0, x.q, on_a(A.proj, x.entries, B.dim(x.q)))
 
-    def i_inc(q, xe):
-        return on_a(A.inc, xe, B.dim(q))
+    def i_inc(xe):
+        return Vec(0, xe.q, on_a(A.inc, xe.entries, B.dim(xe.q)))
 
-    def q_proj(p, x):
-        return on_b(B.proj, x, A.dim(p))
+    def q_proj(x):
+        return Vec(x.p, 0, on_b(B.proj, x.entries, A.dim(x.p)))
 
-    def j_inc(p, ye):
-        return on_b(B.inc, ye, A.dim(p))
+    def j_inc(ye):
+        return Vec(ye.p, 0, on_b(B.inc, ye.entries, A.dim(ye.p)))
 
-    def d_x(q, xe):
-        return on_b(lambda r: B.d(q, r), xe, _X_DIM)
+    def d_x(xe):
+        return Vec(0, xe.q + 1, on_b(partial(B.d, xe.q), xe.entries, _X_DIM))
 
-    def delta_y(p, ye):
-        return on_a(lambda c: A.d(p, c), ye, _X_DIM)
+    def delta_y(ye):
+        return Vec(ye.p + 1, 0, on_a(partial(A.d, ye.p), ye.entries, _X_DIM))
 
-    def sample(rng2, p, q):
-        return Vec(tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(dim(p, q))))
-
-    def sample_x(rng2, q):
-        return Vec(
-            tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(_X_DIM * B.dim(q)))
-        )
-
-    def sample_y(rng2, p):
-        return Vec(
-            tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(A.dim(p) * _X_DIM))
-        )
+    def draw(rng2, p, q, n):
+        return Vec(p, q, tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(n)))
 
     return DoubleComplexInstance(
         name=f"matrix-seed{seed}",
         d=d, delta=delta, h=h,
         p_proj=p_proj, i_inc=i_inc, d_x=d_x,
         k=k, q_proj=q_proj, j_inc=j_inc, delta_y=delta_y,
-        sample=sample, sample_x=sample_x, sample_y=sample_y,
+        sample=lambda rng2, p, q: draw(rng2, p, q, A.dim(p) * B.dim(q)),
+        sample_x=lambda rng2, q: draw(rng2, 0, q, _X_DIM * B.dim(q)),
+        sample_y=lambda rng2, p: draw(rng2, p, 0, A.dim(p) * _X_DIM),
         max_p=max_p, max_q=max_q,
         side_conditions="skip",
     )

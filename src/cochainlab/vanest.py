@@ -49,6 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -493,36 +494,6 @@ def build_double_complex(
     rep_inf = rep.infinitesimal()
     alg = group.algebra
 
-    def d(p, q, x):
-        return bg_d(x)
-
-    def delta(p, q, x):
-        return bg_delta(x)
-
-    def h(p, q, x):
-        return bg_h(x)
-
-    def k(p, q, x):
-        return bg_k(x)
-
-    def p_proj(q, x):
-        return bg_p_proj(x)
-
-    def i_inc(q, a):
-        return bg_i_inc(group, rep, a)
-
-    def q_proj(p, x):
-        return bg_q_proj(x)
-
-    def j_inc(p, f):
-        return bg_j_inc(f)
-
-    def d_x(q, a):
-        return ce_diff(a)
-
-    def delta_y(p, f):
-        return group_delta(f)
-
     def sample(rng, p, q):
         vars_ = list(fiber_vars(n))
         for s in range(1, p + 1):
@@ -558,13 +529,13 @@ def build_double_complex(
     rep_tag = "trivial" if rep.dim == 1 else f"rep{rep.dim}"
     return DoubleComplexInstance(
         name=f"group:{group.name}:{rep_tag}",
-        d=d, delta=delta, h=h,
-        p_proj=p_proj, i_inc=i_inc, d_x=d_x,
-        k=k, q_proj=q_proj, j_inc=j_inc, delta_y=delta_y,
+        d=bg_d, delta=bg_delta, h=bg_h,
+        p_proj=bg_p_proj, i_inc=partial(bg_i_inc, group, rep), d_x=ce_diff,
+        k=bg_k, q_proj=bg_q_proj, j_inc=bg_j_inc, delta_y=group_delta,
         sample=sample, sample_x=sample_x, sample_y=sample_y,
         max_p=max_p, max_q=max_q,
         side_conditions="holds",
-        serialize=lambda p, q, x: repr(x),
+        serialize=repr,
     )
 
 

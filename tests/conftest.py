@@ -1,14 +1,28 @@
+import dataclasses
 import random
+import typing
 from fractions import Fraction
 
 import pytest
 
 from cochainlab.nilgroup import GroupCochain, build_group, slot_vars
+from cochainlab.perturb import DoubleComplexInstance
 from cochainlab.polyalg import MultiPoly
 
 COEFFS = tuple(
     Fraction(c) for c in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
 )
+
+
+def instance_operator_fields():
+    """The operator fields of ``DoubleComplexInstance``: its callable fields
+    except the samplers and ``serialize``."""
+    hints = typing.get_type_hints(DoubleComplexInstance)
+    return [
+        f.name for f in dataclasses.fields(DoubleComplexInstance)
+        if hints[f.name] is typing.Callable
+        and not f.name.startswith("sample") and f.name != "serialize"
+    ]
 
 
 def random_poly(rng: random.Random, variables, max_deg=2, terms=3) -> MultiPoly:

@@ -67,7 +67,7 @@ def _check_perturbed_identity(inst, rng, pmax, qmax, trials):
                 rhs = Graded.single(p, q, x)
                 px = perturbed_p(inst, p, q, x)
                 if px is not None:
-                    rhs = rhs - Graded.single(0, p + q, inst.i_inc(p + q, px))
+                    rhs = rhs - Graded.single(0, p + q, inst.i_inc(px))
                 assert (lhs - rhs).is_zero()
 
 

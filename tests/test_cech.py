@@ -149,6 +149,27 @@ def test_pwpoly_arithmetic():
     assert a.eval(Fraction(1, 4)) == Fraction(1, 4)
 
 
+def test_pwpoly_reads_polynomials_in_x_only():
+    # values, integrals and primitives agree with substitution, the
+    # polynomial integral and the derivative; another variable is refused
+    x, half = MultiPoly.var("x"), Fraction(1, 2)
+    rng = random.Random(5)
+    for _ in range(10):
+        poly = MultiPoly.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for e in range(1, 4):
+            poly = poly + x**e * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        f = PwPoly.on(GRID, FULL, poly)
+        point = Fraction(rng.randint(0, 23), 24)
+        assert f.eval(point) == poly.subst({"x": point}).constant_value()
+        assert f.integrate() == poly.defint01("x").constant_value()
+        prim = f.primitive(half)
+        assert prim.diff() == f and prim.eval(half) == 0
+    g = PwPoly.on(GRID, FULL, MultiPoly.var("y"))
+    for read in (lambda: g.eval(half), g.integrate, lambda: g.primitive(half)):
+        with pytest.raises(CechError, match="univariate in x"):
+            read()
+
+
 def test_bad_arc_rejected():
     from cochainlab.cech_derham import arc_intervals
 

@@ -215,6 +215,13 @@ def test_usage_errors(monkeypatch, capsys):
         assert err.value.line == 1 and text[err.value.col - 1] == culprit
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["ve", "-", "--instance", "abelian-1"]) == 2
+    # integration reads Lie-algebra cochains: a constant is one, a form or a
+    # non-constant polynomial is not
+    capsys.readouterr()
+    for text in ("dy_1", "g1_1"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["integrate", "-", "--instance", "heisenberg3"]) == 2
+        assert "integration input must be a Lie-algebra cochain" in capsys.readouterr().err
 
 
 def test_degree_overflow_is_a_usage_error(monkeypatch, capsys):

@@ -16,7 +16,7 @@ from cochainlab.liealg import CEElement, heisenberg3
 from cochainlab.nilgroup import GroupCochain
 from cochainlab.pairgpd import ASCochain
 from cochainlab.perturb import Graded, Vec, matrix_instance
-from cochainlab.polyalg import MultiPoly
+from cochainlab.polyalg import MultiPoly, ShapeError
 from cochainlab.vanest import build_double_complex, standard_poly_rep
 from conftest import random_poly
 
@@ -152,7 +152,17 @@ def test_copy_and_pickle_round_trip_of_polynomials_and_basic_values():
 
 def test_sums_whose_parts_differ_in_shape_are_unequal():
     # A formal sum has no shape of its own, so only its parts can tell.
-    short, long = (Graded.single(0, 0, Vec((Fraction(1),) * n)) for n in (9, 12))
+    short, long = (Graded.single(0, 0, Vec(0, 0, (Fraction(1),) * n)) for n in (9, 12))
     assert (short == long) is False and short != long
     assert (long == short) is False
-    assert Graded.single(0, 0, Vec((Fraction(1),) * 9)) == short
+    assert Graded.single(0, 0, Vec(0, 0, (Fraction(1),) * 9)) == short
+
+
+def test_vecs_at_different_bidegrees_are_different_shapes():
+    entries = (Fraction(1), Fraction(2))
+    a, b = Vec(0, 1, entries), Vec(1, 0, entries)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ShapeError):
+            x + y
+    assert (a == b) is False and a != b
+    assert a == Vec(0, 1, entries)

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from cochainlab.nilgroup import build_group
+from cochainlab.cech_derham import ConstCochain, GlobalForm, cech_instance
+from cochainlab.liealg import CEElement
+from cochainlab.nilgroup import GroupCochain, build_group
 from cochainlab.perturb import (
     Graded,
     NonTermination,
@@ -20,6 +22,7 @@ from cochainlab.perturb import (
     zigzag_yx,
 )
 from cochainlab.vanest import build_double_complex, standard_poly_rep
+from conftest import instance_operator_fields
 
 
 def test_matrix_instance_all_checks_pass():
@@ -39,7 +42,7 @@ def test_different_seeds_give_different_complexes():
     a, b = matrix_instance(seed=1), matrix_instance(seed=2)
     rng1, rng2 = random.Random(0), random.Random(0)
     x1, x2 = a.sample(rng1, 1, 1), b.sample(rng2, 1, 1)
-    da, db = a.d(1, 1, x1), b.d(1, 1, x2)
+    da, db = a.d(x1), b.d(x2)
     assert da.entries != db.entries
 
 
@@ -66,7 +69,7 @@ def test_perturbed_identity_all_bidegrees():
                 rhs = Graded.single(p, q, x)
                 px = perturbed_p(inst, p, q, x)
                 if px is not None:
-                    rhs = rhs - Graded.single(0, p + q, inst.i_inc(p + q, px))
+                    rhs = rhs - Graded.single(0, p + q, inst.i_inc(px))
                 assert (lhs - rhs).is_zero()
 
 
@@ -88,12 +91,12 @@ def test_zigzags_are_chain_maps():
     for p in (0, 1):
         for _ in range(3):
             y = inst.sample_y(rng, p)
-            lhs = inst.d_x(p, zigzag_xy(inst, p, y))
-            assert lhs == zigzag_xy(inst, p + 1, inst.delta_y(p, y))
+            lhs = inst.d_x(zigzag_xy(inst, p, y))
+            assert lhs == zigzag_xy(inst, p + 1, inst.delta_y(y))
             nonzero["xy", p] += not lhs.is_zero()
             x = inst.sample_x(rng, p)
-            lhs = inst.delta_y(p, zigzag_yx(inst, p, x))
-            assert lhs == zigzag_yx(inst, p + 1, inst.d_x(p, x))
+            lhs = inst.delta_y(zigzag_yx(inst, p, x))
+            assert lhs == zigzag_yx(inst, p + 1, inst.d_x(x))
             nonzero["yx", p] += not lhs.is_zero()
     # every case was checked on nonzero values at least once
     assert len(nonzero) == 4 and all(nonzero.values())
@@ -118,7 +121,7 @@ def test_verify_report_schema():
 def test_failing_zigzag_carries_its_trace():
     # Doubling k scales the degree-p back-and-forth by 2^p, so it fails.
     inst = build_double_complex(build_group("abelian-2"), max_p=2)
-    broken = dataclasses.replace(inst, k=lambda p, q, x: inst.k(p, q, x) + inst.k(p, q, x))
+    broken = dataclasses.replace(inst, k=lambda x: inst.k(x) + inst.k(x))
     reports = verify_instance(broken, seed=0, trials=1)
     [failed] = [
         r for r in reports
@@ -137,3 +140,64 @@ def test_failing_zigzag_carries_its_trace():
         r["check"] == "zigzag_back_and_forth" and r["status"] == "fail" for r in traced
     )
     assert not any("trace" in r for r in verify_instance(inst, seed=0, trials=1))
+
+
+#: Per operator field, the shift of (p, q) that its comment names; an X
+#: element of degree q sits at (0, q) and a Y element of degree p at (p, 0).
+SHIFTS = {
+    "d": (0, 1), "delta": (1, 0), "h": (-1, 0), "k": (0, -1),
+    "p_proj": (0, 0), "i_inc": (0, 0), "q_proj": (0, 0), "j_inc": (0, 0),
+    "d_x": (0, 1), "delta_y": (1, 0),
+}
+
+
+def _where(x):
+    """The bidegree an element sits at, read off the element alone."""
+    if isinstance(x, CEElement):
+        return 0, x.degree
+    if isinstance(x, GlobalForm):
+        return 0, x.q
+    if isinstance(x, GroupCochain):
+        return x.degree, 0
+    if isinstance(x, ConstCochain):
+        return x.p, 0
+    return x.p, x.q  # a payload of D, or a matrix-model X or Y element
+
+
+def test_operators_take_the_element_alone_and_shift_its_bidegree():
+    assert sorted(SHIFTS) == sorted(instance_operator_fields())
+    group = build_group("heisenberg3")
+    instances = (
+        matrix_instance(0),
+        build_double_complex(group, standard_poly_rep(group), max_p=1),
+        cech_instance(),
+    )
+    for inst in instances:
+        calls = Counter()
+
+        def checked(name, op):
+            dp, dq = SHIFTS[name]
+
+            def wrapper(x):
+                p, q = _where(x)
+                out = op(x)
+                assert _where(out) == (p + dp, q + dq), (inst.name, name, (p, q))
+                calls[name] += 1
+                return out
+
+            return wrapper
+
+        wrapped = dataclasses.replace(
+            inst, **{name: checked(name, getattr(inst, name)) for name in SHIFTS}
+        )
+        assert verify_instance(wrapped, seed=0, trials=1) == verify_instance(
+            inst, seed=0, trials=1
+        )
+        rng = random.Random(0)
+        for p in range(inst.max_p + 1):
+            x, y = wrapped.sample_x(rng, p), wrapped.sample_y(rng, p)
+            assert zigzag_yx(wrapped, p, x) == zigzag_yx(inst, p, x)
+            assert zigzag_xy(wrapped, p, y) == zigzag_xy(inst, p, y)
+            wrapped.d_x(x)
+            wrapped.delta_y(y)
+        assert set(calls) == set(SHIFTS), inst.name
