@@ -84,9 +84,13 @@ def _powers(p: MultiPoly) -> List[Tuple[int, Fraction]]:
     return [(exp[0] if exp else 0, coef) for exp, coef in p.terms.items()]
 
 
+def _const(c) -> MultiPoly:
+    """The constant c as a polynomial in x: every cell of a cover is a
+    polynomial in x, so cellwise sums and products need no alignment."""
+    return MultiPoly((X,), {(0,): c})
+
+
 def _antideriv(p: MultiPoly) -> MultiPoly:
-    if p.is_zero():
-        return MultiPoly.zero()
     return MultiPoly((X,), {(e + 1,): coef / (e + 1) for e, coef in _powers(p)})
 
 
@@ -123,7 +127,7 @@ class PwPoly(Linear):
 
     @staticmethod
     def zero(grid: Sequence[Fraction], domain: AbstractSet[int]) -> "PwPoly":
-        return PwPoly.on(grid, domain, MultiPoly.zero())
+        return PwPoly.on(grid, domain, _const(0))
 
     def domain(self) -> FrozenSet[int]:
         return frozenset(k for k, p in enumerate(self.cells) if p is not None)
@@ -194,7 +198,7 @@ class PwPoly(Linear):
         """Extend by zero to a larger domain; the function must already be
         (piecewise) zero near its boundary for this to be exact, which
         holds for partition-of-unity products."""
-        zero = MultiPoly.zero()
+        zero = _const(0)
         cells = (zero if p is None and k in domain else p for k, p in enumerate(self.cells))
         return self._like(tuple(cells))
 
@@ -236,10 +240,10 @@ class PwPoly(Linear):
             # continuity at the junction (possibly across the wrap): const
             # currently holds the running value at the start of this cell
             const = const - _eval(prim, self.grid[k])
-            cells[k] = prim + MultiPoly.const(const)
+            cells[k] = prim + const
             const = const + _eval(prim, self.grid[k + 1])
         res = self._like(tuple(cells))
-        return res - PwPoly.on(self.grid, self.domain(), MultiPoly.const(res.eval(basepoint)))
+        return res - PwPoly.on(self.grid, self.domain(), _const(res.eval(basepoint)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +282,7 @@ class CoverSpec:
         for name, value in (("grid", grid), ("_arc_cells", arcs), ("pou", pou)):
             object.__setattr__(self, name, value)
         circle = self.intersection(())
-        if not sum(pou[1:], pou[0]) == PwPoly.on(grid, circle, MultiPoly.const(1)):
+        if not sum(pou[1:], pou[0]) == PwPoly.on(grid, circle, _const(1)):
             raise CechError("partition of unity does not sum to 1")
         for cells, chi in zip(arcs, pou):
             if not chi.restrict(circle - cells).is_zero():
@@ -311,7 +315,7 @@ def _pl(points: Sequence[Tuple[Fraction, Fraction]]) -> PwPoly:
     from x = 0 to x = 1."""
     x = MultiPoly.var(X)
     cells = [
-        MultiPoly.const(v0) + (x - MultiPoly.const(x0)) * ((v1 - v0) / (x1 - x0))
+        (x - x0) * ((v1 - v0) / (x1 - x0)) + v0
         for (x0, v0), (x1, v1) in zip(points, points[1:])
     ]
     return PwPoly([x0 for x0, _ in points], cells)
@@ -519,7 +523,7 @@ def cech_q_proj(w: CechForm) -> ConstCochain:
 def cech_j_inc(cover: CoverSpec, c: ConstCochain) -> CechForm:
     """j-hat: constants as locally constant functions."""
     comps = {
-        idx: PwPoly.on(cover.grid, cover.intersection(idx), MultiPoly.const(v))
+        idx: PwPoly.on(cover.grid, cover.intersection(idx), _const(v))
         for idx, v in c.comps.items()
     }
     return CechForm(cover, c.p, 0, comps)
@@ -568,15 +572,12 @@ def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
             return CechForm.zero(cover, p, q)
         comps = {}
         for idx in _nonempty_tuples(cover, p + 1):
-            x = MultiPoly.var(X)
-            poly = MultiPoly.zero()
-            for e in range(3):
-                poly = poly + x ** e * rng.choice(SAMPLE_COEFFS)
+            poly = MultiPoly((X,), {(e,): rng.choice(SAMPLE_COEFFS) for e in range(3)})
             order = arc_cells(cover.intersection(idx), n)
             # an intersection wrapping through 0 continues past x = 1: its
             # cells after the wrap read the same polynomial at x + 1 to stay
             # smooth on the arc
-            shifted = poly.subst({X: x + MultiPoly.const(1)}) if order[-1] < order[0] else poly
+            shifted = poly.subst({X: MultiPoly.var(X) + 1}) if order[-1] < order[0] else poly
             cells = [None] * n
             for k in order:
                 cells[k] = poly if k >= order[0] else shifted
@@ -589,7 +590,7 @@ def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
         x = MultiPoly.var(X)
         # continuous on the circle: a * x (1 - x) + b keeps period-1 continuity
         a, b = rng.choice(SAMPLE_COEFFS), rng.choice(SAMPLE_COEFFS)
-        poly = x * (MultiPoly.const(1) - x) * a + MultiPoly.const(b)
+        poly = x * (1 - x) * a + b
         return GlobalForm(q, PwPoly.on(cover.grid, circle, poly))
 
     def sample_y(rng, p):

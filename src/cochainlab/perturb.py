@@ -14,11 +14,12 @@ the difference is identically zero.
 The engine provides the finite Neumann inversion (1 + dh)^{-1}, the two
 zig-zag maps between X and Y, the perturbed homotopy/projection
 h' = h(1+dh)^{-1}, p-hat' = p-hat(1+dh)^{-1}, and a sampling verifier for
-the full list of homotopy identities.  It owns the report format: every
-check record is a ``check_record``, and the only failures an instance may
-expect are the ``SIDE_CHECKS`` of one whose side conditions fail
-(``expected_failures``).  A failing zig-zag back-and-forth carries the
-step-by-step ``ZigzagTrace`` of both zig-zags.
+the full list of homotopy identities, which computes each operator image
+of a sample once and reads h' and p-hat' off one Neumann sum.  It owns the
+report format: every check record is a ``check_record``, and the only
+failures an instance may expect are the ``SIDE_CHECKS`` of one whose side
+conditions fail (``expected_failures``).  A failing zig-zag back-and-forth
+carries the step-by-step ``ZigzagTrace`` of both zig-zags.
 
 Graded commutators of odd operators are used throughout:
 [a, b] = a b + b a.
@@ -306,6 +307,10 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
     zigzag_xy(zigzag_yx(x)) = x on X.  Failures become report entries with
     a serialized counterexample; a failing back-and-forth also carries the
     steps of both zig-zags.
+
+    Each sample x meets d, delta and k once: every identity reads the same
+    images dx, delta x and k x, and h x, h' x and p-hat' x are read off one
+    Neumann sum (1 + dh)^{-1} x.
     """
     hk_check, pk_check = SIDE_CHECKS
     reports: List[dict] = []
@@ -325,50 +330,41 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
         for q in range(inst.max_q + 1):
             for _ in range(trials):
                 x = inst.sample(rng, p, q)
-                run("d_squared", p, q, x, inst.d(inst.d(x)))
-                run("delta_squared", p, q, x, inst.delta(inst.delta(x)))
-                run("anticommute", p, q, x, inst.d(inst.delta(x)) + inst.delta(inst.d(x)))
-
+                dx, dlx, kx = inst.d(x), inst.delta(x), inst.k(x)
+                inv = neumann_apply(inst, "horizontal", p, q, x)  # (1 + dh)^{-1} x
+                hpx = inv.map(inst.h, -1, 0)  # h' x, whose (p-1, q) part is h x
+                hx = hpx.component(p - 1, q)
+                # i p-hat' x; the Neumann sum is x itself at p = 0
+                col = x if p == 0 else inv.component(0, p + q)
+                ipx = None if col is None else inst.i_inc(inst.p_proj(col))
+                run("d_squared", p, q, x, inst.d(dx))
+                run("delta_squared", p, q, x, inst.delta(dlx))
+                run("anticommute", p, q, x, inst.d(dlx) + inst.delta(dx))
                 # [h, delta] = 1 - i p-hat
-                hd = inst.h(inst.delta(x)) + inst.delta(inst.h(x))
-                rhs = x
-                if p == 0:
-                    rhs = rhs - inst.i_inc(inst.p_proj(x))
-                run("h_delta_contraction", p, q, x, hd - rhs)
-
-                # perturbed identity [h', d + delta] = 1 - i p-hat'
-                g = Graded.single(p, q, x)
-                lhs = graded_perturbed_h(inst, total_diff(inst, g)) + total_diff(
-                    inst, graded_perturbed_h(inst, g)
-                )
-                rhs_g = Graded.single(p, q, x)
-                px = perturbed_p(inst, p, q, x)
-                if px is not None:
-                    rhs_g = rhs_g - Graded.single(0, p + q, inst.i_inc(px))
-                run("perturbed_contraction", p, q, x, lhs - rhs_g)
-
-                kd = inst.k(inst.d(x)) + inst.d(inst.k(x))
-                rhs = x
-                if q == 0:
-                    rhs = rhs - inst.j_inc(inst.q_proj(x))
-                run("k_d_contraction", p, q, x, kd - rhs)
-
+                hd = inst.h(dlx) if hx is None else inst.h(dlx) + inst.delta(hx)
+                run("h_delta_contraction", p, q, x, hd - (x - ipx if p == 0 else x))
+                # [h', d + delta] = 1 - i p-hat'
+                dgx = Graded({(p, q + 1): dx, (p + 1, q): dlx})  # (d + delta) x
+                lhs = graded_perturbed_h(inst, dgx) + total_diff(inst, hpx)
+                rhs = Graded.single(p, q, x)
+                if ipx is not None:
+                    rhs = rhs - Graded.single(0, p + q, ipx)
+                run("perturbed_contraction", p, q, x, lhs - rhs)
+                rhs = x - inst.j_inc(inst.q_proj(x)) if q == 0 else x
+                run("k_d_contraction", p, q, x, inst.k(dx) + inst.d(kx) - rhs)
                 if inst.side_conditions != "skip":
-                    run(hk_check, p, q, x, inst.h(inst.k(x)))
+                    run(hk_check, p, q, x, inst.h(kx))
                     if p == 0 and q > 0:
-                        run(pk_check, p, q, x, inst.p_proj(inst.k(x)))
+                        run(pk_check, p, q, x, inst.p_proj(kx))
 
             # p-hat i = id and p-hat' i = id on X
             if p == 0:
                 for _ in range(trials):
                     xe = inst.sample_x(rng, q)
-                    back = inst.p_proj(inst.i_inc(xe))
-                    run("p_i_identity", 0, q, xe, back - xe)
-                    pback = perturbed_p(inst, 0, q, inst.i_inc(xe))
-                    run(
-                        "perturbed_p_i_identity", 0, q, xe,
-                        xe if pback is None else pback - xe,
-                    )
+                    ixe = inst.i_inc(xe)
+                    run("p_i_identity", 0, q, xe, inst.p_proj(ixe) - xe)
+                    pback = perturbed_p(inst, 0, q, ixe)
+                    run("perturbed_p_i_identity", 0, q, xe, xe if pback is None else pback - xe)
 
     # zig-zag back-and-forth on X, valid when the side conditions hold
     if inst.side_conditions == "holds":

@@ -27,6 +27,7 @@ from cochainlab.cech_derham import (
     pou_h,
     winding_cocycle,
 )
+from cochainlab.cli import RunConfig, run_verify
 from cochainlab.perturb import verify_instance, zigzag_xy, zigzag_yx
 from cochainlab.polyalg import MultiPoly
 
@@ -223,3 +224,19 @@ def test_pwpolys_on_different_grids_or_domains_do_not_mix():
     with pytest.raises(CechError):
         left.restrict({0, 1})
     assert halves.restrict({0}) == left
+
+
+def test_every_cell_is_a_polynomial_in_x(monkeypatch):
+    # zero cells and constants live over (x,) too, so no cellwise sum or
+    # product of a verification has to align two variable tuples
+    calls = []
+    extend = MultiPoly.extend
+
+    def counted(self, variables):
+        calls.append((self.vars, variables))
+        return extend(self, variables)
+
+    monkeypatch.setattr(MultiPoly, "extend", counted)
+    code, _ = run_verify(RunConfig("cech-circle3", trials=1, seed=0))
+    assert code == 0
+    assert calls == []

@@ -201,3 +201,49 @@ def test_operators_take_the_element_alone_and_shift_its_bidegree():
             wrapped.d_x(x)
             wrapped.delta_y(y)
         assert set(calls) == set(SHIFTS), inst.name
+
+
+def test_verify_instance_pushes_each_sample_through_each_operator_once():
+    group = build_group("heisenberg3")
+    instances = (
+        matrix_instance(0),
+        build_double_complex(group, standard_poly_rep(group), max_p=1),
+    )
+    for inst in instances:
+        # the sampled elements by id, kept alive so that no id is reused
+        drawn = {"sample": {}, "sample_x": {}}
+        calls = Counter()
+
+        def recorded(name, sampler):
+            def wrapper(*args):
+                elt = sampler(*args)
+                drawn[name][id(elt)] = elt
+                return elt
+
+            return wrapper
+
+        def counted(name, op):
+            def wrapper(x):
+                for kind, elts in drawn.items():
+                    if elts.get(id(x)) is x:
+                        calls[kind, name, id(x)] += 1
+                return op(x)
+
+            return wrapper
+
+        wrapped = dataclasses.replace(
+            inst,
+            **{name: recorded(name, getattr(inst, name)) for name in drawn},
+            **{name: counted(name, getattr(inst, name)) for name in instance_operator_fields()},
+        )
+        assert verify_instance(wrapped, seed=0, trials=2) == verify_instance(
+            inst, seed=0, trials=2
+        )
+        assert drawn["sample"] and drawn["sample_x"]
+        for key in drawn["sample"]:
+            for name in ("d", "delta", "k"):
+                assert calls["sample", name, key] == 1, (inst.name, name)
+            # h x, and the first step of the Neumann sum (1 + dh)^{-1} x
+            assert calls["sample", "h", key] <= 2, inst.name
+        for key in drawn["sample_x"]:
+            assert calls["sample_x", "i_inc", key] == 1, inst.name
