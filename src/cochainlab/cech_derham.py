@@ -123,7 +123,12 @@ class PwPoly(Linear):
 
     @staticmethod
     def on(grid: Sequence[Fraction], domain: AbstractSet[int], poly: MultiPoly) -> "PwPoly":
-        return PwPoly(grid, [poly if k in domain else None for k in range(len(grid) - 1)])
+        """``poly`` on the cells of ``domain``.  ``grid`` is an already
+        checked grid, a cover's or a PwPoly's, so it is not checked again."""
+        new = object.__new__(PwPoly)
+        cells = tuple(poly if k in domain else None for k in range(len(grid) - 1))
+        Linear.__init__(new, grid, cells)
+        return new
 
     @staticmethod
     def zero(grid: Sequence[Fraction], domain: AbstractSet[int]) -> "PwPoly":

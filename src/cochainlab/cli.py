@@ -112,8 +112,9 @@ def _tokenize(text: str):
 
 # A parsed value is a dict mapping tuples of atoms to MultiPoly coefficients.
 # Atoms are ("e", i) for dual-basis covectors or ("d", var) for coordinate
-# differentials; the empty tuple holds the scalar part.
-Value = Dict[Tuple, MultiPoly]
+# differentials; the empty tuple holds the scalar part.  MultiPoly is named
+# as a string, as in nilgroup.Matrix, so that typing's caches hold no class.
+Value = Dict[Tuple, "MultiPoly"]
 
 
 def _scalar(p: MultiPoly) -> Value:

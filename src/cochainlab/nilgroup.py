@@ -38,7 +38,10 @@ from .polyalg import (
 
 MAX_BCH_CLASS = 4
 
-Matrix = Tuple[Tuple[MultiPoly, ...], ...]
+# Type aliases name package classes as strings: a class subscripted at
+# import time stays in ``typing``'s caches, and with it every copy of the
+# package that was ever imported.
+Matrix = Tuple[Tuple["MultiPoly", ...], ...]
 
 
 class GroupError(ValueError):

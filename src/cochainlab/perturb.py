@@ -27,13 +27,17 @@ Graded commutators of odd operators are used throughout:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .polyalg import SCALARS, VECTORS, Linear, add_into, identity, mat_mul, mat_vec, rref, sparse
+from .polyalg import (
+    SCALARS, VECTORS, Linear, add_into, clear_denominators, identity, integer_rref, mat_mul,
+    mat_vec, sparse,
+)
 
 Bidegree = Tuple[int, int]
 
@@ -149,44 +153,50 @@ SAMPLE_COEFFS = (
 # Neumann inversion and perturbed operators
 
 
-def neumann_apply(
-    inst: DoubleComplexInstance, which: str, p: int, q: int, x
-) -> Graded:
-    """(1 + dh)^{-1} x (which='horizontal') or (1 + delta k)^{-1} x
-    (which='vertical'), as the finite alternating sum of (-dh)^m x or of
-    (-delta k)^m x respectively."""
+def _neumann_series(inst: DoubleComplexInstance, which: str, p: int, q: int, x):
+    """The finite alternating sum (1 + dh)^{-1} x of the terms (-dh)^m x
+    (which='horizontal'), or (1 + delta k)^{-1} x of the terms
+    (-delta k)^m x (which='vertical'), together with the sum of the h
+    (respectively k) images of its terms, which the steps compute: that is
+    h (1 + dh)^{-1} x, respectively k (1 + delta k)^{-1} x."""
     if which == "horizontal":
-        def step(y):
-            return inst.d(inst.h(y))
-        shift = (-1, 1)
-        bound = p + 1
+        # Graded.map arguments: an operator and its bidegree shift
+        first, second, bound = (inst.h, -1, 0), (inst.d, 0, 1), p + 1
     elif which == "vertical":
-        def step(y):
-            return inst.delta(inst.k(y))
-        shift = (1, -1)
-        bound = q + 1
+        first, second, bound = (inst.k, 0, -1), (inst.delta, 1, 0), q + 1
     else:
         raise ValueError(f"unknown direction {which!r}")
 
-    total = Graded.single(p, q, x)
-    term = total
+    total = term = Graded.single(p, q, x)
+    images = Graded({})
     count = 1
-    while not term.is_zero():
-        term = -term.map(step, *shift)
+    while True:
+        image = term.map(*first)
+        images = images + image
+        term = -image.map(*second)
         if term.is_zero():
-            break
+            return total, images
         count += 1
         if count > bound:
             raise NonTermination(
                 f"Neumann series in {inst.name} exceeded {bound} terms at {(p, q)}"
             )
         total = total + term
-    return total
+
+
+def neumann_apply(
+    inst: DoubleComplexInstance, which: str, p: int, q: int, x
+) -> Graded:
+    """(1 + dh)^{-1} x (which='horizontal') or (1 + delta k)^{-1} x
+    (which='vertical'), as the finite alternating sum of (-dh)^m x or of
+    (-delta k)^m x respectively."""
+    return _neumann_series(inst, which, p, q, x)[0]
 
 
 def perturbed_h(inst: DoubleComplexInstance, p: int, q: int, x) -> Graded:
-    """h' = h (1 + dh)^{-1}."""
-    return neumann_apply(inst, "horizontal", p, q, x).map(inst.h, -1, 0)
+    """h' = h (1 + dh)^{-1}: the sum of the h images that the Neumann sum's
+    steps compute."""
+    return _neumann_series(inst, "horizontal", p, q, x)[1]
 
 
 def perturbed_p(inst: DoubleComplexInstance, p: int, q: int, x):
@@ -308,9 +318,10 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
     a serialized counterexample; a failing back-and-forth also carries the
     steps of both zig-zags.
 
-    Each sample x meets d, delta and k once: every identity reads the same
-    images dx, delta x and k x, and h x, h' x and p-hat' x are read off one
-    Neumann sum (1 + dh)^{-1} x.
+    Each sample x meets d, delta, k and h once: every identity reads the
+    same images dx, delta x and k x, and h x, h' x, d h' x and p-hat' x are
+    read off one Neumann sum (1 + dh)^{-1} x, whose steps compute them.
+    [h, delta] x is the (p, q) part of [h', d + delta] x.
     """
     hk_check, pk_check = SIDE_CHECKS
     reports: List[dict] = []
@@ -331,21 +342,25 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
             for _ in range(trials):
                 x = inst.sample(rng, p, q)
                 dx, dlx, kx = inst.d(x), inst.delta(x), inst.k(x)
-                inv = neumann_apply(inst, "horizontal", p, q, x)  # (1 + dh)^{-1} x
-                hpx = inv.map(inst.h, -1, 0)  # h' x, whose (p-1, q) part is h x
-                hx = hpx.component(p - 1, q)
+                # (1 + dh)^{-1} x and h' x, whose (p-1, q) part is h x
+                inv, hpx = _neumann_series(inst, "horizontal", p, q, x)
                 # i p-hat' x; the Neumann sum is x itself at p = 0
                 col = x if p == 0 else inv.component(0, p + q)
                 ipx = None if col is None else inst.i_inc(inst.p_proj(col))
                 run("d_squared", p, q, x, inst.d(dx))
                 run("delta_squared", p, q, x, inst.delta(dlx))
                 run("anticommute", p, q, x, inst.d(dlx) + inst.delta(dx))
-                # [h, delta] = 1 - i p-hat
-                hd = inst.h(dlx) if hx is None else inst.h(dlx) + inst.delta(hx)
-                run("h_delta_contraction", p, q, x, hd - (x - ipx if p == 0 else x))
-                # [h', d + delta] = 1 - i p-hat'
+                # [h', d + delta] x = h' (d + delta) x + (d + delta) h' x, where
+                # the d images of h' x are the Neumann terms after x, negated
                 dgx = Graded({(p, q + 1): dx, (p + 1, q): dlx})  # (d + delta) x
-                lhs = graded_perturbed_h(inst, dgx) + total_diff(inst, hpx)
+                lhs = graded_perturbed_h(inst, dgx) + (Graded.single(p, q, x) - inv)
+                lhs = lhs + hpx.map(inst.delta, 1, 0)
+                # [h, delta] = 1 - i p-hat, read off the (p, q) part of lhs:
+                # the first steps h delta x of h' delta x and delta h x
+                hd = lhs.component(p, q)
+                rhs = x - ipx if p == 0 else x
+                run("h_delta_contraction", p, q, x, -rhs if hd is None else hd - rhs)
+                # [h', d + delta] = 1 - i p-hat'
                 rhs = Graded.single(p, q, x)
                 if ipx is not None:
                     rhs = rhs - Graded.single(0, p + q, ipx)
@@ -386,28 +401,59 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
 # Matrix-model instance: an exact finite-dimensional oracle
 
 
-#: The zero of the model's rational matrices, for the matrix kernel.
+#: The zero of the model's rational coordinates.
 _ZERO = Fraction(0)
+
+# A factor matrix of the model is ``(rows, den)``: integer rows and one
+# positive denominator, standing for rows / den, in lowest terms.  Products
+# go through the matrix kernel over ``int`` and normalise once per matrix.
+
+
+def _scaled(rows, den: int):
+    """``rows / den`` as a factor matrix in lowest terms."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    g = -g if den < 0 else g
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def _product(*mats):
+    """The product of factor matrices, from the left."""
+    rows, den = mats[0]
+    for other, other_den in mats[1:]:
+        rows, den = mat_mul(rows, other, 0), den * other_den
+    return _scaled(rows, den)
+
+
+def _apply(mat, v: Sequence[Fraction]) -> List[Fraction]:
+    """A factor matrix applied to rational coordinates: their denominators
+    are cleared once, the integer product is taken, and each output entry
+    is divided once."""
+    rows, den = mat
+    ints, scale = clear_denominators(v)
+    den *= scale
+    return [Fraction(x, den) for x in mat_vec(rows, ints, 0)]
 
 
 def _rand_invertible(rng: random.Random, n: int):
-    """Random invertible rational matrix: unit triangular L, U with small
-    entries, times a permutation."""
+    """Random invertible factor matrix: unit triangular L, U with small
+    entries, times a permutation.  L and U have half-integer entries, so
+    they are kept as 2L and 2U over the denominator 2."""
     def unit_triangular(lower):
-        return [
+        rows = [
             [
-                Fraction(1) if i == j
-                else rng.choice(SAMPLE_COEFFS) if (i > j) == lower else Fraction(0)
+                2 if i == j
+                else int(2 * rng.choice(SAMPLE_COEFFS)) if (i > j) == lower else 0
                 for j in range(n)
             ]
             for i in range(n)
         ]
+        return rows, 2
 
-    product = mat_mul(unit_triangular(True), unit_triangular(False), _ZERO)
+    lower, upper = unit_triangular(True), unit_triangular(False)
     perm = list(range(n))
     rng.shuffle(perm)
-    ident = identity(n, _ZERO)
-    return mat_mul(product, [ident[k] for k in perm], _ZERO)
+    ident = identity(n, 0)
+    return _product(lower, upper, ([ident[k] for k in perm], 1))
 
 
 #: Dimension of the homology summand X of a random based complex, and of
@@ -420,8 +466,9 @@ _CONE_DIM = 2
 class _BasedComplex:
     """Cochain complex of rational vector spaces with an exact contraction
     onto its degree-0 homology summand X of dimension _X_DIM: [h, d] = 1 - i p,
-    p i = 1, and (by construction) h i = 0, h h = 0, p h = 0.  Its maps
-    take and return coordinate sequences."""
+    p i = 1, and (by construction) h i = 0, h h = 0, p h = 0.  Each map is
+    a factor matrix, integer rows over one positive denominator; the maps
+    take and return rational coordinate sequences."""
 
     dims: Tuple[int, ...]
     d_mats: Tuple  # d_mats[p]: dims[p] -> dims[p+1]
@@ -437,31 +484,38 @@ class _BasedComplex:
 
     def d(self, p: int, v: Sequence[Fraction]) -> List[Fraction]:
         if 0 <= p < len(self.dims) - 1:
-            return mat_vec(self.d_mats[p], v, _ZERO)
+            return _apply(self.d_mats[p], v)
         return self.zero(p + 1)
 
     def h(self, p: int, v: Sequence[Fraction]) -> List[Fraction]:
         if 1 <= p < len(self.dims):
-            return mat_vec(self.h_mats[p], v, _ZERO)
+            return _apply(self.h_mats[p], v)
         return self.zero(p - 1)
 
     def proj(self, v: Sequence[Fraction]) -> List[Fraction]:
-        return mat_vec(self.p_mat, v, _ZERO)
+        return _apply(self.p_mat, v)
 
     def inc(self, v: Sequence[Fraction]) -> List[Fraction]:
-        return mat_vec(self.i_mat, v, _ZERO)
+        return _apply(self.i_mat, v)
 
 
-def _inverse(a) -> List[List[Fraction]]:
-    """Inverse of an invertible matrix: the right half of rref([a | 1])."""
-    n = len(a)
-    return [row[n:] for row in rref([list(r) + e for r, e in zip(a, identity(n, _ZERO))])]
+def _inverse(a):
+    """Inverse of an invertible factor matrix rows / den: the fraction-free
+    Gauss-Jordan elimination of [rows | 1] ends in [m 1 | m rows^{-1}], all
+    integers, so the inverse is den times the right half over m."""
+    rows, den = a
+    n = len(rows)
+    reduced, pivot = integer_rref([list(r) + e for r, e in zip(rows, identity(n, 0))])
+    return _scaled([[den * x for x in row[n:]] for row in reduced], pivot)
 
 
 def random_based_complex(rng: random.Random, length: int) -> _BasedComplex:
     """Random based complex of the given length (top degree), built by
     conjugating the standard model X_(0) + cones(p -> p+1) with random
-    invertible changes of basis.  All contraction identities hold exactly."""
+    invertible changes of basis.  All contraction identities hold exactly.
+    Every matrix is a factor matrix: the bases, their fraction-free
+    inverses and the conjugated maps are integer matrices over one
+    denominator each."""
     # standard-model coordinates of degree p: X (at p = 0 only), then the
     # cone arriving from p-1 (p >= 1), then the cone leaving to p+1 (p < length)
     def arr_off(p):
@@ -474,30 +528,28 @@ def random_based_complex(rng: random.Random, length: int) -> _BasedComplex:
 
     d_std = []
     for p in range(length):
-        mat = [[Fraction(0)] * dims[p] for _ in range(dims[p + 1])]
+        mat = [[0] * dims[p] for _ in range(dims[p + 1])]
         for t in range(_CONE_DIM):
-            mat[arr_off(p + 1) + t][leave_off(p) + t] = Fraction(1)
-        d_std.append(mat)
+            mat[arr_off(p + 1) + t][leave_off(p) + t] = 1
+        d_std.append((mat, 1))
     h_std = [None]
     for p in range(1, length + 1):
-        mat = [[Fraction(0)] * dims[p] for _ in range(dims[p - 1])]
+        mat = [[0] * dims[p] for _ in range(dims[p - 1])]
         for t in range(_CONE_DIM):
-            mat[leave_off(p - 1) + t][arr_off(p) + t] = Fraction(1)
-        h_std.append(mat)
-    p_std = identity(dims[0], _ZERO)[:_X_DIM]
-    i_std = [row[:_X_DIM] for row in identity(dims[0], _ZERO)]
+            mat[leave_off(p - 1) + t][arr_off(p) + t] = 1
+        h_std.append((mat, 1))
+    p_std = (identity(dims[0], 0)[:_X_DIM], 1)
+    i_std = ([row[:_X_DIM] for row in identity(dims[0], 0)], 1)
     bases = [_rand_invertible(rng, dims[p]) for p in range(length + 1)]
     inverses = [_inverse(b) for b in bases]
     d_mats = tuple(
-        mat_mul(mat_mul(bases[p + 1], d_std[p], _ZERO), inverses[p], _ZERO)
-        for p in range(length)
+        _product(bases[p + 1], d_std[p], inverses[p]) for p in range(length)
     )
     h_mats = (None,) + tuple(
-        mat_mul(mat_mul(bases[p - 1], h_std[p], _ZERO), inverses[p], _ZERO)
-        for p in range(1, length + 1)
+        _product(bases[p - 1], h_std[p], inverses[p]) for p in range(1, length + 1)
     )
-    p_mat = mat_mul(p_std, inverses[0], _ZERO)
-    i_mat = mat_mul(bases[0], i_std, _ZERO)
+    p_mat = _product(p_std, inverses[0])
+    i_mat = _product(bases[0], i_std)
     return _BasedComplex(tuple(dims), d_mats, h_mats, p_mat, i_mat)
 
 

@@ -29,6 +29,7 @@ substitutions; sums, negation, scaling, ``extend``, ``diff``,
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from fractions import Fraction
@@ -440,7 +441,8 @@ def to_string(p: MultiPoly) -> str:
 # ---------------------------------------------------------------------------
 # Shared conventions: vector spaces (``Linear``), signs, face maps, and the
 # matrix kernel (``mat_vec``, ``mat_mul``, ``identity``, ``mat_add``,
-# ``mat_scale`` and the rational ``rref``)
+# ``mat_scale``, ``clear_denominators``, the fraction-free ``integer_rref``
+# and the rational ``rref``)
 
 
 def is_zero(x) -> bool:
@@ -611,34 +613,57 @@ def slot_shift(prefix: str, first: int, last: int, n: int) -> Dict[str, MultiPol
     }
 
 
-def rref(rows: Sequence[Sequence[Rat]]) -> List[List[Rat]]:
-    """Reduced row echelon form over the rationals; drops zero rows."""
+def integer_rref(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer
+    matrix: ``(rows, d)`` with the reduced row echelon form equal to
+    ``rows / d``, zero rows dropped.  Every pivot of ``rows`` equals ``d``,
+    the last pivot minor, and every division is exact (Sylvester's
+    identity), so the entries stay integers and no step normalises."""
     rows = [list(r) for r in rows]
+    prev = 1
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        piv = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = piv
         r += 1
         if r == len(rows):
             break
-    return [row for row in rows[:r] if any(x != 0 for x in row)]
+    return rows[:r], prev
+
+
+def clear_denominators(v: Sequence[Rat]) -> Tuple[List[int], int]:
+    """``(ints, d)`` with ``v == ints / d``, d the lcm of the denominators
+    of the rationals (or ints) ``v``."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def rref(rows: Sequence[Sequence[Rat]]) -> List[List[Rat]]:
+    """Reduced row echelon form over the rationals; drops zero rows.  Each
+    row is cleared of denominators, the integer matrix is eliminated by
+    ``integer_rref`` and the result is divided by its pivot once."""
+    reduced, den = integer_rref([clear_denominators(row)[0] for row in rows])
+    return [[Fraction(x, den) for x in row] for row in reduced]
 
 
 # The matrix kernel, one for both coefficient rings.  A matrix is a sequence
 # of rows, and every result is a new list (of row lists).  Entries are
-# ``Fraction``s or ``MultiPoly``s, and one product may mix them.  A function
-# that can form an empty sum takes the zero of its result's ring as ``zero``:
-# the polynomial zero by default, ``Fraction(0)`` for a rational result.
-# Products skip zero entries, which changes no result.
+# ``Fraction``s or ``MultiPoly``s, and one product may mix them; the same
+# functions run over ``int``, for integer matrices over one denominator.  A
+# function that can form an empty sum takes the zero of its result's ring
+# as ``zero``: the polynomial zero by default, ``Fraction(0)`` for a
+# rational result, ``0`` for an integer one.  Products skip zero entries,
+# which changes no result.
 
 #: The zero of the polynomial ring, the default ``zero`` of the kernel.
 POLY_ZERO = MultiPoly.zero()

@@ -1,8 +1,13 @@
-"""Static hygiene of the package sources: no unused imports, no dead
-private helpers and no process-wide caches.  Stdlib ``ast`` only, so it
-runs wherever the tests do."""
+"""Hygiene of the package sources: no unused imports, no dead private
+helpers, no process-wide caches, and no import-time state that keeps an
+old copy of the package alive.  Stdlib only, so it runs wherever the tests
+do."""
 
 import ast
+import gc
+import importlib
+import sys
+import weakref
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cochainlab"
@@ -155,4 +160,78 @@ def protocol_redefinitions(path: Path):
 
 def test_no_class_reimplements_the_linear_protocol():
     problems = [p for path in sorted(SRC.glob("*.py")) for p in protocol_redefinitions(path)]
+    assert problems == []
+
+
+def _package_modules():
+    return {name: mod for name, mod in sys.modules.items()
+            if name == "cochainlab" or name.startswith("cochainlab.")}
+
+
+def _purge_package():
+    for name in _package_modules():
+        del sys.modules[name]
+
+
+def _fresh_class_ref():
+    """A weak reference to ``MultiPoly`` of a freshly imported package."""
+    _purge_package()
+    return weakref.ref(importlib.import_module("cochainlab").polyalg.MultiPoly)
+
+
+def test_reimport_frees_the_old_package():
+    # A benchmark pass re-imports the package; the copy it drops must be
+    # freed, not pinned by import-time state such as typing's caches.
+    saved = _package_modules()
+    try:
+        ref = _fresh_class_ref()
+        _purge_package()
+        importlib.import_module("cochainlab")
+        gc.collect()
+        assert ref() is None
+    finally:
+        _purge_package()
+        sys.modules.update(saved)
+
+
+def package_classes(paths):
+    return {node.name for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)}
+
+
+def import_time_subscripts(path: Path, classes):
+    """Subscriptions ``X[...]`` evaluated at import time, outside function
+    bodies and (postponed) annotations, that name a package class: a
+    ``typing`` alias such as ``Tuple[MultiPoly]`` caches the class in a
+    process-wide table, which then keeps every imported copy alive."""
+    problems = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # only the decorators and defaults run at import time
+            args = node.args
+            run = args.defaults + [d for d in args.kw_defaults if d is not None]
+            run += getattr(node, "decorator_list", [])
+        elif isinstance(node, ast.AnnAssign):
+            run = [node.value] if node.value is not None else []
+        else:
+            run = list(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Subscript):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                problems.extend(f"{path.name}:{node.lineno}: {name}"
+                                for name in sorted(names & classes))
+                return
+        for child in run:
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return problems
+
+
+def test_no_import_time_subscript_of_a_package_class():
+    paths = sorted(SRC.glob("*.py"))
+    classes = package_classes(paths)
+    assert "MultiPoly" in classes
+    problems = [p for path in paths for p in import_time_subscripts(path, classes)]
     assert problems == []

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -12,15 +14,19 @@ from cochainlab.perturb import (
     Graded,
     NonTermination,
     Vec,
+    _inverse,
+    _rand_invertible,
     graded_perturbed_h,
     matrix_instance,
     neumann_apply,
     perturbed_p,
+    random_based_complex,
     total_diff,
     verify_instance,
     zigzag_xy,
     zigzag_yx,
 )
+from cochainlab.polyalg import identity, mat_mul, mat_vec, rref
 from cochainlab.vanest import build_double_complex, standard_poly_rep
 from conftest import instance_operator_fields
 
@@ -53,6 +59,73 @@ def test_neumann_terminates_within_p_plus_one():
         x = inst.sample(rng, p, 1)
         # (1 + dh)^{-1} = sum_{m<=p+1} (-dh)^m must terminate
         neumann_apply(inst, "horizontal", p, 1, x)
+
+
+# The matrix oracle's factor matrices: integer rows over one denominator.
+
+
+def _fractions(mat):
+    rows, den = mat
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def _factor_maps(cx):
+    """(factor matrix, the map that applies it) for every map of a based
+    complex."""
+    top = len(cx.dims) - 1
+    maps = [(cx.d_mats[p], partial(cx.d, p)) for p in range(top)]
+    maps += [(cx.h_mats[p], partial(cx.h, p)) for p in range(1, top + 1)]
+    return maps + [(cx.p_mat, cx.proj), (cx.i_mat, cx.inc)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_maps_match_the_rational_kernel(seed):
+    rng = random.Random(seed)
+    for mat, apply in _factor_maps(random_based_complex(rng, 4)):
+        rows, den = mat
+        # lowest terms over a positive denominator
+        assert den > 0 and math.gcd(den, *(x for row in rows for x in row)) == 1
+        for _ in range(5):
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in rows[0]]
+            out = apply(v)
+            assert out == mat_vec(_fractions(mat), v, Fraction(0))
+            assert all(type(x) is Fraction for x in out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fraction_free_inverse(seed):
+    rng = random.Random(seed)
+    inverted = 0
+    for n in range(1, 6):
+        generic = ([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)], rng.randint(1, 6))
+        for mat in (_rand_invertible(rng, n), generic):
+            if len(rref(_fractions(mat))) < n:  # singular
+                continue
+            inv, one = _fractions(_inverse(mat)), identity(n, Fraction(0))
+            assert mat_mul(inv, _fractions(mat), Fraction(0)) == one
+            assert mat_mul(_fractions(mat), inv, Fraction(0)) == one
+            inverted += 1
+    assert inverted >= 5
+
+
+def test_no_float_reaches_a_vec_entry():
+    # an int / int division in the integer arithmetic would leave a float
+    inst = matrix_instance(seed=2)
+    images = []
+
+    def recorded(op):
+        def wrapper(x):
+            images.append(op(x))
+            return images[-1]
+
+        return wrapper
+
+    wrapped = dataclasses.replace(
+        inst, **{name: recorded(getattr(inst, name)) for name in instance_operator_fields()}
+    )
+    verify_instance(wrapped, seed=0, trials=2)
+    assert len(images) > 100
+    assert all(type(e) is Fraction for v in images for e in v.entries)
 
 
 def test_perturbed_identity_all_bidegrees():
@@ -222,11 +295,21 @@ def test_verify_instance_pushes_each_sample_through_each_operator_once():
 
             return wrapper
 
+        # every element passed to d, delta, h or k, by id and kept alive, and
+        # the ones passed to the same operator again (p-hat meets i x twice,
+        # in p-hat i and in p-hat' i, whose Neumann sum is i x itself)
+        passed = {name: {} for name in ("d", "delta", "h", "k")}
+        again = Counter()
+
         def counted(name, op):
             def wrapper(x):
                 for kind, elts in drawn.items():
                     if elts.get(id(x)) is x:
                         calls[kind, name, id(x)] += 1
+                if name in passed:
+                    if passed[name].get(id(x)) is x:
+                        again[name] += 1
+                    passed[name][id(x)] = x
                 return op(x)
 
             return wrapper
@@ -243,7 +326,12 @@ def test_verify_instance_pushes_each_sample_through_each_operator_once():
         for key in drawn["sample"]:
             for name in ("d", "delta", "k"):
                 assert calls["sample", name, key] == 1, (inst.name, name)
-            # h x, and the first step of the Neumann sum (1 + dh)^{-1} x
-            assert calls["sample", "h", key] <= 2, inst.name
+            # the first step of the Neumann sum (1 + dh)^{-1} x, which is h x;
+            # the sum of a zero sample has no terms
+            expected = 0 if drawn["sample"][key].is_zero() else 1
+            assert calls["sample", "h", key] == expected, inst.name
         for key in drawn["sample_x"]:
             assert calls["sample_x", "i_inc", key] == 1, inst.name
+        # no image is computed twice either: h' x, d h' x and h delta x are
+        # read off the Neumann sums
+        assert again == Counter(), inst.name

@@ -17,6 +17,7 @@ from cochainlab.polyalg import (
     mat_mul,
     mat_scale,
     mat_vec,
+    rref,
     sort_sign,
     to_string,
     var_key,
@@ -373,3 +374,45 @@ def test_matrix_kernel_skips_zero_entries_without_changing_results(n, m, l, data
     zeros = [[Fraction(0)] * m for _ in range(n)]
     assert all(type(x) is Fraction for x in mat_vec(zeros, [Fraction(1)] * m, Fraction(0)))
     assert all(x.is_zero() for x in mat_vec(zeros, [MultiPoly.var("t1")] * m))
+
+
+def _rational_rref(rows):
+    """Reference: Gauss-Jordan elimination in ``Fraction`` arithmetic, with
+    each pivot row normalised as it is chosen."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r]
+
+
+def rational_matrices(rows, cols):
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 5), st.integers(1, 3), st.data())
+def test_fraction_free_rref_matches_rational_elimination(n, m, rank, data):
+    full = data.draw(rational_matrices(n, m))
+    # a product through a rank-dimensional space: rank deficient when n or
+    # m is larger
+    low = mat_mul(data.draw(rational_matrices(n, rank)), data.draw(rational_matrices(rank, m)),
+                  Fraction(0))
+    integral = [[x.numerator for x in row] for row in full]
+    zero_rows = full[:1] + [[Fraction(0)] * m] + low[:1]
+    for rows in (full, low, full + low, integral, zero_rows):
+        reduced = rref(rows)
+        assert reduced == _rational_rref(rows)
+        # an int / int division would leave a float here
+        assert all(type(x) is Fraction for row in reduced for x in row)
