@@ -632,7 +632,7 @@ def collate(
         raise NotCocycle("input is not a Cech cocycle")
     if inst is None:
         inst = cech_instance(c.cover)
-    return zigzag_xy(inst, c.p, c)
+    return zigzag_xy(inst, c)
 
 
 def winding_cocycle(cover: Optional[CoverSpec] = None) -> ConstCochain:

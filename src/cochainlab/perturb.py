@@ -7,9 +7,11 @@ contraction (j-hat, q-hat, k) onto the row Y at q = 0, and samplers of the
 double complex, X and Y.  Elements are payloads of the vector-space
 protocol that ``polyalg.Linear`` implements (+ of equal shapes, unary -,
 .is_zero()).  A payload of the double complex knows its bidegree: it
-exposes ``p`` and ``q``, so every operator takes the element alone and the
-engine threads no bidegree into it.  Everything is exact: equality means
-the difference is identically zero.
+exposes ``p`` and ``q``, and it is the only source of that bidegree.  Every
+operator takes the element alone, and so does every engine function: the
+Neumann sums read their bound, the zig-zags their length and the traces
+their bidegrees off the elements themselves.  Everything is exact:
+equality means the difference is identically zero.
 
 The engine provides the finite Neumann inversion (1 + dh)^{-1}, the two
 zig-zag maps between X and Y, the perturbed homotopy/projection
@@ -73,7 +75,7 @@ class Vec(Linear):
 
 
 class Graded(Linear):
-    """Finite formal sum of payloads indexed by bidegree."""
+    """Finite formal sum of payloads, each filed under its own bidegree."""
 
     __slots__ = ("parts",)
     _kind = sparse(SCALARS)
@@ -82,19 +84,19 @@ class Graded(Linear):
         super().__init__({bd: x for bd, x in parts.items() if not x.is_zero()})
 
     @staticmethod
-    def single(p: int, q: int, x) -> "Graded":
-        return Graded({(p, q): x})
-
-    def component(self, p: int, q: int, zero=None):
-        return self.parts.get((p, q), zero)
-
-    def map(self, op: Callable[[object], object], dp: int, dq: int) -> "Graded":
+    def of(*payloads) -> "Graded":
+        """The sum of ``payloads``, each filed under its own (x.p, x.q)."""
         out: Dict[Bidegree, object] = {}
-        for (p, q), x in self.parts.items():
-            y = op(x)
-            if y is not None and not y.is_zero():
-                add_into(out, (p + dp, q + dq), y)
+        for x in payloads:
+            add_into(out, (x.p, x.q), x)
         return Graded(out)
+
+    def component(self, p: int, q: int):
+        return self.parts.get((p, q))
+
+    def map(self, op: Callable[[object], object]) -> "Graded":
+        """The images of the parts under ``op``, filed by their bidegrees."""
+        return Graded.of(*map(op, self.parts.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,8 @@ class DoubleComplexInstance:
     element alone and returns the element at the shifted bidegree or
     degree; it must return a zero payload (or raise) outside its domain
     rather than silently truncating.  ``h`` must vanish on p = 0 and ``k``
-    on q = 0.
+    on q = 0.  The engine files every image under the bidegree the image
+    itself exposes, never under one it predicts.
     """
 
     name: str
@@ -153,33 +156,33 @@ SAMPLE_COEFFS = (
 # Neumann inversion and perturbed operators
 
 
-def _neumann_series(inst: DoubleComplexInstance, which: str, p: int, q: int, x):
+def _neumann_series(inst: DoubleComplexInstance, which: str, x):
     """The finite alternating sum (1 + dh)^{-1} x of the terms (-dh)^m x
     (which='horizontal'), or (1 + delta k)^{-1} x of the terms
     (-delta k)^m x (which='vertical'), together with the sum of the h
     (respectively k) images of its terms, which the steps compute: that is
-    h (1 + dh)^{-1} x, respectively k (1 + delta k)^{-1} x."""
+    h (1 + dh)^{-1} x, respectively k (1 + delta k)^{-1} x.  At x's
+    bidegree (p, q) the sum has at most p + 1 (respectively q + 1) terms."""
     if which == "horizontal":
-        # Graded.map arguments: an operator and its bidegree shift
-        first, second, bound = (inst.h, -1, 0), (inst.d, 0, 1), p + 1
+        first, second, bound = inst.h, inst.d, x.p + 1
     elif which == "vertical":
-        first, second, bound = (inst.k, 0, -1), (inst.delta, 1, 0), q + 1
+        first, second, bound = inst.k, inst.delta, x.q + 1
     else:
         raise ValueError(f"unknown direction {which!r}")
 
-    total = term = Graded.single(p, q, x)
+    total = term = Graded.of(x)
     images = Graded({})
     count = 1
     while True:
-        image = term.map(*first)
+        image = term.map(first)
         images = images + image
-        term = -image.map(*second)
+        term = -image.map(second)
         if term.is_zero():
             return total, images
         count += 1
         if count > bound:
             raise NonTermination(
-                f"Neumann series in {inst.name} exceeded {bound} terms at {(p, q)}"
+                f"Neumann series in {inst.name} exceeded {bound} terms at {(x.p, x.q)}"
             )
         total = total + term
 
@@ -189,34 +192,33 @@ def neumann_apply(
 ) -> Graded:
     """(1 + dh)^{-1} x (which='horizontal') or (1 + delta k)^{-1} x
     (which='vertical'), as the finite alternating sum of (-dh)^m x or of
-    (-delta k)^m x respectively."""
-    return _neumann_series(inst, which, p, q, x)[0]
+    (-delta k)^m x respectively.  (p, q) must be x's own bidegree."""
+    if (p, q) != (x.p, x.q):
+        raise ValueError(f"bidegree {(p, q)} given for an element at {(x.p, x.q)}")
+    return _neumann_series(inst, which, x)[0]
 
 
-def perturbed_h(inst: DoubleComplexInstance, p: int, q: int, x) -> Graded:
+def perturbed_h(inst: DoubleComplexInstance, x) -> Graded:
     """h' = h (1 + dh)^{-1}: the sum of the h images that the Neumann sum's
     steps compute."""
-    return _neumann_series(inst, "horizontal", p, q, x)[1]
+    return _neumann_series(inst, "horizontal", x)[1]
 
 
-def perturbed_p(inst: DoubleComplexInstance, p: int, q: int, x):
+def perturbed_p(inst: DoubleComplexInstance, x):
     """p-hat' = p-hat (1 + dh)^{-1}; X element of degree p + q, or None if
     the Neumann sum has no component in the first column."""
-    inv = neumann_apply(inst, "horizontal", p, q, x)
-    comp = inv.component(0, p + q)
-    if comp is None:
-        return None
-    return inst.p_proj(comp)
+    comp = neumann_apply(inst, "horizontal", x.p, x.q, x).component(0, x.p + x.q)
+    return None if comp is None else inst.p_proj(comp)
 
 
 def total_diff(inst: DoubleComplexInstance, g: Graded) -> Graded:
-    return g.map(inst.d, 0, 1) + g.map(inst.delta, 1, 0)
+    return g.map(inst.d) + g.map(inst.delta)
 
 
 def graded_perturbed_h(inst: DoubleComplexInstance, g: Graded) -> Graded:
     out = Graded({})
-    for (p, q), x in g.parts.items():
-        out = out + perturbed_h(inst, p, q, x)
+    for x in g.parts.values():
+        out = out + perturbed_h(inst, x)
     return out
 
 
@@ -235,36 +237,36 @@ class ZigzagTrace:
         self.steps.append({"op": opname, "bidegree": [p, q], "value": snapshot})
 
 
-def _staircase(inst, p, include, ops, project, trace):
+def _staircase(inst, include, ops, project, trace):
     """(-1)^p project (b a)^p include, the staircase of both zig-zags.
 
-    ``include`` is (name, included element, its bidegree) and ``ops`` holds
-    the alternating operators a, b as (name, operator, bidegree shift).
-    Every step, the inclusion first, is recorded in ``trace``."""
-    name, elt, (bp, bq) = include
-    for opname, op, (dp, dq) in ((name, None, (0, 0)),) + ops * p:
+    ``include`` is (name, included element), and ``ops`` holds the
+    alternating operators a, b as (name, operator).  The included element
+    sits at (p, 0) for ``zigzag_xy`` and at (0, p) for ``zigzag_yx``, so p
+    is its total degree.  Every step, the inclusion first, is recorded in
+    ``trace`` at the bidegree of the element it reached."""
+    name, elt = include
+    p = elt.p + elt.q
+    for opname, op in ((name, None),) + ops * p:
         if op is not None:
             elt = op(elt)
-            bp, bq = bp + dp, bq + dq
         if trace is not None:
-            trace.record(opname, bp, bq, inst.serialize(elt))
+            trace.record(opname, elt.p, elt.q, inst.serialize(elt))
     out = project(elt)
     return -out if p % 2 else out
 
 
-def zigzag_xy(inst: DoubleComplexInstance, p: int, y, trace: Optional[ZigzagTrace] = None):
+def zigzag_xy(inst: DoubleComplexInstance, y, trace: Optional[ZigzagTrace] = None):
     """(-1)^p p-hat (dh)^p j-hat: Y^p -> X^p (the differentiation direction)."""
     return _staircase(
-        inst, p, ("j", inst.j_inc(y), (p, 0)),
-        (("h", inst.h, (-1, 0)), ("d", inst.d, (0, 1))), inst.p_proj, trace,
+        inst, ("j", inst.j_inc(y)), (("h", inst.h), ("d", inst.d)), inst.p_proj, trace
     )
 
 
-def zigzag_yx(inst: DoubleComplexInstance, p: int, x, trace: Optional[ZigzagTrace] = None):
+def zigzag_yx(inst: DoubleComplexInstance, x, trace: Optional[ZigzagTrace] = None):
     """(-1)^p q-hat (delta k)^p i-hat: X^p -> Y^p (the integration direction)."""
     return _staircase(
-        inst, p, ("i", inst.i_inc(x), (0, p)),
-        (("k", inst.k, (0, -1)), ("delta", inst.delta, (1, 0))), inst.q_proj, trace,
+        inst, ("i", inst.i_inc(x)), (("k", inst.k), ("delta", inst.delta)), inst.q_proj, trace
     )
 
 
@@ -343,7 +345,7 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                 x = inst.sample(rng, p, q)
                 dx, dlx, kx = inst.d(x), inst.delta(x), inst.k(x)
                 # (1 + dh)^{-1} x and h' x, whose (p-1, q) part is h x
-                inv, hpx = _neumann_series(inst, "horizontal", p, q, x)
+                inv, hpx = _neumann_series(inst, "horizontal", x)
                 # i p-hat' x; the Neumann sum is x itself at p = 0
                 col = x if p == 0 else inv.component(0, p + q)
                 ipx = None if col is None else inst.i_inc(inst.p_proj(col))
@@ -352,18 +354,16 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                 run("anticommute", p, q, x, inst.d(dlx) + inst.delta(dx))
                 # [h', d + delta] x = h' (d + delta) x + (d + delta) h' x, where
                 # the d images of h' x are the Neumann terms after x, negated
-                dgx = Graded({(p, q + 1): dx, (p + 1, q): dlx})  # (d + delta) x
-                lhs = graded_perturbed_h(inst, dgx) + (Graded.single(p, q, x) - inv)
-                lhs = lhs + hpx.map(inst.delta, 1, 0)
+                dgx = Graded.of(dx, dlx)  # (d + delta) x
+                lhs = graded_perturbed_h(inst, dgx) + (Graded.of(x) - inv)
+                lhs = lhs + hpx.map(inst.delta)
                 # [h, delta] = 1 - i p-hat, read off the (p, q) part of lhs:
                 # the first steps h delta x of h' delta x and delta h x
                 hd = lhs.component(p, q)
                 rhs = x - ipx if p == 0 else x
                 run("h_delta_contraction", p, q, x, -rhs if hd is None else hd - rhs)
                 # [h', d + delta] = 1 - i p-hat'
-                rhs = Graded.single(p, q, x)
-                if ipx is not None:
-                    rhs = rhs - Graded.single(0, p + q, ipx)
+                rhs = Graded.of(x) if ipx is None else Graded.of(x, -ipx)
                 run("perturbed_contraction", p, q, x, lhs - rhs)
                 rhs = x - inst.j_inc(inst.q_proj(x)) if q == 0 else x
                 run("k_d_contraction", p, q, x, inst.k(dx) + inst.d(kx) - rhs)
@@ -378,7 +378,7 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                     xe = inst.sample_x(rng, q)
                     ixe = inst.i_inc(xe)
                     run("p_i_identity", 0, q, xe, inst.p_proj(ixe) - xe)
-                    pback = perturbed_p(inst, 0, q, ixe)
+                    pback = perturbed_p(inst, ixe)
                     run("perturbed_p_i_identity", 0, q, xe, xe if pback is None else pback - xe)
 
     # zig-zag back-and-forth on X, valid when the side conditions hold
@@ -386,11 +386,11 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
         for p in range(inst.max_p + 1):
             for _ in range(trials):
                 xe = inst.sample_x(rng, p)
-                diff = zigzag_xy(inst, p, zigzag_yx(inst, p, xe)) - xe
+                diff = zigzag_xy(inst, zigzag_yx(inst, xe)) - xe
                 steps = None
                 if not diff.is_zero():
                     trace = ZigzagTrace()
-                    zigzag_xy(inst, p, zigzag_yx(inst, p, xe, trace), trace)
+                    zigzag_xy(inst, zigzag_yx(inst, xe, trace), trace)
                     steps = trace.steps
                 run("zigzag_back_and_forth", p, 0, xe, diff, extra_trace=steps)
 

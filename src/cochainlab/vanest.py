@@ -6,7 +6,8 @@ An element of bidegree (p, q) is a V-valued function of p group slots
 the dual basis of Lambda^q g* (the "component picture").  The equivalent
 "form picture" regards it as a V-valued fiberwise differential form
 beta = rho(y) * sum_I psi_I theta^I built from the left-invariant coframe;
-``frame_convert`` mediates and the round trip is the identity.
+``frame_convert`` builds it and ``FormPicture.components`` reads the
+component picture back; the round trip is the identity.
 
 Operators:
   delta  horizontal simplicial differential (pure substitution; the
@@ -209,47 +210,41 @@ class FormPicture:
     q: int
     forms: Tuple[PolyForm, ...]
 
-
-def frame_convert(obj, direction: str):
-    """Convert between the component picture and the form picture.
-
-    direction='to_form': BigradedElement -> FormPicture via
-    beta = rho(y) sum_I psi_I theta^I.
-    direction='to_components': FormPicture -> BigradedElement via
-    psi_I = rho(y)^{-1} beta(e_{i_1}^L, ..., e_{i_q}^L).
-    """
-    if direction == "to_form":
-        psi: BigradedElement = obj
-        group, rep = psi.group, psi.rep
-        theta = maurer_cartan_coframe(group, slots=psi.p)
-        chart = group_chart(group, slots=psi.p)
-        forms = [PolyForm.zero(chart, psi.q)] * rep.dim
-        for idx, vec in psi.comps.items():
-            for r, coef in enumerate(mat_vec(rep.rho, vec)):
-                if coef.is_zero():
-                    continue
-                term = PolyForm.function(chart, coef)
-                for i in idx:
-                    term = wedge(term, theta[i])
-                forms[r] = forms[r] + term
-        return FormPicture(group, rep, psi.p, psi.q, tuple(forms))
-    if direction == "to_components":
-        fp: FormPicture = obj
-        group, rep = fp.group, fp.rep
-        chart = group_chart(group, slots=fp.p)
+    def components(self) -> BigradedElement:
+        """The component picture: psi_I = rho(y)^{-1} beta(e_{i_1}^L, ...,
+        e_{i_q}^L)."""
+        group, rep = self.group, self.rep
+        chart = group_chart(group, slots=self.p)
         frames = [PolyVF(chart, field) for field in group.frame]
         rho_inv = rep.inverse_matrix()
         comps: Dict[Index, Tuple[MultiPoly, ...]] = {}
-        for idx in combinations(range(group.dim), fp.q):
+        for idx in combinations(range(group.dim), self.q):
             paired = []
             for r in range(rep.dim):
-                form = fp.forms[r]
+                form = self.forms[r]
                 for i in idx:
                     form = contract(form, frames[i])
                 paired.append(form.coefficient(()))
             comps[idx] = mat_vec(rho_inv, paired)
-        return BigradedElement(group, rep, fp.p, fp.q, comps)
-    raise ValueError(f"unknown direction {direction!r}")
+        return BigradedElement(group, rep, self.p, self.q, comps)
+
+
+def frame_convert(psi: BigradedElement) -> FormPicture:
+    """The form picture beta = rho(y) sum_I psi_I theta^I of a bigraded
+    element; ``FormPicture.components`` is the way back."""
+    group, rep = psi.group, psi.rep
+    theta = maurer_cartan_coframe(group, slots=psi.p)
+    chart = group_chart(group, slots=psi.p)
+    forms = [PolyForm.zero(chart, psi.q)] * rep.dim
+    for idx, vec in psi.comps.items():
+        for r, coef in enumerate(mat_vec(rep.rho, vec)):
+            if coef.is_zero():
+                continue
+            term = PolyForm.function(chart, coef)
+            for i in idx:
+                term = wedge(term, theta[i])
+            forms[r] = forms[r] + term
+    return FormPicture(group, rep, psi.p, psi.q, tuple(forms))
 
 
 def bg_k(psi: BigradedElement) -> BigradedElement:
@@ -257,12 +252,9 @@ def bg_k(psi: BigradedElement) -> BigradedElement:
     applied in the form picture.  Vanishes on q = 0."""
     if psi.q == 0:
         return BigradedElement.zero(psi.group, psi.rep, psi.p, -1)
-    fp = frame_convert(psi, "to_form")
     sgn = (-1) ** psi.p
-    tforms = tuple(homotopy_T(f) * sgn for f in fp.forms)
-    return frame_convert(
-        FormPicture(psi.group, psi.rep, psi.p, psi.q - 1, tforms), "to_components"
-    )
+    tforms = tuple(homotopy_T(f) * sgn for f in frame_convert(psi).forms)
+    return FormPicture(psi.group, psi.rep, psi.p, psi.q - 1, tforms).components()
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +445,7 @@ def r_closed(
         tuple(f"g{s}_{j}" for s in range(1, p + 1) for j in range(1, n + 1)),
     )
     phi = {f"y_{j}": gm.components[j - 1] for j in range(1, n + 1)}
-    twisted = frame_convert(bg_i_inc(group, rep, alpha), "to_form")
+    twisted = frame_convert(bg_i_inc(group, rep, alpha))
     vals = [cube_integrate(pullback(form, phi, cube)) for form in twisted.forms]
     # translate the V-value back to the unit
     prod = [MultiPoly.var(f"g1_{j}") for j in range(1, n + 1)]
@@ -545,7 +537,7 @@ def ve_zigzag(
     """Differentiation as the explicit zig-zag through the double complex."""
     if inst is None:
         inst = build_double_complex(f.group, f.rep)
-    return zigzag_xy(inst, f.degree, f)
+    return zigzag_xy(inst, f)
 
 
 def r_zigzag(
@@ -558,7 +550,7 @@ def r_zigzag(
     rep = rep if rep is not None else PolyRep(group, alpha.rep)
     if inst is None:
         inst = build_double_complex(group, rep)
-    return zigzag_yx(inst, alpha.degree, alpha)
+    return zigzag_yx(inst, alpha)
 
 
 # ---------------------------------------------------------------------------

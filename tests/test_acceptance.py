@@ -60,14 +60,14 @@ def _check_perturbed_identity(inst, rng, pmax, qmax, trials):
         for q in range(qmax + 1):
             for _ in range(trials):
                 x = inst.sample(rng, p, q)
-                g = Graded.single(p, q, x)
+                g = Graded.of(x)
                 lhs = graded_perturbed_h(inst, total_diff(inst, g)) + total_diff(
                     inst, graded_perturbed_h(inst, g)
                 )
-                rhs = Graded.single(p, q, x)
-                px = perturbed_p(inst, p, q, x)
+                rhs = Graded.of(x)
+                px = perturbed_p(inst, x)
                 if px is not None:
-                    rhs = rhs - Graded.single(0, p + q, inst.i_inc(px))
+                    rhs = rhs - Graded.of(inst.i_inc(px))
                 assert (lhs - rhs).is_zero()
 
 
@@ -198,7 +198,7 @@ def test_criterion_7_circle_winding_and_side_condition_failure():
     # ... so the back-and-forth composite is NOT the identity: witness dx
     grid = default_cover().grid
     witness = GlobalForm(1, PwPoly.on(grid, range(len(grid) - 1), MultiPoly.const(1)))
-    back = zigzag_xy(inst, 1, zigzag_yx(inst, 1, witness))
+    back = zigzag_xy(inst, zigzag_yx(inst, witness))
     difference = back - witness
     assert not difference.fn.is_zero()
     # while the discrepancy is exact: zero circle integral

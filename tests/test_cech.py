@@ -106,8 +106,8 @@ def test_back_and_forth_not_identity():
     # identity; the difference is exact (zero circle integral)
     inst = cech_instance()
     g = GlobalForm(1, PwPoly.on(GRID, FULL, MultiPoly.const(1)))
-    c = zigzag_yx(inst, 1, g)
-    back = zigzag_xy(inst, 1, c)
+    c = zigzag_yx(inst, g)
+    back = zigzag_xy(inst, c)
     diff = back - g
     assert not diff.fn.is_zero()
     assert circle_integrate(GlobalForm(1, diff.fn)) == Fraction(0)

@@ -62,7 +62,7 @@ def samplers(heisenberg_group):
         "ConstCochain": lambda rng, k: cech.sample_y(rng, k),
         "GlobalForm": lambda rng, k: cech.sample_x(rng, k),
         "Vec": lambda rng, k: matrix.sample(rng, k, 0),
-        "Graded": lambda rng, k: Graded.single(k, 0, matrix.sample(rng, k, 0)),
+        "Graded": lambda rng, k: Graded.of(matrix.sample(rng, k, 0)),
     }
 
 
@@ -94,7 +94,7 @@ def test_adding_different_shapes_raises(samplers, name):
     if name == "Graded":
         # A formal sum over bidegrees has no shape of its own: its parts at
         # one bidegree must share theirs.
-        b = Graded.single(0, 0, b.component(1, 0))
+        b = Graded({(0, 0): b.component(1, 0)})
     for x, y in ((a, b), (b, a)):
         with pytest.raises(ValueError):
             x + y
@@ -152,10 +152,10 @@ def test_copy_and_pickle_round_trip_of_polynomials_and_basic_values():
 
 def test_sums_whose_parts_differ_in_shape_are_unequal():
     # A formal sum has no shape of its own, so only its parts can tell.
-    short, long = (Graded.single(0, 0, Vec(0, 0, (Fraction(1),) * n)) for n in (9, 12))
+    short, long = (Graded.of(Vec(0, 0, (Fraction(1),) * n)) for n in (9, 12))
     assert (short == long) is False and short != long
     assert (long == short) is False
-    assert Graded.single(0, 0, Vec(0, 0, (Fraction(1),) * 9)) == short
+    assert Graded.of(Vec(0, 0, (Fraction(1),) * 9)) == short
 
 
 def test_vecs_at_different_bidegrees_are_different_shapes():

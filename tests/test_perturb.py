@@ -7,18 +7,20 @@ from functools import partial
 
 import pytest
 
-from cochainlab.cech_derham import ConstCochain, GlobalForm, cech_instance
+from cochainlab.cech_derham import CechForm, ConstCochain, GlobalForm, cech_instance
 from cochainlab.liealg import CEElement
 from cochainlab.nilgroup import GroupCochain, build_group
 from cochainlab.perturb import (
     Graded,
     NonTermination,
     Vec,
+    ZigzagTrace,
     _inverse,
     _rand_invertible,
     graded_perturbed_h,
     matrix_instance,
     neumann_apply,
+    perturbed_h,
     perturbed_p,
     random_based_complex,
     total_diff,
@@ -59,6 +61,27 @@ def test_neumann_terminates_within_p_plus_one():
         x = inst.sample(rng, p, 1)
         # (1 + dh)^{-1} = sum_{m<=p+1} (-dh)^m must terminate
         neumann_apply(inst, "horizontal", p, 1, x)
+
+
+def test_neumann_apply_rejects_a_bidegree_that_is_not_its_elements():
+    inst = matrix_instance(seed=4)
+    x = inst.sample(random.Random(0), 1, 1)
+    for which in ("horizontal", "vertical"):
+        for p, q in ((0, 0), (2, 1), (1, 2)):
+            with pytest.raises(ValueError, match=r"element at \(1, 1\)"):
+                neumann_apply(inst, which, p, q, x)
+        assert not neumann_apply(inst, which, 1, 1, x).is_zero()
+
+
+def test_the_neumann_bound_is_read_off_the_element():
+    # With k in place of h, every term (-dk)^m x = (-1)^m dk x sits at x's
+    # bidegree and is nonzero, so the sum stops at the p + 1 = 2 terms that
+    # x's own bidegree allows.
+    inst = matrix_instance(seed=4)
+    broken = dataclasses.replace(inst, h=inst.k)
+    x = inst.sample(random.Random(0), 1, 1)
+    with pytest.raises(NonTermination, match=r"exceeded 2 terms at \(1, 1\)"):
+        perturbed_h(broken, x)
 
 
 # The matrix oracle's factor matrices: integer rows over one denominator.
@@ -135,14 +158,14 @@ def test_perturbed_identity_all_bidegrees():
         for q in range(4):
             for _ in range(3):
                 x = inst.sample(rng, p, q)
-                g = Graded.single(p, q, x)
+                g = Graded.of(x)
                 lhs = graded_perturbed_h(inst, total_diff(inst, g)) + total_diff(
                     inst, graded_perturbed_h(inst, g)
                 )
-                rhs = Graded.single(p, q, x)
-                px = perturbed_p(inst, p, q, x)
+                rhs = Graded.of(x)
+                px = perturbed_p(inst, x)
                 if px is not None:
-                    rhs = rhs - Graded.single(0, p + q, inst.i_inc(px))
+                    rhs = rhs - Graded.of(inst.i_inc(px))
                 assert (lhs - rhs).is_zero()
 
 
@@ -150,7 +173,7 @@ def test_zigzag_degree_bookkeeping():
     inst = matrix_instance(seed=6)
     rng = random.Random(0)
     y = inst.sample_y(rng, 2)
-    x = zigzag_xy(inst, 2, y)
+    x = zigzag_xy(inst, y)
     assert len(x.entries) == len(inst.sample_x(rng, 2).entries)
 
 
@@ -164,15 +187,36 @@ def test_zigzags_are_chain_maps():
     for p in (0, 1):
         for _ in range(3):
             y = inst.sample_y(rng, p)
-            lhs = inst.d_x(zigzag_xy(inst, p, y))
-            assert lhs == zigzag_xy(inst, p + 1, inst.delta_y(y))
+            lhs = inst.d_x(zigzag_xy(inst, y))
+            assert lhs == zigzag_xy(inst, inst.delta_y(y))
             nonzero["xy", p] += not lhs.is_zero()
             x = inst.sample_x(rng, p)
-            lhs = inst.delta_y(zigzag_yx(inst, p, x))
-            assert lhs == zigzag_yx(inst, p + 1, inst.d_x(x))
+            lhs = inst.delta_y(zigzag_yx(inst, x))
+            assert lhs == zigzag_yx(inst, inst.d_x(x))
             nonzero["yx", p] += not lhs.is_zero()
     # every case was checked on nonzero values at least once
     assert len(nonzero) == 4 and all(nonzero.values())
+
+
+def test_a_trace_records_where_each_element_sits():
+    # A k that returns a zero at its input's bidegree, not one step down:
+    # the trace shows where each element is, not where k should have put it.
+    inst = cech_instance()
+    serialized = []
+
+    def serialize(x):
+        serialized.append((x.p, x.q))
+        return inst.serialize(x)
+
+    broken = dataclasses.replace(
+        inst, k=lambda w: CechForm.zero(w.cover, w.p, w.q), serialize=serialize
+    )
+    trace = ZigzagTrace()
+    zigzag_yx(broken, broken.sample_x(random.Random(0), 1), trace)
+    assert [(step["op"], tuple(step["bidegree"])) for step in trace.steps] == [
+        ("i", (0, 1)), ("k", (0, 1)), ("delta", (1, 1)),
+    ]
+    assert [tuple(step["bidegree"]) for step in trace.steps] == serialized
 
 
 def test_verify_report_schema():
@@ -269,8 +313,8 @@ def test_operators_take_the_element_alone_and_shift_its_bidegree():
         rng = random.Random(0)
         for p in range(inst.max_p + 1):
             x, y = wrapped.sample_x(rng, p), wrapped.sample_y(rng, p)
-            assert zigzag_yx(wrapped, p, x) == zigzag_yx(inst, p, x)
-            assert zigzag_xy(wrapped, p, y) == zigzag_xy(inst, p, y)
+            assert zigzag_yx(wrapped, x) == zigzag_yx(inst, x)
+            assert zigzag_xy(wrapped, y) == zigzag_xy(inst, y)
             wrapped.d_x(x)
             wrapped.delta_y(y)
         assert set(calls) == set(SHIFTS), inst.name

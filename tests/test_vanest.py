@@ -161,7 +161,7 @@ def test_frame_convert_roundtrip(heisenberg_group):
     for p in range(3):
         for q in range(3):
             psi = inst.sample(rng, p, q)
-            back = frame_convert(frame_convert(psi, "to_form"), "to_components")
+            back = frame_convert(psi).components()
             assert (back - psi).is_zero()
 
 
