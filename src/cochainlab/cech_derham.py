@@ -272,9 +272,14 @@ class CoverSpec:
     _arc_cells: Tuple[FrozenSet[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not len(self.arcs) == len(self.pou) == len(self.basepoints):
+            raise CechError("a cover takes one partition function and one basepoint per arc")
         cuts = {Fraction(0), Fraction(1)}
         for i in range(len(self.arcs)):
             cuts.update(c for iv in self.intervals(i) for c in iv)
+        for (a, b), x in zip(self.arcs, self.basepoints):
+            if not 0 < (x - a) % 1 < b - a:
+                raise CechError(f"basepoint {x} is not strictly inside the arc ({a}, {b})")
         for chi in self.pou:
             cuts.update(chi.grid)
         grid = tuple(sorted(cuts))
@@ -391,10 +396,11 @@ class CechForm(Linear):
 
 
 class GlobalForm(Linear):
-    """A global q-form on the circle (q in {0, 1}); fn is the coefficient,
-    defined on the full fundamental domain."""
+    """A global q-form on the circle, at (0, q) with q in {0, 1}; fn is the
+    coefficient, defined on the full fundamental domain."""
 
     __slots__ = ("q", "fn")
+    p = 0
 
     def _shape(self):
         return self.q, self.fn._shape()
@@ -404,10 +410,11 @@ class GlobalForm(Linear):
 
 
 class ConstCochain(Linear):
-    """Cech p-cochain with constant (rational) coefficients."""
+    """Cech p-cochain at (p, 0) with constant (rational) coefficients."""
 
     __slots__ = ("cover", "p", "comps")
     _kind = sparse(SCALARS)
+    q = 0
 
     def __init__(self, cover: CoverSpec, p: int, comps: Dict[Index, Fraction]):
         clean = {}
@@ -525,13 +532,13 @@ def cech_q_proj(w: CechForm) -> ConstCochain:
     return ConstCochain(cover, w.p, comps)
 
 
-def cech_j_inc(cover: CoverSpec, c: ConstCochain) -> CechForm:
+def cech_j_inc(c: ConstCochain) -> CechForm:
     """j-hat: constants as locally constant functions."""
     comps = {
-        idx: PwPoly.on(cover.grid, cover.intersection(idx), _const(v))
+        idx: PwPoly.on(c.cover.grid, c.cover.intersection(idx), _const(v))
         for idx, v in c.comps.items()
     }
-    return CechForm(cover, c.p, 0, comps)
+    return CechForm(c.cover, c.p, 0, comps)
 
 
 def global_d(g: GlobalForm) -> GlobalForm:
@@ -614,12 +621,11 @@ def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
         d_x=global_d,
         k=lambda w: _signed(good_cover_k(w)),
         q_proj=cech_q_proj,
-        j_inc=partial(cech_j_inc, cover),
+        j_inc=cech_j_inc,
         delta_y=const_delta,
         sample=sample, sample_x=sample_x, sample_y=sample_y,
         max_p=1, max_q=1,
         side_conditions="fails",
-        serialize=repr,
     )
 
 

@@ -214,33 +214,34 @@ def trivial_rep(alg: LieAlgebra) -> Representation:
 
 
 class CEElement(Linear):
-    """Element of C^q(g, V): map from increasing q-subsets to V-vectors."""
+    """Element of C^q(g, V), at (0, q): map from increasing q-subsets to V-vectors."""
 
-    __slots__ = ("algebra", "rep", "degree", "comps")
+    __slots__ = ("algebra", "rep", "q", "comps")
     _kind = sparse(VECTORS)
+    p = 0
 
     def __init__(
         self,
         algebra: LieAlgebra,
         rep: Optional[Representation],
-        degree: int,
+        q: int,
         comps: Mapping[Index, Sequence[Rat]],
     ):
         rep = rep if rep is not None else trivial_rep(algebra)
         clean: Dict[Index, Vec] = {}
         for idx, vec in comps.items():
             idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"index {idx} is not an increasing {degree}-subset")
+            if len(idx) != q or list(idx) != sorted(set(idx)):
+                raise ValueError(f"index {idx} is not an increasing {q}-subset")
             v = tuple(Fraction(x) for x in vec)
             if len(v) != rep.dim:
                 raise ValueError("vector length must match representation dim")
             if any(x != 0 for x in v):
                 clean[idx] = v
-        super().__init__(algebra, rep, degree, clean)
+        super().__init__(algebra, rep, q, clean)
 
     def _shape(self):
-        return self.degree, self.rep.dim
+        return self.q, self.rep.dim
 
     @staticmethod
     def zero(algebra, rep, degree) -> "CEElement":
@@ -258,7 +259,7 @@ class CEElement(Linear):
         return self.comps.get(tuple(idx), tuple(Fraction(0) for _ in range(self.rep.dim)))
 
     def __repr__(self):
-        return f"CEElement(deg={self.degree}, comps={self.comps})"
+        return f"CEElement(deg={self.q}, comps={self.comps})"
 
 
 def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[Index, Sequence]:
@@ -305,13 +306,13 @@ def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[
 def ce_diff(alpha: CEElement) -> CEElement:
     """Chevalley-Eilenberg differential, acting on coefficients through the
     matrices of alpha's representation."""
-    out = ce_diff_comps(alpha.algebra, alpha.degree, alpha.comps, alpha.rep.act)
-    return CEElement(alpha.algebra, alpha.rep, alpha.degree + 1, out)
+    out = ce_diff_comps(alpha.algebra, alpha.q, alpha.comps, alpha.rep.act)
+    return CEElement(alpha.algebra, alpha.rep, alpha.q + 1, out)
 
 
 def ce_contract(alpha: CEElement, xi: Sequence[Rat]) -> CEElement:
     """Contraction with the algebra vector xi = sum xi_i e_i."""
-    if alpha.degree == 0:
+    if alpha.q == 0:
         return CEElement.zero(alpha.algebra, alpha.rep, 0)
     out: Dict[Index, list] = {}
     for idx, vec in alpha.comps.items():
@@ -322,7 +323,7 @@ def ce_contract(alpha: CEElement, xi: Sequence[Rat]) -> CEElement:
             rest = idx[:pos] + idx[pos + 1 :]
             sgn = (-1) ** pos
             add_into(out, rest, [x * (c * sgn) for x in vec], VECTORS.add)
-    return CEElement(alpha.algebra, alpha.rep, alpha.degree - 1, out)
+    return CEElement(alpha.algebra, alpha.rep, alpha.q - 1, out)
 
 
 def ce_lie_derivative(alpha: CEElement, xi: Sequence[Rat]) -> CEElement:

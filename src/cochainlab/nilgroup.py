@@ -391,17 +391,18 @@ def trivial_poly_rep(group: PolyGroup) -> PolyRep:
 
 
 class GroupCochain(Linear):
-    """Polynomial p-cochain: a vector of MultiPolys in the slot variables
-    g1_*, ..., gp_* (vector length = coefficient dimension)."""
+    """Polynomial p-cochain at (p, 0): a vector of MultiPolys in the slot
+    variables g1_*, ..., gp_* (vector length = coefficient dimension)."""
 
-    __slots__ = ("group", "rep", "degree", "values")
+    __slots__ = ("group", "rep", "p", "values")
     _kind = VECTORS
+    q = 0
 
     def __init__(
         self,
         group: PolyGroup,
         rep: Optional[PolyRep],
-        degree: int,
+        p: int,
         values: Sequence[MultiPoly],
     ):
         rep = rep if rep is not None else trivial_poly_rep(group)
@@ -409,16 +410,16 @@ class GroupCochain(Linear):
         if len(vals) != rep.dim:
             raise ValueError("value vector length must equal rep dimension")
         allowed = set()
-        for s in range(1, degree + 1):
+        for s in range(1, p + 1):
             allowed.update(slot_vars(s, group.dim))
         for v in vals:
             extra = set(v.support()) - allowed
             if extra:
                 raise ValueError(f"cochain uses variables outside its slots: {extra}")
-        super().__init__(group, rep, degree, vals)
+        super().__init__(group, rep, p, vals)
 
     def _shape(self):
-        return self.degree, self.rep.dim
+        return self.p, self.rep.dim
 
     @staticmethod
     def scalar(group, degree, poly: MultiPoly, rep=None) -> "GroupCochain":
@@ -428,13 +429,13 @@ class GroupCochain(Linear):
         return GroupCochain(group, rep, degree, (poly,))
 
     def __repr__(self):
-        return f"GroupCochain(p={self.degree}, values={self.values})"
+        return f"GroupCochain(p={self.p}, values={self.values})"
 
 
 def group_delta(f: GroupCochain) -> GroupCochain:
     """Simplicial differential on polynomial group cochains; the last face
     twists by the inverse representation matrix."""
-    group, rep, p = f.group, f.rep, f.degree
+    group, rep, p = f.group, f.rep, f.p
     out = [MultiPoly.zero() for _ in range(rep.dim)]
     for sub, sgn in group.faces(p)[:-1]:
         out = [o + v.subst(sub) * sgn for o, v in zip(out, f.values)]

@@ -6,12 +6,12 @@ contraction (i-hat, p-hat, h) onto the column X at p = 0, a vertical
 contraction (j-hat, q-hat, k) onto the row Y at q = 0, and samplers of the
 double complex, X and Y.  Elements are payloads of the vector-space
 protocol that ``polyalg.Linear`` implements (+ of equal shapes, unary -,
-.is_zero()).  A payload of the double complex knows its bidegree: it
-exposes ``p`` and ``q``, and it is the only source of that bidegree.  Every
-operator takes the element alone, and so does every engine function: the
-Neumann sums read their bound, the zig-zags their length and the traces
-their bidegrees off the elements themselves.  Everything is exact:
-equality means the difference is identically zero.
+.is_zero()).  Every element exposes its bidegree as ``p`` and ``q`` (an X
+element at (0, q), a Y element at (p, 0)), and its ``str`` is its report
+text.  Every operator takes the element alone, and so does every engine
+function: the Neumann sums read their bound, the zig-zags their length and
+the traces their bidegrees off the elements themselves.  Everything is
+exact: equality means the difference is identically zero.
 
 The engine provides the finite Neumann inversion (1 + dh)^{-1}, the two
 zig-zag maps between X and Y, the perturbed homotopy/projection
@@ -107,13 +107,11 @@ class Graded(Linear):
 class DoubleComplexInstance:
     """Operator bundle consumed by the engine.
 
-    A payload x of D exposes its bidegree as ``x.p`` and ``x.q``, and an X
-    or Y element carries its own degree, so every operator takes the
-    element alone and returns the element at the shifted bidegree or
-    degree; it must return a zero payload (or raise) outside its domain
-    rather than silently truncating.  ``h`` must vanish on p = 0 and ``k``
-    on q = 0.  The engine files every image under the bidegree the image
-    itself exposes, never under one it predicts.
+    Every operator takes an element alone and returns the element at the
+    shifted bidegree, which the element exposes as ``p`` and ``q``; it must
+    return a zero (or raise) outside its domain rather than silently truncating.
+    ``h`` must vanish on p = 0 and ``k`` on q = 0.  The engine files every
+    image under the bidegree the image itself exposes, never one it predicts.
     """
 
     name: str
@@ -137,7 +135,6 @@ class DoubleComplexInstance:
     #: are checked and their SIDE_CHECKS expected to fail (reports carry the
     #: witness); "skip": not checked.
     side_conditions: str = "holds"
-    serialize: Callable = str  # payload, X or Y element -> report text
 
 
 #: Coefficient pool for seeded random sampling.
@@ -229,44 +226,39 @@ def graded_perturbed_h(inst: DoubleComplexInstance, g: Graded) -> Graded:
 @dataclass
 class ZigzagTrace:
     """The steps of a zig-zag as report-ready entries: the operator's name,
-    the bidegree it lands in and the serialized element there."""
+    the bidegree of the element it reached and that element's text."""
 
     steps: List[dict] = field(default_factory=list)
 
-    def record(self, opname: str, p: int, q: int, snapshot: str):
-        self.steps.append({"op": opname, "bidegree": [p, q], "value": snapshot})
+    def record(self, opname: str, elt):
+        self.steps.append({"op": opname, "bidegree": [elt.p, elt.q], "value": str(elt)})
 
 
-def _staircase(inst, include, ops, project, trace):
+def _staircase(elt, include, ops, project, trace):
     """(-1)^p project (b a)^p include, the staircase of both zig-zags.
 
-    ``include`` is (name, included element), and ``ops`` holds the
-    alternating operators a, b as (name, operator).  The included element
-    sits at (p, 0) for ``zigzag_xy`` and at (0, p) for ``zigzag_yx``, so p
-    is its total degree.  Every step, the inclusion first, is recorded in
-    ``trace`` at the bidegree of the element it reached."""
-    name, elt = include
+    ``elt`` sits at (p, 0) for ``zigzag_xy`` and at (0, p) for
+    ``zigzag_yx``, so p is its total degree.  ``include`` and the
+    alternating operators a, b in ``ops`` are each (name, operator), and
+    ``trace`` records every step, the inclusion first."""
     p = elt.p + elt.q
-    for opname, op in ((name, None),) + ops * p:
-        if op is not None:
-            elt = op(elt)
+    for opname, op in (include,) + ops * p:
+        elt = op(elt)
         if trace is not None:
-            trace.record(opname, elt.p, elt.q, inst.serialize(elt))
+            trace.record(opname, elt)
     out = project(elt)
     return -out if p % 2 else out
 
 
 def zigzag_xy(inst: DoubleComplexInstance, y, trace: Optional[ZigzagTrace] = None):
     """(-1)^p p-hat (dh)^p j-hat: Y^p -> X^p (the differentiation direction)."""
-    return _staircase(
-        inst, ("j", inst.j_inc(y)), (("h", inst.h), ("d", inst.d)), inst.p_proj, trace
-    )
+    return _staircase(y, ("j", inst.j_inc), (("h", inst.h), ("d", inst.d)), inst.p_proj, trace)
 
 
 def zigzag_yx(inst: DoubleComplexInstance, x, trace: Optional[ZigzagTrace] = None):
     """(-1)^p q-hat (delta k)^p i-hat: X^p -> Y^p (the integration direction)."""
     return _staircase(
-        inst, ("i", inst.i_inc(x)), (("k", inst.k), ("delta", inst.delta)), inst.q_proj, trace
+        x, ("i", inst.i_inc), (("k", inst.k), ("delta", inst.delta)), inst.q_proj, trace
     )
 
 
@@ -333,7 +325,7 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
         reports.append(
             check_record(
                 inst.name, check, p, q, ok, seed,
-                counterexample=None if ok else inst.serialize(x),
+                counterexample=None if ok else str(x),
                 trace=extra_trace if not ok else None,
             )
         )

@@ -279,13 +279,13 @@ def bg_i_inc(group: PolyGroup, rep: PolyRep, alpha: CEElement) -> BigradedElemen
         idx: tuple(MultiPoly.const(x) for x in vec)
         for idx, vec in alpha.comps.items()
     }
-    return BigradedElement(group, rep, 0, alpha.degree, comps)
+    return BigradedElement(group, rep, 0, alpha.q, comps)
 
 
 def bg_j_inc(f: GroupCochain) -> BigradedElement:
     """(j f)(g_1..g_p; y) = rho(y)^{-1} f(g_1..g_p)."""
     vec = mat_vec(f.rep.inverse_matrix(), f.values)
-    return BigradedElement(f.group, f.rep, f.degree, 0, {(): vec})
+    return BigradedElement(f.group, f.rep, f.p, 0, {(): vec})
 
 
 def bg_q_proj(psi: BigradedElement) -> GroupCochain:
@@ -326,9 +326,9 @@ def nabla(i: int, xi: Union[int, Sequence[Rat]], f: GroupCochain) -> GroupCochai
     """Covariant derivative along the i-th slot action, at the unit of the
     acting copy: for i < p the action is (g_i a, a^{-1} g_{i+1}); for i = p
     it is g_p a combined with the V-representation of a."""
-    vel = f.group.slot_velocity(i, f.degree, xi)
-    twist = _twist(f.rep.infinitesimal(), xi) if i == f.degree else None
-    return GroupCochain(f.group, f.rep, f.degree, _act(f.values, vel, twist))
+    vel = f.group.slot_velocity(i, f.p, xi)
+    twist = _twist(f.rep.infinitesimal(), xi) if i == f.p else None
+    return GroupCochain(f.group, f.rep, f.p, _act(f.values, vel, twist))
 
 
 def nabla_bigraded(
@@ -371,7 +371,7 @@ def ve_closed(f: GroupCochain) -> CEElement:
     it is dropped.  The steps run depth first over the ordered choices of
     basis indices, slot p first, so choices that begin alike share those
     nablas, and each slot velocity comes from the group's cache."""
-    group, p = f.group, f.degree
+    group, p = f.group, f.p
     comps = {idx: [Fraction(0)] * f.rep.dim for idx in combinations(range(group.dim), p)}
 
     def walk(cur: GroupCochain, slot: int, chosen: Tuple[int, ...]) -> None:
@@ -433,7 +433,7 @@ def r_closed(
     cube, and translate the value back to the unit by rho(g_1...g_p)^{-1}.
     """
     rep = rep if rep is not None else PolyRep(group, alpha.rep)
-    p = alpha.degree
+    p = alpha.q
     if p == 0:
         return GroupCochain(
             group, rep, 0, tuple(MultiPoly.const(x) for x in alpha.component(()))
@@ -527,7 +527,6 @@ def build_double_complex(
         sample=sample, sample_x=sample_x, sample_y=sample_y,
         max_p=max_p, max_q=max_q,
         side_conditions="holds",
-        serialize=repr,
     )
 
 

@@ -16,12 +16,11 @@ COEFFS = tuple(
 
 def instance_operator_fields():
     """The operator fields of ``DoubleComplexInstance``: its callable fields
-    except the samplers and ``serialize``."""
+    except the samplers."""
     hints = typing.get_type_hints(DoubleComplexInstance)
     return [
         f.name for f in dataclasses.fields(DoubleComplexInstance)
-        if hints[f.name] is typing.Callable
-        and not f.name.startswith("sample") and f.name != "serialize"
+        if hints[f.name] is typing.Callable and not f.name.startswith("sample")
     ]
 
 

@@ -178,6 +178,22 @@ def test_bad_arc_rejected():
         arc_intervals(Fraction(1, 2), Fraction(1, 4))
 
 
+def test_a_cover_takes_one_partition_function_and_one_basepoint_per_arc():
+    cover = default_cover()
+    with pytest.raises(CechError, match="one basepoint per arc"):
+        CoverSpec(cover.arcs, cover.pou, cover.basepoints[:2])
+    with pytest.raises(CechError, match="one basepoint per arc"):
+        CoverSpec(cover.arcs, cover.pou[:2], cover.basepoints)
+
+
+def test_a_basepoint_lies_strictly_inside_its_arc():
+    cover = default_cover()
+    # arc 0 is (3/4, 5/4): 1/2 lies outside it and 3/4 is its end
+    for bad in (Fraction(1, 2), Fraction(3, 4)):
+        with pytest.raises(CechError, match="not strictly inside"):
+            CoverSpec(cover.arcs, cover.pou, (bad,) + cover.basepoints[1:])
+
+
 def rotated_cover():
     """The default cover turned by 1/6: arc 0 and the intersection of arcs
     0 and 2 wrap through 0."""

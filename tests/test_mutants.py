@@ -5,8 +5,9 @@ Each mutant must make ``verify_instance(seed=0, trials=1)`` report a
 failure beyond ``expected_failures(inst)``, or raise.  The mutants that
 survive are named below: the equivalent ones, which cannot change any
 result, and the ones of ``d_x`` and ``delta_y``, which ``verify_instance``
-never calls.  The group instances are left out for their cost: their sweep
-takes several seconds even at ``max_p=1``.
+never calls.  Every mutant reads the input's p off the input itself.  The
+group instance is the Heisenberg group with the trivial representation at
+``max_p=1``; the standard representation is left out for its cost.
 """
 
 import dataclasses
@@ -14,7 +15,9 @@ import dataclasses
 import pytest
 
 from cochainlab.cech_derham import cech_instance
+from cochainlab.nilgroup import build_group
 from cochainlab.perturb import PerturbError, expected_failures, matrix_instance, verify_instance
+from cochainlab.vanest import build_double_complex
 from conftest import instance_operator_fields
 
 #: Mutant name -> the mutated image, from the true image and the input's p.
@@ -44,12 +47,14 @@ GAP = {(field, mutant) for field in ("d_x", "delta_y") for mutant in MUTANTS}
 INSTANCES = {
     "matrix": (lambda: matrix_instance(0), EQUIVALENT),
     "cech-circle3": (cech_instance, {**EQUIVALENT, **CECH_EQUIVALENT}),
+    "heisenberg3": (
+        lambda: build_double_complex(build_group("heisenberg3"), max_p=1), EQUIVALENT
+    ),
 }
 
 
 def _mutated(op, mutant):
-    # an X element, which exposes no p, sits in the first column
-    return lambda x: MUTANTS[mutant](op(x), getattr(x, "p", 0))
+    return lambda x: MUTANTS[mutant](op(x), x.p)
 
 
 def _caught(inst, field, mutant) -> bool:

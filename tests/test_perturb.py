@@ -7,9 +7,8 @@ from functools import partial
 
 import pytest
 
-from cochainlab.cech_derham import CechForm, ConstCochain, GlobalForm, cech_instance
-from cochainlab.liealg import CEElement
-from cochainlab.nilgroup import GroupCochain, build_group
+from cochainlab.cech_derham import CechForm, cech_instance
+from cochainlab.nilgroup import build_group
 from cochainlab.perturb import (
     Graded,
     NonTermination,
@@ -202,21 +201,28 @@ def test_a_trace_records_where_each_element_sits():
     # A k that returns a zero at its input's bidegree, not one step down:
     # the trace shows where each element is, not where k should have put it.
     inst = cech_instance()
-    serialized = []
+    landed = []
 
-    def serialize(x):
-        serialized.append((x.p, x.q))
-        return inst.serialize(x)
+    def recorded(op):
+        def wrapper(x):
+            out = op(x)
+            landed.append((out.p, out.q))
+            return out
+
+        return wrapper
 
     broken = dataclasses.replace(
-        inst, k=lambda w: CechForm.zero(w.cover, w.p, w.q), serialize=serialize
+        inst,
+        i_inc=recorded(inst.i_inc),
+        k=recorded(lambda w: CechForm.zero(w.cover, w.p, w.q)),
+        delta=recorded(inst.delta),
     )
     trace = ZigzagTrace()
     zigzag_yx(broken, broken.sample_x(random.Random(0), 1), trace)
     assert [(step["op"], tuple(step["bidegree"])) for step in trace.steps] == [
         ("i", (0, 1)), ("k", (0, 1)), ("delta", (1, 1)),
     ]
-    assert [tuple(step["bidegree"]) for step in trace.steps] == serialized
+    assert [tuple(step["bidegree"]) for step in trace.steps] == landed
 
 
 def test_verify_report_schema():
@@ -259,26 +265,12 @@ def test_failing_zigzag_carries_its_trace():
     assert not any("trace" in r for r in verify_instance(inst, seed=0, trials=1))
 
 
-#: Per operator field, the shift of (p, q) that its comment names; an X
-#: element of degree q sits at (0, q) and a Y element of degree p at (p, 0).
+#: Per operator field, the shift of (p, q) that its comment names.
 SHIFTS = {
     "d": (0, 1), "delta": (1, 0), "h": (-1, 0), "k": (0, -1),
     "p_proj": (0, 0), "i_inc": (0, 0), "q_proj": (0, 0), "j_inc": (0, 0),
     "d_x": (0, 1), "delta_y": (1, 0),
 }
-
-
-def _where(x):
-    """The bidegree an element sits at, read off the element alone."""
-    if isinstance(x, CEElement):
-        return 0, x.degree
-    if isinstance(x, GlobalForm):
-        return 0, x.q
-    if isinstance(x, GroupCochain):
-        return x.degree, 0
-    if isinstance(x, ConstCochain):
-        return x.p, 0
-    return x.p, x.q  # a payload of D, or a matrix-model X or Y element
 
 
 def test_operators_take_the_element_alone_and_shift_its_bidegree():
@@ -296,9 +288,8 @@ def test_operators_take_the_element_alone_and_shift_its_bidegree():
             dp, dq = SHIFTS[name]
 
             def wrapper(x):
-                p, q = _where(x)
                 out = op(x)
-                assert _where(out) == (p + dp, q + dq), (inst.name, name, (p, q))
+                assert (out.p, out.q) == (x.p + dp, x.q + dq), (inst.name, name, (x.p, x.q))
                 calls[name] += 1
                 return out
 
@@ -318,6 +309,11 @@ def test_operators_take_the_element_alone_and_shift_its_bidegree():
             wrapped.d_x(x)
             wrapped.delta_y(y)
         assert set(calls) == set(SHIFTS), inst.name
+        # each sampler draws an element where the engine will look for it
+        for p in range(inst.max_p + 1):
+            for q in range(inst.max_q + 1):
+                drawn = inst.sample(rng, p, q), inst.sample_x(rng, q), inst.sample_y(rng, p)
+                assert [(x.p, x.q) for x in drawn] == [(p, q), (0, q), (p, 0)], inst.name
 
 
 def test_verify_instance_pushes_each_sample_through_each_operator_once():

@@ -269,7 +269,7 @@ def test_nabla_matches_curve_reference(name, make_rep):
 
 
 def _plain_nabla(i, j, f):
-    group, p, n = f.group, f.degree, f.group.dim
+    group, p, n = f.group, f.p, f.group.dim
     field = left_invariant_vf(group, j).components
     vel = velocity(group, field, slot_vars(i, n))
     if i < p:
@@ -284,7 +284,7 @@ def _plain_nabla(i, j, f):
 
 
 def _plain_ve(f):
-    group, p = f.group, f.degree
+    group, p = f.group, f.p
     units = {v: 0 for s in range(1, p + 1) for v in slot_vars(s, group.dim)}
     comps = {}
     for idx in combinations(range(group.dim), p):
