@@ -28,12 +28,13 @@ from itertools import combinations
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy
-from .polyalg import SCALARS, Linear, MultiPoly, sort_sign, sparse, to_string
+from .polyalg import SCALARS, Linear, MultiPoly, sort_sign, sparse, to_string, var_name
 
 Interval = Tuple[Fraction, Fraction]
 Index = Tuple[int, ...]
 
-X = "x"
+#: The circle coordinate.
+X = var_name("x")
 
 
 class CechError(ValueError):

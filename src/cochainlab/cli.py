@@ -10,7 +10,8 @@ Expressions follow the grammar
   expr   := term (('+'|'-') term)*
   term   := factor (('*'|'/\\') factor)*
   factor := rational | var | 'e'<i> | 'd'<var> | factor '^' int | '(' expr ')'
-with variables g<i>_<j>, m<i>_<j>, y_<j>, t<i>, x, x_<j>; parentheses nest
+with the variables of the families listed in the ``polyalg`` docstring
+(g<i>_<j>, m<i>_<j>, y_<j>, t<i>, x, x_<j>); parentheses nest
 at most MAX_NESTING deep, a rational's denominator is nonzero and a constant
 power has at most MAX_COEFF_DIGITS digits.  Exit codes: 0 success, 1 check
 failure, 2 usage or parse error (a term degree past polyalg.DEGREE_CAP
@@ -49,6 +50,7 @@ from .polyalg import (
     add_into,
     canonical_vars,
     format_rat,
+    parse_var,
     sort_sign,
     to_string,
     var_key,
@@ -72,8 +74,6 @@ class ParseError(ValueError):
 class UnknownVariable(ParseError):
     pass
 
-
-_VAR_NAME = re.compile(r"(?:[gm]\d+_\d+|y_\d+|t\d+|x(?:_\d+)?)\Z")
 
 _TOKEN = re.compile(
     r"""
@@ -254,9 +254,9 @@ class _Parser:
             m = re.fullmatch(r"e(\d+)", text)
             if m:
                 return {(("e", int(m.group(1)) - 1),): MultiPoly.const(1)}
-            if text.startswith("d") and _VAR_NAME.match(text[1:]):
+            if text.startswith("d") and parse_var(text[1:]):
                 return {(("d", text[1:]),): MultiPoly.const(1)}
-            if _VAR_NAME.match(text):
+            if parse_var(text):
                 return _scalar(MultiPoly.var(text))
             self.error(f"unknown variable {text!r}", tok, UnknownVariable)
         self.error(f"unexpected {text!r}" if text else "unexpected end of input", tok)
@@ -481,12 +481,13 @@ def run_verify(config: RunConfig) -> Tuple[int, dict]:
 
 
 def _cochain_degree(poly: MultiPoly) -> int:
+    """The highest group slot of a polynomial in g<i>_<j> variables."""
     degree = 0
     for v in poly.support():
-        m = re.fullmatch(r"g(\d+)_(\d+)", v)
-        if m is None:
+        family, slot, _ = parse_var(v)
+        if family != "g":
             raise ValueError(f"group cochains only use g<i>_<j> variables, got {v!r}")
-        degree = max(degree, int(m.group(1)))
+        degree = max(degree, slot)
     return degree
 
 

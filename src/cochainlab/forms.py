@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .polyalg import SCALARS, Linear, MultiPoly, add_into, sort_sign, sparse
+from .polyalg import SCALARS, Linear, MultiPoly, add_into, sort_sign, sparse, var_name
 
 Index = Tuple[int, ...]
 
@@ -168,9 +168,9 @@ def _fresh_t(a: PolyForm) -> str:
     used.update(a.chart.coords)
     used.update(a.chart.params)
     i = 0
-    while f"t{i}" in used:
+    while var_name("t", i) in used:
         i += 1
-    return f"t{i}"
+    return var_name("t", i)
 
 
 def homotopy_T(a: PolyForm) -> PolyForm:

@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from .forms import Chart, PolyForm, PolyVF
 from .liealg import LieAlgebra, Representation, abelian, filiform4, heisenberg3, trivial_rep
 from .polyalg import (
-    VECTORS, Linear, MultiPoly, Rat, identity, is_zero, mat_add, mat_mul, mat_scale, mat_vec,
-    slot_shift,
+    VECTORS, Linear, MultiPoly, Rat, fiber_vars, identity, is_zero, mat_add, mat_mul, mat_scale,
+    mat_vec, slot_shift, slot_vars,
 )
 
 MAX_BCH_CLASS = 4
@@ -62,14 +62,6 @@ class AssociativityFailure(GroupError):
 
 class NonUnipotentJacobian(GroupError):
     pass
-
-
-def slot_vars(slot: int, n: int) -> Tuple[str, ...]:
-    return tuple(f"g{slot}_{j}" for j in range(1, n + 1))
-
-
-def fiber_vars(n: int) -> Tuple[str, ...]:
-    return tuple(f"y_{j}" for j in range(1, n + 1))
 
 
 def _vec(names: Sequence[str]) -> List[MultiPoly]:
@@ -116,14 +108,13 @@ class PolyGroup:
 
     def multiply(self, a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> List[MultiPoly]:
         """Group product of two coordinate vectors of polynomials."""
-        sub = {}
-        for j, (av, bv) in enumerate(zip(a, b), start=1):
-            sub[f"g1_{j}"] = av
-            sub[f"g2_{j}"] = bv
+        n = self.dim
+        sub = dict(zip(slot_vars(1, n), a))
+        sub.update(zip(slot_vars(2, n), b))
         return [m.subst(sub) for m in self.mult]
 
     def invert(self, a: Sequence[MultiPoly]) -> List[MultiPoly]:
-        sub = {f"g1_{j}": av for j, av in enumerate(a, start=1)}
+        sub = dict(zip(slot_vars(1, self.dim), a))
         return [m.subst(sub) for m in self.inv]
 
     def __reduce__(self):
@@ -139,6 +130,7 @@ class PolyGroup:
         (j, i) is read off the terms of m_j linear in g2_i: g2_i dropped and
         g1_* read as y_*."""
         column = {v: i for i, v in enumerate(slot_vars(2, self.dim))}
+        fiber = dict(zip(slot_vars(1, self.dim), fiber_vars(self.dim)))
         rows = []
         for m_j in self.mult:
             entries = [MultiPoly.zero()] * len(column)
@@ -146,7 +138,7 @@ class PolyGroup:
                 factors = [(v, e) for v, e in zip(m_j.vars, exp) if e]
                 second = [(v, e) for v, e in factors if v in column]
                 if len(second) == 1 and second[0][1] == 1:
-                    ys = [("y_" + v.split("_")[1], e) for v, e in factors if v not in column]
+                    ys = [(fiber[v], e) for v, e in factors if v not in column]
                     term = MultiPoly([y for y, _ in ys], {tuple(e for _, e in ys): coef})
                     entries[column[second[0][0]]] += term
             rows.append(tuple(entries))
@@ -179,7 +171,7 @@ class PolyGroup:
             for i in range(1, p + 1):
                 prod = self.multiply(_vec(slot_vars(i, n)), _vec(slot_vars(i + 1, n)))
                 sub = slot_shift("g", i + 1, p, n)
-                sub.update({f"g{i}_{j}": prod[j - 1] for j in range(1, n + 1)})
+                sub.update(zip(slot_vars(i, n), prod))
                 faces.append((sub, (-1) ** i))
             merged = self.multiply(_vec(slot_vars(p + 1, n)), _vec(fiber_vars(n)))
             faces.append((dict(zip(fiber_vars(n), merged)), (-1) ** (p + 1)))
@@ -365,7 +357,7 @@ class PolyRep:
         return tuple(map(tuple, nilpotent_series(nil, lambda k: Fraction(1, factorial(k)))))
 
     def matrix_at(self, point: Sequence[Union[MultiPoly, Rat]]) -> List[List[MultiPoly]]:
-        sub = {f"y_{j}": p for j, p in enumerate(point, start=1)}
+        sub = dict(zip(fiber_vars(self.group.dim), point))
         return [[e.subst(sub) for e in row] for row in self.rho]
 
     def inverse_matrix(self) -> Matrix:

@@ -23,17 +23,18 @@ from typing import List, Sequence, Tuple
 
 from .forms import Chart, PolyForm, cube_integrate, exterior_d, pullback, wedge
 from .perturb import check_record
-from .polyalg import Linear, MultiPoly, slot_shift, to_string
+from .polyalg import Linear, MultiPoly, base_vars, cube_vars, point_vars, slot_shift, to_string
 
 Index = Tuple[int, ...]
 
 
-def point_vars(slot: int, n: int) -> Tuple[str, ...]:
-    return tuple(f"m{slot}_{j}" for j in range(1, n + 1))
-
-
 def base_chart(n: int) -> Chart:
-    return Chart(tuple(f"x_{j}" for j in range(1, n + 1)))
+    return Chart(base_vars(n))
+
+
+def _at(names: Sequence[str]) -> dict:
+    """The substitution reading the base coordinates x_* at ``names``."""
+    return dict(zip(base_vars(len(names)), map(MultiPoly.var, names)))
 
 
 class ASCochain(Linear):
@@ -60,8 +61,7 @@ class ASCochain(Linear):
         re-read at the point m_s."""
         acc = MultiPoly.const(1)
         for s, f in enumerate(factors):
-            sub = {f"x_{j}": MultiPoly.var(f"m{s}_{j}") for j in range(1, n + 1)}
-            acc = acc * f.subst(sub)
+            acc = acc * f.subst(_at(point_vars(s, n)))
         return ASCochain(n, len(factors) - 1, acc)
 
     def __repr__(self):
@@ -86,11 +86,9 @@ def pair_ve(f: ASCochain) -> PolyForm:
     f_0 df_1 ^ ... ^ df_p."""
     n, p = f.n, f.degree
     chart = base_chart(n)
-    diag = {
-        f"m{s}_{j}": MultiPoly.var(f"x_{j}")
-        for s in range(p + 1)
-        for j in range(1, n + 1)
-    }
+    points = [point_vars(s, n) for s in range(p + 1)]
+    xs = [MultiPoly.var(x) for x in chart.coords]
+    diag = {m: x for ms in points for m, x in zip(ms, xs)}
     acc = PolyForm.zero(chart, p)
     for js in product(range(1, n + 1), repeat=p):
         idx = tuple(j - 1 for j in js)
@@ -98,7 +96,7 @@ def pair_ve(f: ASCochain) -> PolyForm:
             continue
         g = f.value
         for s, j in enumerate(js, start=1):
-            g = g.diff(f"m{s}_{j}")
+            g = g.diff(points[s][j - 1])
             if g.is_zero():
                 break
         if g.is_zero():
@@ -114,11 +112,12 @@ def geodesic_map(n: int, p: int) -> Tuple[MultiPoly, ...]:
     """Iterated straight-line geodesic rho^{(p)}_{t_1..t_p}(m_0..m_p),
     defined by rho_t(a, b) = (1-t) a + t b and the recursion
     rho^{(p)} = rho_{t_1}(m_0, rho^{(p-1)}(m_1..m_p))."""
-    cur = [MultiPoly.var(f"m{p}_{j}") for j in range(1, n + 1)]
+    ts = [MultiPoly.var(t) for t in cube_vars(p)]
+    cur = [MultiPoly.var(m) for m in point_vars(p, n)]
     for s in range(p - 1, -1, -1):
-        t = MultiPoly.var(f"t{s+1}")
+        t = ts[s]
         one_minus = MultiPoly.const(1) - t
-        ms = [MultiPoly.var(f"m{s}_{j}") for j in range(1, n + 1)]
+        ms = [MultiPoly.var(m) for m in point_vars(s, n)]
         cur = [one_minus * a + t * b for a, b in zip(ms, cur)]
     return tuple(cur)
 
@@ -130,14 +129,10 @@ def pair_r(n: int, alpha: PolyForm) -> ASCochain:
     if len(alpha.chart.coords) != n:
         raise ValueError("form chart dimension mismatch")
     if p == 0:
-        diag = {f"x_{j}": MultiPoly.var(f"m0_{j}") for j in range(1, n + 1)}
-        return ASCochain(n, 0, alpha.coefficient(()).subst(diag))
+        return ASCochain(n, 0, alpha.coefficient(()).subst(_at(point_vars(0, n))))
     geo = geodesic_map(n, p)
-    cube = Chart(
-        tuple(f"t{s}" for s in range(1, p + 1)),
-        tuple(f"m{s}_{j}" for s in range(p + 1) for j in range(1, n + 1)),
-    )
-    phi = {f"x_{j}": geo[j - 1] for j in range(1, n + 1)}
+    cube = Chart(cube_vars(p), tuple(m for s in range(p + 1) for m in point_vars(s, n)))
+    phi = dict(zip(base_vars(n), geo))
     return ASCochain(n, p, cube_integrate(pullback(alpha, phi, cube)))
 
 
@@ -172,8 +167,8 @@ def verify_pair(n: int, seed: int, trials: int, max_p: int, max_deg: int) -> Lis
     def run(check, p, ok, witness):
         reports.append(check_record(name, check, p, 0, ok, seed, counterexample=witness))
 
-    base = [f"x_{j}" for j in range(1, n + 1)]
-    chart = Chart(tuple(base))
+    chart = base_chart(n)
+    base = chart.coords
     for p in range(max_p + 1):
         for _ in range(trials):
             # random monomial p-form

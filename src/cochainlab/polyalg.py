@@ -4,16 +4,21 @@ A polynomial is a dict mapping exponent tuples to ``Fraction`` coefficients,
 wrapped together with its ordered variable tuple.  All arithmetic is exact;
 there is no floating point anywhere in this package.
 
-Variable names follow a fixed convention so that substitution maps for
-simplicial face operators stay mechanical:
+Every variable belongs to one family, so that each map of the package is
+a mechanical substitution between named coordinates.  The families, in
+canonical order (``FAMILIES``):
 
-  t<i>       homotopy / cube parameters
+  t<i>       homotopy and cube parameters
   g<i>_<j>   group slot i, coordinate j
   m<i>_<j>   point slot i, coordinate j (pair groupoid)
   y_<j>      fiber coordinates
+  x, x_<j>   base coordinates (the circle; the pair groupoid's R^n)
 
 The canonical ordering is t-block, then g-block (slot-major), then m-block,
-then y-block; anything else sorts last, lexicographically.
+then y-block; the base coordinates, and any name outside the scheme, sort
+last, lexicographically.  This module alone builds names (``var_name`` and
+the tuples ``slot_vars``, ``point_vars``, ``fiber_vars``, ``base_vars``,
+``cube_vars``) and parses them (``parse_var``, ``var_key``).
 
 The variable order lives on the polynomials: each one carries the
 ``var_key`` of its variables in a tuple that every result over the same
@@ -49,20 +54,88 @@ class DegreeOverflowError(ArithmeticError):
     """Raised when a polynomial operation exceeds the configured degree cap."""
 
 
-_VAR_RE = re.compile(r"^([a-z])(\d*)(?:_(\d+))?$")
+# ---------------------------------------------------------------------------
+# Variable names
+
+#: Every variable family in canonical order, with the shapes of its names:
+#: ``<i>`` is a slot and ``_<j>`` a coordinate.
+FAMILIES = {
+    "t": ("t<i>",),
+    "g": ("g<i>_<j>",),
+    "m": ("m<i>_<j>",),
+    "y": ("y_<j>",),
+    "x": ("x", "x_<j>"),
+}
+#: The sort block of each family but the base one, which sorts by name with
+#: the names outside the scheme.
+_BLOCK = {family: block for block, family in enumerate(tuple(FAMILIES)[:-1])}
+_VAR_RE = re.compile(r"([a-z])(\d*)(?:_(\d+))?\Z")
+
+
+def _parts(name: str) -> Optional[Tuple[str, int, int]]:
+    """Prefix, slot and coordinate of ``name``, -1 for a missing part, in
+    one match; None if the name has no such parts."""
+    m = _VAR_RE.match(name)
+    if m is None:
+        return None
+    head, slot, coord = m.groups()
+    return head, int(slot) if slot else -1, -1 if coord is None else int(coord)
+
+
+def parse_var(name: str) -> Optional[Tuple[str, int, int]]:
+    """``(family, slot, coordinate)`` of a name in the scheme, -1 for a part
+    its family lacks; None for any other name."""
+    parts = _parts(name)
+    if parts is None:
+        return None
+    family, slot, coord = parts
+    shape = family + "<i>" * (slot >= 0) + "_<j>" * (coord >= 0)
+    return parts if shape in FAMILIES.get(family, ()) else None
 
 
 def var_key(name: str) -> tuple:
     """Canonical sort key for a variable name (t-block, g, m, y, rest)."""
-    m = _VAR_RE.match(name)
-    if m:
-        head, slot, coord = m.group(1), m.group(2), m.group(3)
-        slot_n = int(slot) if slot else -1
-        coord_n = int(coord) if coord is not None else -1
-        block = {"t": 0, "g": 1, "m": 2, "y": 3}.get(head)
-        if block is not None:
-            return (block, slot_n, coord_n, name)
-    return (9, 0, 0, name)
+    parts = _parts(name)
+    block = None if parts is None else _BLOCK.get(parts[0])
+    if block is None:
+        return (9, 0, 0, name)
+    return (block, parts[1], parts[2], name)
+
+
+def var_name(family: str, slot: int = -1, coord: int = -1) -> str:
+    """The variable of ``family`` at ``slot`` and coordinate ``coord``, -1
+    for a part its family lacks: the inverse of ``parse_var``."""
+    name = family if slot < 0 else f"{family}{slot}"
+    return name if coord < 0 else f"{name}_{coord}"
+
+
+def _coords(family: str, slot: int, n: int) -> Tuple[str, ...]:
+    return tuple(var_name(family, slot, j) for j in range(1, n + 1))
+
+
+def slot_vars(slot: int, n: int) -> Tuple[str, ...]:
+    """g<slot>_1..g<slot>_n: group slot ``slot``."""
+    return _coords("g", slot, n)
+
+
+def point_vars(slot: int, n: int) -> Tuple[str, ...]:
+    """m<slot>_1..m<slot>_n: point ``slot`` of the pair groupoid."""
+    return _coords("m", slot, n)
+
+
+def fiber_vars(n: int) -> Tuple[str, ...]:
+    """y_1..y_n: the fiber."""
+    return _coords("y", -1, n)
+
+
+def base_vars(n: int) -> Tuple[str, ...]:
+    """x_1..x_n: the base R^n of the pair groupoid."""
+    return _coords("x", -1, n)
+
+
+def cube_vars(p: int) -> Tuple[str, ...]:
+    """t1..tp: the unit p-cube."""
+    return tuple(var_name("t", s) for s in range(1, p + 1))
 
 
 def canonical_vars(names: Iterable[str]) -> Tuple[str, ...]:
@@ -603,13 +676,13 @@ def sort_sign(items: Sequence, key=None) -> Tuple[Optional[tuple], int]:
     return tuple(sorted(items, key=key)), sign
 
 
-def slot_shift(prefix: str, first: int, last: int, n: int) -> Dict[str, MultiPoly]:
+def slot_shift(family: str, first: int, last: int, n: int) -> Dict[str, MultiPoly]:
     """Face-map substitution in which slot s reads slot s + 1, for
-    first <= s <= last, on the variables <prefix><s>_1..<prefix><s>_n."""
+    first <= s <= last, on the n coordinates of each slot of ``family``."""
     return {
-        f"{prefix}{s}_{j}": MultiPoly.var(f"{prefix}{s + 1}_{j}")
+        v: MultiPoly.var(w)
         for s in range(first, last + 1)
-        for j in range(1, n + 1)
+        for v, w in zip(_coords(family, s, n), _coords(family, s + 1, n))
     }
 
 

@@ -61,12 +61,10 @@ from .nilgroup import (
     PolyGroup,
     PolyRep,
     as_coeffs,
-    fiber_vars,
     group_chart,
     group_delta,
     left_invariant_vf,
     maurer_cartan_coframe,
-    slot_vars,
     trivial_poly_rep,
     velocity,
 )
@@ -77,9 +75,12 @@ from .polyalg import (
     MultiPoly,
     Rat,
     add_into,
+    cube_vars,
+    fiber_vars,
     mat_add,
     mat_scale,
     mat_vec,
+    slot_vars,
     sort_sign,
     sparse,
     to_string,
@@ -170,8 +171,9 @@ def bg_h(psi: BigradedElement) -> BigradedElement:
     group, p, n = psi.group, psi.p, psi.group.dim
     if p == 0:
         return BigradedElement.zero(group, psi.rep, -1, psi.q)
-    sub: Dict[str, object] = {f"g{p}_{j}": MultiPoly.var(f"y_{j}") for j in range(1, n + 1)}
-    sub.update({f"y_{j}": Fraction(0) for j in range(1, n + 1)})
+    ys = fiber_vars(n)
+    sub: Dict[str, object] = dict(zip(slot_vars(p, n), map(MultiPoly.var, ys)))
+    sub.update(dict.fromkeys(ys, Fraction(0)))
     sgn = (-1) ** p
     out = {
         idx: tuple(c.subst(sub) * sgn for c in vec) for idx, vec in psi.comps.items()
@@ -414,14 +416,11 @@ def gamma_map(group: PolyGroup, p: int) -> GammaMap:
     if p < 1:
         raise VanEstError("gamma_map requires p >= 1")
     n = group.dim
-    cur = [
-        MultiPoly.var(f"t{p}") * MultiPoly.var(f"g{p}_{j}") for j in range(1, n + 1)
-    ]
+    ts = [MultiPoly.var(t) for t in cube_vars(p)]
+    cur = [ts[p - 1] * MultiPoly.var(g) for g in slot_vars(p, n)]
     for s in range(p - 1, 0, -1):
-        gs = [MultiPoly.var(f"g{s}_{j}") for j in range(1, n + 1)]
-        prod = group.multiply(gs, cur)
-        t = MultiPoly.var(f"t{s}")
-        cur = [t * c for c in prod]
+        prod = group.multiply([MultiPoly.var(g) for g in slot_vars(s, n)], cur)
+        cur = [ts[s - 1] * c for c in prod]
     return GammaMap(group, p, tuple(cur))
 
 
@@ -441,16 +440,16 @@ def r_closed(
     n = group.dim
     gm = gamma_map(group, p)
     cube = Chart(
-        tuple(f"t{s}" for s in range(1, p + 1)),
-        tuple(f"g{s}_{j}" for s in range(1, p + 1) for j in range(1, n + 1)),
+        cube_vars(p),
+        tuple(v for s in range(1, p + 1) for v in slot_vars(s, n)),
     )
-    phi = {f"y_{j}": gm.components[j - 1] for j in range(1, n + 1)}
+    phi = dict(zip(fiber_vars(n), gm.components))
     twisted = frame_convert(bg_i_inc(group, rep, alpha))
     vals = [cube_integrate(pullback(form, phi, cube)) for form in twisted.forms]
     # translate the V-value back to the unit
-    prod = [MultiPoly.var(f"g1_{j}") for j in range(1, n + 1)]
+    prod = [MultiPoly.var(g) for g in slot_vars(1, n)]
     for s in range(2, p + 1):
-        prod = group.multiply(prod, [MultiPoly.var(f"g{s}_{j}") for j in range(1, n + 1)])
+        prod = group.multiply(prod, [MultiPoly.var(g) for g in slot_vars(s, n)])
     rho_back = rep.matrix_at(group.invert(prod))
     return GroupCochain(group, rep, p, mat_vec(rho_back, vals))
 

@@ -59,6 +59,34 @@ def test_unknown_variable():
         parse_expr("foo + 1")
 
 
+#: Variable names the parser accepts and rejects (the families are listed in
+#: the ``polyalg`` docstring), with what ``ve`` on abelian-2 makes of each
+#: as its whole input: exit code, and standard output or the error.
+NAME_TABLE = [
+    ("g1_1", True, 0, "e1"),
+    *((name, True, 2, f"error: group cochains only use g<i>_<j> variables, got {name!r}")
+      for name in ("m0_2", "y_3", "t0", "t1", "x", "x_2")),
+    *((name, False, 2, f"error: unknown variable {name!r} (line 1, column 1)")
+      for name in ("y1", "g1", "t", "t1_2", "z")),
+]
+
+
+@pytest.mark.parametrize("name, accepted, code, message", NAME_TABLE)
+def test_variable_names_accepted_and_rejected(tmp_path, capsys, name, accepted, code, message):
+    if accepted:
+        assert parse_expr(name) == MultiPoly.var(name)
+        assert isinstance(parse_expr("d" + name), PolyForm)
+    else:
+        for text in (name, "d" + name):
+            with pytest.raises(UnknownVariable):
+                parse_expr(text)
+    path = tmp_path / "input.txt"
+    path.write_text(name)
+    assert main(["ve", str(path), "--instance", "abelian-2"]) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).strip() == message
+
+
 def test_parse_powers_and_parens():
     p = parse_expr("(g1_1 + 1)^2 - g1_1^2 - 2*g1_1 - 1")
     assert p.is_zero()

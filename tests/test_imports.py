@@ -1,14 +1,17 @@
 """Hygiene of the package sources: no unused imports, no dead private
-helpers, no process-wide caches, and no import-time state that keeps an
-old copy of the package alive.  Stdlib only, so it runs wherever the tests
-do."""
+helpers, no process-wide caches, no import-time state that keeps an old
+copy of the package alive, and no variable name built outside ``polyalg``.
+Stdlib only, so it runs wherever the tests do."""
 
 import ast
 import gc
 import importlib
+import re
 import sys
 import weakref
 from pathlib import Path
+
+from cochainlab.polyalg import FAMILIES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cochainlab"
 
@@ -234,4 +237,33 @@ def test_no_import_time_subscript_of_a_package_class():
     classes = package_classes(paths)
     assert "MultiPoly" in classes
     problems = [p for path in paths for p in import_time_subscripts(path, classes)]
+    assert problems == []
+
+
+#: The literal head of a hand-built variable name: a family's prefix, with
+#: the slot and the ``_`` of a coordinate that may follow it (``f"g{i}_{j}"``,
+#: ``f"g1_{j}"``, ``f"y_{j}"``, ``f"t{i}"``).
+NAME_HEAD = re.compile(rf"[{''.join(FAMILIES)}]\d*_?\Z")
+
+
+def hand_built_names(path: Path):
+    """f-strings whose literal head is a variable family's prefix, and
+    ``+`` concatenations onto one: variable names built outside
+    ``polyalg``, which alone names and parses them."""
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.JoinedStr):
+            head = node.values[0] if node.values else None
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            head = node.left
+        else:
+            continue
+        if isinstance(head, ast.Constant) and NAME_HEAD.match(str(head.value)):
+            problems.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return problems
+
+
+def test_only_polyalg_builds_variable_names():
+    problems = [p for path in sorted(SRC.glob("*.py")) if path.name != "polyalg.py"
+                for p in hand_built_names(path)]
     assert problems == []
