@@ -213,6 +213,9 @@ class MultiPoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Rat]):
         vs = tuple(variables)
+        keys = tuple(map(var_key, vs))
+        # the variables are stored in canonical order, whatever order they come in
+        order = sorted(range(len(vs)), key=keys.__getitem__) if len(vs) > 1 else None
         clean: Dict[Exponent, Rat] = {}
         for exp, coef in terms.items():
             c = Fraction(coef)
@@ -221,10 +224,12 @@ class MultiPoly:
             if len(exp) != len(vs):
                 raise ValueError(f"exponent {exp} does not match vars {vs}")
             _check_degree(sum(exp))
-            clean[tuple(exp)] = c
+            clean[tuple(exp) if order is None else tuple(exp[i] for i in order)] = c
+        if order is not None:
+            vs, keys = tuple(vs[i] for i in order), tuple(keys[i] for i in order)
         _set(self, "vars", vs)
         _set(self, "terms", clean)
-        _set(self, "_keys", tuple(map(var_key, vs)))
+        _set(self, "_keys", keys)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")

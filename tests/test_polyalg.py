@@ -106,6 +106,16 @@ def test_canonical_variable_order():
     assert var_key("t1") < var_key("g1_1") < var_key("m0_1") < var_key("y_1")
 
 
+def test_variables_are_stored_in_canonical_order():
+    # equal polynomials print alike, whatever order their variables came in
+    a = MultiPoly(("y_1", "g1_1", "t2"), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 2): 3})
+    b = MultiPoly(("t2", "g1_1", "y_1"), {(0, 0, 1): 1, (0, 1, 0): 1, (2, 0, 0): 3})
+    assert a.vars == b.vars == ("t2", "g1_1", "y_1")
+    assert a.terms == b.terms
+    assert to_string(a) == to_string(b) == "3*t2^2 + g1_1 + y_1"
+    assert to_string(MultiPoly(("y_1", "g1_1"), {(1, 0): 1, (0, 1): 1})) == "g1_1 + y_1"
+
+
 def test_degree_cap_enforced():
     x = MultiPoly.var("t1")
     with pytest.raises(DegreeOverflowError):
