@@ -424,14 +424,13 @@ def gamma_map(group: PolyGroup, p: int) -> GammaMap:
     return GammaMap(group, p, tuple(cur))
 
 
-def r_closed(
-    group: PolyGroup, alpha: CEElement, rep: Optional[PolyRep] = None
-) -> GroupCochain:
-    """Integration map: pull the (representation-twisted) left-invariant
-    form of alpha back along gamma^{(p)}, integrate exactly over the unit
-    cube, and translate the value back to the unit by rho(g_1...g_p)^{-1}.
+def r_closed(group: PolyGroup, alpha: CEElement) -> GroupCochain:
+    """Integration map, in alpha's representation: pull the
+    (representation-twisted) left-invariant form of alpha back along
+    gamma^{(p)}, integrate exactly over the unit cube, and translate the
+    value back to the unit by rho(g_1...g_p)^{-1}.
     """
-    rep = rep if rep is not None else PolyRep(group, alpha.rep)
+    rep = PolyRep(group, alpha.rep)
     p = alpha.q
     if p == 0:
         return GroupCochain(
@@ -539,15 +538,12 @@ def ve_zigzag(
 
 
 def r_zigzag(
-    group: PolyGroup,
-    alpha: CEElement,
-    rep: Optional[PolyRep] = None,
-    inst: Optional[DoubleComplexInstance] = None,
+    group: PolyGroup, alpha: CEElement, inst: Optional[DoubleComplexInstance] = None
 ) -> GroupCochain:
-    """Integration as the explicit zig-zag through the double complex."""
-    rep = rep if rep is not None else PolyRep(group, alpha.rep)
+    """Integration as the explicit zig-zag through the double complex, by
+    default the one of alpha's representation."""
     if inst is None:
-        inst = build_double_complex(group, rep)
+        inst = build_double_complex(group, PolyRep(group, alpha.rep))
     return zigzag_yx(inst, alpha)
 
 

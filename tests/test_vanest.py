@@ -127,7 +127,7 @@ def test_r_closed_equals_zigzag_nontrivial_rep():
                 alpha = CEElement.basis(
                     group.algebra, idx, rep=rep.infinitesimal(), slot=slot
                 )
-                assert r_closed(group, alpha, rep) == r_zigzag(group, alpha, rep, inst)
+                assert r_closed(group, alpha) == r_zigzag(group, alpha, inst)
 
 
 def test_integration_defaults_to_the_cochain_representation(heisenberg_group):
@@ -135,8 +135,10 @@ def test_integration_defaults_to_the_cochain_representation(heisenberg_group):
     inst = build_double_complex(heisenberg_group, rep, max_p=2)
     for idx in ((0,), (0, 1), (1, 2)):
         alpha = CEElement.basis(heisenberg_group.algebra, idx, rep=rep.infinitesimal(), slot=2)
-        assert r_closed(heisenberg_group, alpha) == r_closed(heisenberg_group, alpha, rep)
-        assert r_zigzag(heisenberg_group, alpha) == r_zigzag(heisenberg_group, alpha, rep, inst)
+        results = [r_closed(heisenberg_group, alpha), r_zigzag(heisenberg_group, alpha),
+                   r_zigzag(heisenberg_group, alpha, inst)]
+        assert all(f.rep.tangent == alpha.rep for f in results)
+        assert results[0] == results[1] == results[2]
 
 
 def test_cochain_map_properties(heisenberg_group):
