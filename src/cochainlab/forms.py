@@ -1,9 +1,9 @@
 """Differential forms with polynomial coefficients on a coordinate chart.
 
-A ``Chart`` splits variables into coordinates (which carry differentials)
-and parameters (treated as constants; they contribute no differentials
-under pullback).  Forms are stored antisymmetrically: each term is keyed by
-a strictly increasing tuple of coordinate indices.
+A ``Chart`` names the coordinates, which carry differentials; any other
+variable of a coefficient is a constant, with no differential under
+pullback.  Forms are stored antisymmetrically: each term is keyed by a
+strictly increasing tuple of coordinate indices.
 
 Includes the de Rham differential, wedge, pullback, contraction with
 polynomial vector fields, the linear-scaling homotopy operator, and exact
@@ -24,11 +24,6 @@ Index = Tuple[int, ...]
 @dataclass(frozen=True)
 class Chart:
     coords: Tuple[str, ...]
-    params: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if set(self.coords) & set(self.params):
-            raise ValueError("coords and params must be disjoint")
 
 
 class PolyForm(Linear):
@@ -134,8 +129,8 @@ def contract(a: PolyForm, x: PolyVF) -> PolyForm:
 
 def pullback(a: PolyForm, phi: Mapping[str, MultiPoly], target: Chart) -> PolyForm:
     """Pull back ``a`` under the map sending each coordinate of a's chart to
-    the given polynomial on ``target``.  Parameters of a's chart pass through
-    unchanged (they must be params of the target or absent from support)."""
+    the given polynomial on ``target``.  Other variables of a's coefficients
+    pass through unchanged."""
     subst = {name: phi[name] for name in a.chart.coords}
     # differential of each coordinate image, expanded in the target chart
     dphi: Dict[int, PolyForm] = {}
@@ -166,7 +161,6 @@ def _fresh_t(a: PolyForm) -> str:
     for coef in a.terms.values():
         used.update(coef.vars)
     used.update(a.chart.coords)
-    used.update(a.chart.params)
     i = 0
     while var_name("t", i) in used:
         i += 1

@@ -232,12 +232,9 @@ def bch_multiplication(alg: LieAlgebra) -> PolyGroup:
 # Left-invariant frame and coframe
 
 
-def group_chart(group: PolyGroup, slots: int = 0) -> Chart:
-    """Chart with fiber coordinates y_* and the slot variables as params."""
-    params: Tuple[str, ...] = ()
-    for s in range(1, slots + 1):
-        params = params + slot_vars(s, group.dim)
-    return Chart(fiber_vars(group.dim), params)
+def group_chart(group: PolyGroup) -> Chart:
+    """Chart with fiber coordinates y_*."""
+    return Chart(fiber_vars(group.dim))
 
 
 def as_coeffs(n: int, xi: Union[int, Sequence[Rat]]) -> List[Fraction]:
@@ -309,10 +306,10 @@ def _poly_mat_inverse(mat: Matrix) -> List[List[MultiPoly]]:
     return nilpotent_series(nil, lambda k: (-1) ** k)
 
 
-def maurer_cartan_coframe(group: PolyGroup, slots: int = 0) -> List[PolyForm]:
+def maurer_cartan_coframe(group: PolyGroup) -> List[PolyForm]:
     """Left-invariant coframe theta^1..theta^n dual to the frame:
     theta^i = sum_j (B^{-1})_{ij} dy_j."""
-    chart = group_chart(group, slots)
+    chart = group_chart(group)
     return [
         PolyForm(chart, 1, {(j,): c for j, c in enumerate(row) if not c.is_zero()})
         for row in group.coframe_matrix

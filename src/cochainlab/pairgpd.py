@@ -131,7 +131,7 @@ def pair_r(n: int, alpha: PolyForm) -> ASCochain:
     if p == 0:
         return ASCochain(n, 0, alpha.coefficient(()).subst(_at(point_vars(0, n))))
     geo = geodesic_map(n, p)
-    cube = Chart(cube_vars(p), tuple(m for s in range(p + 1) for m in point_vars(s, n)))
+    cube = Chart(cube_vars(p))
     phi = dict(zip(base_vars(n), geo))
     return ASCochain(n, p, cube_integrate(pullback(alpha, phi, cube)))
 

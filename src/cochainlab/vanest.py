@@ -204,7 +204,7 @@ def bg_d(psi: BigradedElement) -> BigradedElement:
 @dataclass(frozen=True)
 class FormPicture:
     """The same bigraded element as a V-vector of fiberwise q-forms on the
-    y-chart (group slots as parameters)."""
+    y-chart (group slots as constants)."""
 
     group: PolyGroup
     rep: PolyRep
@@ -216,7 +216,7 @@ class FormPicture:
         """The component picture: psi_I = rho(y)^{-1} beta(e_{i_1}^L, ...,
         e_{i_q}^L)."""
         group, rep = self.group, self.rep
-        chart = group_chart(group, slots=self.p)
+        chart = group_chart(group)
         frames = [PolyVF(chart, field) for field in group.frame]
         rho_inv = rep.inverse_matrix()
         comps: Dict[Index, Tuple[MultiPoly, ...]] = {}
@@ -235,8 +235,8 @@ def frame_convert(psi: BigradedElement) -> FormPicture:
     """The form picture beta = rho(y) sum_I psi_I theta^I of a bigraded
     element; ``FormPicture.components`` is the way back."""
     group, rep = psi.group, psi.rep
-    theta = maurer_cartan_coframe(group, slots=psi.p)
-    chart = group_chart(group, slots=psi.p)
+    theta = maurer_cartan_coframe(group)
+    chart = group_chart(group)
     forms = [PolyForm.zero(chart, psi.q)] * rep.dim
     for idx, vec in psi.comps.items():
         for r, coef in enumerate(mat_vec(rep.rho, vec)):
@@ -399,20 +399,12 @@ def ve_closed(f: GroupCochain) -> CEElement:
 # Closed-form integration (cube integral of the pulled-back invariant form)
 
 
-@dataclass(frozen=True)
-class GammaMap:
-    """The scaled iterated-product map gamma^{(p)}: polynomials in
-    t1..tp, g1_*..gp_* whose value at t = (1..1) is the product g_1...g_p
-    and which collapses to the unit at t1 = 0."""
-
-    group: PolyGroup
-    p: int
-    components: Tuple[MultiPoly, ...]
-
-
-def gamma_map(group: PolyGroup, p: int) -> GammaMap:
-    """gamma_{t_1..t_p}(g_1..g_p) = t_1 (g_1 * (t_2 (g_2 * ... (t_p g_p))))
-    with * the group law and scalars acting by coordinate scaling."""
+def gamma_map(group: PolyGroup, p: int) -> Tuple[MultiPoly, ...]:
+    """The components of the scaled iterated-product map
+    gamma_{t_1..t_p}(g_1..g_p) = t_1 (g_1 * (t_2 (g_2 * ... (t_p g_p))))
+    with * the group law and scalars acting by coordinate scaling:
+    polynomials in t1..tp, g1_*..gp_* whose value at t = (1..1) is the
+    product g_1...g_p and which collapse to the unit at t1 = 0."""
     if p < 1:
         raise VanEstError("gamma_map requires p >= 1")
     n = group.dim
@@ -421,7 +413,7 @@ def gamma_map(group: PolyGroup, p: int) -> GammaMap:
     for s in range(p - 1, 0, -1):
         prod = group.multiply([MultiPoly.var(g) for g in slot_vars(s, n)], cur)
         cur = [ts[s - 1] * c for c in prod]
-    return GammaMap(group, p, tuple(cur))
+    return tuple(cur)
 
 
 def r_closed(group: PolyGroup, alpha: CEElement) -> GroupCochain:
@@ -437,12 +429,8 @@ def r_closed(group: PolyGroup, alpha: CEElement) -> GroupCochain:
             group, rep, 0, tuple(MultiPoly.const(x) for x in alpha.component(()))
         )
     n = group.dim
-    gm = gamma_map(group, p)
-    cube = Chart(
-        cube_vars(p),
-        tuple(v for s in range(1, p + 1) for v in slot_vars(s, n)),
-    )
-    phi = dict(zip(fiber_vars(n), gm.components))
+    cube = Chart(cube_vars(p))
+    phi = dict(zip(fiber_vars(n), gamma_map(group, p)))
     twisted = frame_convert(bg_i_inc(group, rep, alpha))
     vals = [cube_integrate(pullback(form, phi, cube)) for form in twisted.forms]
     # translate the V-value back to the unit

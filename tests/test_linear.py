@@ -141,7 +141,7 @@ def test_copy_and_pickle_round_trip(samplers, name):
 
 def test_copy_and_pickle_round_trip_of_polynomials_and_basic_values():
     t1 = MultiPoly.var("t1")
-    chart = Chart(("y_1",), ("t1",))
+    chart = Chart(("y_1",))
     for x in (t1, t1 * t1 * Fraction(1, 3) - 2, CEElement.basis(heisenberg3(), (0, 2)),
               PolyForm.function(chart, t1)):
         for y in _round_trips(x):

@@ -75,11 +75,11 @@ def test_gamma_map_endpoints():
     group = build_group("heisenberg3")
     gamma = gamma_map(group, 2)
     ones = {f"t{i}": 1 for i in (1, 2)}
-    at_one = [c.subst(ones) for c in gamma.components]
+    at_one = [c.subst(ones) for c in gamma]
     g1 = [MultiPoly.var(f"g1_{j}") for j in (1, 2, 3)]
     g2 = [MultiPoly.var(f"g2_{j}") for j in (1, 2, 3)]
     assert at_one == group.multiply(g1, g2)
-    at_zero = [c.subst({"t1": 0}) for c in gamma.components]
+    at_zero = [c.subst({"t1": 0}) for c in gamma]
     assert all(c.is_zero() for c in at_zero)
 
 
