@@ -33,7 +33,6 @@ from .polyalg import SCALARS, Linear, MultiPoly, sort_sign, sparse, to_string, v
 Interval = Tuple[Fraction, Fraction]
 Index = Tuple[int, ...]
 
-#: The circle coordinate.
 X = var_name("x")
 
 

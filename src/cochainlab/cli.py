@@ -10,9 +10,8 @@ Expressions follow the grammar
   expr   := term (('+'|'-') term)*
   term   := factor (('*'|'/\\') factor)*
   factor := rational | var | 'e'<i> | 'd'<var> | factor '^' int | '(' expr ')'
-with the variables of the families listed in the ``polyalg`` docstring
-(g<i>_<j>, m<i>_<j>, y_<j>, t<i>, x, x_<j>); parentheses nest
-at most MAX_NESTING deep, a rational's denominator is nonzero and a constant
+with a var of a family listed in the polyalg docstring; parentheses nest at
+most MAX_NESTING deep, a rational's denominator is nonzero and a constant
 power has at most MAX_COEFF_DIGITS digits.  Exit codes: 0 success, 1 check
 failure, 2 usage or parse error (a term degree past polyalg.DEGREE_CAP
 included).
@@ -481,7 +480,6 @@ def run_verify(config: RunConfig) -> Tuple[int, dict]:
 
 
 def _cochain_degree(poly: MultiPoly) -> int:
-    """The highest group slot of a polynomial in g<i>_<j> variables."""
     degree = 0
     for v in poly.support():
         family, slot, _ = parse_var(v)

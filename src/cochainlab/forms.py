@@ -157,10 +157,7 @@ def lie_derivative(a: PolyForm, x: PolyVF) -> PolyForm:
 
 
 def _fresh_t(a: PolyForm) -> str:
-    used = set()
-    for coef in a.terms.values():
-        used.update(coef.vars)
-    used.update(a.chart.coords)
+    used = set(a.chart.coords).union(*(coef.vars for coef in a.terms.values()))
     i = 0
     while var_name("t", i) in used:
         i += 1

@@ -108,9 +108,7 @@ class PolyGroup:
 
     def multiply(self, a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> List[MultiPoly]:
         """Group product of two coordinate vectors of polynomials."""
-        n = self.dim
-        sub = dict(zip(slot_vars(1, n), a))
-        sub.update(zip(slot_vars(2, n), b))
+        sub = dict(zip(slot_vars(1, self.dim) + slot_vars(2, self.dim), (*a, *b)))
         return [m.subst(sub) for m in self.mult]
 
     def invert(self, a: Sequence[MultiPoly]) -> List[MultiPoly]:
@@ -125,24 +123,12 @@ class PolyGroup:
     @cached_property
     def right_jacobian(self) -> Matrix:
         """B(y)[j][i] = d m_j / d (second argument)_i at (y, 0): the matrix of
-        the left-invariant frame in exponential coordinates.  At (y, 0) only
-        the terms of m_j of degree one in the second slot survive, so entry
-        (j, i) is read off the terms of m_j linear in g2_i: g2_i dropped and
-        g1_* read as y_*."""
-        column = {v: i for i, v in enumerate(slot_vars(2, self.dim))}
-        fiber = dict(zip(slot_vars(1, self.dim), fiber_vars(self.dim)))
-        rows = []
-        for m_j in self.mult:
-            entries = [MultiPoly.zero()] * len(column)
-            for exp, coef in m_j.terms.items():
-                factors = [(v, e) for v, e in zip(m_j.vars, exp) if e]
-                second = [(v, e) for v, e in factors if v in column]
-                if len(second) == 1 and second[0][1] == 1:
-                    ys = [(fiber[v], e) for v, e in factors if v not in column]
-                    term = MultiPoly([y for y, _ in ys], {tuple(e for _, e in ys): coef})
-                    entries[column[second[0][0]]] += term
-            rows.append(tuple(entries))
-        return tuple(rows)
+        the left-invariant frame in exponential coordinates, g2_* read as 0
+        and g1_* as y_*."""
+        n = self.dim
+        at = dict.fromkeys(slot_vars(2, n), 0)
+        at.update(zip(slot_vars(1, n), _vec(fiber_vars(n))))
+        return tuple(tuple(m.diff(g).subst(at) for g in slot_vars(2, n)) for m in self.mult)
 
     @cached_property
     def frame(self) -> Matrix:
@@ -232,11 +218,6 @@ def bch_multiplication(alg: LieAlgebra) -> PolyGroup:
 # Left-invariant frame and coframe
 
 
-def group_chart(group: PolyGroup) -> Chart:
-    """Chart with fiber coordinates y_*."""
-    return Chart(fiber_vars(group.dim))
-
-
 def as_coeffs(n: int, xi: Union[int, Sequence[Rat]]) -> List[Fraction]:
     """Coefficient vector of an algebra element given as a basis index or
     as coefficients."""
@@ -250,9 +231,9 @@ def left_invariant_vf(group: PolyGroup, xi: Union[int, Sequence[Rat]]) -> PolyVF
     vector), in the fiber coordinates: the right Jacobian times xi, whose
     columns are the frame."""
     if isinstance(xi, int):
-        return PolyVF(group_chart(group), group.frame[xi])
+        return PolyVF(Chart(fiber_vars(group.dim)), group.frame[xi])
     comps = mat_vec(group.right_jacobian, as_coeffs(group.dim, xi))
-    return PolyVF(group_chart(group), tuple(comps))
+    return PolyVF(Chart(fiber_vars(group.dim)), tuple(comps))
 
 
 def velocity(
@@ -309,7 +290,7 @@ def _poly_mat_inverse(mat: Matrix) -> List[List[MultiPoly]]:
 def maurer_cartan_coframe(group: PolyGroup) -> List[PolyForm]:
     """Left-invariant coframe theta^1..theta^n dual to the frame:
     theta^i = sum_j (B^{-1})_{ij} dy_j."""
-    chart = group_chart(group)
+    chart = Chart(fiber_vars(group.dim))
     return [
         PolyForm(chart, 1, {(j,): c for j, c in enumerate(row) if not c.is_zero()})
         for row in group.coframe_matrix
@@ -398,9 +379,7 @@ class GroupCochain(Linear):
         vals = tuple(values)
         if len(vals) != rep.dim:
             raise ValueError("value vector length must equal rep dimension")
-        allowed = set()
-        for s in range(1, p + 1):
-            allowed.update(slot_vars(s, group.dim))
+        allowed = {v for s in range(1, p + 1) for v in slot_vars(s, group.dim)}
         for v in vals:
             extra = set(v.support()) - allowed
             if extra:

@@ -32,11 +32,6 @@ def base_chart(n: int) -> Chart:
     return Chart(base_vars(n))
 
 
-def _at(names: Sequence[str]) -> dict:
-    """The substitution reading the base coordinates x_* at ``names``."""
-    return dict(zip(base_vars(len(names)), map(MultiPoly.var, names)))
-
-
 class ASCochain(Linear):
     """Alexander-Spanier p-cochain: a polynomial in the p + 1 points
     m0, ..., mp of R^n."""
@@ -44,9 +39,7 @@ class ASCochain(Linear):
     __slots__ = ("n", "degree", "value")
 
     def __init__(self, n: int, degree: int, value: MultiPoly):
-        allowed = set()
-        for s in range(degree + 1):
-            allowed.update(point_vars(s, n))
+        allowed = {v for s in range(degree + 1) for v in point_vars(s, n)}
         extra = set(value.support()) - allowed
         if extra:
             raise ValueError(f"cochain uses variables outside its points: {extra}")
@@ -61,7 +54,7 @@ class ASCochain(Linear):
         re-read at the point m_s."""
         acc = MultiPoly.const(1)
         for s, f in enumerate(factors):
-            acc = acc * f.subst(_at(point_vars(s, n)))
+            acc = acc * f.subst(dict(zip(base_vars(n), map(MultiPoly.var, point_vars(s, n)))))
         return ASCochain(n, len(factors) - 1, acc)
 
     def __repr__(self):
@@ -129,7 +122,8 @@ def pair_r(n: int, alpha: PolyForm) -> ASCochain:
     if len(alpha.chart.coords) != n:
         raise ValueError("form chart dimension mismatch")
     if p == 0:
-        return ASCochain(n, 0, alpha.coefficient(()).subst(_at(point_vars(0, n))))
+        diag = dict(zip(base_vars(n), map(MultiPoly.var, point_vars(0, n))))
+        return ASCochain(n, 0, alpha.coefficient(()).subst(diag))
     geo = geodesic_map(n, p)
     cube = Chart(cube_vars(p))
     phi = dict(zip(base_vars(n), geo))

@@ -16,14 +16,14 @@ canonical order (``FAMILIES``):
 
 The canonical ordering is t-block, then g-block (slot-major), then m-block,
 then y-block; the base coordinates, and any name outside the scheme, sort
-last, lexicographically.  This module alone builds names (``var_name`` and
-the tuples ``slot_vars``, ``point_vars``, ``fiber_vars``, ``base_vars``,
-``cube_vars``) and parses them (``parse_var``, ``var_key``).
+last, lexicographically.  This module alone names variables (``var_name``
+and its tuples) and parses them (``parse_var``, ``var_key``).
 
-The variable order lives on the polynomials: each one carries the
-``var_key`` of its variables in a tuple that every result over the same
-variables shares.  Aligning two polynomials merges those keys, so ``var_key``
-parses a name only when a public constructor or ``extend`` first meets it.
+The variable order lives on the polynomials: each one holds its variables
+in canonical order and carries their ``var_key`` in a tuple that every
+result over the same variables shares.  Aligning two polynomials merges
+those keys, so ``var_key`` parses a name only when a public constructor or
+``extend`` first meets it.
 Ring operations build their results through a trusted constructor that
 skips re-coercing coefficients.  The degree cap is checked wherever a term
 can pass it: by the public constructor, and by products, powers and
@@ -59,13 +59,8 @@ class DegreeOverflowError(ArithmeticError):
 
 #: Every variable family in canonical order, with the shapes of its names:
 #: ``<i>`` is a slot and ``_<j>`` a coordinate.
-FAMILIES = {
-    "t": ("t<i>",),
-    "g": ("g<i>_<j>",),
-    "m": ("m<i>_<j>",),
-    "y": ("y_<j>",),
-    "x": ("x", "x_<j>"),
-}
+FAMILIES = {"t": ("t<i>",), "g": ("g<i>_<j>",), "m": ("m<i>_<j>",), "y": ("y_<j>",),
+            "x": ("x", "x_<j>")}
 #: The sort block of each family but the base one, which sorts by name with
 #: the names outside the scheme.
 _BLOCK = {family: block for block, family in enumerate(tuple(FAMILIES)[:-1])}
@@ -97,9 +92,7 @@ def var_key(name: str) -> tuple:
     """Canonical sort key for a variable name (t-block, g, m, y, rest)."""
     parts = _parts(name)
     block = None if parts is None else _BLOCK.get(parts[0])
-    if block is None:
-        return (9, 0, 0, name)
-    return (block, parts[1], parts[2], name)
+    return (9, 0, 0, name) if block is None else (block, parts[1], parts[2], name)
 
 
 def var_name(family: str, slot: int = -1, coord: int = -1) -> str:

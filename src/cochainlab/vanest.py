@@ -61,7 +61,6 @@ from .nilgroup import (
     PolyGroup,
     PolyRep,
     as_coeffs,
-    group_chart,
     group_delta,
     left_invariant_vf,
     maurer_cartan_coframe,
@@ -112,9 +111,8 @@ class BigradedElement(Linear):
         comps: Mapping[Index, Sequence[MultiPoly]],
     ):
         rep = rep if rep is not None else trivial_poly_rep(group)
-        allowed = set(fiber_vars(group.dim))
-        for s in range(1, p + 1):
-            allowed.update(slot_vars(s, group.dim))
+        n = group.dim
+        allowed = {*fiber_vars(n), *(v for s in range(1, p + 1) for v in slot_vars(s, n))}
         clean: Dict[Index, Tuple[MultiPoly, ...]] = {}
         for idx, vec in comps.items():
             idx = tuple(idx)
@@ -216,7 +214,7 @@ class FormPicture:
         """The component picture: psi_I = rho(y)^{-1} beta(e_{i_1}^L, ...,
         e_{i_q}^L)."""
         group, rep = self.group, self.rep
-        chart = group_chart(group)
+        chart = Chart(fiber_vars(group.dim))
         frames = [PolyVF(chart, field) for field in group.frame]
         rho_inv = rep.inverse_matrix()
         comps: Dict[Index, Tuple[MultiPoly, ...]] = {}
@@ -236,7 +234,7 @@ def frame_convert(psi: BigradedElement) -> FormPicture:
     element; ``FormPicture.components`` is the way back."""
     group, rep = psi.group, psi.rep
     theta = maurer_cartan_coframe(group)
-    chart = group_chart(group)
+    chart = Chart(fiber_vars(group.dim))
     forms = [PolyForm.zero(chart, psi.q)] * rep.dim
     for idx, vec in psi.comps.items():
         for r, coef in enumerate(mat_vec(rep.rho, vec)):
@@ -428,15 +426,13 @@ def r_closed(group: PolyGroup, alpha: CEElement) -> GroupCochain:
         return GroupCochain(
             group, rep, 0, tuple(MultiPoly.const(x) for x in alpha.component(()))
         )
-    n = group.dim
     cube = Chart(cube_vars(p))
-    phi = dict(zip(fiber_vars(n), gamma_map(group, p)))
+    gamma = gamma_map(group, p)
+    phi = dict(zip(fiber_vars(group.dim), gamma))
     twisted = frame_convert(bg_i_inc(group, rep, alpha))
     vals = [cube_integrate(pullback(form, phi, cube)) for form in twisted.forms]
-    # translate the V-value back to the unit
-    prod = [MultiPoly.var(g) for g in slot_vars(1, n)]
-    for s in range(2, p + 1):
-        prod = group.multiply(prod, [MultiPoly.var(g) for g in slot_vars(s, n)])
+    # translate the V-value back to the unit, from gamma at t = (1..1)
+    prod = [c.subst(dict.fromkeys(cube.coords, 1)) for c in gamma]
     rho_back = rep.matrix_at(group.invert(prod))
     return GroupCochain(group, rep, p, mat_vec(rho_back, vals))
 
@@ -473,9 +469,7 @@ def build_double_complex(
     alg = group.algebra
 
     def sample(rng, p, q):
-        vars_ = list(fiber_vars(n))
-        for s in range(1, p + 1):
-            vars_.extend(slot_vars(s, n))
+        vars_ = [*fiber_vars(n), *(v for s in range(1, p + 1) for v in slot_vars(s, n))]
         comps = {}
         for idx in combinations(range(n), q):
             if rng.random() < 0.4 and q > 0:
