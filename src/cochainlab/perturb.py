@@ -308,9 +308,9 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
     [h', d + delta] = 1 - i p-hat', [k, d] = 1 - j q-hat, p-hat i = id,
     p-hat' i = id, and (unless skipped) the side conditions h k = 0,
     p-hat k = 0; when the side conditions hold, the zig-zag back-and-forth
-    zigzag_xy(zigzag_yx(x)) = x on X.  Failures become report entries with
-    a serialized counterexample; a failing back-and-forth also carries the
-    steps of both zig-zags.
+    zigzag_xy(zigzag_yx(x)) = x on X.  A record sits at the bidegree of its
+    sample x, the counterexample of a failure; a failing back-and-forth also
+    carries the steps of both zig-zags.
 
     Each sample x meets d, delta, k and h once: every identity reads the
     same images dx, delta x and k x, and h x, h' x, d h' x and p-hat' x are
@@ -320,11 +320,11 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
     hk_check, pk_check = SIDE_CHECKS
     reports: List[dict] = []
 
-    def run(check, p, q, x, diff, extra_trace=None):
+    def run(check, x, diff, extra_trace=None):
         ok = diff.is_zero()
         reports.append(
             check_record(
-                inst.name, check, p, q, ok, seed,
+                inst.name, check, x.p, x.q, ok, seed,
                 counterexample=None if ok else str(x),
                 trace=extra_trace if not ok else None,
             )
@@ -341,9 +341,9 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                 # i p-hat' x; the Neumann sum is x itself at p = 0
                 col = x if p == 0 else inv.component(0, p + q)
                 ipx = None if col is None else inst.i_inc(inst.p_proj(col))
-                run("d_squared", p, q, x, inst.d(dx))
-                run("delta_squared", p, q, x, inst.delta(dlx))
-                run("anticommute", p, q, x, inst.d(dlx) + inst.delta(dx))
+                run("d_squared", x, inst.d(dx))
+                run("delta_squared", x, inst.delta(dlx))
+                run("anticommute", x, inst.d(dlx) + inst.delta(dx))
                 # [h', d + delta] x = h' (d + delta) x + (d + delta) h' x, where
                 # the d images of h' x are the Neumann terms after x, negated
                 dgx = Graded.of(dx, dlx)  # (d + delta) x
@@ -353,25 +353,25 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                 # the first steps h delta x of h' delta x and delta h x
                 hd = lhs.component(p, q)
                 rhs = x - ipx if p == 0 else x
-                run("h_delta_contraction", p, q, x, -rhs if hd is None else hd - rhs)
+                run("h_delta_contraction", x, -rhs if hd is None else hd - rhs)
                 # [h', d + delta] = 1 - i p-hat'
                 rhs = Graded.of(x) if ipx is None else Graded.of(x, -ipx)
-                run("perturbed_contraction", p, q, x, lhs - rhs)
+                run("perturbed_contraction", x, lhs - rhs)
                 rhs = x - inst.j_inc(inst.q_proj(x)) if q == 0 else x
-                run("k_d_contraction", p, q, x, inst.k(dx) + inst.d(kx) - rhs)
+                run("k_d_contraction", x, inst.k(dx) + inst.d(kx) - rhs)
                 if inst.side_conditions != "skip":
-                    run(hk_check, p, q, x, inst.h(kx))
+                    run(hk_check, x, inst.h(kx))
                     if p == 0 and q > 0:
-                        run(pk_check, p, q, x, inst.p_proj(kx))
+                        run(pk_check, x, inst.p_proj(kx))
 
             # p-hat i = id and p-hat' i = id on X
             if p == 0:
                 for _ in range(trials):
                     xe = inst.sample_x(rng, q)
                     ixe = inst.i_inc(xe)
-                    run("p_i_identity", 0, q, xe, inst.p_proj(ixe) - xe)
+                    run("p_i_identity", xe, inst.p_proj(ixe) - xe)
                     pback = perturbed_p(inst, ixe)
-                    run("perturbed_p_i_identity", 0, q, xe, xe if pback is None else pback - xe)
+                    run("perturbed_p_i_identity", xe, xe if pback is None else pback - xe)
 
     # zig-zag back-and-forth on X, valid when the side conditions hold
     if inst.side_conditions == "holds":
@@ -384,7 +384,7 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
                     trace = ZigzagTrace()
                     zigzag_xy(inst, zigzag_yx(inst, xe, trace), trace)
                     steps = trace.steps
-                run("zigzag_back_and_forth", p, 0, xe, diff, extra_trace=steps)
+                run("zigzag_back_and_forth", xe, diff, extra_trace=steps)
 
     return reports
 

@@ -323,16 +323,16 @@ def test_module_entry_point():
 #: sha256 of each sorted-key JSON report at max_p=1, trials=1, seed=3.
 REPORT_DIGESTS = {
     ("matrix", "trivial"): "bb3497cd4ad62d6548c090307b8dbdd51c19ac1fcf3dac91fb1d360bca649372",
-    ("abelian-1", "trivial"): "4e45fe965be712116342cf2cd6469bd9aa40fe9122a6eacda8b96be63fd6f865",
-    ("abelian-2", "trivial"): "015acebaee905c679fd19f3f7600a684ac67332308d0e761adcb42b2d31ff318",
-    ("abelian-3", "trivial"): "788ff806956931dd04e4b82324af1f1a77b1b88fcd377357bcc4a02aa602a8f9",
-    ("heisenberg3", "trivial"): "5bd6ca80704e29f74cc8c7514e1212627ec0fd63a0c1da7dbb27c22bb94d6557",
-    ("filiform4", "trivial"): "9fcb0820abe152f55d438156fa8bb2b0e62d70eed35f1b4bdb911d89e28086c7",
+    ("abelian-1", "trivial"): "96950643ebbf2185f6fd5045de8edd0213cccf44cc198055f8b074c9fe5ab982",
+    ("abelian-2", "trivial"): "36e6402f0e48f1c6d48e461224e18db81efc150b6e10f912e3626f7b79a5a127",
+    ("abelian-3", "trivial"): "73d1e5d222feab52b4ecb2bfd3f5b7da9b4b4b44643f23898e56c4660224962b",
+    ("heisenberg3", "trivial"): "5e3b63028d70eb7aa9fdd4e1ee1e78aad76d4f04de2e6d9ab811f0e9c35e36b2",
+    ("filiform4", "trivial"): "f96607bf409676f8ac02ca66ab0c754c7073efb2f63c7d847e56d76ddf0a0fc1",
     ("pair-r1", "trivial"): "652169b70e05db90fa4474874d18c2b5bf83b8ce8d34d945d45af82d83a32503",
     ("pair-r2", "trivial"): "3883eae3d50e30512bbbe405971dd070afb7576a4b826c5935524fa2504f06b5",
     ("pair-r3", "trivial"): "b47363d25cad5c1c18cd89e6fd6ea74e99323847f5b7c2a220850df97ec4bbcf",
     ("cech-circle3", "trivial"): "163a79aceed2937478e67df48f5b804ccf49428ea6ff6de3d241a4081f21b8ed",
-    ("heisenberg3", "standard"): "a5dba6a1ef618b4f1b90c48cf21e35e94a038432965e3305a56b53c8374a779e",
+    ("heisenberg3", "standard"): "44228b740c5353e2a551e40057e0b6f305fab550ff9f9c1ab49ca666f7337896",
 }
 
 

@@ -248,7 +248,7 @@ def test_failing_zigzag_carries_its_trace():
     reports = verify_instance(broken, seed=0, trials=1)
     [failed] = [
         r for r in reports
-        if r["check"] == "zigzag_back_and_forth" and r["bidegree"] == [2, 0]
+        if r["check"] == "zigzag_back_and_forth" and r["bidegree"] == [0, 2]
     ]
     assert failed["status"] == "fail"
     steps = [(step["op"], tuple(step["bidegree"])) for step in failed["trace"]]
@@ -263,6 +263,17 @@ def test_failing_zigzag_carries_its_trace():
         r["check"] == "zigzag_back_and_forth" and r["status"] == "fail" for r in traced
     )
     assert not any("trace" in r for r in verify_instance(inst, seed=0, trials=1))
+
+
+def test_a_failing_back_and_forth_sits_where_its_witness_does():
+    # The witness of the degree-p back-and-forth is an X element, at (0, p);
+    # doubling k breaks the one at p = 2.
+    inst = build_double_complex(build_group("abelian-2"), max_p=2)
+    broken = dataclasses.replace(inst, k=lambda x: inst.k(x) + inst.k(x))
+    [failed] = [r for r in verify_instance(broken, seed=0, trials=1)
+                if r["check"] == "zigzag_back_and_forth" and r["status"] == "fail"]
+    assert failed["bidegree"] == [0, 2]
+    assert failed["counterexample"].startswith("CEElement(deg=2,")
 
 
 #: Per operator field, the shift of (p, q) that its comment names.
