@@ -108,7 +108,8 @@ class PolyGroup:
 
     def multiply(self, a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> List[MultiPoly]:
         """Group product of two coordinate vectors of polynomials."""
-        sub = dict(zip(slot_vars(1, self.dim) + slot_vars(2, self.dim), (*a, *b)))
+        sub = dict(zip(slot_vars(1, self.dim), a))
+        sub.update(zip(slot_vars(2, self.dim), b))
         return [m.subst(sub) for m in self.mult]
 
     def invert(self, a: Sequence[MultiPoly]) -> List[MultiPoly]:
@@ -125,10 +126,10 @@ class PolyGroup:
         """B(y)[j][i] = d m_j / d (second argument)_i at (y, 0): the matrix of
         the left-invariant frame in exponential coordinates, g2_* read as 0
         and g1_* as y_*."""
-        n = self.dim
-        at = dict.fromkeys(slot_vars(2, n), 0)
+        n, second = self.dim, slot_vars(2, self.dim)
+        at = dict.fromkeys(second, MultiPoly.zero())
         at.update(zip(slot_vars(1, n), _vec(fiber_vars(n))))
-        return tuple(tuple(m.diff(g).subst(at) for g in slot_vars(2, n)) for m in self.mult)
+        return tuple(tuple(m.diff(g).subst(at) for g in second) for m in self.mult)
 
     @cached_property
     def frame(self) -> Matrix:

@@ -103,7 +103,8 @@ def var_name(family: str, slot: int = -1, coord: int = -1) -> str:
 
 
 def _coords(family: str, slot: int, n: int) -> Tuple[str, ...]:
-    return tuple(var_name(family, slot, j) for j in range(1, n + 1))
+    head = var_name(family, slot)
+    return tuple(f"{head}_{j}" for j in range(1, n + 1))
 
 
 def slot_vars(slot: int, n: int) -> Tuple[str, ...]:

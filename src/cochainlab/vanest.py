@@ -432,7 +432,8 @@ def r_closed(group: PolyGroup, alpha: CEElement) -> GroupCochain:
     twisted = frame_convert(bg_i_inc(group, rep, alpha))
     vals = [cube_integrate(pullback(form, phi, cube)) for form in twisted.forms]
     # translate the V-value back to the unit, from gamma at t = (1..1)
-    prod = [c.subst(dict.fromkeys(cube.coords, 1)) for c in gamma]
+    ones = dict.fromkeys(cube.coords, MultiPoly.const(1))
+    prod = [c.subst(ones) for c in gamma]
     rho_back = rep.matrix_at(group.invert(prod))
     return GroupCochain(group, rep, p, mat_vec(rho_back, vals))
 
