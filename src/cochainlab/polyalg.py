@@ -1,8 +1,10 @@
 """Exact sparse multivariate polynomial algebra over the rationals.
 
-A polynomial is a dict mapping exponent tuples to ``Fraction`` coefficients,
-wrapped together with its ordered variable tuple.  All arithmetic is exact;
-there is no floating point anywhere in this package.
+A polynomial is a dict mapping exponent tuples to ``int`` numerators over
+one positive denominator, in lowest terms, wrapped together with its ordered
+variable tuple; every ring operation runs in ``int`` arithmetic, and readers
+outside the kernel see the coefficients as ``Fraction``s (``terms``).  All
+arithmetic is exact; there is no floating point anywhere in this package.
 
 Every variable belongs to one family, so that each map of the package is
 a mechanical substitution between named coordinates.  The families, in
@@ -38,6 +40,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import (
     Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -152,10 +155,39 @@ def _check_degree(degree: int) -> None:
         raise DegreeOverflowError(f"term of total degree {degree} exceeds cap {DEGREE_CAP}")
 
 
-def _product(ta: Mapping[Exponent, Rat], tb: Mapping[Exponent, Rat]) -> Dict[Exponent, Rat]:
-    """Product of two term dicts over one variable order; cancelled
-    coefficients stay in as zeros for the caller to drop."""
-    out: Dict[Exponent, Rat] = {}
+# Coefficients are integer numerators over one denominator per polynomial.
+# ``_normal`` alone reduces them; ``_over`` rewrites numerators over a
+# multiple of their denominator, an lcm, whose cofactors are exact.  No
+# other step divides, and none uses ``/``, which would make a float of two
+# ints.
+
+
+def _normal(num: Dict[Exponent, int], den: int) -> Tuple[Dict[Exponent, int], int]:
+    """``num / den`` in lowest terms: zero numerators dropped, and the
+    numerators and the positive ``den`` divided by their gcd; zero is
+    ``{}`` over 1."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return num, 1
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            return {e: c // g for e, c in num.items()}, den // g
+    return num, den
+
+
+def _over(num: Dict[Exponent, int], den: int, common: int) -> Dict[Exponent, int]:
+    """The numerators of ``num / den`` over ``common``, a multiple of den."""
+    if common == den:
+        return num
+    k = common // den
+    return {e: c * k for e, c in num.items()}
+
+
+def _product(ta: Mapping[Exponent, int], tb: Mapping[Exponent, int]) -> Dict[Exponent, int]:
+    """Product of two numerator dicts over one variable order; cancelled
+    numerators stay in as zeros for the caller to drop."""
+    out: Dict[Exponent, int] = {}
     get = out.get
     add = int.__add__
     for ea, ca in ta.items():
@@ -166,46 +198,49 @@ def _product(ta: Mapping[Exponent, Rat], tb: Mapping[Exponent, Rat]) -> Dict[Exp
     return out
 
 
-def _accumulate(out: Dict[Exponent, Rat], terms: Mapping[Exponent, Rat]) -> None:
-    """Add ``terms`` into ``out`` in place; cancelled coefficients stay in
-    as zeros."""
+def _accumulate(out: Dict[Exponent, int], terms: Mapping[Exponent, int]) -> None:
+    """Add ``terms`` into ``out`` in place; cancelled numerators stay in as
+    zeros."""
     get = out.get
     for e, c in terms.items():
         prev = get(e)
         out[e] = c if prev is None else prev + c
 
 
-def _nonzero(terms: Mapping[Exponent, Rat]) -> Dict[Exponent, Rat]:
-    return {e: c for e, c in terms.items() if c}
-
-
 _set = object.__setattr__
 
 
-def _make(vs: Tuple[str, ...], keys: tuple, terms: Dict[Exponent, Rat]) -> "MultiPoly":
-    """Trusted constructor for the results of ring operations: ``terms``
-    already has exponent tuples of length len(vs), nonzero ``Fraction``
-    coefficients and degrees within the cap, and ``keys`` are the
-    ``var_key`` values of ``vs``, shared with the operands."""
+def _make(vs: Tuple[str, ...], keys: tuple, num: Dict[Exponent, int], den: int) -> "MultiPoly":
+    """Trusted constructor for the results of ring operations: ``num`` has
+    exponent tuples of length len(vs), nonzero ``int`` numerators and
+    degrees within the cap, ``num / den`` is in lowest terms (``_normal``),
+    and ``keys`` are the ``var_key`` values of ``vs``, shared with the
+    operands."""
     p = object.__new__(MultiPoly)
     _set(p, "vars", vs)
-    _set(p, "terms", terms)
+    _set(p, "_num", num)
+    _set(p, "_den", den)
     _set(p, "_keys", keys)
     return p
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with rational coefficients, stored as
+    integer numerators over one denominator.
 
-    Immutable; ``terms`` maps exponent tuples (one entry per variable in
-    ``vars``) to nonzero coefficients.  Two polynomials over the same
-    variable tuple are equal iff their term dicts are identical.  ``_keys``
-    holds the ``var_key`` of each variable (see the module docstring).
+    Immutable.  ``_num`` maps exponent tuples (one entry per variable in
+    ``vars``) to nonzero ``int`` numerators, and ``_den`` is their positive
+    common denominator, in lowest terms: gcd(_den, every numerator) is 1,
+    and zero is ``{}`` over 1.  So two polynomials over the same variable
+    tuple are equal iff their numerator dicts and denominators are.
+    ``terms`` is the read-only view ``{exponent: Fraction}`` for readers
+    outside the kernel.  ``_keys`` holds the ``var_key`` of each variable
+    (see the module docstring).
     """
 
-    __slots__ = ("vars", "terms", "_keys")
+    __slots__ = ("vars", "_num", "_den", "_keys")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Rat]):
+    def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Union[int, Rat]]):
         vs = tuple(variables)
         keys = tuple(map(var_key, vs))
         # the variables are stored in canonical order, whatever order they come in
@@ -221,56 +256,74 @@ class MultiPoly:
             clean[tuple(exp) if order is None else tuple(exp[i] for i in order)] = c
         if order is not None:
             vs, keys = tuple(vs[i] for i in order), tuple(keys[i] for i in order)
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the result is in lowest terms
+        nums, den = clear_denominators(list(clean.values()))
         _set(self, "vars", vs)
-        _set(self, "terms", clean)
+        _set(self, "_num", dict(zip(clean, nums)))
+        _set(self, "_den", den)
         _set(self, "_keys", keys)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     def __reduce__(self):
-        return MultiPoly, (self.vars, self.terms)
+        return MultiPoly, (self.vars, self._fractions())
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly((), {})
+        return _make((), (), {}, 1)
 
     @staticmethod
     def const(value: Union[int, Rat]) -> "MultiPoly":
-        return MultiPoly((), {(): Fraction(value)})
+        return MultiPoly.zero()._constant(Fraction(value))
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return _make((name,), (var_key(name),), {(1,): 1}, 1)
 
-    def _like(self, terms: Dict[Exponent, Rat]) -> "MultiPoly":
+    def _like(self, num: Dict[Exponent, int], den: int) -> "MultiPoly":
         """A trusted result over self's variables."""
-        return _make(self.vars, self._keys, terms)
+        return _make(self.vars, self._keys, num, den)
 
-    def _constant(self, c: Rat) -> "MultiPoly":
-        return self._like({(0,) * len(self.vars): c} if c else {})
+    def _constant(self, c: Union[int, Rat]) -> "MultiPoly":
+        if not c:
+            return self._like({}, 1)
+        return self._like({(0,) * len(self.vars): c.numerator}, c.denominator)
+
+    # -- coefficients -----------------------------------------------------
+
+    def _fractions(self) -> Dict[Exponent, Rat]:
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._num.items()}
+
+    @property
+    def terms(self) -> Mapping[Exponent, Rat]:
+        """Read-only view ``{exponent tuple: Fraction}``, one entry per
+        nonzero term."""
+        return MappingProxyType(self._fractions())
 
     # -- structural helpers ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._num)
 
     def constant_value(self) -> Rat:
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     def support(self) -> Tuple[str, ...]:
         """Variables that actually occur with positive exponent."""
         used = [False] * len(self.vars)
-        for exp in self.terms:
+        for exp in self._num:
             for i, e in enumerate(exp):
                 if e:
                     used[i] = True
@@ -295,13 +348,13 @@ class MultiPoly:
         pos = {v: i for i, v in enumerate(vs)}
         index = [pos[v] for v in self.vars]
         n = len(vs)
-        out: Dict[Exponent, Rat] = {}
-        for exp, coef in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for exp, coef in self._num.items():
             new = [0] * n
             for i, e in zip(index, exp):
                 new[i] = e
             out[tuple(new)] = coef
-        return _make(vs, keys, out)
+        return _make(vs, keys, out, self._den)
 
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
@@ -316,14 +369,15 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = self._constant(Fraction(other))
         a, b = self._aligned(other)
-        out = dict(a.terms)
-        _accumulate(out, b.terms)
-        return a._like(_nonzero(out))
+        den = a._den if a._den == b._den else math.lcm(a._den, b._den)
+        out = dict(_over(a._num, a._den, den))
+        _accumulate(out, _over(b._num, b._den, den))
+        return a._like(*_normal(out, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return self._like({e: -c for e, c in self.terms.items()})
+        return self._like({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -335,20 +389,25 @@ class MultiPoly:
 
     def __mul__(self, other: Union["MultiPoly", int, Rat]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            c = Fraction(other)
-            return self._like({e: k * c for e, k in self.terms.items()} if c else {})
+            c = other if isinstance(other, (int, Fraction)) else Fraction(other)
+            k = c.numerator
+            return self._like(*_normal({e: n * k for e, n in self._num.items()},
+                                       self._den * c.denominator))
         a, b = self._aligned(other)
         # Over the rationals the top-degree parts of two nonzero factors
         # never cancel, so the product's degree is the sum of theirs (and
         # a zero factor, of degree -1, keeps the sum under the cap).
-        _check_degree(_max_degree(a.terms) + _max_degree(b.terms))
-        return a._like(_nonzero(_product(a.terms, b.terms)))
+        _check_degree(_max_degree(a._num) + _max_degree(b._num))
+        return a._like(*_normal(_product(a._num, b._num), a._den * b._den))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
+        # the power's degree is n times self's, as for products; checked
+        # before any multiplication, so the message names that degree
+        _check_degree(n * _max_degree(self._num))
         result = None
         base = self
         while n:
@@ -357,7 +416,7 @@ class MultiPoly:
             n >>= 1
             if n:
                 base = base * base
-        return self._constant(Fraction(1)) if result is None else result
+        return self._constant(1) if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -365,17 +424,17 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = self._aligned(other)
-        return a.terms == b.terms
+        return a._den == b._den and a._num == b._num
 
     def __hash__(self):
         # As __eq__ goes: a constant hashes like the number it equals, and
         # variables with exponent zero are left out.
         if self.is_constant():
             return hash(self.constant_value())
-        return hash(frozenset(
+        return hash((self._den, frozenset(
             (tuple((v, e) for v, e in zip(self.vars, exp) if e), coef)
-            for exp, coef in self.terms.items()
-        ))
+            for exp, coef in self._num.items()
+        )))
 
     def __repr__(self):
         return f"MultiPoly({to_string(self)!r})"
@@ -386,24 +445,28 @@ class MultiPoly:
         """Exact partial derivative; differentiating by an absent variable
         gives zero."""
         if v not in self.vars:
-            return self._like({})
+            return self._like({}, 1)
         i = self.vars.index(v)
-        out: Dict[Exponent, Rat] = {}
-        for exp, coef in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for exp, coef in self._num.items():
             e = exp[i]
             if e:
                 out[exp[:i] + (e - 1,) + exp[i + 1:]] = coef * e
-        return self._like(out)
+        return self._like(*_normal(out, self._den))
 
     def truncated(self, degree: int) -> "MultiPoly":
         """The terms of total degree at most ``degree``."""
-        return self._like({e: c for e, c in self.terms.items() if sum(e) <= degree})
+        return self._like(*_normal(
+            {e: c for e, c in self._num.items() if sum(e) <= degree}, self._den))
 
     def subst(self, assignment: Mapping[str, Union["MultiPoly", int, Rat]]) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables pass through.
 
         Terms are grouped by their exponents in the substituted variables,
-        and each power of a substituted value is computed once per call."""
+        and each power of a substituted value is computed once per call.
+        A group's numerators times its factors' lie over the product of
+        the factors' denominators; the groups are summed over the lcm of
+        those."""
         vs = self.vars
         values = {
             v: p if isinstance(p, MultiPoly) else MultiPoly.const(p)
@@ -413,8 +476,8 @@ class MultiPoly:
             return self
         keep = [i for i, v in enumerate(vs) if v not in values]
         subbed = [i for i, v in enumerate(vs) if v in values]
-        groups: Dict[Exponent, Dict[Exponent, Rat]] = {}
-        for exp, coef in self.terms.items():
+        groups: Dict[Exponent, Dict[Exponent, int]] = {}
+        for exp, coef in self._num.items():
             sig = tuple(exp[i] for i in subbed)
             groups.setdefault(sig, {})[tuple(exp[i] for i in keep)] = coef
         # The result lives over the canonical union of the passthrough
@@ -442,35 +505,44 @@ class MultiPoly:
                 p = powers[j, e] = (values[vs[subbed[j]]] ** e)._reindexed(out_vars, out_keys)
             return p
 
-        out: Dict[Exponent, Rat] = {}
+        out: Dict[Exponent, int] = {}
+        out_den = 1
         for sig, part in groups.items():
-            terms: Dict[Exponent, Rat] = {}
+            terms: Dict[Exponent, int] = {}
             for pe, coef in part.items():
                 new = [0] * n
                 for i, e in zip(keep_pos, pe):
                     new[i] = e
                 terms[tuple(new)] = coef
             factors = [power(j, e) for j, e in enumerate(sig) if e]
+            den = 1
             if factors:
-                if not all(f.terms for f in factors):
+                if not all(f._num for f in factors):
                     continue  # a zero factor: these terms vanish
-                _check_degree(_max_degree(terms) + sum(_max_degree(f.terms) for f in factors))
+                _check_degree(_max_degree(terms) + sum(_max_degree(f._num) for f in factors))
                 for f in factors:
-                    terms = _product(terms, f.terms)
+                    terms = _product(terms, f._num)
+                    den *= f._den
+            if den != out_den:
+                common = math.lcm(out_den, den)
+                out = _over(out, out_den, common)
+                terms, out_den = _over(terms, den, common), common
             _accumulate(out, terms)
-        return _make(out_vars, out_keys, _nonzero(out))
+        return _make(out_vars, out_keys, *_normal(out, out_den * self._den))
 
     def defint01(self, v: str) -> "MultiPoly":
         """Definite integral over [0, 1] in ``v``; v is eliminated from the
-        result's support."""
+        result's support.  The term of exponent e gains the factor
+        1/(e + 1), put over the lcm of those denominators."""
         if v not in self.vars:
             return self
         i = self.vars.index(v)
-        out: Dict[Exponent, Rat] = {}
-        for exp, coef in self.terms.items():
+        common = math.lcm(*{exp[i] + 1 for exp in self._num})
+        out: Dict[Exponent, int] = {}
+        for exp, coef in self._num.items():
             key = exp[:i] + (0,) + exp[i + 1:]
-            out[key] = out.get(key, 0) + coef / (exp[i] + 1)
-        return self._like(_nonzero(out))
+            out[key] = out.get(key, 0) + coef * (common // (exp[i] + 1))
+        return self._like(*_normal(out, self._den * common))
 
     def eval_at(self, point: Mapping[str, Union[int, Rat]]) -> Union[Rat, "MultiPoly"]:
         """Partial evaluation; a full point yields a Fraction."""
@@ -488,25 +560,26 @@ def to_string(p: MultiPoly) -> str:
     """Canonical textual form: terms sorted by (total degree, exponents)
     descending, rationals as ``num/den``.  Round-trips bit-exactly through
     the expression parser."""
-    if not p.terms:
+    if not p._num:
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    den = p._den
+    items = sorted(p._num.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     chunks = []
-    for exp, coef in items:
+    for exp, num in items:
         factors = []
         for v, e in zip(p.vars, exp):
             if e == 1:
                 factors.append(v)
             elif e > 1:
                 factors.append(f"{v}^{e}")
-        mag = abs(coef)
-        if not factors or mag != 1:
-            factors.insert(0, format_rat(mag))
+        mag = abs(num)
+        if not factors or mag != den:
+            factors.insert(0, format_rat(Fraction(mag, den)))
         body = "*".join(factors)
         if not chunks:
-            chunks.append(body if coef > 0 else f"-{body}")
+            chunks.append(body if num > 0 else f"-{body}")
         else:
-            chunks.append(f"+ {body}" if coef > 0 else f"- {body}")
+            chunks.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(chunks)
 
 
