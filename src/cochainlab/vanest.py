@@ -55,7 +55,7 @@ from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .forms import Chart, PolyForm, PolyVF, contract, cube_integrate, homotopy_T, pullback, wedge
-from .liealg import CEElement, ce_diff, ce_diff_comps, standard_rep
+from .liealg import CEElement, Representation, ce_diff, ce_diff_comps, standard_rep
 from .nilgroup import (
     GroupCochain,
     PolyGroup,
@@ -76,6 +76,7 @@ from .polyalg import (
     add_into,
     cube_vars,
     fiber_vars,
+    format_rat,
     mat_add,
     mat_scale,
     mat_vec,
@@ -273,8 +274,25 @@ def bg_p_proj(psi: BigradedElement) -> CEElement:
     return CEElement(psi.group.algebra, psi.rep.infinitesimal(), psi.q, comps)
 
 
+def _rep_text(rep: Representation) -> str:
+    """A representation of the algebra, by the matrix of each generator."""
+    mats = (
+        "[" + "; ".join(" ".join(map(format_rat, row)) for row in m) + "]"
+        for m in rep.matrices
+    )
+    return f"the {rep.dim}-dimensional one with " + ", ".join(
+        f"rho_*(e{i}) = {m}" for i, m in enumerate(mats, 1)
+    )
+
+
 def bg_i_inc(group: PolyGroup, rep: PolyRep, alpha: CEElement) -> BigradedElement:
-    """Inclusion of constants: Lambda^q g* (x) V -> D^{0,q}."""
+    """Inclusion of constants: Lambda^q g* (x) V -> D^{0,q}, for alpha in
+    the tangent representation of ``rep``."""
+    if alpha.rep != rep.tangent:
+        raise VanEstError(
+            f"cochain in {_rep_text(alpha.rep)}, but the double complex is over "
+            f"{_rep_text(rep.tangent)}"
+        )
     comps = {
         idx: tuple(MultiPoly.const(x) for x in vec)
         for idx, vec in alpha.comps.items()

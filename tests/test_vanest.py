@@ -4,9 +4,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cochainlab.liealg import CEElement, ce_diff
+from cochainlab.liealg import CEElement, Representation, ce_diff
 from cochainlab.nilgroup import (
     GroupCochain,
+    PolyRep,
     build_group,
     fiber_vars,
     group_delta,
@@ -18,6 +19,7 @@ from cochainlab.nilgroup import (
 from cochainlab.polyalg import MultiPoly, mat_vec, sort_sign
 from cochainlab.vanest import (
     BigradedElement,
+    VanEstError,
     bg_d,
     bg_delta,
     bg_h,
@@ -139,6 +141,30 @@ def test_integration_defaults_to_the_cochain_representation(heisenberg_group):
                    r_zigzag(heisenberg_group, alpha, inst)]
         assert all(f.rep.tangent == alpha.rep for f in results)
         assert results[0] == results[1] == results[2]
+
+
+def test_integration_refuses_an_instance_of_another_representation(heisenberg_group):
+    # alpha lives in the standard representation; an instance over another
+    # representation, of the same dimension or not, must not integrate it
+    group, alg = heisenberg_group, heisenberg_group.algebra
+    alpha = CEElement.basis(alg, (0,), rep=standard_poly_rep(group).infinitesimal(), slot=2)
+    e12 = tuple(tuple(Fraction(int((r, c) == (0, 1))) for c in range(3)) for r in range(3))
+    zero = ((Fraction(0),) * 3,) * 3
+    same_dim = PolyRep(group, Representation(alg, 3, (e12, zero, zero)))
+    z3 = "[0 0 0; 0 0 0; 0 0 0]"
+    cases = (
+        (same_dim, f"3-dimensional one with rho_*(e1) = [0 1 0; 0 0 0; 0 0 0], "
+                   f"rho_*(e2) = {z3}, rho_*(e3) = {z3}"),
+        (trivial_poly_rep(group), "1-dimensional one with rho_*(e1) = [0], "
+                                  "rho_*(e2) = [0], rho_*(e3) = [0]"),
+    )
+    for rep, text in cases:
+        inst = build_double_complex(group, rep, max_p=2)
+        with pytest.raises(VanEstError) as err:
+            r_zigzag(group, alpha, inst)
+        message = str(err.value)
+        assert message.startswith("cochain in the 3-dimensional one with rho_*(e1) = [0 1 0;")
+        assert message.endswith(f"but the double complex is over the {text}")
 
 
 def test_cochain_map_properties(heisenberg_group):
