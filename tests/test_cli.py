@@ -260,6 +260,12 @@ def test_degree_overflow_is_a_usage_error(monkeypatch, capsys):
     assert err.count("error: term of total degree") == 2
 
 
+def test_an_overflowing_power_reports_its_degree(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("g1_1^100000000000"))
+    assert main(["ve", "-", "--instance", "abelian-3"]) == 2
+    assert "error: term of total degree 100000000000 exceeds cap 24" in capsys.readouterr().err
+
+
 def test_max_p_above_instance_limit_rejected():
     with pytest.raises(ValueError):
         RunConfig("matrix", max_p=9)

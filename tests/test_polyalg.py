@@ -122,6 +122,16 @@ def test_degree_cap_enforced():
         x ** (DEGREE_CAP + 1)
 
 
+def test_an_overflowing_power_names_its_degree():
+    # the power's own degree, checked before any squaring step
+    x = MultiPoly.var("g1_1")
+    for n in (DEGREE_CAP + 1, 10**11):
+        with pytest.raises(DegreeOverflowError, match=f"total degree {n} exceeds cap {DEGREE_CAP}"):
+            x ** n
+    with pytest.raises(DegreeOverflowError, match=f"total degree 26 exceeds cap {DEGREE_CAP}"):
+        (x * x + 1) ** 13
+
+
 def test_format_rat():
     assert format_rat(Fraction(3)) == "3"
     assert format_rat(Fraction(-1, 2)) == "-1/2"
@@ -168,6 +178,36 @@ def test_hash_agrees_with_eq():
     assert len({x, padded}) == 1
     three = MultiPoly.const(3) + y - y
     assert three == 3 and hash(three) == hash(3) and len({three, 3, Fraction(3)}) == 1
+
+
+def _stored(p):
+    """p's stored numerators, keyed by their nonzero (variable, exponent)
+    pairs, and its denominator."""
+    return {tuple((v, e) for v, e in zip(p.vars, exp) if e): c
+            for exp, c in p._num.items()}, p._den
+
+
+def test_equal_polynomials_store_equal_numerators_and_denominators():
+    # (t1 + y_1)/2, built by routes that pass through other denominators
+    x, y, t = MultiPoly.var("t1"), MultiPoly.var("y_1"), MultiPoly.var("t2")
+    half = Fraction(1, 2)
+    routes = [
+        (x + y) * half,
+        half * x + y * Fraction(2, 4),
+        MultiPoly(("y_1", "t1"), {(1, 0): Fraction(3, 6), (0, 1): half}),
+        (x * 3 + 3 * y) * Fraction(1, 6),
+        ((x + y) ** 2 * Fraction(1, 4)).diff("t1"),
+        (t * (x + y)).defint01("t2"),
+        (x * Fraction(1, 3) + y * Fraction(1, 6)) + (x * Fraction(1, 6) + y * Fraction(1, 3)),
+        ((t + y) * half).subst({"t2": x}),
+        (x * half + y * half + x * x * y).truncated(1),
+    ]
+    for p in routes:
+        assert p == routes[0] and hash(p) == hash(routes[0])
+        assert _stored(p) == ({(("t1", 1),): 1, (("y_1", 1),): 1}, 2)
+    # a sum that cancels to a constant, or to zero, is stored in lowest terms too
+    assert _stored(x * half + Fraction(3, 4) - x * half) == ({(): 3}, 4)
+    assert _stored((x + y) * half - y * half - x * half) == ({}, 1)
 
 
 # Reference kernel: polynomials as (vars, terms) pairs, every operation
@@ -243,6 +283,46 @@ def _ref_subst(a, assignment):
     return acc
 
 
+def _ref_diff(a, v):
+    vs, terms = a
+    if v not in vs:
+        return _ref_make(vs, {})
+    i = vs.index(v)
+    return _ref_make(vs, {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coef * exp[i]
+                          for exp, coef in terms.items() if exp[i]})
+
+
+def _ref_defint01(a, v):
+    vs, terms = a
+    if v not in vs:
+        return a
+    i = vs.index(v)
+    out = {}
+    for exp, coef in terms.items():
+        key = exp[:i] + (0,) + exp[i + 1:]
+        out[key] = out.get(key, Fraction(0)) + coef / (exp[i] + 1)
+    return _ref_make(vs, out)
+
+
+def _ref_truncated(a, degree):
+    vs, terms = a
+    return _ref_make(vs, {exp: coef for exp, coef in terms.items() if sum(exp) <= degree})
+
+
+def _ref_scaled(a, c):
+    vs, terms = a
+    return _ref_make(vs, {exp: coef * c for exp, coef in terms.items()})
+
+
+def _ref_eval(a, point):
+    """A Fraction at a point that leaves no variable of positive degree,
+    else a polynomial, as ``eval_at`` returns."""
+    vs, terms = _ref_subst(a, {v: _ref_make((), {(): c}) for v, c in point.items()})
+    if any(map(any, terms)):
+        return vs, terms
+    return sum(terms.values(), Fraction(0))
+
+
 def _pair(p):
     return p.vars, p.terms
 
@@ -261,8 +341,10 @@ any_polys = st.one_of(polys(), raw_polys())
 @settings(max_examples=150, deadline=None)
 @given(any_polys, any_polys, st.integers(0, 3),
        st.dictionaries(st.sampled_from(VARS), st.one_of(any_polys, st.integers(-2, 2)),
-                       max_size=3))
-def test_kernel_matches_reference(a, b, n, assignment):
+                       max_size=3),
+       st.sampled_from(VARS), st.integers(-2, 3), rationals,
+       st.dictionaries(st.sampled_from(VARS), rationals, max_size=len(VARS)))
+def test_kernel_matches_reference(a, b, n, assignment, v, k, c, point):
     ra, rb = _pair(a), _pair(b)
     ref_values = {v: _pair(p) if isinstance(p, MultiPoly) else _ref_make((), {(): p})
                   for v, p in assignment.items()}
@@ -274,11 +356,46 @@ def test_kernel_matches_reference(a, b, n, assignment):
         (a.extend(names), _ref_extend(ra, names)),
         (a.extend(b), _ref_extend(ra, names)),
         (a.subst(assignment), _ref_subst(ra, ref_values)),
+        (a.diff(v), _ref_diff(ra, v)),
+        (a.defint01(v), _ref_defint01(ra, v)),
+        (a.truncated(n), _ref_truncated(ra, n)),
+        (a * k, _ref_scaled(ra, k)),
+        (c * a, _ref_scaled(ra, c)),
     ]
+    value, expected = a.eval_at(point), _ref_eval(ra, point)
+    if isinstance(expected, Fraction):
+        assert type(value) is Fraction and value == expected
+    else:
+        cases.append((value, expected))
     for got, (vs, terms) in cases:
         assert got.vars == vs
         assert got.terms == terms
         assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_no_float_reaches_a_result():
+    # integrals of odd exponents and scalings by 1/2 make denominators that
+    # the kernel must carry as ints, never as a float quotient
+    x, y = MultiPoly.var("t1"), MultiPoly.var("y_1")
+    half = Fraction(1, 2)
+    p = 3 * x**3 * y + x * y**2 + x**5 + 7
+    results = [
+        p.defint01("t1"), p.defint01("y_1"), p * half, half * p, p * 2 * half,
+        (p * half).defint01("t1") * half, (p * half).diff("t1"), (p * half).truncated(4),
+        (x * half) ** 3, (p * half).subst({"y_1": x * half}), p.eval_at({"y_1": half}),
+    ]
+    for r in results:
+        assert type(r._den) is int and all(type(c) is int for c in r._num.values())
+        assert all(type(c) is Fraction for c in r.terms.values())
+    # 3/8 + 1/6 + 1/6 + 7, exactly
+    area = p.defint01("t1").defint01("y_1")
+    assert type(area.constant_value()) is Fraction and area.constant_value() == Fraction(185, 24)
+    assert area == Fraction(185, 24)
+    value = (p * half).eval_at({"t1": half, "y_1": 3})
+    assert type(value) is Fraction and value == Fraction(1, 2) * (
+        Fraction(9, 8) + Fraction(9, 2) + Fraction(1, 32) + 7
+    )
+    assert type(MultiPoly.zero().constant_value()) is Fraction
 
 
 def test_products_powers_and_substitutions_keep_the_degree_cap():
