@@ -283,7 +283,7 @@ def _poly_mat_inverse(mat: Matrix) -> List[List[MultiPoly]]:
     nil = mat_add(mat, mat_scale(identity(len(mat)), -1))
     for row in nil:
         for entry in row:
-            if not all(sum(e) > 0 for e in entry.terms):
+            if not entry.truncated(0).is_zero():
                 raise NonUnipotentJacobian("frame Jacobian is not unipotent")
     return nilpotent_series(nil, lambda k: (-1) ** k)
 

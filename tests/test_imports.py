@@ -1,6 +1,7 @@
 """Hygiene of the package sources: no unused imports, no dead private
 helpers, no process-wide caches, no import-time state that keeps an old
-copy of the package alive, and no variable name built outside ``polyalg``.
+copy of the package alive, no variable name built outside ``polyalg``, and
+no reader of a polynomial's stored numerators and denominator outside it.
 Stdlib only, so it runs wherever the tests do."""
 
 import ast
@@ -266,4 +267,32 @@ def hand_built_names(path: Path):
 def test_only_polyalg_builds_variable_names():
     problems = [p for path in sorted(SRC.glob("*.py")) if path.name != "polyalg.py"
                 for p in hand_built_names(path)]
+    assert problems == []
+
+
+#: ``MultiPoly``'s stored coefficients: integer numerators over one
+#: denominator, which the kernel alone keeps in lowest terms.
+COEFFICIENT_FIELDS = {"_num", "_den"}
+
+
+def coefficient_storage_uses(path: Path):
+    """Attribute accesses, ``getattr`` calls and string constants naming a
+    field of ``MultiPoly``'s coefficient storage."""
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in COEFFICIENT_FIELDS:
+            problems.append(f"{path.name}:{node.lineno}: {name}")
+    return problems
+
+
+def test_only_polyalg_touches_coefficient_storage():
+    assert coefficient_storage_uses(SRC / "polyalg.py")
+    problems = [p for path in sorted(SRC.glob("*.py")) if path.name != "polyalg.py"
+                for p in coefficient_storage_uses(path)]
     assert problems == []
