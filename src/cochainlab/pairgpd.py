@@ -153,13 +153,14 @@ def verify_pair(n: int, seed: int, trials: int, max_p: int, max_deg: int) -> Lis
     per degree p <= max_p and trial, pair_ve(pair_r(alpha)) = alpha on a
     random monomial p-form, delta^2 = 0 and pair_ve(f_0 (x) ... (x) f_p) =
     f_0 df_1 ^ ... ^ df_p on a random decomposable cochain, with factors of
-    degree at most max_deg."""
+    degree at most max_deg.  Each record sits where its witness does: the
+    form's check at bidegree [0, p], the cochains' checks at [p, 0]."""
     rng = random.Random(seed)
     name = f"pair:r{n}"
     reports: List[dict] = []
 
-    def run(check, p, ok, witness):
-        reports.append(check_record(name, check, p, 0, ok, seed, counterexample=witness))
+    def run(check, bidegree, ok, witness):
+        reports.append(check_record(name, check, *bidegree, ok, seed, counterexample=witness))
 
     chart = base_chart(n)
     base = chart.coords
@@ -172,7 +173,8 @@ def verify_pair(n: int, seed: int, trials: int, max_p: int, max_deg: int) -> Lis
                 poly = poly * MultiPoly.var(rng.choice(base))
             alpha = PolyForm(chart, p, {idx: poly})
             back = pair_ve(pair_r(n, alpha))
-            run("pair_ve_pair_r_identity", p, (back - alpha).is_zero(), form_to_string(alpha))
+            run("pair_ve_pair_r_identity", (0, p), (back - alpha).is_zero(),
+                form_to_string(alpha))
 
             # delta^2 = 0 on random decomposable cochains
             factors = []
@@ -182,11 +184,11 @@ def verify_pair(n: int, seed: int, trials: int, max_p: int, max_deg: int) -> Lis
                     f = f * MultiPoly.var(rng.choice(base))
                 factors.append(f)
             c = ASCochain.decomposable(n, factors)
-            run("delta_squared", p, as_delta(as_delta(c)).is_zero(), repr(c))
+            run("delta_squared", (p, 0), as_delta(as_delta(c)).is_zero(), repr(c))
 
             # differentiation of a decomposable is f0 df1 ^ ... ^ dfp
             expected = PolyForm(chart, 0, {(): factors[0]})
             for f in factors[1:]:
                 expected = wedge(expected, exterior_d(PolyForm(chart, 0, {(): f})))
-            run("ve_decomposable", p, (pair_ve(c) - expected).is_zero(), repr(c))
+            run("ve_decomposable", (p, 0), (pair_ve(c) - expected).is_zero(), repr(c))
     return reports

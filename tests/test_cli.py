@@ -334,9 +334,9 @@ REPORT_DIGESTS = {
     ("abelian-3", "trivial"): "73d1e5d222feab52b4ecb2bfd3f5b7da9b4b4b44643f23898e56c4660224962b",
     ("heisenberg3", "trivial"): "5e3b63028d70eb7aa9fdd4e1ee1e78aad76d4f04de2e6d9ab811f0e9c35e36b2",
     ("filiform4", "trivial"): "f96607bf409676f8ac02ca66ab0c754c7073efb2f63c7d847e56d76ddf0a0fc1",
-    ("pair-r1", "trivial"): "652169b70e05db90fa4474874d18c2b5bf83b8ce8d34d945d45af82d83a32503",
-    ("pair-r2", "trivial"): "3883eae3d50e30512bbbe405971dd070afb7576a4b826c5935524fa2504f06b5",
-    ("pair-r3", "trivial"): "b47363d25cad5c1c18cd89e6fd6ea74e99323847f5b7c2a220850df97ec4bbcf",
+    ("pair-r1", "trivial"): "ab801bc032cf5ab6c88c8299aa452bf915178f2093881b83313f3c25e08ad349",
+    ("pair-r2", "trivial"): "c15eed7679d24584f989d21cd9c84359c621a2438ba7509ac1a8390f4438a50e",
+    ("pair-r3", "trivial"): "e002c26a95930a57b6a8bb2dce83786150a0f717de428e1e6997d04b8c2c4500",
     ("cech-circle3", "trivial"): "163a79aceed2937478e67df48f5b804ccf49428ea6ff6de3d241a4081f21b8ed",
     ("heisenberg3", "standard"): "44228b740c5353e2a551e40057e0b6f305fab550ff9f9c1ab49ca666f7337896",
 }

@@ -12,6 +12,7 @@ from cochainlab.pairgpd import (
     geodesic_map,
     pair_r,
     pair_ve,
+    verify_pair,
 )
 from cochainlab.polyalg import MultiPoly
 
@@ -114,3 +115,15 @@ def test_r_degree_zero_is_diagonal():
 def test_cochain_variable_validation():
     with pytest.raises(ValueError):
         ASCochain(2, 0, MultiPoly.var("m1_1"))
+
+
+def test_each_pair_record_sits_where_its_witness_does():
+    # the identity's witness is a p-form, on the X side; the cochain checks'
+    # witnesses are Alexander-Spanier p-cochains, on the Y side
+    records = verify_pair(2, 0, 1, 2, 2)
+    where = {}
+    for r in records:
+        where.setdefault(r["check"], []).append(r["bidegree"])
+    assert where["pair_ve_pair_r_identity"] == [[0, 0], [0, 1], [0, 2]]
+    assert where["delta_squared"] == where["ve_decomposable"] == [[0, 0], [1, 0], [2, 0]]
+    assert all(r["status"] == "pass" for r in records)
