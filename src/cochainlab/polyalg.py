@@ -156,10 +156,10 @@ def _check_degree(degree: int) -> None:
 
 
 # Coefficients are integer numerators over one denominator per polynomial.
-# ``_normal`` alone reduces them; ``_over`` rewrites numerators over a
-# multiple of their denominator, an lcm, whose cofactors are exact.  No
-# other step divides, and none uses ``/``, which would make a float of two
-# ints.
+# ``_normal`` alone reduces them.  Sums over different denominators put
+# them over the lcm, whose exact cofactors (``_over``, ``defint01``,
+# ``clear_denominators``) are the only other quotients.  No step uses ``/``,
+# which would make a float of two ints.
 
 
 def _normal(num: Dict[Exponent, int], den: int) -> Tuple[Dict[Exponent, int], int]:
@@ -369,7 +369,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = self._constant(Fraction(other))
         a, b = self._aligned(other)
-        den = a._den if a._den == b._den else math.lcm(a._den, b._den)
+        den = math.lcm(a._den, b._den)
         out = dict(_over(a._num, a._den, den))
         _accumulate(out, _over(b._num, b._den, den))
         return a._like(*_normal(out, den))
