@@ -268,7 +268,7 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     def __reduce__(self):
-        return MultiPoly, (self.vars, self._fractions())
+        return MultiPoly, (self.vars, dict(self.terms))
 
     # -- constructors -----------------------------------------------------
 
@@ -293,17 +293,12 @@ class MultiPoly:
             return self._like({}, 1)
         return self._like({(0,) * len(self.vars): c.numerator}, c.denominator)
 
-    # -- coefficients -----------------------------------------------------
-
-    def _fractions(self) -> Dict[Exponent, Rat]:
-        den = self._den
-        return {e: Fraction(c, den) for e, c in self._num.items()}
-
     @property
     def terms(self) -> Mapping[Exponent, Rat]:
         """Read-only view ``{exponent tuple: Fraction}``, one entry per
         nonzero term."""
-        return MappingProxyType(self._fractions())
+        den = self._den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self._num.items()})
 
     # -- structural helpers ----------------------------------------------
 
