@@ -35,12 +35,12 @@ substitutions; sums, negation, scaling, ``extend``, ``diff``,
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import math
 import operator
 import re
 from fractions import Fraction
-from types import MappingProxyType
 from typing import (
     Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -224,6 +224,26 @@ def _make(vs: Tuple[str, ...], keys: tuple, num: Dict[Exponent, int], den: int) 
     return p
 
 
+class _Terms(collections.abc.Mapping):
+    """A polynomial's terms as ``{exponent tuple: Fraction}``: its size and
+    exponents come from the stored numerators, and each ``Fraction`` is made
+    when it is read."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MultiPoly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self):
+        return iter(self._poly._num)
+
+    def __getitem__(self, exp: Exponent) -> Rat:
+        return Fraction(self._poly._num[exp], self._poly._den)
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with rational coefficients, stored as
     integer numerators over one denominator.
@@ -297,8 +317,7 @@ class MultiPoly:
     def terms(self) -> Mapping[Exponent, Rat]:
         """Read-only view ``{exponent tuple: Fraction}``, one entry per
         nonzero term."""
-        den = self._den
-        return MappingProxyType({e: Fraction(c, den) for e, c in self._num.items()})
+        return _Terms(self)
 
     # -- structural helpers ----------------------------------------------
 
