@@ -386,3 +386,51 @@ def test_verify_instance_pushes_each_sample_through_each_operator_once():
         # no image is computed twice either: h' x, d h' x and h delta x are
         # read off the Neumann sums
         assert again == Counter(), inst.name
+
+
+#: Per instance, operator -> (calls, zero inputs) of verify_instance(seed=3,
+#: trials=2).  The engine's traffic is part of its contract: a rewrite of
+#: the Neumann sums or the checks must make the same calls, and none on a
+#: zero term or a zero image that the sums leave out.
+TRAFFIC = {
+    "matrix": {
+        "d": (208, 8), "delta": (120, 0), "h": (160, 0), "p_proj": (32, 0),
+        "i_inc": (24, 8), "d_x": (0, 0), "k": (64, 0), "q_proj": (8, 0),
+        "j_inc": (8, 0), "delta_y": (0, 0),
+    },
+    "cech-circle3": {
+        "d": (42, 12), "delta": (28, 8), "h": (32, 4), "p_proj": (16, 0),
+        "i_inc": (10, 0), "d_x": (0, 0), "k": (16, 4), "q_proj": (4, 0),
+        "j_inc": (4, 0), "delta_y": (0, 0),
+    },
+    "heisenberg3": {
+        "d": (79, 8), "delta": (44, 3), "h": (78, 5), "p_proj": (32, 2),
+        "i_inc": (22, 2), "d_x": (0, 0), "k": (26, 2), "q_proj": (8, 0),
+        "j_inc": (8, 1), "delta_y": (0, 0),
+    },
+}
+
+
+def test_the_engine_s_operator_traffic_is_pinned():
+    group = build_group("heisenberg3")
+    instances = {
+        "matrix": matrix_instance(0, max_p=3),
+        "cech-circle3": cech_instance(),
+        "heisenberg3": build_double_complex(group, standard_poly_rep(group), max_p=1, max_q=2),
+    }
+    for name, inst in instances.items():
+        traffic = dict.fromkeys(instance_operator_fields(), (0, 0))
+
+        def counted(field, op):
+            def wrapper(x):
+                calls, zeros = traffic[field]
+                traffic[field] = calls + 1, zeros + x.is_zero()
+                return op(x)
+
+            return wrapper
+
+        wrapped = dataclasses.replace(
+            inst, **{field: counted(field, getattr(inst, field)) for field in traffic}
+        )
+        verify_instance(wrapped, seed=3, trials=2)
+        assert traffic == TRAFFIC[name], name
