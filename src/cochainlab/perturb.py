@@ -159,7 +159,9 @@ def _neumann_series(inst: DoubleComplexInstance, which: str, x):
     (-delta k)^m x (which='vertical'), together with the sum of the h
     (respectively k) images of its terms, which the steps compute: that is
     h (1 + dh)^{-1} x, respectively k (1 + delta k)^{-1} x.  At x's
-    bidegree (p, q) the sum has at most p + 1 (respectively q + 1) terms."""
+    bidegree (p, q) the sum has at most p + 1 (respectively q + 1) terms.
+    The terms and images are single payloads; a zero one ends the sum, so
+    neither operator meets a zero."""
     if which == "horizontal":
         first, second, bound = inst.h, inst.d, x.p + 1
     elif which == "vertical":
@@ -167,21 +169,20 @@ def _neumann_series(inst: DoubleComplexInstance, which: str, x):
     else:
         raise ValueError(f"unknown direction {which!r}")
 
-    total = term = Graded.of(x)
-    images = Graded({})
-    count = 1
-    while True:
-        image = term.map(first)
-        images = images + image
-        term = -image.map(second)
-        if term.is_zero():
-            return total, images
-        count += 1
-        if count > bound:
+    terms, images = [], []
+    term = x
+    while not term.is_zero():
+        if len(terms) == bound:
             raise NonTermination(
                 f"Neumann series in {inst.name} exceeded {bound} terms at {(x.p, x.q)}"
             )
-        total = total + term
+        terms.append(term)
+        image = first(term)
+        if image.is_zero():
+            break
+        images.append(image)
+        term = -second(image)
+    return Graded.of(*terms), Graded.of(*images)
 
 
 def neumann_apply(
