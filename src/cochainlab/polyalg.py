@@ -496,18 +496,11 @@ class MultiPoly:
             groups.setdefault(sig, {})[tuple(exp[i] for i in keep)] = coef
         # The result lives over the canonical union of the passthrough
         # variables and those of every factor some term raises to a positive
-        # power, a passthrough variable x being the factor x; it keeps the
-        # passthrough order only when every such factor is over exactly it.
+        # power.
         pass_vars = tuple(vs[i] for i in keep)
-        pass_keys = tuple(self._keys[i] for i in keep)
         used = [values[vs[i]] for j, i in enumerate(subbed) if any(sig[j] for sig in groups)]
-        if all(f.vars == pass_vars for f in used) and (
-            len(pass_vars) == 1 or not any(any(pe) for part in groups.values() for pe in part)
-        ):
-            out_vars, out_keys = pass_vars, pass_keys
-        else:
-            out_keys = tuple(sorted(set(pass_keys).union(*(f._keys for f in used))))
-            out_vars = tuple(k[-1] for k in out_keys)
+        out_keys = tuple(sorted({self._keys[i] for i in keep}.union(*(f._keys for f in used))))
+        out_vars = tuple(k[-1] for k in out_keys)
         pos = {v: i for i, v in enumerate(out_vars)}
         keep_pos = [pos[v] for v in pass_vars]
         n = len(out_vars)
