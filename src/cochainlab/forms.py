@@ -211,8 +211,6 @@ def cube_integrate(a: PolyForm) -> MultiPoly:
     p = len(a.chart.coords)
     if a.degree != p:
         raise ValueError(f"expected pure top degree {p}, got {a.degree}")
-    if p == 0:
-        return a.terms.get((), MultiPoly.zero())
     coef = a.terms.get(tuple(range(p)), MultiPoly.zero())
     for name in a.chart.coords:
         coef = coef.defint01(name)

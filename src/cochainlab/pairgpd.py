@@ -121,9 +121,6 @@ def pair_r(n: int, alpha: PolyForm) -> ASCochain:
     p = alpha.degree
     if len(alpha.chart.coords) != n:
         raise ValueError("form chart dimension mismatch")
-    if p == 0:
-        diag = dict(zip(base_vars(n), map(MultiPoly.var, point_vars(0, n))))
-        return ASCochain(n, 0, alpha.coefficient(()).subst(diag))
     geo = geodesic_map(n, p)
     cube = Chart(cube_vars(p))
     phi = dict(zip(base_vars(n), geo))
