@@ -448,8 +448,6 @@ def cech_delta(w: CechForm) -> CechForm:
     """(delta w)_{i_0..i_{p+1}} = sum_k (-1)^k w_{.. i_k omitted ..},
     restricted to the smaller intersection."""
     cover = w.cover
-    if w.p < 0:
-        return CechForm.zero(cover, w.p + 1, w.q)
     out: Dict[Index, PwPoly] = {}
     for idx in _nonempty_tuples(cover, w.p + 2):
         dom = cover.intersection(idx)
