@@ -249,7 +249,7 @@ def velocity(
         inverse = group.invert(_vec(names))
         sub = dict(zip(fiber_vars(group.dim), inverse))
         return {v: -c.subst(sub) for v, c in zip(names, field)}
-    sub = {y: MultiPoly.var(v) for y, v in zip(fiber_vars(group.dim), names) if y != v}
+    sub = dict(zip(fiber_vars(group.dim), map(MultiPoly.var, names)))
     return {v: c.subst(sub) for v, c in zip(names, field)}
 
 

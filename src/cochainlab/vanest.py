@@ -65,7 +65,6 @@ from .nilgroup import (
     left_invariant_vf,
     maurer_cartan_coframe,
     trivial_poly_rep,
-    velocity,
 )
 from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy, zigzag_yx
 from .polyalg import (
@@ -186,10 +185,8 @@ def bg_d(psi: BigradedElement) -> BigradedElement:
     base point plus the infinitesimal V-representation)."""
     group = psi.group
     inf = psi.rep.infinitesimal()
-    moves = [
-        (velocity(group, field, fiber_vars(group.dim)), twist)
-        for field, twist in zip(group.frame, inf.matrices)
-    ]
+    ys = fiber_vars(group.dim)
+    moves = [(dict(zip(ys, field)), twist) for field, twist in zip(group.frame, inf.matrices)]
     raw = ce_diff_comps(group.algebra, psi.q, psi.comps, lambda j, vec: _act(vec, *moves[j]))
     sgn = (-1) ** psi.p
     out = {idx: tuple(c * sgn for c in vec) for idx, vec in raw.items()}
@@ -365,8 +362,9 @@ def lie_bigraded(
 ) -> BigradedElement:
     """Module Lie derivative: left-invariant derivative on the base point
     plus the infinitesimal V-representation."""
+    # an invariant field moves the fiber point, so it is its own velocity
     field = left_invariant_vf(psi.group, xi).components
-    vel = velocity(psi.group, field, fiber_vars(psi.group.dim))
+    vel = dict(zip(fiber_vars(psi.group.dim), field))
     twist = _twist(psi.rep.infinitesimal(), xi)
     comps = {idx: _act(vec, vel, twist) for idx, vec in psi.comps.items()}
     return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
