@@ -148,6 +148,9 @@ def test_pwpoly_arithmetic():
     assert (a + b) - b == a
     assert a.diff() == PwPoly.on(grid, dom, MultiPoly.const(1))
     assert a.eval(Fraction(1, 4)) == Fraction(1, 4)
+    # the right end of the domain is read off the cell to its left
+    assert a.eval(Fraction(1, 2)) == Fraction(1, 2)
+    assert not a.extend_zero({0, 1}).is_continuous()  # a jump at 1/2
 
 
 def test_pwpoly_reads_polynomials_in_x_only():

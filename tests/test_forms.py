@@ -73,6 +73,8 @@ def test_cartan_formula():
         lhs = lie_derivative(a, x)
         rhs = contract(exterior_d(a), x) + exterior_d(contract(a, x))
         assert lhs == rhs
+    # contracting a function gives the zero function, not a form of degree -1
+    assert contract(_random_form(rng, 0), x) == PolyForm.zero(CHART, 0)
 
 
 def test_pullback_functorial_and_commutes_with_d():
@@ -99,6 +101,7 @@ def test_homotopy_identity():
     rng = random.Random(6)
     a0 = _random_form(rng, 0)
     assert homotopy_T(exterior_d(a0)) == a0 - eval_at_zero(a0)
+    assert homotopy_T(a0) == PolyForm.zero(CHART, 0)
     for degree in range(1, 3):
         a = _random_form(rng, degree)
         lhs = exterior_d(homotopy_T(a)) + homotopy_T(exterior_d(a))
@@ -131,3 +134,7 @@ def test_antisymmetric_storage():
     b = PolyForm(chart, 2, {(0, 1): -one})
     assert a == b
     assert PolyForm(chart, 2, {(0, 0): one}).is_zero()
+    # both orders of one index merge, and a sum that cancels is dropped
+    y = MultiPoly.var("y_1")
+    assert PolyForm(chart, 2, {(0, 1): y, (1, 0): one}) == PolyForm(chart, 2, {(0, 1): y - one})
+    assert PolyForm(chart, 2, {(0, 1): y, (1, 0): y}).terms == {}

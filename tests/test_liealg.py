@@ -84,6 +84,8 @@ def test_contract_basis():
     contracted = ce_contract(a, xi)
     # iota_{e3} (e^1 ^ e^3) = -e^1
     assert contracted.component((0,)) == (Fraction(-1),)
+    # contracting a 0-cochain gives the zero 0-cochain, not one of degree -1
+    assert ce_contract(CEElement.basis(alg, ()), xi) == CEElement(alg, trivial_rep(alg), 0, {})
 
 
 def test_ce_diff_dual_to_bracket():

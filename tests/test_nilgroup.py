@@ -57,6 +57,15 @@ def test_heisenberg_closed_form(heisenberg_group):
     assert prod[2] == x[2] + y[2] + (x[0] * y[1] - x[1] * y[0]) * Fraction(1, 2)
 
 
+def test_class_four_bch_is_a_group_law():
+    # the only class that reaches BCH's bracket-degree-4 term; the build
+    # checks the unit, inverse and associativity laws itself
+    brackets = {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}}
+    alg = validate_lie_algebra("filiform5", 5, brackets)
+    assert alg.nilpotency_class == 4
+    assert bch_multiplication(alg).algebra is alg
+
+
 def test_class_five_rejected():
     brackets = {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (0, 4): {5: 1}}
     alg = validate_lie_algebra("filiform6", 6, brackets)

@@ -180,6 +180,15 @@ def test_hash_agrees_with_eq():
     assert three == 3 and hash(three) == hash(3) and len({three, 3, Fraction(3)}) == 1
 
 
+def test_a_polynomial_is_immutable_and_counts_its_terms():
+    p = MultiPoly.var("t1") * Fraction(1, 3) - 2
+    with pytest.raises(AttributeError, match="MultiPoly is immutable"):
+        p.vars = ()
+    with pytest.raises(AttributeError, match="MultiPoly is immutable"):
+        p.extra = 1
+    assert len(p.terms) == 2 and len(MultiPoly.zero().terms) == 0
+
+
 def _stored(p):
     """p's stored numerators, keyed by their nonzero (variable, exponent)
     pairs, and its denominator."""
