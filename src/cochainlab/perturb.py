@@ -159,9 +159,8 @@ def _neumann_series(inst: DoubleComplexInstance, which: str, x):
     (-delta k)^m x (which='vertical'), together with the sum of the h
     (respectively k) images of its terms, which the steps compute: that is
     h (1 + dh)^{-1} x, respectively k (1 + delta k)^{-1} x.  At x's
-    bidegree (p, q) the sum has at most p + 1 (respectively q + 1) terms.
-    The terms and images are single payloads; a zero one ends the sum, so
-    neither operator meets a zero."""
+    bidegree (p, q) the sum has at most p + 1 (respectively q + 1) terms;
+    a zero term or image ends it, so neither operator meets a zero."""
     if which == "horizontal":
         first, second, bound = inst.h, inst.d, x.p + 1
     elif which == "vertical":

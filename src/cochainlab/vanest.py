@@ -362,7 +362,7 @@ def lie_bigraded(
 ) -> BigradedElement:
     """Module Lie derivative: left-invariant derivative on the base point
     plus the infinitesimal V-representation."""
-    # an invariant field moves the fiber point, so it is its own velocity
+    # the invariant field is the velocity of the fiber point itself
     field = left_invariant_vf(psi.group, xi).components
     vel = dict(zip(fiber_vars(psi.group.dim), field))
     twist = _twist(psi.rep.infinitesimal(), xi)
