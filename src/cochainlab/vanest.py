@@ -418,13 +418,12 @@ def gamma_map(group: PolyGroup, p: int) -> Tuple[MultiPoly, ...]:
     gamma_{t_1..t_p}(g_1..g_p) = t_1 (g_1 * (t_2 (g_2 * ... (t_p g_p))))
     with * the group law and scalars acting by coordinate scaling:
     polynomials in t1..tp, g1_*..gp_* whose value at t = (1..1) is the
-    product g_1...g_p and which collapse to the unit at t1 = 0."""
-    if p < 1:
-        raise VanEstError("gamma_map requires p >= 1")
+    product g_1...g_p and which collapse to the unit at t1 = 0.  At p = 0
+    it is the unit itself."""
     n = group.dim
     ts = [MultiPoly.var(t) for t in cube_vars(p)]
-    cur = [ts[p - 1] * MultiPoly.var(g) for g in slot_vars(p, n)]
-    for s in range(p - 1, 0, -1):
+    cur = [MultiPoly.zero()] * n
+    for s in range(p, 0, -1):
         prod = group.multiply([MultiPoly.var(g) for g in slot_vars(s, n)], cur)
         cur = [ts[s - 1] * c for c in prod]
     return tuple(cur)
@@ -438,10 +437,6 @@ def r_closed(group: PolyGroup, alpha: CEElement) -> GroupCochain:
     """
     rep = PolyRep(group, alpha.rep)
     p = alpha.q
-    if p == 0:
-        return GroupCochain(
-            group, rep, 0, tuple(MultiPoly.const(x) for x in alpha.component(()))
-        )
     cube = Chart(cube_vars(p))
     gamma = gamma_map(group, p)
     phi = dict(zip(fiber_vars(group.dim), gamma))

@@ -83,6 +83,8 @@ def test_gamma_map_endpoints():
     assert at_one == group.multiply(g1, g2)
     at_zero = [c.subst({"t1": 0}) for c in gamma]
     assert all(c.is_zero() for c in at_zero)
+    # the product of no elements is the unit
+    assert gamma_map(group, 0) == (MultiPoly.zero(),) * 3
 
 
 def test_r_of_dual_basis():
@@ -121,7 +123,7 @@ def test_r_closed_equals_zigzag_nontrivial_rep():
     group = build_group("abelian-1")
     rep = standard_poly_rep(group)
     inst = build_double_complex(group, rep, max_p=2)
-    for p in range(1, 3):
+    for p in range(3):
         from itertools import combinations
 
         for idx in combinations(range(group.dim), p):
