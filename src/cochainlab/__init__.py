@@ -16,7 +16,6 @@ from .forms import (
     cube_integrate,
     exterior_d,
     homotopy_T,
-    lie_derivative,
     pullback,
     wedge,
 )
@@ -27,7 +26,6 @@ from .liealg import (
     abelian,
     ce_contract,
     ce_diff,
-    ce_lie_derivative,
     filiform4,
     heisenberg3,
     trivial_rep,
@@ -89,10 +87,10 @@ __all__ = [
     "PolyGroup", "PolyRep", "PolyVF", "PwPoly", "Rat", "Representation",
     "abelian", "apply_map", "as_delta", "bch_multiplication", "build_group",
     "build_double_complex", "canonical_vars", "ce_contract", "ce_diff",
-    "ce_lie_derivative", "ce_to_string", "cech_instance", "circle_integrate",
+    "ce_to_string", "cech_instance", "circle_integrate",
     "collate", "contract", "cube_integrate", "default_cover", "exterior_d",
     "filiform4", "gamma_map", "geodesic_map", "group_delta", "heisenberg3",
-    "homotopy_T", "left_invariant_vf", "lie_derivative", "matrix_instance",
+    "homotopy_T", "left_invariant_vf", "matrix_instance",
     "maurer_cartan_coframe", "nabla", "pair_r", "pair_ve", "parse_expr",
     "perturbed_h", "perturbed_p", "pullback", "r_closed", "r_zigzag",
     "registered_groups", "run_verify", "standard_poly_rep", "to_string",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .polyalg import SCALARS, Linear, MultiPoly, add_into, sort_sign, sparse, var_name
+from .polyalg import SCALARS, Linear, MultiPoly, add_into, sort_sign, sparse
 
 Index = Tuple[int, ...]
 
@@ -151,19 +151,6 @@ def pullback(a: PolyForm, phi: Mapping[str, MultiPoly], target: Chart) -> PolyFo
     return out
 
 
-def lie_derivative(a: PolyForm, x: PolyVF) -> PolyForm:
-    """Cartan formula: L_X = i_X d + d i_X."""
-    return contract(exterior_d(a), x) + exterior_d(contract(a, x))
-
-
-def _fresh_t(a: PolyForm) -> str:
-    used = set(a.chart.coords).union(*(coef.vars for coef in a.terms.values()))
-    i = 0
-    while var_name("t", i) in used:
-        i += 1
-    return var_name("t", i)
-
-
 def homotopy_T(a: PolyForm) -> PolyForm:
     """Homotopy operator of the linear scaling retraction y -> t*y.
 
@@ -173,21 +160,19 @@ def homotopy_T(a: PolyForm) -> PolyForm:
     """
     if a.degree == 0:
         return PolyForm.zero(a.chart, 0)
-    t = _fresh_t(a)
-    tpoly = MultiPoly.var(t)
-    scale = {name: tpoly * MultiPoly.var(name) for name in a.chart.coords}
     q = a.degree
     out: Dict[Index, MultiPoly] = {}
     for idx, coef in a.terms.items():
-        scaled = coef.subst(scale)
+        # The dt-component of the pullback of coef dy_I is a sum of
+        # coef(t y) y_{i_pos} t^(q-1) dt, one per position, and a term of
+        # degree e in the chart coordinates integrates to 1/(e + q) times it.
+        chart_pos = [i for i, v in enumerate(coef.vars) if v in a.chart.coords]
+        scaled = MultiPoly(coef.vars, {
+            exp: c / (sum(exp[i] for i in chart_pos) + q) for exp, c in coef.terms.items()
+        })
         for pos, j in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
-            # dt-component of the pullback of dy_{i_pos}: y_{i_pos} dt, with
-            # the remaining q-1 differentials each contributing a factor t.
-            integrand = scaled * MultiPoly.var(a.chart.coords[j]) * tpoly ** (q - 1)
-            c = integrand.defint01(t) * ((-1) ** pos)
-            if not c.is_zero():
-                add_into(out, rest, c)
+            add_into(out, rest, scaled * MultiPoly.var(a.chart.coords[j]) * ((-1) ** pos))
     return PolyForm(a.chart, q - 1, out)
 
 

@@ -13,7 +13,6 @@ from cochainlab.forms import (
     eval_at_zero,
     exterior_d,
     homotopy_T,
-    lie_derivative,
     pullback,
     wedge,
 )
@@ -65,13 +64,14 @@ def test_d_leibniz():
             assert lhs == rhs
 
 
-def test_cartan_formula():
+def test_contract_is_an_antiderivation():
+    # i_X (a ^ b) = i_X a ^ b + (-1)^deg(a) a ^ i_X b
     rng = random.Random(4)
     x = PolyVF(CHART, tuple(random_poly(rng, CHART.coords) for _ in CHART.coords))
-    for degree in range(1, 3):
-        a = _random_form(rng, degree)
-        lhs = lie_derivative(a, x)
-        rhs = contract(exterior_d(a), x) + exterior_d(contract(a, x))
+    for pa, pb in ((1, 1), (1, 2), (2, 1)):
+        a, b = _random_form(rng, pa), _random_form(rng, pb)
+        lhs = contract(wedge(a, b), x)
+        rhs = wedge(contract(a, x), b) + wedge(a, contract(b, x)) * ((-1) ** pa)
         assert lhs == rhs
     # contracting a function gives the zero function, not a form of degree -1
     assert contract(_random_form(rng, 0), x) == PolyForm.zero(CHART, 0)

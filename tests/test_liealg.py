@@ -16,7 +16,6 @@ from cochainlab.liealg import (
     abelian,
     ce_contract,
     ce_diff,
-    ce_lie_derivative,
     filiform4,
     heisenberg3,
     trivial_rep,
@@ -64,17 +63,6 @@ def test_ce_diff_squares_to_zero(alg):
     for degree in range(alg.dim):
         a = _random_ce(rng, alg, degree)
         assert ce_diff(ce_diff(a)).is_zero()
-
-
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
-def test_cartan_formula_ce(alg):
-    rng = random.Random(12)
-    xi = [rng.choice(COEFFS) for _ in range(alg.dim)]
-    for degree in range(1, alg.dim):
-        a = _random_ce(rng, alg, degree)
-        lhs = ce_lie_derivative(a, xi)
-        rhs = ce_contract(ce_diff(a), xi) + ce_diff(ce_contract(a, xi))
-        assert (lhs - rhs).is_zero()
 
 
 def test_contract_basis():
