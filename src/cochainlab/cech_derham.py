@@ -578,8 +578,6 @@ def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
     circle = cover.intersection(())
 
     def sample(rng, p, q):
-        if q > 1:
-            return CechForm.zero(cover, p, q)
         comps = {}
         for idx in _nonempty_tuples(cover, p + 1):
             poly = MultiPoly((X,), {(e,): rng.choice(SAMPLE_COEFFS) for e in range(3)})
@@ -595,8 +593,6 @@ def cech_instance(cover: Optional[CoverSpec] = None) -> DoubleComplexInstance:
         return CechForm(cover, p, q, comps)
 
     def sample_x(rng, q):
-        if q > 1:
-            return GlobalForm(q, PwPoly.zero(cover.grid, circle))
         x = MultiPoly.var(X)
         # continuous on the circle: a * x (1 - x) + b keeps period-1 continuity
         a, b = rng.choice(SAMPLE_COEFFS), rng.choice(SAMPLE_COEFFS)

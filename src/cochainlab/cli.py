@@ -290,8 +290,6 @@ def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
             if any(i < 0 or i >= algebra.dim for i in idx):
                 raise UnknownVariable("covector index out of range", 1, 1)
             tgt, sign = sort_sign(idx)
-            if tgt is None:
-                continue
             coef = Fraction(poly.constant_value()) * sign
             comps[tgt] = [comps.get(tgt, [Fraction(0)])[0] + coef]
         return CEElement(algebra, None, degree, comps)
@@ -305,8 +303,6 @@ def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
     fcomps: Dict[Tuple[int, ...], MultiPoly] = {}
     for key, poly in value.items():
         sidx, sign = sort_sign(key, key=lambda a: var_key(a[1]))
-        if sidx is None:
-            continue
         add_into(fcomps, tuple(pos[a[1]] for a in sidx), poly * sign)
     return PolyForm(chart, degree, fcomps)
 

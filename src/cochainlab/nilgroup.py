@@ -231,8 +231,6 @@ def left_invariant_vf(group: PolyGroup, xi: Union[int, Sequence[Rat]]) -> PolyVF
     """Left-invariant vector field of xi (basis index or coefficient
     vector), in the fiber coordinates: the right Jacobian times xi, whose
     columns are the frame."""
-    if isinstance(xi, int):
-        return PolyVF(Chart(fiber_vars(group.dim)), group.frame[xi])
     comps = mat_vec(group.right_jacobian, as_coeffs(group.dim, xi))
     return PolyVF(Chart(fiber_vars(group.dim)), tuple(comps))
 
