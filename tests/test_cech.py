@@ -13,6 +13,7 @@ from cochainlab.cech_derham import (
     NotCocycle,
     PwPoly,
     _pl,
+    arc_cells,
     cech_d,
     cech_delta,
     cech_i_inc,
@@ -259,3 +260,44 @@ def test_every_cell_is_a_polynomial_in_x(monkeypatch):
     code, _ = run_verify(RunConfig("cech-circle3", trials=1, seed=0))
     assert code == 0
     assert calls == []
+
+
+def _cover_with_pou(order):
+    cover = default_cover()
+    return CoverSpec(cover.arcs, tuple(cover.pou[i] for i in order), cover.basepoints)
+
+
+X = MultiPoly.var("x")
+HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: arc_cells({0, 2}, 4), "domain is not a single arc"),
+    (lambda: PwPoly((0, 2), [X]), "bad grid"),
+    (lambda: PwPoly((0, 1), [X, X]), "one entry per grid cell"),
+    (lambda: PwPoly.on(HALVES, {0, 1}, X).refine((0, 1)), "a refinement keeps every cut"),
+    (lambda: PwPoly.on(HALVES, {0}, X).eval(Fraction(3, 4)), "point 3/4 outside domain"),
+    (lambda: _cover_with_pou((0, 1, 1)), "partition of unity does not sum to 1"),
+    (lambda: _cover_with_pou((0, 2, 1)), "partition function not supported in its arc"),
+    (lambda: default_cover().intersection_basepoint((0, 1, 2)), "empty intersection has no basepoint"),
+    (lambda: CechForm(default_cover(), 1, 0, {(1, 0): PwPoly.on(GRID, FULL, X)}), r"bad index \(1, 0\)"),
+    (lambda: CechForm(default_cover(), 2, 0, {(0, 1, 2): PwPoly.on(GRID, FULL, X)}),
+     r"empty intersection \(0, 1, 2\)"),
+    (lambda: CechForm(default_cover(), 0, 0, {(0,): PwPoly.on(HALVES, {0, 1}, X)}),
+     r"component \(0,\) is not on the cover's grid"),
+    (lambda: ConstCochain(default_cover(), 2, {(0, 1, 2): 1}), r"empty intersection \(0, 1, 2\)"),
+    (lambda: circle_integrate(GlobalForm(0, PwPoly.on(GRID, FULL, X))), "only 1-forms integrate"),
+])
+def test_cech_inputs_rejected(build, message):
+    with pytest.raises(CechError, match=message):
+        build()
+
+
+def test_a_component_is_read_on_its_intersection():
+    cover = default_cover()
+    dom = cover.intersection((0, 1))
+    whole = CechForm(cover, 1, 0, {(0, 1): PwPoly.on(GRID, FULL, X)})
+    assert whole.comps[(0, 1)] == PwPoly.on(GRID, dom, X)
+    # a repeated index is a degenerate simplex, where a cochain is zero
+    c = ConstCochain(cover, 1, {(0, 1): 3})
+    assert c.component((1, 1)) == 0 and c.component((1, 0)) == -3

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cochainlab import cli
 from cochainlab.cli import (
     MAX_TRIALS,
     ParseError,
@@ -25,8 +27,9 @@ from cochainlab.cli import (
     run_verify,
 )
 from cochainlab.forms import PolyForm
-from cochainlab.liealg import CEElement, abelian, heisenberg3
+from cochainlab.liealg import CEElement, abelian, heisenberg3, standard_rep
 from cochainlab.nilgroup import registered_groups
+from cochainlab.perturb import matrix_instance, verify_instance
 from cochainlab.polyalg import MultiPoly, to_string
 
 from conftest import COEFFS
@@ -415,3 +418,88 @@ def test_group_instances_are_the_registered_groups():
         return True
 
     assert [name for name in instance_names() if honours_coeff_rep(name)] == registered_groups()
+
+
+def test_a_failing_check_exits_one(monkeypatch, tmp_path):
+    # matrix with k negated: delta k + k delta is no longer 1 - j q
+    def broken(seed, max_p):
+        inst = matrix_instance(seed, max_p=max_p)
+        return dataclasses.replace(inst, k=lambda x: -inst.k(x))
+
+    monkeypatch.setattr(cli, "matrix_instance", broken)
+    report_path = tmp_path / "report.json"
+    code = main(["verify", "--instance", "matrix", "--trials", "2", "--report", str(report_path)])
+    report = json.loads(report_path.read_text())
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert code == report["exit_code"] == 1
+    assert failed and report["summary"]["unexpected_failures"] == len(failed)
+    assert report["summary"]["expected_fail_checks_without_witness"] == []
+
+
+def test_an_expected_failure_without_a_witness_exits_one(monkeypatch):
+    # side_pk fails as expected on the three-arc cover, but its records lose
+    # their counterexamples: each is an unexpected failure, and side_pk has
+    # no witness
+    def no_pk_witness(inst, **options):
+        records = verify_instance(inst, **options)
+        for rec in records:
+            if rec["check"] == "side_pk":
+                rec.pop("counterexample", None)
+        return records
+
+    monkeypatch.setattr(cli, "verify_instance", no_pk_witness)
+    code, report = run_verify(RunConfig("cech-circle3", trials=2))
+    pk_failures = [c for c in report["checks"] if c["check"] == "side_pk" and c["status"] == "fail"]
+    assert code == 1 and pk_failures
+    assert report["summary"]["unexpected_failures"] == len(pk_failures)
+    assert report["summary"]["expected_fail_checks_without_witness"] == ["side_pk"]
+    assert any(c["status"] == "expected-fail" for c in report["checks"])  # side_hk's
+
+
+#: Inputs the maps refuse, with the message each one's error names.
+MAP_INPUT_ERRORS = [
+    ("ve", "g1_1 $ 2", "unexpected character '$' (line 1, column 6)"),
+    ("ve", "g1_1 g2_1", "unexpected 'g2_1' (line 1, column 6)"),
+    ("ve", "(g1_1", "expected ')' (line 1, column 6)"),
+    ("ve", "e1", "dual-basis atoms need a Lie algebra context"),
+    ("ve", "dg1_1", "differentiation input must be a polynomial cochain"),
+    ("integrate", "e1^2", "only scalars can be raised to a power (line 1, column 3)"),
+    ("integrate", "e1 + dg1_1", "cannot mix e-atoms and d-atoms"),
+    ("integrate", r"e1 + e1/\e2", "expression is not homogeneous"),
+    ("integrate", "g1_1*e1", "CE coefficients must be rational constants"),
+    ("integrate", "e4", "covector index out of range"),
+    ("integrate", "e0", "covector index out of range"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", MAP_INPUT_ERRORS)
+def test_map_input_errors_exit_two(monkeypatch, capsys, command, text, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main([command, "-", "--instance", "heisenberg3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command, text, output", [
+    ("integrate", "3/2", "3/2"),
+    ("integrate", "0", "0"),
+    ("ve", "3/2", "3/2"),
+    ("ve", "-2", "-2"),
+    ("ve", "0", "0"),
+])
+def test_maps_of_degree_zero(monkeypatch, capsys, command, text, output):
+    # a constant is a 0-cochain on either side, and each map keeps it
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main([command, "-", "--instance", "heisenberg3"]) == 0
+    assert capsys.readouterr().out == output + "\n"
+
+
+def test_maps_refuse_what_the_command_line_cannot_ask():
+    with pytest.raises(ValueError, match="trivial coefficients only"):
+        apply_map(RunConfig("heisenberg3", coeff_rep="standard"), "ve", "g1_1")
+    with pytest.raises(ValueError, match="unknown map 'verify'"):
+        apply_map(RunConfig("heisenberg3"), "verify", "g1_1")
+    alg = heisenberg3()
+    vector = CEElement(alg, standard_rep(alg), 1, {(0,): (1, 0, 0)})
+    with pytest.raises(ValueError, match="only scalar-coefficient"):
+        ce_to_string(vector)

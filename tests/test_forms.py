@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,3 +139,16 @@ def test_antisymmetric_storage():
     y = MultiPoly.var("y_1")
     assert PolyForm(chart, 2, {(0, 1): y, (1, 0): one}) == PolyForm(chart, 2, {(0, 1): y - one})
     assert PolyForm(chart, 2, {(0, 1): y, (1, 0): y}).terms == {}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PolyForm(CHART, 2, {(0,): MultiPoly.const(1)}), r"index \(0,\) does not have degree 2"),
+    (lambda: PolyVF(CHART, (MultiPoly.const(1),)), "component count must match chart dimension"),
+    (lambda: wedge(PolyForm.zero(CHART), PolyForm.zero(Chart(("y_1",)))), "wedge requires a common chart"),
+    (lambda: contract(PolyForm.zero(Chart(("y_1",)), 1), PolyVF(CHART, (MultiPoly.zero(),) * 3)),
+     "contraction requires a common chart"),
+    (lambda: cube_integrate(PolyForm.zero(Chart(("t1", "t2")), 1)), "expected pure top degree 2, got 1"),
+])
+def test_form_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -18,6 +18,7 @@ from cochainlab.liealg import (
     ce_diff,
     filiform4,
     heisenberg3,
+    standard_rep,
     trivial_rep,
     validate_lie_algebra,
 )
@@ -173,3 +174,13 @@ def test_representation_shape_checked():
         Representation(alg, 1, (zero, zero))
     with pytest.raises(LieAlgebraError, match="expected 3 matrices of size 2 x 2"):
         Representation(alg, 2, (zero, zero, zero))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda alg: CEElement(alg, None, 2, {(1, 0): [1]}), r"index \(1, 0\) is not an increasing 2-subset"),
+    (lambda alg: CEElement(alg, None, 1, {(0,): [1, 2]}), "vector length must match representation dim"),
+    (lambda alg: standard_rep(validate_lie_algebra("plane", 2, {})), "no standard representation for plane"),
+])
+def test_algebra_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(heisenberg3())

@@ -8,9 +8,11 @@ from cochainlab.cli import RunConfig, run_verify
 from cochainlab.forms import PolyVF, contract, exterior_d, wedge
 from cochainlab.liealg import validate_lie_algebra
 from cochainlab.nilgroup import (
+    AssociativityFailure,
     ClassTooHigh,
     GroupCochain,
     GroupError,
+    NonUnipotentJacobian,
     NotNilpotent,
     PolyGroup,
     PolyRep,
@@ -24,7 +26,7 @@ from cochainlab.nilgroup import (
     slot_vars,
     trivial_poly_rep,
 )
-from cochainlab.polyalg import MultiPoly
+from cochainlab.polyalg import VECTORS, MultiPoly, mat_scale
 from cochainlab.vanest import standard_poly_rep, ve_closed
 
 from conftest import COEFFS, random_group_cochain
@@ -343,3 +345,77 @@ def test_swapped_generators_rejected(monkeypatch, name):
 def test_unregistered_name_is_an_unknown_group(name):
     with pytest.raises(GroupError, match=f"unknown group '{name}'"):
         build_group(name)
+
+
+def _class_four_plus_one_24th(bch):
+    """BCH with +1/24 in place of -1/24 on [y, [x, [x, y]]]: the unit and
+    inverse laws still hold, associativity does not."""
+    def patched(alg, x, y):
+        br = alg.bracket
+        return VECTORS.add(bch(alg, x, y), VECTORS.scale(br(y, br(x, br(x, y))), Fraction(1, 12)))
+    return patched
+
+
+def _plus_constant(bch):
+    return lambda alg, x, y: (bch(alg, x, y)[0] + 1, *bch(alg, x, y)[1:])
+
+
+def _plus_x1_y1(bch):
+    """A term that vanishes when either factor is the unit, but not on
+    (x, x^{-1})."""
+    return lambda alg, x, y: (bch(alg, x, y)[0] + x[0] * y[0], *bch(alg, x, y)[1:])
+
+
+FILIFORM5 = {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}}
+
+
+@pytest.mark.parametrize("mutate, dim, brackets, message", [
+    (_plus_constant, 3, {(0, 1): {2: 1}}, "unit laws fail"),
+    (_plus_x1_y1, 3, {(0, 1): {2: 1}}, r"m\(x, inv\(x\)\) != 0"),
+    (_class_four_plus_one_24th, 5, FILIFORM5, "not associative"),
+], ids=["unit", "inverse", "associativity"])
+def test_bch_group_axiom_guards_fire(monkeypatch, mutate, dim, brackets, message):
+    alg = validate_lie_algebra("mutant", dim, brackets)
+    monkeypatch.setattr(nilgroup, "_bch", mutate(nilgroup._bch))
+    with pytest.raises(AssociativityFailure, match=message):
+        bch_multiplication(alg)
+
+
+def test_a_non_unipotent_jacobian_is_rejected():
+    # g1 + 2 g2 has the right Jacobian 2, whose nilpotent part 1 does not
+    # vanish at the unit
+    g1, g2 = MultiPoly.var("g1_1"), MultiPoly.var("g2_1")
+    group = PolyGroup(liealg.abelian(1), (g1 + 2 * g2,), (-g1,))
+    with pytest.raises(NonUnipotentJacobian):
+        maurer_cartan_coframe(group)
+
+
+@pytest.mark.parametrize("name, mutate, message", [
+    # rho = 2 exp(rho_*): rho(0) = 2 I
+    ("nilpotent_series", lambda series: lambda nil, coef: mat_scale(series(nil, coef), 2),
+     r"rho\(0\) is not the identity"),
+    # rho = I + N + N^2 in place of exp(N): rho(0) = I, but N^2 needs 1/2
+    ("factorial", lambda _: lambda k: 1, "not a homomorphism"),
+], ids=["rho-at-unit", "homomorphism"])
+def test_rep_guards_fire(monkeypatch, heisenberg_group, name, mutate, message):
+    tangent = liealg.standard_rep(heisenberg_group.algebra)
+    monkeypatch.setattr(nilgroup, name, mutate(getattr(nilgroup, name)))
+    with pytest.raises(GroupError, match=message):
+        PolyRep(heisenberg_group, tangent)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: g.slot_velocity(0, 1, 0), GroupError, r"slot 0 out of range 1\.\.1"),
+    (lambda g: g.slot_velocity(3, 2, 0), GroupError, r"slot 3 out of range 1\.\.2"),
+    (lambda g: bch_multiplication(validate_lie_algebra("affine", 2, {(0, 1): {1: 1}})),
+     NotNilpotent, "affine is not nilpotent"),
+    (lambda g: GroupCochain(g, None, 1, [MultiPoly.var("g1_1")] * 2),
+     ValueError, "value vector length must equal rep dimension"),
+    (lambda g: GroupCochain(g, None, 1, [MultiPoly.var("g2_1")]),
+     ValueError, "outside its slots: {'g2_1'}"),
+    (lambda g: GroupCochain.scalar(g, 0, MultiPoly.const(1), standard_poly_rep(g)),
+     ValueError, "requires a 1-dim coefficient space"),
+])
+def test_group_inputs_rejected(heisenberg_group, call, error, message):
+    with pytest.raises(error, match=message):
+        call(heisenberg_group)

@@ -115,6 +115,8 @@ def test_r_degree_zero_is_diagonal():
 def test_cochain_variable_validation():
     with pytest.raises(ValueError):
         ASCochain(2, 0, MultiPoly.var("m1_1"))
+    with pytest.raises(ValueError, match="form chart dimension mismatch"):
+        pair_r(2, PolyForm(Chart(("x_1",)), 0, {(): MultiPoly.var("x_1")}))
 
 
 def test_each_pair_record_sits_where_its_witness_does():

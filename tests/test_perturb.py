@@ -70,6 +70,8 @@ def test_neumann_apply_rejects_a_bidegree_that_is_not_its_elements():
             with pytest.raises(ValueError, match=r"element at \(1, 1\)"):
                 neumann_apply(inst, which, p, q, x)
         assert not neumann_apply(inst, which, 1, 1, x).is_zero()
+    with pytest.raises(ValueError, match="unknown direction 'diagonal'"):
+        neumann_apply(inst, "diagonal", 1, 1, x)
 
 
 def test_the_neumann_bound_is_read_off_the_element():

@@ -189,6 +189,22 @@ def test_a_polynomial_is_immutable_and_counts_its_terms():
     assert len(p.terms) == 2 and len(MultiPoly.zero().terms) == 0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultiPoly(("t1",), {(1, 2): 1}), r"exponent \(1, 2\) does not match vars \('t1',\)"),
+    (lambda: MultiPoly.var("t1").constant_value(), "polynomial is not constant"),
+    (lambda: MultiPoly.var("t1") ** -1, "negative power"),
+])
+def test_polynomial_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_polynomial_equals_no_string():
+    t = MultiPoly.var("t1")
+    assert t.__eq__("t1") is NotImplemented
+    assert (t == "t1") is False and t != "t1"
+
+
 def _stored(p):
     """p's stored numerators, keyed by their nonzero (variable, exponent)
     pairs, and its denominator."""

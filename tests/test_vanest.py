@@ -25,6 +25,7 @@ from cochainlab.vanest import (
     bg_h,
     bg_k,
     bg_p_proj,
+    bg_q_proj,
     build_double_complex,
     frame_convert,
     gamma_map,
@@ -117,6 +118,8 @@ def test_closed_equals_zigzag_small(heisenberg_group):
         p = 1 + rng.randrange(2)
         f = random_group_cochain(rng, heisenberg_group, p)
         assert ve_closed(f) == ve_zigzag(f, inst)
+    # without an instance, the zig-zag builds the cochain's own
+    assert ve_zigzag(f) == ve_closed(f)
 
 
 def test_r_closed_equals_zigzag_nontrivial_rep():
@@ -401,3 +404,18 @@ def test_normalized_h_side_conditions(heisenberg_group):
             lambda c: c * MultiPoly.var(f"g1_{1 + rng.randrange(n)}")
         )
         assert bg_p_proj(bg_h(psi1)).is_zero()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda g: BigradedElement(g, None, 0, 2, {(1, 0): [MultiPoly.const(1)]}),
+     r"index \(1, 0\) is not an increasing 2-subset"),
+    (lambda g: BigradedElement(g, None, 0, 1, {(0,): [MultiPoly.const(1)] * 2}),
+     "component vector length must match rep dim"),
+    (lambda g: BigradedElement(g, None, 0, 1, {(0,): [MultiPoly.var("g1_1")]}),
+     "component uses variables outside slots: {'g1_1'}"),
+    (lambda g: bg_p_proj(BigradedElement.zero(g, None, 1, 0)), "p-hat is defined on the first column only"),
+    (lambda g: bg_q_proj(BigradedElement.zero(g, None, 0, 1)), "q-hat is defined on the bottom row only"),
+])
+def test_bigraded_inputs_rejected(heisenberg_group, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(heisenberg_group)
