@@ -95,9 +95,10 @@ def validate_lie_algebra(
 
     ``brackets[(i, j)] = {k: c}`` declares [e_i, e_j] = sum c e_k (0-based).
     Antisymmetric completion is applied; conflicting declarations for (i, j)
-    and (j, i), a nonzero [e_i, e_i] among them, raise AntisymmetryViolation.  The Jacobi identity is checked
-    exhaustively, and the declared nilpotency class (computed if omitted)
-    is verified against the lower central series.
+    and (j, i), a nonzero [e_i, e_i] among them, raise
+    AntisymmetryViolation.  The Jacobi identity is checked exhaustively, and
+    the declared nilpotency class (computed if omitted) is verified against
+    the lower central series.
     """
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
