@@ -1,10 +1,12 @@
 """Exact sparse multivariate polynomial algebra over the rationals.
 
-A polynomial is a dict mapping exponent tuples to ``int`` numerators over
-one positive denominator, in lowest terms, wrapped together with its ordered
-variable tuple; every ring operation runs in ``int`` arithmetic, and readers
-outside the kernel see the coefficients as ``Fraction``s (``terms``).  All
-arithmetic is exact; there is no floating point anywhere in this package.
+A polynomial is a dict mapping packed monomials, one ``int`` key per
+monomial with a bit field per variable and one for the total degree, to
+``int`` numerators over one positive denominator, in lowest terms, wrapped
+together with its ordered variable tuple; every ring operation runs in
+``int`` arithmetic, and readers outside the kernel see exponent tuples and
+``Fraction`` coefficients (``terms``).  All arithmetic is exact; there is
+no floating point anywhere in this package.
 
 Every variable belongs to one family, so that each map of the package is
 a mechanical substitution between named coordinates.  The families, in
@@ -31,6 +33,9 @@ skips re-coercing coefficients.  The degree cap is checked wherever a term
 can pass it: by the public constructor, and by products, powers and
 substitutions; sums, negation, scaling, ``extend``, ``diff``,
 ``truncated`` and ``defint01`` cannot raise the degree and skip the check.
+The cap keeps every field of a packed monomial from carrying into the
+next, so the public constructor also rejects repeated variables and any
+exponent that is not a non-negative ``int`` before packing.
 """
 
 from __future__ import annotations
@@ -146,8 +151,90 @@ def format_rat(r: Rat) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def _max_degree(terms) -> int:
-    return max(map(sum, terms), default=-1)
+# A monomial is stored as one ``int`` key: one ``_FIELD``-bit field per
+# variable of its polynomial, the first variable in the most significant
+# field, and the total degree in a field above them all.  No exponent nor
+# degree passes ``DEGREE_CAP`` < 2**_FIELD, and the cap is checked before
+# every product, power and substitution, so keys add as exponents do (a
+# product's key is the sum of its factors'), no field carries into the
+# next, and keys order as (total degree, exponents) do.  The constant
+# monomial is key 0 over any variables.
+
+#: Bits of one field of a packed monomial.
+_FIELD = 5
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def _naturals(exp: Sequence) -> bool:
+    """Whether every entry of ``exp`` is a non-negative ``int``: anything
+    else would spill into a neighbouring field when packed."""
+    return all(type(e) is int and e >= 0 for e in exp)
+
+
+def _pack(exp: Sequence[int]) -> int:
+    """The key of the monomial with exponents ``exp``, each a non-negative
+    ``int``, of total degree within the cap."""
+    key = sum(exp)
+    for e in exp:
+        key = key << _FIELD | e
+    return key
+
+
+def _unpack(key: int, n: int) -> Exponent:
+    """The exponents of ``key`` over n variables."""
+    return tuple([key >> at & _FIELD_MASK for at in range(_FIELD * (n - 1), -1, -_FIELD)])
+
+
+def _field_moves(src: Tuple[str, ...], dst: Tuple[str, ...]) -> Tuple[List[Tuple[int, int]], int]:
+    """How a key over the variables ``src`` becomes one over ``dst``, both in
+    canonical order: each variable of src that dst holds moves to its field
+    there, the others are dropped (their fields must be zero), and the
+    degree field goes along.  Returns ``(moves, lift)``: the key k becomes
+    the sum of ``(k & mask) << left`` over the moves ``(mask, left)``,
+    shifted right by ``lift``.  One move carries each run of fields, one
+    after another in src, that move by the same amount, so a realignment
+    costs a few operations per term."""
+    n, m = len(src), len(dst)
+    at = _FIELD * n
+    # the run of the degree field
+    mask, shift = _FIELD_MASK << at, _FIELD * (m - n)
+    moves = []
+    # a field that moves right makes every move lift by that much
+    lift = max(0, -shift)
+    j = -1
+    for v in src:
+        at -= _FIELD
+        if v in dst:
+            j = dst.index(v, j + 1)
+            s = _FIELD * (m - 1 - j) - at
+            if s != shift:
+                moves.append((mask, shift))
+                mask, shift = 0, s
+                if s < -lift:
+                    lift = -s
+            mask |= _FIELD_MASK << at
+    moves.append((mask, shift))
+    if lift:
+        moves = [(mask, s + lift) for mask, s in moves]
+    return moves, lift
+
+
+def _moved(num: Dict[int, int], moves: Sequence[Tuple[int, int]], lift: int,
+           base: int = 0) -> Dict[int, int]:
+    """``num`` with every key carried by ``_field_moves``' ``moves`` and
+    ``lift``, plus ``base``."""
+    out = {}
+    for key, coef in num.items():
+        new = 0
+        for mask, left in moves:
+            new |= (key & mask) << left
+        out[(new >> lift) + base] = coef
+    return out
+
+
+def _max_degree(num: Mapping[int, int], n: int) -> int:
+    """The top total degree of keys over n variables, -1 if there are none."""
+    return max(num, default=-1) >> _FIELD * n
 
 
 def _check_degree(degree: int) -> None:
@@ -162,7 +249,7 @@ def _check_degree(degree: int) -> None:
 # which would make a float of two ints.
 
 
-def _normal(num: Dict[Exponent, int], den: int) -> Tuple[Dict[Exponent, int], int]:
+def _normal(num: Dict[int, int], den: int) -> Tuple[Dict[int, int], int]:
     """``num / den`` in lowest terms: zero numerators dropped, and the
     numerators and the positive ``den`` divided by their gcd; zero is
     ``{}`` over 1."""
@@ -176,7 +263,7 @@ def _normal(num: Dict[Exponent, int], den: int) -> Tuple[Dict[Exponent, int], in
     return num, den
 
 
-def _over(num: Dict[Exponent, int], den: int, common: int) -> Dict[Exponent, int]:
+def _over(num: Dict[int, int], den: int, common: int) -> Dict[int, int]:
     """The numerators of ``num / den`` over ``common``, a multiple of den."""
     if common == den:
         return num
@@ -184,21 +271,20 @@ def _over(num: Dict[Exponent, int], den: int, common: int) -> Dict[Exponent, int
     return {e: c * k for e, c in num.items()}
 
 
-def _product(ta: Mapping[Exponent, int], tb: Mapping[Exponent, int]) -> Dict[Exponent, int]:
+def _product(ta: Mapping[int, int], tb: Mapping[int, int]) -> Dict[int, int]:
     """Product of two numerator dicts over one variable order; cancelled
     numerators stay in as zeros for the caller to drop."""
-    out: Dict[Exponent, int] = {}
+    out: Dict[int, int] = {}
     get = out.get
-    add = int.__add__
     for ea, ca in ta.items():
         for eb, cb in tb.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             c = get(e)
             out[e] = ca * cb if c is None else c + ca * cb
     return out
 
 
-def _accumulate(out: Dict[Exponent, int], terms: Mapping[Exponent, int]) -> None:
+def _accumulate(out: Dict[int, int], terms: Mapping[int, int]) -> None:
     """Add ``terms`` into ``out`` in place; cancelled numerators stay in as
     zeros."""
     get = out.get
@@ -210,11 +296,11 @@ def _accumulate(out: Dict[Exponent, int], terms: Mapping[Exponent, int]) -> None
 _set = object.__setattr__
 
 
-def _make(vs: Tuple[str, ...], keys: tuple, num: Dict[Exponent, int], den: int) -> "MultiPoly":
+def _make(vs: Tuple[str, ...], keys: tuple, num: Dict[int, int], den: int) -> "MultiPoly":
     """Trusted constructor for the results of ring operations: ``num`` has
-    exponent tuples of length len(vs), nonzero ``int`` numerators and
-    degrees within the cap, ``num / den`` is in lowest terms (``_normal``),
-    and ``keys`` are the ``var_key`` values of ``vs``, shared with the
+    keys over len(vs) variables, nonzero ``int`` numerators and degrees
+    within the cap, ``num / den`` is in lowest terms (``_normal``), and
+    ``keys`` are the ``var_key`` values of ``vs``, shared with the
     operands."""
     p = object.__new__(MultiPoly)
     _set(p, "vars", vs)
@@ -226,8 +312,8 @@ def _make(vs: Tuple[str, ...], keys: tuple, num: Dict[Exponent, int], den: int) 
 
 class _Terms(collections.abc.Mapping):
     """A polynomial's terms as ``{exponent tuple: Fraction}``: its size and
-    exponents come from the stored numerators, and each ``Fraction`` is made
-    when it is read."""
+    exponents come from the stored numerators, and each exponent tuple and
+    ``Fraction`` is made when it is read."""
 
     __slots__ = ("_poly",)
 
@@ -238,42 +324,71 @@ class _Terms(collections.abc.Mapping):
         return len(self._poly._num)
 
     def __iter__(self):
-        return iter(self._poly._num)
+        n = len(self._poly.vars)
+        return (_unpack(key, n) for key in self._poly._num)
 
     def __getitem__(self, exp: Exponent) -> Rat:
-        return Fraction(self._poly._num[exp], self._poly._den)
+        p = self._poly
+        # an exponent of another length could pack to a stored key (the
+        # constant's 0, say), and any other entries could not be packed
+        if len(exp) == len(p.vars) and _naturals(exp):
+            num = p._num.get(_pack(exp))
+            if num is not None:
+                return Fraction(num, p._den)
+        raise KeyError(exp)
+
+    def items(self):
+        return _TermItems(self)
+
+
+class _TermItems(collections.abc.ItemsView):
+    """The items of a ``_Terms`` view, read off the stored numerators in
+    one pass instead of a lookup per exponent."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        p = self._mapping._poly
+        n, den = len(p.vars), p._den
+        for key, num in p._num.items():
+            yield _unpack(key, n), Fraction(num, den)
 
 
 class MultiPoly:
     """Sparse multivariate polynomial with rational coefficients, stored as
     integer numerators over one denominator.
 
-    Immutable.  ``_num`` maps exponent tuples (one entry per variable in
-    ``vars``) to nonzero ``int`` numerators, and ``_den`` is their positive
-    common denominator, in lowest terms: gcd(_den, every numerator) is 1,
-    and zero is ``{}`` over 1.  So two polynomials over the same variable
-    tuple are equal iff their numerator dicts and denominators are.
-    ``terms`` is the read-only view ``{exponent: Fraction}`` for readers
-    outside the kernel.  ``_keys`` holds the ``var_key`` of each variable
-    (see the module docstring).
+    Immutable.  ``_num`` maps packed monomial keys (``_pack``: one field per
+    variable in ``vars``, see above) to nonzero ``int`` numerators, and
+    ``_den`` is their positive common denominator, in lowest terms:
+    gcd(_den, every numerator) is 1, and zero is ``{}`` over 1.  So two
+    polynomials over the same variable tuple are equal iff their numerator
+    dicts and denominators are.  ``terms`` is the read-only view
+    ``{exponent tuple: Fraction}`` for readers outside the kernel.
+    ``_keys`` holds the ``var_key`` of each variable (see the module
+    docstring).
     """
 
     __slots__ = ("vars", "_num", "_den", "_keys")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Union[int, Rat]]):
         vs = tuple(variables)
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated variable in {vs}")
         keys = tuple(map(var_key, vs))
         # the variables are stored in canonical order, whatever order they come in
         order = sorted(range(len(vs)), key=keys.__getitem__) if len(vs) > 1 else None
-        clean: Dict[Exponent, Rat] = {}
+        clean: Dict[int, Rat] = {}
         for exp, coef in terms.items():
             c = Fraction(coef)
             if c == 0:
                 continue
             if len(exp) != len(vs):
                 raise ValueError(f"exponent {exp} does not match vars {vs}")
+            if not _naturals(exp):
+                raise ValueError(f"exponent {exp} must hold non-negative ints")
             _check_degree(sum(exp))
-            clean[tuple(exp) if order is None else tuple(exp[i] for i in order)] = c
+            clean[_pack(exp if order is None else [exp[i] for i in order])] = c
         if order is not None:
             vs, keys = tuple(vs[i] for i in order), tuple(keys[i] for i in order)
         # over the lcm of reduced denominators the numerators share no
@@ -302,16 +417,16 @@ class MultiPoly:
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return _make((name,), (var_key(name),), {(1,): 1}, 1)
+        return _make((name,), (var_key(name),), {_pack((1,)): 1}, 1)
 
-    def _like(self, num: Dict[Exponent, int], den: int) -> "MultiPoly":
+    def _like(self, num: Dict[int, int], den: int) -> "MultiPoly":
         """A trusted result over self's variables."""
         return _make(self.vars, self._keys, num, den)
 
     def _constant(self, c: Union[int, Rat]) -> "MultiPoly":
         if not c:
             return self._like({}, 1)
-        return self._like({(0,) * len(self.vars): c.numerator}, c.denominator)
+        return self._like({0: c.numerator}, c.denominator)
 
     @property
     def terms(self) -> Mapping[Exponent, Rat]:
@@ -325,22 +440,18 @@ class MultiPoly:
         return not self._num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._num)
+        return not any(self._num)
 
     def constant_value(self) -> Rat:
         if not self._num:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(next(iter(self._num.values())), self._den)
+        return Fraction(self._num[0], self._den)
 
     def support(self) -> Tuple[str, ...]:
         """Variables that actually occur with positive exponent."""
-        used = [False] * len(self.vars)
-        for exp in self._num:
-            for i, e in enumerate(exp):
-                if e:
-                    used[i] = True
+        used = _unpack(functools.reduce(operator.or_, self._num, 0), len(self.vars))
         return tuple(v for v, u in zip(self.vars, used) if u)
 
     def extend(self, variables: Union[Iterable[str], "MultiPoly"]) -> "MultiPoly":
@@ -359,16 +470,9 @@ class MultiPoly:
         """Self over ``vs``, which holds every variable of self."""
         if vs == self.vars:
             return self
-        pos = {v: i for i, v in enumerate(vs)}
-        index = [pos[v] for v in self.vars]
-        n = len(vs)
-        out: Dict[Exponent, int] = {}
-        for exp, coef in self._num.items():
-            new = [0] * n
-            for i, e in zip(index, exp):
-                new[i] = e
-            out[tuple(new)] = coef
-        return _make(vs, keys, out, self._den)
+        if not any(self._num):  # a constant's key is 0 over any variables
+            return _make(vs, keys, self._num, self._den)
+        return _make(vs, keys, _moved(self._num, *_field_moves(self.vars, vs)), self._den)
 
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
@@ -411,7 +515,8 @@ class MultiPoly:
         # Over the rationals the top-degree parts of two nonzero factors
         # never cancel, so the product's degree is the sum of theirs (and
         # a zero factor, of degree -1, keeps the sum under the cap).
-        _check_degree(_max_degree(a._num) + _max_degree(b._num))
+        n = len(a.vars)
+        _check_degree(_max_degree(a._num, n) + _max_degree(b._num, n))
         return a._like(*_normal(_product(a._num, b._num), a._den * b._den))
 
     __rmul__ = __mul__
@@ -421,7 +526,7 @@ class MultiPoly:
             raise ValueError("negative power")
         # the power's degree is n times self's, as for products; checked
         # before any multiplication, so the message names that degree
-        _check_degree(n * _max_degree(self._num))
+        _check_degree(n * _max_degree(self._num, len(self.vars)))
         result = None
         base = self
         while n:
@@ -445,9 +550,10 @@ class MultiPoly:
         # variables with exponent zero are left out.
         if self.is_constant():
             return hash(self.constant_value())
+        n = len(self.vars)
         return hash((self._den, frozenset(
-            (tuple((v, e) for v, e in zip(self.vars, exp) if e), coef)
-            for exp, coef in self._num.items()
+            (tuple((v, e) for v, e in zip(self.vars, _unpack(key, n)) if e), coef)
+            for key, coef in self._num.items()
         )))
 
     def __repr__(self):
@@ -455,23 +561,30 @@ class MultiPoly:
 
     # -- calculus ---------------------------------------------------------
 
+    def _field(self, v: str) -> int:
+        """The bit offset of v's field."""
+        return _FIELD * (len(self.vars) - 1 - self.vars.index(v))
+
     def diff(self, v: str) -> "MultiPoly":
         """Exact partial derivative; differentiating by an absent variable
         gives zero."""
         if v not in self.vars:
             return self._like({}, 1)
-        i = self.vars.index(v)
-        out: Dict[Exponent, int] = {}
-        for exp, coef in self._num.items():
-            e = exp[i]
+        at = self._field(v)
+        # one less in v's field and in the degree field
+        step = (1 << at) + (1 << _FIELD * len(self.vars))
+        out: Dict[int, int] = {}
+        for key, coef in self._num.items():
+            e = key >> at & _FIELD_MASK
             if e:
-                out[exp[:i] + (e - 1,) + exp[i + 1:]] = coef * e
+                out[key - step] = coef * e
         return self._like(*_normal(out, self._den))
 
     def truncated(self, degree: int) -> "MultiPoly":
         """The terms of total degree at most ``degree``."""
+        top = _FIELD * len(self.vars)
         return self._like(*_normal(
-            {e: c for e, c in self._num.items() if sum(e) <= degree}, self._den))
+            {key: c for key, c in self._num.items() if key >> top <= degree}, self._den))
 
     def subst(self, assignment: Mapping[str, Union["MultiPoly", int, Rat]]) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables pass through.
@@ -482,6 +595,7 @@ class MultiPoly:
         the factors' denominators; the groups are summed over the lcm of
         those."""
         vs = self.vars
+        n = len(vs)
         values = {
             v: p if isinstance(p, MultiPoly) else MultiPoly.const(p)
             for v, p in assignment.items() if v in vs
@@ -490,43 +604,48 @@ class MultiPoly:
             return self
         keep = [i for i, v in enumerate(vs) if v not in values]
         subbed = [i for i, v in enumerate(vs) if v in values]
-        groups: Dict[Exponent, Dict[Exponent, int]] = {}
-        for exp, coef in self._num.items():
-            sig = tuple(exp[i] for i in subbed)
-            groups.setdefault(sig, {})[tuple(exp[i] for i in keep)] = coef
+        at = [_FIELD * (n - 1 - i) for i in subbed]
+        sig_mask = sum(_FIELD_MASK << a for a in at)
+        # grouped by the substituted fields; the rest keeps its degree field
+        groups: Dict[int, Dict[int, int]] = {}
+        for key, coef in self._num.items():
+            sig = key & sig_mask
+            groups.setdefault(sig, {})[key - sig] = coef
         # The result lives over the canonical union of the passthrough
         # variables and those of every factor some term raises to a positive
         # power.
-        pass_vars = tuple(vs[i] for i in keep)
-        used = [values[vs[i]] for j, i in enumerate(subbed) if any(sig[j] for sig in groups)]
-        out_keys = tuple(sorted({self._keys[i] for i in keep}.union(*(f._keys for f in used))))
+        raised = functools.reduce(operator.or_, groups, 0)
+        used = {j: values[vs[i]] for j, (i, a) in enumerate(zip(subbed, at))
+                if raised >> a & _FIELD_MASK}
+        out_keys = tuple(sorted({self._keys[i] for i in keep}.union(
+            *(f._keys for f in used.values()))))
         out_vars = tuple(k[-1] for k in out_keys)
-        pos = {v: i for i, v in enumerate(out_vars)}
-        keep_pos = [pos[v] for v in pass_vars]
-        n = len(out_vars)
+        m = len(out_vars)
+        # the passthrough part of a term is over self's variables, with its
+        # substituted fields zero, and moves to the result's
+        moves, lift = _field_moves(vs, out_vars)
+        # each value over the result's variables, once, and its powers there
+        over_out = {j: f._reindexed(out_vars, out_keys) for j, f in used.items()}
         powers: Dict[Tuple[int, int], MultiPoly] = {}
 
         def power(j: int, e: int) -> "MultiPoly":
             p = powers.get((j, e))
             if p is None:
-                p = powers[j, e] = (values[vs[subbed[j]]] ** e)._reindexed(out_vars, out_keys)
+                p = powers[j, e] = over_out[j] ** e
             return p
 
-        out: Dict[Exponent, int] = {}
+        out: Dict[int, int] = {}
         out_den = 1
         for sig, part in groups.items():
-            terms: Dict[Exponent, int] = {}
-            for pe, coef in part.items():
-                new = [0] * n
-                for i, e in zip(keep_pos, pe):
-                    new[i] = e
-                terms[tuple(new)] = coef
-            factors = [power(j, e) for j, e in enumerate(sig) if e]
+            sig_exp = [sig >> a & _FIELD_MASK for a in at]
+            # the degree field still counts the substituted exponents
+            terms = _moved(part, moves, lift, -sum(sig_exp) << _FIELD * m)
+            factors = [power(j, e) for j, e in enumerate(sig_exp) if e]
             den = 1
             if factors:
                 if not all(f._num for f in factors):
                     continue  # a zero factor: these terms vanish
-                _check_degree(_max_degree(terms) + sum(_max_degree(f._num) for f in factors))
+                _check_degree(_max_degree(terms, m) + sum(_max_degree(f._num, m) for f in factors))
                 for f in factors:
                     terms = _product(terms, f._num)
                     den *= f._den
@@ -543,12 +662,15 @@ class MultiPoly:
         1/(e + 1), put over the lcm of those denominators."""
         if v not in self.vars:
             return self
-        i = self.vars.index(v)
-        common = math.lcm(*{exp[i] + 1 for exp in self._num})
-        out: Dict[Exponent, int] = {}
-        for exp, coef in self._num.items():
-            key = exp[:i] + (0,) + exp[i + 1:]
-            out[key] = out.get(key, 0) + coef * (common // (exp[i] + 1))
+        at = self._field(v)
+        # e less in v's field and in the degree field
+        step = (1 << at) + (1 << _FIELD * len(self.vars))
+        common = math.lcm(*{(key >> at & _FIELD_MASK) + 1 for key in self._num})
+        out: Dict[int, int] = {}
+        for key, coef in self._num.items():
+            e = key >> at & _FIELD_MASK
+            new = key - e * step
+            out[new] = out.get(new, 0) + coef * (common // (e + 1))
         return self._like(*_normal(out, self._den * common))
 
     def eval_at(self, point: Mapping[str, Union[int, Rat]]) -> Union[Rat, "MultiPoly"]:
@@ -565,16 +687,16 @@ class MultiPoly:
 
 def to_string(p: MultiPoly) -> str:
     """Canonical textual form: terms sorted by (total degree, exponents)
-    descending, rationals as ``num/den``.  Round-trips bit-exactly through
-    the expression parser."""
+    descending, which is the order of their keys, rationals as
+    ``num/den``.  Round-trips bit-exactly through the expression parser."""
     if not p._num:
         return "0"
     den = p._den
-    items = sorted(p._num.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    n = len(p.vars)
     chunks = []
-    for exp, num in items:
+    for key, num in sorted(p._num.items(), reverse=True):
         factors = []
-        for v, e in zip(p.vars, exp):
+        for v, e in zip(p.vars, _unpack(key, n)):
             if e == 1:
                 factors.append(v)
             elif e > 1:

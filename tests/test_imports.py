@@ -270,24 +270,30 @@ def test_only_polyalg_builds_variable_names():
     assert problems == []
 
 
-#: ``MultiPoly``'s stored coefficients: integer numerators over one
-#: denominator, which the kernel alone keeps in lowest terms.
-COEFFICIENT_FIELDS = {"_num", "_den"}
+#: ``MultiPoly``'s storage: integer numerators over one denominator, which
+#: the kernel alone keeps in lowest terms, keyed by packed monomials, which
+#: the kernel alone packs and unpacks (field width, pack and unpack).
+KERNEL_PRIVATE_NAMES = {"_num", "_den", "_FIELD", "_FIELD_MASK", "_pack", "_unpack"}
 
 
 def coefficient_storage_uses(path: Path):
-    """Attribute accesses, ``getattr`` calls and string constants naming a
-    field of ``MultiPoly``'s coefficient storage."""
+    """Attribute accesses, imports, names and string constants (as in
+    ``getattr`` calls) naming a field or helper of ``MultiPoly``'s
+    storage."""
     problems = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Attribute):
-            name = node.attr
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            name = node.value
+            names = [node.value]
         else:
             continue
-        if name in COEFFICIENT_FIELDS:
-            problems.append(f"{path.name}:{node.lineno}: {name}")
+        problems += [f"{path.name}:{node.lineno}: {name}" for name in names
+                     if name in KERNEL_PRIVATE_NAMES]
     return problems
 
 

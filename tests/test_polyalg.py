@@ -193,6 +193,10 @@ def test_a_polynomial_is_immutable_and_counts_its_terms():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: MultiPoly(("t1",), {(1, 2): 1}), r"exponent \(1, 2\) does not match vars \('t1',\)"),
+    # each of these would spill into a neighbouring field of a packed key
+    (lambda: MultiPoly(("t1", "t1"), {(1, 1): 1, (2, 0): 1}), r"repeated variable in \('t1', 't1'\)"),
+    (lambda: MultiPoly(("t1",), {(-1,): 1}), r"exponent \(-1,\) must hold non-negative ints"),
+    (lambda: MultiPoly(("t1",), {(1.5,): 1}), r"exponent \(1.5,\) must hold non-negative ints"),
     (lambda: MultiPoly.var("t1").constant_value(), "polynomial is not constant"),
     (lambda: MultiPoly.var("t1") ** -1, "negative power"),
 ])
@@ -204,8 +208,8 @@ def test_polynomial_inputs_rejected(build, message):
 def _stored(p):
     """p's stored numerators, keyed by their nonzero (variable, exponent)
     pairs, and its denominator."""
-    return {tuple((v, e) for v, e in zip(p.vars, exp) if e): c
-            for exp, c in p._num.items()}, p._den
+    return {tuple((v, e) for v, e in zip(p.vars, exp) if e): c * p._den
+            for exp, c in p.terms.items()}, p._den
 
 
 def test_equal_polynomials_store_equal_numerators_and_denominators():
@@ -431,6 +435,42 @@ def test_products_powers_and_substitutions_keep_the_degree_cap():
     # a product of nonzero polynomials keeps its top degree; zero has none
     assert ((x ** DEGREE_CAP) * MultiPoly.zero()).is_zero()
     assert (x ** half).subst({"t1": 0}).is_zero()
+
+
+def test_packed_fields_hold_the_degree_cap():
+    import cochainlab.polyalg as polyalg
+
+    # no exponent nor total degree within the cap fills a field
+    assert DEGREE_CAP < 1 << polyalg._FIELD
+    x, y, g = MultiPoly.var("t1"), MultiPoly.var("y_1"), MultiPoly.var("g1_1")
+    # terms of degree exactly the cap, by product, power and substitution
+    at_cap = [
+        (x ** DEGREE_CAP, _ref_pow(_pair(x), DEGREE_CAP)),
+        ((x * y) ** 12, _ref_pow(_pair(x * y), 12)),
+        (x ** 12 * y ** 11 * (g + 1), _ref_mul(_pair(x ** 12 * y ** 11), _pair(g + 1))),
+        ((x ** 12 + y).subst({"t1": g * y + x}),
+         _ref_subst(_pair(x ** 12 + y), {"t1": _pair(g * y + x)})),
+    ]
+    for got, (vs, terms) in at_cap:
+        assert max(map(sum, got.terms)) == DEGREE_CAP
+        cases = [(got, (vs, terms))]
+        for v in ("t1", "g1_1", "y_1"):
+            cases += [(got.diff(v), _ref_diff((vs, terms), v)),
+                      (got.defint01(v), _ref_defint01((vs, terms), v))]
+        for p, (ref_vs, ref_terms) in cases:
+            assert p.vars == ref_vs and p.terms == ref_terms
+    # one past the cap raises, naming the degree it would reach
+    past = f"total degree {DEGREE_CAP + 1} exceeds cap {DEGREE_CAP}"
+    for build in (lambda: x ** DEGREE_CAP * y, lambda: (x * y) ** 12 * (g + 1),
+                  lambda: (x ** 5) ** 5, lambda: (x ** 23 * y).subst({"y_1": y * g})):
+        with pytest.raises(DegreeOverflowError, match=past):
+            build()
+    # an exponent no stored term can have is absent, not packed into a
+    # neighbouring field
+    p = x * y ** 2 + 3
+    assert p.terms.get((1, 2)) == 1 and p.terms.get((0, 0)) == 3
+    for exp in ((1,), (1, 2, 0), (-1, 3), (2, -1), (0, DEGREE_CAP + 1), (1.0, 2)):
+        assert p.terms.get(exp) is None and exp not in p.terms
 
 
 def test_arithmetic_over_known_variables_parses_no_names(monkeypatch):
