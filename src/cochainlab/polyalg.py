@@ -605,50 +605,49 @@ class MultiPoly:
         keep = [i for i, v in enumerate(vs) if v not in values]
         subbed = [i for i, v in enumerate(vs) if v in values]
         at = [_FIELD * (n - 1 - i) for i in subbed]
-        sig_mask = sum(_FIELD_MASK << a for a in at)
-        # grouped by the substituted fields; the rest keeps its degree field
-        groups: Dict[int, Dict[int, int]] = {}
-        for key, coef in self._num.items():
-            sig = key & sig_mask
-            groups.setdefault(sig, {})[key - sig] = coef
         # The result lives over the canonical union of the passthrough
         # variables and those of every factor some term raises to a positive
         # power.
-        raised = functools.reduce(operator.or_, groups, 0)
+        raised = functools.reduce(operator.or_, self._num, 0)
         used = {j: values[vs[i]] for j, (i, a) in enumerate(zip(subbed, at))
                 if raised >> a & _FIELD_MASK}
         out_keys = tuple(sorted({self._keys[i] for i in keep}.union(
             *(f._keys for f in used.values()))))
         out_vars = tuple(k[-1] for k in out_keys)
         m = len(out_vars)
+        # Terms are grouped by their substituted fields; the rest keeps its
+        # degree field.  A term that raises a zero value vanishes.
+        sig_mask = sum(_FIELD_MASK << a for a in at)
+        zero_mask = sum(_FIELD_MASK << at[j] for j, f in used.items() if not f._num)
+        groups: Dict[int, Dict[int, int]] = {}
+        for key, coef in self._num.items():
+            if not key & zero_mask:
+                sig = key & sig_mask
+                groups.setdefault(sig, {})[key - sig] = coef
         # the passthrough part of a term is over self's variables, with its
         # substituted fields zero, and moves to the result's
         moves, lift = _field_moves(vs, out_vars)
-        # each value over the result's variables, once, and its powers there
+        # each value over the result's variables, once, its degree there
+        # less 1, and its powers
         over_out = {j: f._reindexed(out_vars, out_keys) for j, f in used.items()}
+        excess = {j: _max_degree(f._num, m) - 1 for j, f in over_out.items()}
         powers: Dict[Tuple[int, int], MultiPoly] = {}
-
-        def power(j: int, e: int) -> "MultiPoly":
-            p = powers.get((j, e))
-            if p is None:
-                p = powers[j, e] = over_out[j] ** e
-            return p
-
         out: Dict[int, int] = {}
         out_den = 1
         for sig, part in groups.items():
-            sig_exp = [sig >> a & _FIELD_MASK for a in at]
+            exps = [(j, e) for j, a in enumerate(at) if (e := sig >> a & _FIELD_MASK)]
+            # each exponent e of a value of degree k adds e (k - 1) to the
+            # degree of the group's top term
+            _check_degree((max(part) >> _FIELD * n) + sum([e * excess[j] for j, e in exps]))
             # the degree field still counts the substituted exponents
-            terms = _moved(part, moves, lift, -sum(sig_exp) << _FIELD * m)
-            factors = [power(j, e) for j, e in enumerate(sig_exp) if e]
+            terms = _moved(part, moves, lift, -sum([e for _, e in exps]) << _FIELD * m)
             den = 1
-            if factors:
-                if not all(f._num for f in factors):
-                    continue  # a zero factor: these terms vanish
-                _check_degree(_max_degree(terms, m) + sum(_max_degree(f._num, m) for f in factors))
-                for f in factors:
-                    terms = _product(terms, f._num)
-                    den *= f._den
+            for j, e in exps:
+                f = powers.get((j, e))
+                if f is None:
+                    f = powers[j, e] = over_out[j] ** e
+                terms = _product(terms, f._num)
+                den *= f._den
             if den != out_den:
                 common = math.lcm(out_den, den)
                 out = _over(out, out_den, common)
@@ -692,11 +691,12 @@ def to_string(p: MultiPoly) -> str:
     if not p._num:
         return "0"
     den = p._den
-    n = len(p.vars)
+    fields = tuple(zip(p.vars, range(_FIELD * (len(p.vars) - 1), -1, -_FIELD)))
     chunks = []
     for key, num in sorted(p._num.items(), reverse=True):
         factors = []
-        for v, e in zip(p.vars, _unpack(key, n)):
+        for v, at in fields:
+            e = key >> at & _FIELD_MASK
             if e == 1:
                 factors.append(v)
             elif e > 1:
