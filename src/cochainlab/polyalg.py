@@ -331,27 +331,11 @@ class _Terms(collections.abc.Mapping):
         p = self._poly
         # an exponent of another length could pack to a stored key (the
         # constant's 0, say), and any other entries could not be packed
-        if len(exp) == len(p.vars) and _naturals(exp):
+        if isinstance(exp, tuple) and len(exp) == len(p.vars) and _naturals(exp):
             num = p._num.get(_pack(exp))
             if num is not None:
                 return Fraction(num, p._den)
         raise KeyError(exp)
-
-    def items(self):
-        return _TermItems(self)
-
-
-class _TermItems(collections.abc.ItemsView):
-    """The items of a ``_Terms`` view, read off the stored numerators in
-    one pass instead of a lookup per exponent."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        p = self._mapping._poly
-        n, den = len(p.vars), p._den
-        for key, num in p._num.items():
-            yield _unpack(key, n), Fraction(num, den)
 
 
 class MultiPoly:

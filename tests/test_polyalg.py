@@ -469,7 +469,7 @@ def test_packed_fields_hold_the_degree_cap():
     # neighbouring field
     p = x * y ** 2 + 3
     assert p.terms.get((1, 2)) == 1 and p.terms.get((0, 0)) == 3
-    for exp in ((1,), (1, 2, 0), (-1, 3), (2, -1), (0, DEGREE_CAP + 1), (1.0, 2)):
+    for exp in ((1,), (1, 2, 0), (-1, 3), (2, -1), (0, DEGREE_CAP + 1), (1.0, 2), 5):
         assert p.terms.get(exp) is None and exp not in p.terms
 
 
