@@ -84,14 +84,18 @@ def _powers(p: MultiPoly) -> List[Tuple[int, Fraction]]:
     return [(exp[0] if exp else 0, coef) for exp, coef in p.terms.items()]
 
 
+#: The constant 1 as a polynomial in x, whose multiples are the constants.
+_ONE = MultiPoly((X,), {(0,): 1})
+
+
 def _const(c) -> MultiPoly:
     """The constant c as a polynomial in x: every cell of a cover is a
     polynomial in x, so cellwise sums and products need no alignment."""
-    return MultiPoly((X,), {(0,): c})
+    return _ONE * c
 
 
 def _antideriv(p: MultiPoly) -> MultiPoly:
-    return MultiPoly((X,), {(e + 1,): coef / (e + 1) for e, coef in _powers(p)})
+    return p.antiderivative(X)
 
 
 def _eval(p: MultiPoly, v: Fraction) -> Fraction:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .polyalg import SCALARS, Linear, MultiPoly, add_into, sort_sign, sparse
+from .polyalg import SCALARS, Linear, MultiPoly, add_into, sort_sign, sparse, sum_of_products
 
 Index = Tuple[int, ...]
 
@@ -86,15 +86,14 @@ class PolyVF:
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     if a.chart != b.chart:
         raise ValueError("wedge requires a common chart")
-    out: Dict[Index, MultiPoly] = {}
-    deg = a.degree + b.degree
+    products: Dict[Index, list] = {}
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             idx, sign = sort_sign(ia + ib)
             if sign == 0:
                 continue
-            add_into(out, idx, ca * cb * sign)
-    return PolyForm(a.chart, deg, out)
+            products.setdefault(idx, []).append((sign, ca, cb))
+    return _summed(a.chart, a.degree + b.degree, products)
 
 
 def exterior_d(a: PolyForm) -> PolyForm:
@@ -116,15 +115,21 @@ def contract(a: PolyForm, x: PolyVF) -> PolyForm:
         raise ValueError("contraction requires a common chart")
     if a.degree == 0:
         return PolyForm.zero(a.chart, 0)
-    out: Dict[Index, MultiPoly] = {}
+    products: Dict[Index, list] = {}
     for idx, coef in a.terms.items():
         for pos, j in enumerate(idx):
             comp = x.components[j]
             if comp.is_zero():
                 continue
             rest = idx[:pos] + idx[pos + 1 :]
-            add_into(out, rest, coef * comp * ((-1) ** pos))
-    return PolyForm(a.chart, a.degree - 1, out)
+            products.setdefault(rest, []).append(((-1) ** pos, coef, comp))
+    return _summed(a.chart, a.degree - 1, products)
+
+
+def _summed(chart: Chart, degree: int, products: Mapping[Index, list]) -> PolyForm:
+    """The form whose coefficient at each index is the sum of that index's
+    products ``(sign, a, b)``, one fused sum per index."""
+    return PolyForm(chart, degree, {idx: sum_of_products(t) for idx, t in products.items()})
 
 
 def pullback(a: PolyForm, phi: Mapping[str, MultiPoly], target: Chart) -> PolyForm:
@@ -161,7 +166,7 @@ def homotopy_T(a: PolyForm) -> PolyForm:
     if a.degree == 0:
         return PolyForm.zero(a.chart, 0)
     q = a.degree
-    out: Dict[Index, MultiPoly] = {}
+    products: Dict[Index, list] = {}
     for idx, coef in a.terms.items():
         # The dt-component of the pullback of coef dy_I is a sum of
         # coef(t y) y_{i_pos} t^(q-1) dt, one per position, and a term of
@@ -172,8 +177,9 @@ def homotopy_T(a: PolyForm) -> PolyForm:
         })
         for pos, j in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
-            add_into(out, rest, scaled * MultiPoly.var(a.chart.coords[j]) * ((-1) ** pos))
-    return PolyForm(a.chart, q - 1, out)
+            products.setdefault(rest, []).append(
+                ((-1) ** pos, scaled, MultiPoly.var(a.chart.coords[j])))
+    return _summed(a.chart, q - 1, products)
 
 
 def eval_at_zero(a: PolyForm) -> PolyForm:

@@ -293,6 +293,47 @@ def _accumulate(out: Dict[int, int], terms: Mapping[int, int]) -> None:
         out[e] = c if prev is None else prev + c
 
 
+def _layout(layouts: Mapping[Tuple[str, ...], tuple]) -> Tuple[Tuple[str, ...], tuple, dict]:
+    """One layout for a fused sum of polynomials over the variable tuples
+    ``layouts`` (each mapped to its ``var_key`` values): their canonical
+    union, its keys, and the field moves of each tuple that must move, so
+    each operand is realigned at most once.  A tuple equal to the union
+    stays, and so does the empty one: its only key is the constant
+    monomial's 0."""
+    if len(layouts) < 2:
+        vs, keys = next(iter(layouts.items()), ((), ()))
+        return vs, keys, {}
+    keys = tuple(sorted(set().union(*layouts.values())))
+    vs = tuple(k[-1] for k in keys)
+    return vs, keys, {src: _field_moves(src, vs) for src in layouts if src and src != vs}
+
+
+def _sum_products(parts: Iterable[Tuple[Sequence[Dict[int, int]], int]],
+                  common: int) -> Tuple[Dict[int, int], int]:
+    """The sum over ``parts`` ``(factors, c)`` of c times the product of the
+    numerator dicts ``factors`` (none, one or two, over one layout, their
+    product checked against the cap by the caller), over ``common``, in
+    lowest terms: one dict and one ``_normal`` for the whole sum."""
+    out: Dict[int, int] = {}
+    get = out.get
+    for factors, c in parts:
+        if len(factors) < 2:
+            for k, v in (factors[0].items() if factors else ((0, 1),)):
+                prev = get(k)
+                out[k] = c * v if prev is None else prev + c * v
+            continue
+        na, nb = factors
+        if len(na) > len(nb):
+            na, nb = nb, na
+        for ka, ca in na.items():
+            ca *= c
+            for kb, cb in nb.items():
+                k = ka + kb
+                prev = get(k)
+                out[k] = ca * cb if prev is None else prev + ca * cb
+    return _normal(out, common)
+
+
 _set = object.__setattr__
 
 
@@ -461,6 +502,12 @@ class MultiPoly:
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
             return self, other
+        # an operand over no variables is a constant, whose key 0 is the
+        # constant monomial over any variables, so it takes the other's as is
+        if not other.vars:
+            return self, other._reindexed(self.vars, self._keys)
+        if not self.vars:
+            return self._reindexed(other.vars, other._keys), other
         a = self.extend(other)
         # a.vars is canonical and holds other's variables
         return a, other._reindexed(a.vars, a._keys)
@@ -564,6 +611,38 @@ class MultiPoly:
                 out[key - step] = coef * e
         return self._like(*_normal(out, self._den))
 
+    def derivation(self, field: Mapping[str, Union["MultiPoly", int, Rat]]) -> "MultiPoly":
+        """The chain-rule derivative sum_v field[v] * d(self)/dv in one
+        pass.  It equals the sum, from ``MultiPoly.zero()``, of the products
+        ``field[v] * self.diff(v)`` over the variables v that self raises to
+        a positive power, with the same variables and the same degree
+        checks, made in field order before any product is accumulated."""
+        vs = self.vars
+        raised = functools.reduce(operator.or_, self._num, 0)
+        moved = [(v, f if isinstance(f, MultiPoly) else MultiPoly.const(f))
+                 for v, f in field.items() if v in vs and raised >> self._field(v) & _FIELD_MASK]
+        if not moved:
+            return MultiPoly.zero()
+        layouts = {vs: self._keys}
+        for _, f in moved:
+            layouts[f.vars] = f._keys
+        out_vars, keys, moves = _layout(layouts)
+        m = len(out_vars)
+        num = self._num if vs not in moves else _moved(self._num, *moves[vs])
+        # one less in v's field and in the degree field
+        top = 1 << _FIELD * m
+        derivs = []
+        for v, f in moved:
+            at = _FIELD * (m - 1 - out_vars.index(v))
+            step = (1 << at) + top
+            dc = {key - step: c * e for key, c in num.items() if (e := key >> at & _FIELD_MASK)}
+            fnum = f._num if f.vars not in moves else _moved(f._num, *moves[f.vars])
+            _check_degree(_max_degree(dc, m) + _max_degree(fnum, m))
+            derivs.append((dc, fnum, f._den))
+        common = math.lcm(*(den for _, _, den in derivs))
+        parts = [((dc, fnum), common // den) for dc, fnum, den in derivs]
+        return _make(out_vars, keys, *_sum_products(parts, common * self._den))
+
     def truncated(self, degree: int) -> "MultiPoly":
         """The terms of total degree at most ``degree``."""
         top = _FIELD * len(self.vars)
@@ -656,12 +735,65 @@ class MultiPoly:
             out[new] = out.get(new, 0) + coef * (common // (e + 1))
         return self._like(*_normal(out, self._den * common))
 
+    def antiderivative(self, v: str) -> "MultiPoly":
+        """The antiderivative in ``v`` that vanishes at v = 0, over self's
+        variables and v: the term of exponent e gains one in v and the
+        factor 1/(e + 1), put over the lcm of those denominators."""
+        p = self if v in self.vars else self.extend((v,))
+        n = len(p.vars)
+        _check_degree(_max_degree(p._num, n) + 1)
+        at = p._field(v)
+        # one more in v's field and in the degree field
+        step = (1 << at) + (1 << _FIELD * n)
+        common = math.lcm(*{(key >> at & _FIELD_MASK) + 1 for key in p._num})
+        return p._like(*_normal(
+            {key + step: coef * (common // ((key >> at & _FIELD_MASK) + 1))
+             for key, coef in p._num.items()}, p._den * common))
+
     def eval_at(self, point: Mapping[str, Union[int, Rat]]) -> Union[Rat, "MultiPoly"]:
         """Partial evaluation; a full point yields a Fraction."""
         result = self.subst({v: Fraction(c) for v, c in point.items()})
         if result.is_constant():
             return result.constant_value()
         return result
+
+
+def sum_of_products(terms: Iterable[Tuple[Union[int, Rat], Union[MultiPoly, int, Rat],
+                                          Union[MultiPoly, int, Rat]]]) -> MultiPoly:
+    """The sum of ``c * a * b`` over ``terms`` ``(c, a, b)`` in one pass: c
+    is a rational (a sign, say), and a or b may be one.  It equals the sum
+    of the products from ``MultiPoly.zero()``, with the same variables (the
+    canonical union of every polynomial operand's) and the same degree
+    checks, made before any product is accumulated; a caller that skips
+    zero terms skips them before calling."""
+    terms = list(terms)
+    layouts = {}
+    for _, a, b in terms:
+        if isinstance(a, MultiPoly):
+            layouts[a.vars] = a._keys
+        if isinstance(b, MultiPoly):
+            layouts[b.vars] = b._keys
+    vs, keys, moves = _layout(layouts)
+    n = len(vs)
+    # each product as the numerators of its polynomial factors over the
+    # layout, times c and its rational factors over a denominator
+    products = []
+    for c, a, b in terms:
+        num, den = c.numerator, c.denominator
+        factors = []
+        for x in (a, b):
+            if isinstance(x, MultiPoly):
+                factors.append(x._num if x.vars not in moves else _moved(x._num, *moves[x.vars]))
+                den *= x._den
+            else:
+                num *= x.numerator
+                den *= x.denominator
+        if len(factors) == 2:
+            _check_degree(_max_degree(factors[0], n) + _max_degree(factors[1], n))
+        products.append((factors, num, den))
+    common = math.lcm(*(den for _, _, den in products))
+    parts = [(factors, num * (common // den)) for factors, num, den in products if num]
+    return _make(vs, keys, *_sum_products(parts, common))
 
 
 # ---------------------------------------------------------------------------
@@ -930,6 +1062,9 @@ POLY_ZERO = MultiPoly.zero()
 def mat_vec(mat: Sequence[Sequence], vec: Sequence, zero=POLY_ZERO) -> list:
     """Matrix times vector."""
     nonzero = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
+    if isinstance(zero, MultiPoly):
+        return [sum_of_products((1, m, v) for j, v in nonzero if not is_zero(m := row[j]))
+                for row in mat]
     out = []
     for row in mat:
         acc = zero

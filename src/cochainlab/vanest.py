@@ -72,7 +72,6 @@ from .polyalg import (
     Linear,
     MultiPoly,
     Rat,
-    add_into,
     cube_vars,
     fiber_vars,
     format_rat,
@@ -82,6 +81,7 @@ from .polyalg import (
     slot_vars,
     sort_sign,
     sparse,
+    sum_of_products,
     to_string,
 )
 
@@ -157,10 +157,11 @@ class BigradedElement(Linear):
 def bg_delta(psi: BigradedElement) -> BigradedElement:
     """Horizontal differential: alternating sum of face substitutions; the
     last face merges g_{p+1} into the base point."""
-    out: Dict[Index, Sequence[MultiPoly]] = {}
-    for sub, sgn in psi.group.faces(psi.p):
-        for idx, vec in psi.comps.items():
-            add_into(out, idx, [c.subst(sub) * sgn for c in vec], VECTORS.add)
+    faces = psi.group.faces(psi.p)
+    out = {
+        idx: [sum_of_products((sgn, c.subst(sub), 1) for sub, sgn in faces) for c in vec]
+        for idx, vec in psi.comps.items()
+    }
     return BigradedElement(psi.group, psi.rep, psi.p + 1, psi.q, out)
 
 
@@ -324,14 +325,7 @@ def _twist(inf, xi: Union[int, Sequence[Rat]]) -> List[List[Fraction]]:
 def _act(vec, vel: Mapping[str, MultiPoly], twist=None) -> Tuple[MultiPoly, ...]:
     """Infinitesimal action on a vector of values by the chain rule:
     sum_v d(value)/dv * vel_v, plus twist . vec."""
-    out = []
-    for c in vec:
-        acc = MultiPoly.zero()
-        for v, vel_v in vel.items():
-            dc = c.diff(v)
-            if not dc.is_zero():
-                acc = acc + vel_v * dc
-        out.append(acc)
+    out = [c.derivation(vel) for c in vec]
     if twist is not None:
         return VECTORS.add(out, mat_vec(twist, vec))
     return tuple(out)

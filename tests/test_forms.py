@@ -17,7 +17,7 @@ from cochainlab.forms import (
     pullback,
     wedge,
 )
-from cochainlab.polyalg import MultiPoly
+from cochainlab.polyalg import MultiPoly, add_into, sort_sign
 
 from conftest import random_poly
 
@@ -76,6 +76,40 @@ def test_contract_is_an_antiderivation():
         assert lhs == rhs
     # contracting a function gives the zero function, not a form of degree -1
     assert contract(_random_form(rng, 0), x) == PolyForm.zero(CHART, 0)
+
+
+def _folded(chart, degree, products):
+    """The coefficients the binary folds built: each index's products
+    ``(sign, a, b)`` summed by ``+`` from the first, zero sums dropped, as
+    variables and terms."""
+    out = {}
+    for idx, sign, a, b in products:
+        add_into(out, idx, a * b * sign)
+    return {idx: (c.vars, c.terms) for idx, c in PolyForm(chart, degree, out).terms.items()}
+
+
+def test_fused_sums_match_the_folds_they_replace():
+    # coefficients over some of the chart and other variables, so the
+    # products of one index meet different variable tuples
+    rng = random.Random(8)
+    names = CHART.coords + ("t1", "g1_1")
+
+    def form(degree):
+        return _random_form(rng, degree, CHART) * random_poly(rng, rng.sample(names, 2))
+
+    x = PolyVF(CHART, (random_poly(rng, names), MultiPoly.zero(), random_poly(rng, ("t1",))))
+    for pa, pb in ((0, 1), (1, 1), (1, 2), (2, 1)):
+        a, b = form(pa), form(pb)
+        wedged = [(sort_sign(ia + ib)[0], sort_sign(ia + ib)[1], ca, cb)
+                  for ia, ca in a.terms.items() for ib, cb in b.terms.items()
+                  if sort_sign(ia + ib)[1]]
+        contracted = [(idx[:pos] + idx[pos + 1:], (-1) ** pos, coef, x.components[j])
+                      for idx, coef in a.terms.items() for pos, j in enumerate(idx)
+                      if not x.components[j].is_zero()]
+        for got, products, degree in ((wedge(a, b), wedged, pa + pb),
+                                      (contract(a, x), contracted, pa - 1)):
+            assert {idx: (c.vars, c.terms) for idx, c in got.terms.items()} == _folded(
+                CHART, degree, products)
 
 
 def test_pullback_functorial_and_commutes_with_d():

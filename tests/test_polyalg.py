@@ -19,6 +19,7 @@ from cochainlab.polyalg import (
     mat_vec,
     rref,
     sort_sign,
+    sum_of_products,
     to_string,
     var_key,
 )
@@ -348,8 +349,41 @@ def _ref_eval(a, point):
     return sum(terms.values(), Fraction(0))
 
 
+def _ref_antiderivative(a, v):
+    vs, terms = _ref_extend(a, (v,))
+    i = vs.index(v)
+    return _ref_make(vs, {exp[:i] + (exp[i] + 1,) + exp[i + 1:]: coef / (exp[i] + 1)
+                          for exp, coef in terms.items()})
+
+
 def _pair(p):
     return p.vars, p.terms
+
+
+def _operand(x):
+    """A polynomial or a rational as a reference pair, the rational over no
+    variables."""
+    return _pair(x) if isinstance(x, MultiPoly) else _ref_make((), {(): x})
+
+
+# The binary folds the fused kernels replace: from the zero over no
+# variables, skipping what the callers skipped.
+
+
+def _ref_derivation(a, field):
+    acc = _ref_make((), {})
+    for v, f in field.items():
+        d = _ref_diff(a, v)
+        if d[1]:
+            acc = _ref_add(acc, _ref_mul(_operand(f), d))
+    return acc
+
+
+def _ref_sum_of_products(terms):
+    acc = _ref_make((), {})
+    for c, a, b in terms:
+        acc = _ref_add(acc, _ref_scaled(_ref_mul(_operand(a), _operand(b)), c))
+    return acc
 
 
 @st.composite
@@ -361,15 +395,20 @@ def raw_polys(draw):
 
 
 any_polys = st.one_of(polys(), raw_polys())
+#: Values of a substitution or a vector field: polynomials and small ints.
+values = st.dictionaries(st.sampled_from(VARS), st.one_of(any_polys, st.integers(-2, 2)),
+                         max_size=3)
+#: Terms ``(c, a, b)`` of a sum of products, scalars and polynomials mixed.
+products = st.lists(st.tuples(st.one_of(st.integers(-2, 2), rationals),
+                              st.one_of(any_polys, rationals), st.one_of(any_polys, rationals)),
+                    max_size=3)
 
 
 @settings(max_examples=150, deadline=None)
-@given(any_polys, any_polys, st.integers(0, 3),
-       st.dictionaries(st.sampled_from(VARS), st.one_of(any_polys, st.integers(-2, 2)),
-                       max_size=3),
+@given(any_polys, any_polys, st.integers(0, 3), values, products,
        st.sampled_from(VARS), st.integers(-2, 3), rationals,
        st.dictionaries(st.sampled_from(VARS), rationals, max_size=len(VARS)))
-def test_kernel_matches_reference(a, b, n, assignment, v, k, c, point):
+def test_kernel_matches_reference(a, b, n, assignment, terms, v, k, c, point):
     ra, rb = _pair(a), _pair(b)
     ref_values = {v: _pair(p) if isinstance(p, MultiPoly) else _ref_make((), {(): p})
                   for v, p in assignment.items()}
@@ -386,7 +425,17 @@ def test_kernel_matches_reference(a, b, n, assignment, v, k, c, point):
         (a.truncated(n), _ref_truncated(ra, n)),
         (a * k, _ref_scaled(ra, k)),
         (c * a, _ref_scaled(ra, c)),
+        (a.antiderivative(v), _ref_antiderivative(ra, v)),
     ]
+    # the fused kernels against their folds: the assignment as a field, an
+    # empty one, one over variables a lacks, and zero values; a drawn sum of
+    # products, single terms and none
+    absent = {w: b for w in VARS if w not in a.vars}
+    zeros = {w: z for w, z in zip(VARS, (0, MultiPoly.zero(), b * 0) * 3)}
+    for f in (assignment, {}, absent, zeros):
+        cases.append((a.derivation(f), _ref_derivation(ra, f)))
+    for t in (terms, [(k, a, b)], [(c, a, 3)], [(1, c, b)], []):
+        cases.append((sum_of_products(t), _ref_sum_of_products(t)))
     value, expected = a.eval_at(point), _ref_eval(ra, point)
     if isinstance(expected, Fraction):
         assert type(value) is Fraction and value == expected
@@ -437,7 +486,7 @@ def test_products_powers_and_substitutions_keep_the_degree_cap():
     assert (x ** half).subst({"t1": 0}).is_zero()
 
 
-def test_packed_fields_hold_the_degree_cap():
+def test_packed_fields_hold_the_degree_cap(monkeypatch):
     import cochainlab.polyalg as polyalg
 
     # no exponent nor total degree within the cap fills a field
@@ -459,12 +508,41 @@ def test_packed_fields_hold_the_degree_cap():
                       (got.defint01(v), _ref_defint01((vs, terms), v))]
         for p, (ref_vs, ref_terms) in cases:
             assert p.vars == ref_vs and p.terms == ref_terms
-    # one past the cap raises, naming the degree it would reach
+    # the fused kernels and the antiderivative land on the cap too
+    p = x ** 13 * y ** 6 + g
+    field = {"y_1": 2, "t1": g ** 5 * y + 1}
+    terms = [(1, x ** 12, y ** 12), (-2, g ** 24, 1), (Fraction(1, 2), x, g)]
+    fused = [
+        (p.derivation(field), _ref_derivation(_pair(p), field)),
+        (sum_of_products(terms), _ref_sum_of_products(terms)),
+        ((x ** 12 * y ** 11).antiderivative("g1_1"),
+         _ref_antiderivative(_pair(x ** 12 * y ** 11), "g1_1")),
+    ]
+    for got, (vs, ref_terms) in fused:
+        assert max(map(sum, got.terms)) == DEGREE_CAP
+        assert got.vars == vs and got.terms == ref_terms
+    # one past the cap raises, naming the degree it would reach; the fused
+    # kernels check every product before they accumulate any
     past = f"total degree {DEGREE_CAP + 1} exceeds cap {DEGREE_CAP}"
+    accumulated = []
+    original = polyalg._sum_products
+    monkeypatch.setattr(polyalg, "_sum_products",
+                        lambda *args: accumulated.append(args) or original(*args))
     for build in (lambda: x ** DEGREE_CAP * y, lambda: (x * y) ** 12 * (g + 1),
-                  lambda: (x ** 5) ** 5, lambda: (x ** 23 * y).subst({"y_1": y * g})):
+                  lambda: (x ** 5) ** 5, lambda: (x ** 23 * y).subst({"y_1": y * g}),
+                  lambda: p.derivation({"y_1": 1, "t1": g ** 6 * y}),
+                  lambda: sum_of_products([(1, x, y), (2, x ** 12 * g, y ** 12)]),
+                  lambda: (x ** 23 * y).antiderivative("g1_1")):
         with pytest.raises(DegreeOverflowError, match=past):
             build()
+    assert accumulated == []
+    # an operand over no variables takes the other's layout as it is
+    wide = functools.reduce(operator.mul, map(MultiPoly.var, VARS)) + g - 1
+    for const in (MultiPoly.const(Fraction(-3, 2)), MultiPoly.zero()):
+        for got, ref in ((const + wide, _ref_add), (wide + const, _ref_add),
+                         (const * wide, _ref_mul), (wide * const, _ref_mul)):
+            vs, terms = ref(_pair(const), _pair(wide))
+            assert got.vars == vs == wide.vars and got.terms == terms
     # an exponent no stored term can have is absent, not packed into a
     # neighbouring field
     p = x * y ** 2 + 3
@@ -558,6 +636,12 @@ def test_matrix_kernel_skips_zero_entries_without_changing_results(n, m, l, data
         a, [row[:1] for row in b], MultiPoly.zero()
     )
     assert mat_mul(r, column, Fraction(0)) == _dense_mat_mul(r, column, Fraction(0))
+    # each polynomial row is the fold it replaced, variables included
+    vec = [row[0] for row in b]
+    fold = [functools.reduce(operator.add, (x * y for x, y in zip(row, vec)
+                                            if not (x.is_zero() or y.is_zero())), MultiPoly.zero())
+            for row in a]
+    assert [_pair(x) for x in mat_vec(a, vec)] == [_pair(x) for x in fold]
     # an empty sum is the zero that was passed, in its ring
     zeros = [[Fraction(0)] * m for _ in range(n)]
     assert all(type(x) is Fraction for x in mat_vec(zeros, [Fraction(1)] * m, Fraction(0)))
