@@ -94,10 +94,6 @@ def _const(c) -> MultiPoly:
     return _ONE * c
 
 
-def _antideriv(p: MultiPoly) -> MultiPoly:
-    return p.antiderivative(X)
-
-
 def _eval(p: MultiPoly, v: Fraction) -> Fraction:
     return sum((coef * v**e for e, coef in _powers(p)), Fraction(0))
 
@@ -224,7 +220,7 @@ class PwPoly(Linear):
     def integrate(self) -> Fraction:
         total = Fraction(0)
         for lo, hi, poly in self.segments:
-            prim = _antideriv(poly)
+            prim = poly.antiderivative(X)
             total += _eval(prim, hi) - _eval(prim, lo)
         return total
 
@@ -245,7 +241,7 @@ class PwPoly(Linear):
         cells = list(self.cells)
         const = Fraction(0)
         for k in arc_cells(self.domain(), len(cells)):
-            prim = _antideriv(cells[k])
+            prim = cells[k].antiderivative(X)
             # continuity at the junction (possibly across the wrap): const
             # currently holds the running value at the start of this cell
             const = const - _eval(prim, self.grid[k])

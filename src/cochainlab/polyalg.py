@@ -27,12 +27,21 @@ The variable order lives on the polynomials: each one holds its variables
 in canonical order and carries their ``var_key`` in a tuple that every
 result over the same variables shares.  Aligning two polynomials merges
 those keys, so ``var_key`` parses a name only when a public constructor or
-``extend`` first meets it.
+``extend`` first meets it; an operand over no variables is a constant,
+whose key is the same over any variables, and is never realigned.
+Sums of products are fused: ``MultiPoly.derivation`` (the chain rule,
+sum_v field[v] * d/dv) and ``sum_of_products`` (sum c * a * b) pick one
+union layout, realign each operand at most once and accumulate into one
+numerator dict over one denominator, with one normalisation, and each
+equals the fold of ``+`` and ``*`` from ``MultiPoly.zero()`` that it
+replaces, variables included.
 Ring operations build their results through a trusted constructor that
 skips re-coercing coefficients.  The degree cap is checked wherever a term
-can pass it: by the public constructor, and by products, powers and
-substitutions; sums, negation, scaling, ``extend``, ``diff``,
-``truncated`` and ``defint01`` cannot raise the degree and skip the check.
+can pass it: by the public constructor; by products, powers and
+substitutions; by the fused sums, for every product before any is
+accumulated; and by ``antiderivative``.  Sums, negation, scaling,
+``extend``, ``diff``, ``truncated`` and ``defint01`` cannot raise the
+degree and skip the check.
 The cap keeps every field of a packed monomial from carrying into the
 next, so the public constructor also rejects repeated variables and any
 exponent that is not a non-negative ``int`` before packing.
@@ -318,6 +327,7 @@ def _sum_products(parts: Iterable[Tuple[Sequence[Dict[int, int]], int]],
     get = out.get
     for factors, c in parts:
         if len(factors) < 2:
+            # c times one factor, or the constant c (key 0) for none
             for k, v in (factors[0].items() if factors else ((0, 1),)):
                 prev = get(k)
                 out[k] = c * v if prev is None else prev + c * v
@@ -792,7 +802,7 @@ def sum_of_products(terms: Iterable[Tuple[Union[int, Rat], Union[MultiPoly, int,
             _check_degree(_max_degree(factors[0], n) + _max_degree(factors[1], n))
         products.append((factors, num, den))
     common = math.lcm(*(den for _, _, den in products))
-    parts = [(factors, num * (common // den)) for factors, num, den in products if num]
+    parts = [(factors, num * (common // den)) for factors, num, den in products]
     return _make(vs, keys, *_sum_products(parts, common))
 
 

@@ -39,6 +39,8 @@ the end, and ``ve_closed`` drops it.
 Every infinitesimal action (the covariant derivatives, the Lie derivative
 and d) is a chain-rule derivative along invariant vector fields: a point
 moved to x exp(t xi) has the left-invariant field of xi at x as velocity.
+Each value's derivative is one fused ``MultiPoly.derivation``, and each
+entry of delta one fused sum of its signed faces (``sum_of_products``).
 
 The coefficients V are one ``PolyRep``: its rho = exp(rho_*) twists the
 group side (j-hat, the form picture, the integration map) and its rho_*
