@@ -302,13 +302,13 @@ def _accumulate(out: Dict[int, int], terms: Mapping[int, int]) -> None:
         out[e] = c if prev is None else prev + c
 
 
-def _layout(layouts: Mapping[Tuple[str, ...], tuple]) -> Tuple[Tuple[str, ...], tuple, dict]:
-    """One layout for a fused sum of polynomials over the variable tuples
-    ``layouts`` (each mapped to its ``var_key`` values): their canonical
-    union, its keys, and the field moves of each tuple that must move, so
-    each operand is realigned at most once.  A tuple equal to the union
-    stays, and so does the empty one: its only key is the constant
-    monomial's 0."""
+def _layout(polys: Iterable["MultiPoly"]) -> Tuple[Tuple[str, ...], tuple, dict]:
+    """One layout for a fused sum of ``polys``: the canonical union of their
+    variables, its ``var_key`` values, and the field moves of each variable
+    tuple that must move, so each operand is realigned at most once.  A
+    tuple equal to the union stays, and so does the empty one: its only key
+    is the constant monomial's 0."""
+    layouts = {p.vars: p._keys for p in polys}
     if len(layouts) < 2:
         vs, keys = next(iter(layouts.items()), ((), ()))
         return vs, keys, {}
@@ -317,22 +317,17 @@ def _layout(layouts: Mapping[Tuple[str, ...], tuple]) -> Tuple[Tuple[str, ...], 
     return vs, keys, {src: _field_moves(src, vs) for src in layouts if src and src != vs}
 
 
-def _sum_products(parts: Iterable[Tuple[Sequence[Dict[int, int]], int]],
+def _sum_products(parts: Sequence[Tuple[Dict[int, int], Dict[int, int], int]], n: int,
                   common: int) -> Tuple[Dict[int, int], int]:
-    """The sum over ``parts`` ``(factors, c)`` of c times the product of the
-    numerator dicts ``factors`` (none, one or two, over one layout, their
-    product checked against the cap by the caller), over ``common``, in
-    lowest terms: one dict and one ``_normal`` for the whole sum."""
+    """The sum over ``parts`` ``(na, nb, c)`` of ``na * nb * c / common``, na
+    and nb numerator dicts over one layout of n variables, in lowest terms:
+    every product's degree is checked before any is accumulated, and the
+    whole sum takes one dict and one ``_normal``."""
+    for na, nb, _ in parts:
+        _check_degree(_max_degree(na, n) + _max_degree(nb, n))
     out: Dict[int, int] = {}
     get = out.get
-    for factors, c in parts:
-        if len(factors) < 2:
-            # c times one factor, or the constant c (key 0) for none
-            for k, v in (factors[0].items() if factors else ((0, 1),)):
-                prev = get(k)
-                out[k] = c * v if prev is None else prev + c * v
-            continue
-        na, nb = factors
+    for na, nb, c in parts:
         if len(na) > len(nb):
             na, nb = nb, na
         for ka, ca in na.items():
@@ -633,10 +628,7 @@ class MultiPoly:
                  for v, f in field.items() if v in vs and raised >> self._field(v) & _FIELD_MASK]
         if not moved:
             return MultiPoly.zero()
-        layouts = {vs: self._keys}
-        for _, f in moved:
-            layouts[f.vars] = f._keys
-        out_vars, keys, moves = _layout(layouts)
+        out_vars, keys, moves = _layout([self] + [f for _, f in moved])
         m = len(out_vars)
         num = self._num if vs not in moves else _moved(self._num, *moves[vs])
         # one less in v's field and in the degree field
@@ -646,12 +638,11 @@ class MultiPoly:
             at = _FIELD * (m - 1 - out_vars.index(v))
             step = (1 << at) + top
             dc = {key - step: c * e for key, c in num.items() if (e := key >> at & _FIELD_MASK)}
-            fnum = f._num if f.vars not in moves else _moved(f._num, *moves[f.vars])
-            _check_degree(_max_degree(dc, m) + _max_degree(fnum, m))
-            derivs.append((dc, fnum, f._den))
+            derivs.append((dc, f._num if f.vars not in moves else _moved(f._num, *moves[f.vars]),
+                           f._den))
         common = math.lcm(*(den for _, _, den in derivs))
-        parts = [((dc, fnum), common // den) for dc, fnum, den in derivs]
-        return _make(out_vars, keys, *_sum_products(parts, common * self._den))
+        parts = [(dc, fnum, common // den) for dc, fnum, den in derivs]
+        return _make(out_vars, keys, *_sum_products(parts, m, common * self._den))
 
     def truncated(self, degree: int) -> "MultiPoly":
         """The terms of total degree at most ``degree``."""
@@ -777,16 +768,10 @@ def sum_of_products(terms: Iterable[Tuple[Union[int, Rat], Union[MultiPoly, int,
     checks, made before any product is accumulated; a caller that skips
     zero terms skips them before calling."""
     terms = list(terms)
-    layouts = {}
-    for _, a, b in terms:
-        if isinstance(a, MultiPoly):
-            layouts[a.vars] = a._keys
-        if isinstance(b, MultiPoly):
-            layouts[b.vars] = b._keys
-    vs, keys, moves = _layout(layouts)
-    n = len(vs)
-    # each product as the numerators of its polynomial factors over the
-    # layout, times c and its rational factors over a denominator
+    vs, keys, moves = _layout(x for _, a, b in terms for x in (a, b) if isinstance(x, MultiPoly))
+    # each product as the numerators of its factors over the layout, a
+    # rational factor being the constant 1 (key 0) with its value moved
+    # into the product's numerator and denominator
     products = []
     for c, a, b in terms:
         num, den = c.numerator, c.denominator
@@ -796,14 +781,13 @@ def sum_of_products(terms: Iterable[Tuple[Union[int, Rat], Union[MultiPoly, int,
                 factors.append(x._num if x.vars not in moves else _moved(x._num, *moves[x.vars]))
                 den *= x._den
             else:
+                factors.append({0: 1})
                 num *= x.numerator
                 den *= x.denominator
-        if len(factors) == 2:
-            _check_degree(_max_degree(factors[0], n) + _max_degree(factors[1], n))
-        products.append((factors, num, den))
-    common = math.lcm(*(den for _, _, den in products))
-    parts = [(factors, num * (common // den)) for factors, num, den in products]
-    return _make(vs, keys, *_sum_products(parts, common))
+        products.append((*factors, num, den))
+    common = math.lcm(*(den for *_, den in products))
+    parts = [(na, nb, num * (common // den)) for na, nb, num, den in products]
+    return _make(vs, keys, *_sum_products(parts, len(vs), common))
 
 
 # ---------------------------------------------------------------------------

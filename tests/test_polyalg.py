@@ -521,21 +521,24 @@ def test_packed_fields_hold_the_degree_cap(monkeypatch):
     for got, (vs, ref_terms) in fused:
         assert max(map(sum, got.terms)) == DEGREE_CAP
         assert got.vars == vs and got.terms == ref_terms
-    # one past the cap raises, naming the degree it would reach; the fused
-    # kernels check every product before they accumulate any
+    # one past the cap raises, naming the degree it would reach
     past = f"total degree {DEGREE_CAP + 1} exceeds cap {DEGREE_CAP}"
-    accumulated = []
-    original = polyalg._sum_products
-    monkeypatch.setattr(polyalg, "_sum_products",
-                        lambda *args: accumulated.append(args) or original(*args))
     for build in (lambda: x ** DEGREE_CAP * y, lambda: (x * y) ** 12 * (g + 1),
                   lambda: (x ** 5) ** 5, lambda: (x ** 23 * y).subst({"y_1": y * g}),
-                  lambda: p.derivation({"y_1": 1, "t1": g ** 6 * y}),
-                  lambda: sum_of_products([(1, x, y), (2, x ** 12 * g, y ** 12)]),
                   lambda: (x ** 23 * y).antiderivative("g1_1")):
         with pytest.raises(DegreeOverflowError, match=past):
             build()
-    assert accumulated == []
+    # the fused kernels check every product before they form any: unlike
+    # the folds, which normalise each product as they go, they raise
+    # without normalising one
+    field, terms = {"y_1": 1, "t1": g ** 6 * y}, [(1, x, y), (2, x ** 12 * g, y ** 12)]
+    normalised = []
+    original = polyalg._normal
+    monkeypatch.setattr(polyalg, "_normal", lambda *args: normalised.append(args) or original(*args))
+    for build in (lambda: p.derivation(field), lambda: sum_of_products(terms)):
+        with pytest.raises(DegreeOverflowError, match=past):
+            build()
+    assert normalised == []
     # an operand over no variables takes the other's layout as it is
     wide = functools.reduce(operator.mul, map(MultiPoly.var, VARS)) + g - 1
     for const in (MultiPoly.const(Fraction(-3, 2)), MultiPoly.zero()):
