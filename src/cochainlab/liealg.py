@@ -75,7 +75,7 @@ class LieAlgebra:
         """Bracket of coefficient vectors; works for Fractions and for any
         ring elements supporting + and * with Fractions (e.g. MultiPoly).
         Only the nonzero structure constants are visited."""
-        out = [u[0] * 0 for _ in range(self.dim)]
+        out = [u[0] * 0] * self.dim
         for i, j, entries in self._nonzero_constants:
             if is_zero(u[i]) or is_zero(v[j]):
                 continue

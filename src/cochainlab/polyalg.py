@@ -167,7 +167,10 @@ def format_rat(r: Rat) -> str:
 # every product, power and substitution, so keys add as exponents do (a
 # product's key is the sum of its factors'), no field carries into the
 # next, and keys order as (total degree, exponents) do.  The constant
-# monomial is key 0 over any variables.
+# monomial is key 0 over any variables.  Realigning a key, and renaming its
+# variables in a substitution, move each field to the field of its new
+# variable (``_field_moves``); fields that land on one field add, and their
+# sum is at most the term's degree, so it cannot carry either.
 
 #: Bits of one field of a packed monomial.
 _FIELD = 5
@@ -194,15 +197,17 @@ def _unpack(key: int, n: int) -> Exponent:
     return tuple([key >> at & _FIELD_MASK for at in range(_FIELD * (n - 1), -1, -_FIELD)])
 
 
-def _field_moves(src: Tuple[str, ...], dst: Tuple[str, ...]) -> Tuple[List[Tuple[int, int]], int]:
+def _field_moves(src: Tuple[str, ...], dst: Tuple[str, ...],
+                 rename: Mapping[str, str] = {}) -> Tuple[List[Tuple[int, int]], int]:
     """How a key over the variables ``src`` becomes one over ``dst``, both in
-    canonical order: each variable of src that dst holds moves to its field
-    there, the others are dropped (their fields must be zero), and the
-    degree field goes along.  Returns ``(moves, lift)``: the key k becomes
-    the sum of ``(k & mask) << left`` over the moves ``(mask, left)``,
-    shifted right by ``lift``.  One move carries each run of fields, one
-    after another in src, that move by the same amount, so a realignment
-    costs a few operations per term."""
+    canonical order: each variable v of src moves to the field of
+    ``rename.get(v, v)`` if dst holds it, the others are dropped (their
+    fields must be zero), and the degree field goes along.  Returns
+    ``(moves, lift)``: the key k becomes the sum of ``(k & mask) << left``
+    over the moves ``(mask, left)``, shifted right by ``lift``.  One move
+    carries each run of fields, one after another in src, that move by the
+    same amount, so a realignment costs a few operations per term.  Fields
+    renamed onto one field add their exponents."""
     n, m = len(src), len(dst)
     at = _FIELD * n
     # the run of the degree field
@@ -210,12 +215,11 @@ def _field_moves(src: Tuple[str, ...], dst: Tuple[str, ...]) -> Tuple[List[Tuple
     moves = []
     # a field that moves right makes every move lift by that much
     lift = max(0, -shift)
-    j = -1
     for v in src:
         at -= _FIELD
+        v = rename.get(v, v)
         if v in dst:
-            j = dst.index(v, j + 1)
-            s = _FIELD * (m - 1 - j) - at
+            s = _FIELD * (m - 1 - dst.index(v)) - at
             if s != shift:
                 moves.append((mask, shift))
                 mask, shift = 0, s
@@ -231,13 +235,17 @@ def _field_moves(src: Tuple[str, ...], dst: Tuple[str, ...]) -> Tuple[List[Tuple
 def _moved(num: Dict[int, int], moves: Sequence[Tuple[int, int]], lift: int,
            base: int = 0) -> Dict[int, int]:
     """``num`` with every key carried by ``_field_moves``' ``moves`` and
-    ``lift``, plus ``base``."""
-    out = {}
+    ``lift``, plus ``base``; keys that land on one key add their
+    numerators, and cancelled ones stay in as zeros."""
+    out: Dict[int, int] = {}
+    get = out.get
     for key, coef in num.items():
         new = 0
         for mask, left in moves:
-            new |= (key & mask) << left
-        out[(new >> lift) + base] = coef
+            new += (key & mask) << left
+        new = (new >> lift) + base
+        prev = get(new)
+        out[new] = coef if prev is None else prev + coef
     return out
 
 
@@ -653,63 +661,74 @@ class MultiPoly:
     def subst(self, assignment: Mapping[str, Union["MultiPoly", int, Rat]]) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables pass through.
 
-        Terms are grouped by their exponents in the substituted variables,
-        and each power of a substituted value is computed once per call.
-        A group's numerators times its factors' lie over the product of
-        the factors' denominators; the groups are summed over the lcm of
-        those."""
+        A value that is one variable with coefficient 1 renames: the
+        exponents it replaces move to that variable's field along with the
+        passthrough ones, with no power or product, and terms that land on
+        one term add.  Terms are grouped by their exponents in the other
+        substituted variables, and each power of such a value is computed
+        once per call.  A group's numerators times its factors' lie over the
+        product of the factors' denominators; the groups are summed over the
+        lcm of those."""
         vs = self.vars
         n = len(vs)
-        values = {
-            v: p if isinstance(p, MultiPoly) else MultiPoly.const(p)
-            for v, p in assignment.items() if v in vs
-        }
-        if not values:
-            return self
-        keep = [i for i, v in enumerate(vs) if v not in values]
-        subbed = [i for i, v in enumerate(vs) if v in values]
-        at = [_FIELD * (n - 1 - i) for i in subbed]
-        # The result lives over the canonical union of the passthrough
-        # variables and those of every factor some term raises to a positive
-        # power.
         raised = functools.reduce(operator.or_, self._num, 0)
-        used = {j: values[vs[i]] for j, (i, a) in enumerate(zip(subbed, at))
-                if raised >> a & _FIELD_MASK}
-        out_keys = tuple(sorted({self._keys[i] for i in keep}.union(
-            *(f._keys for f in used.values()))))
+        # The result lives over the canonical union of the passthrough
+        # variables and those of every value some term raises to a positive
+        # power.  A raised value that renames is one term of degree 1 with
+        # numerator and denominator 1, the lowest set bit of whose key lies
+        # in its variable's field; the others are factors.
+        subbed, value_keys, rename, factors = [], [], {}, []
+        for v, f in assignment.items():
+            if v not in vs:
+                continue
+            subbed.append(v)
+            at = _FIELD * (n - 1 - vs.index(v))
+            if not raised >> at & _FIELD_MASK:
+                continue
+            f = f if isinstance(f, MultiPoly) else MultiPoly.const(f)
+            value_keys.append(f._keys)
+            key, c = next(iter(f._num.items())) if len(f._num) == 1 else (0, 0)
+            if c == 1 and f._den == 1 and key >> _FIELD * len(f.vars) == 1:
+                rename[v] = f.vars[-1 - ((key & -key).bit_length() - 1) // _FIELD]
+            else:
+                factors.append((at, f))
+        if not subbed:
+            return self
+        out_keys = tuple(sorted({k for k, v in zip(self._keys, vs) if v not in subbed}.union(
+            *value_keys)))
         out_vars = tuple(k[-1] for k in out_keys)
         m = len(out_vars)
-        # Terms are grouped by their substituted fields; the rest keeps its
-        # degree field.  A term that raises a zero value vanishes.
-        sig_mask = sum(_FIELD_MASK << a for a in at)
-        zero_mask = sum(_FIELD_MASK << at[j] for j, f in used.items() if not f._num)
+        factors = [(at, f._reindexed(out_vars, out_keys)) for at, f in factors]
+        # Terms are grouped by the fields of their factors; the rest keeps
+        # its degree field.  A term that raises a zero value vanishes.
+        sig_mask = sum(_FIELD_MASK << a for a, _ in factors)
+        zero_mask = sum(_FIELD_MASK << a for a, f in factors if not f._num)
         groups: Dict[int, Dict[int, int]] = {}
         for key, coef in self._num.items():
             if not key & zero_mask:
                 sig = key & sig_mask
                 groups.setdefault(sig, {})[key - sig] = coef
-        # the passthrough part of a term is over self's variables, with its
-        # substituted fields zero, and moves to the result's
-        moves, lift = _field_moves(vs, out_vars)
-        # each value over the result's variables, once, its degree there
-        # less 1, and its powers
-        over_out = {j: f._reindexed(out_vars, out_keys) for j, f in used.items()}
-        excess = {j: _max_degree(f._num, m) - 1 for j, f in over_out.items()}
+        # the passthrough and renamed part of a term is over self's
+        # variables, with its factors' fields zero, and moves to the
+        # result's
+        moves, lift = _field_moves(vs, out_vars, rename)
+        # each factor's degree over the result's variables less 1
+        excess = [_max_degree(f._num, m) - 1 for _, f in factors]
         powers: Dict[Tuple[int, int], MultiPoly] = {}
         out: Dict[int, int] = {}
         out_den = 1
         for sig, part in groups.items():
-            exps = [(j, e) for j, a in enumerate(at) if (e := sig >> a & _FIELD_MASK)]
+            exps = [(j, e) for j, (a, _) in enumerate(factors) if (e := sig >> a & _FIELD_MASK)]
             # each exponent e of a value of degree k adds e (k - 1) to the
             # degree of the group's top term
             _check_degree((max(part) >> _FIELD * n) + sum([e * excess[j] for j, e in exps]))
-            # the degree field still counts the substituted exponents
+            # the degree field still counts the factors' exponents
             terms = _moved(part, moves, lift, -sum([e for _, e in exps]) << _FIELD * m)
             den = 1
             for j, e in exps:
                 f = powers.get((j, e))
                 if f is None:
-                    f = powers[j, e] = over_out[j] ** e
+                    f = powers[j, e] = factors[j][1] ** e
                 terms = _product(terms, f._num)
                 den *= f._den
             if den != out_den:

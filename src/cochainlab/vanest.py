@@ -175,11 +175,9 @@ def bg_h(psi: BigradedElement) -> BigradedElement:
     ys = fiber_vars(n)
     sub: Dict[str, object] = dict(zip(slot_vars(p, n), map(MultiPoly.var, ys)))
     sub.update(dict.fromkeys(ys, Fraction(0)))
-    sgn = (-1) ** p
-    out = {
-        idx: tuple(c.subst(sub) * sgn for c in vec) for idx, vec in psi.comps.items()
-    }
-    return BigradedElement(group, psi.rep, p - 1, psi.q, out)
+    out = {idx: tuple(c.subst(sub) for c in vec) for idx, vec in psi.comps.items()}
+    h = BigradedElement(group, psi.rep, p - 1, psi.q, out)
+    return -h if p % 2 else h
 
 
 def bg_d(psi: BigradedElement) -> BigradedElement:
@@ -191,9 +189,8 @@ def bg_d(psi: BigradedElement) -> BigradedElement:
     ys = fiber_vars(group.dim)
     moves = [(dict(zip(ys, field)), twist) for field, twist in zip(group.frame, inf.matrices)]
     raw = ce_diff_comps(group.algebra, psi.q, psi.comps, lambda j, vec: _act(vec, *moves[j]))
-    sgn = (-1) ** psi.p
-    out = {idx: tuple(c * sgn for c in vec) for idx, vec in raw.items()}
-    return BigradedElement(group, psi.rep, psi.p, psi.q + 1, out)
+    d = BigradedElement(group, psi.rep, psi.p, psi.q + 1, raw)
+    return -d if psi.p % 2 else d
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +250,8 @@ def bg_k(psi: BigradedElement) -> BigradedElement:
     applied in the form picture.  Vanishes on q = 0."""
     if psi.q == 0:
         return BigradedElement.zero(psi.group, psi.rep, psi.p, -1)
-    sgn = (-1) ** psi.p
-    tforms = tuple(homotopy_T(f) * sgn for f in frame_convert(psi).forms)
+    tforms = tuple(-homotopy_T(f) if psi.p % 2 else homotopy_T(f)
+                   for f in frame_convert(psi).forms)
     return FormPicture(psi.group, psi.rep, psi.p, psi.q - 1, tforms).components()
 
 

@@ -11,6 +11,7 @@ from cochainlab.polyalg import (
     DegreeOverflowError,
     MultiPoly,
     canonical_vars,
+    fiber_vars,
     format_rat,
     identity,
     mat_add,
@@ -18,6 +19,8 @@ from cochainlab.polyalg import (
     mat_scale,
     mat_vec,
     rref,
+    slot_shift,
+    slot_vars,
     sort_sign,
     sum_of_products,
     to_string,
@@ -92,6 +95,55 @@ def test_subst_is_simultaneous():
     assert swapped == p
     shifted = (x + y).subst({"y_1": y, "y_2": x + y})
     assert shifted == x + y * 2
+
+
+def test_renamings_match_the_reference_substitution():
+    x, y, t = MultiPoly.var("y_1"), MultiPoly.var("y_2"), MultiPoly.var("t1")
+    cases = [
+        # onto a passthrough variable: y_1 y_2 -> y_2^2
+        (x * y, {"y_1": y}),
+        # two renames onto one target, whose exponents add
+        (x * t ** 2 + t * x * Fraction(1, 3) - 3, {"y_1": y, "t1": y}),
+        # a swap
+        (x ** 2 * y + 2 * y, {"y_1": y, "y_2": x}),
+        # a rename beside a polynomial value of the renamed target
+        (x * y ** 2 + x + y, {"y_1": y, "y_2": x * x}),
+        # renames beside a real substitution, landing on one term
+        (x * t + y * t ** 2 * Fraction(1, 2), {"y_1": t, "y_2": y, "t1": t * Fraction(1, 2) + 1}),
+        # a collision that cancels: zero over the passthrough variable
+        (x - y, {"y_1": y}),
+    ]
+    for p, assignment in cases:
+        got = p.subst(assignment)
+        vs, terms = _ref_subst(_pair(p), {v: _pair(f) for v, f in assignment.items()})
+        assert got.vars == vs and got.terms == terms
+    assert (x * y).subst({"y_1": y}) == y ** 2
+    cancelled = (x - y).subst({"y_1": y})
+    assert cancelled.is_zero() and cancelled.vars == ("y_2",)
+
+
+def test_renamings_form_no_products_or_powers(monkeypatch):
+    import cochainlab.polyalg as polyalg
+
+    n = 2
+    names = slot_vars(1, n) + slot_vars(2, n) + fiber_vars(n)
+    p = MultiPoly(names, {(1, 0, 2, 0, 0, 1): Fraction(3, 2), (0, 1, 0, 1, 2, 0): -1,
+                          (0, 0, 1, 0, 0, 0): 4, (0, 0, 0, 0, 0, 0): 5, (2, 0, 0, 1, 0, 0): 7})
+    # face 0 of the group coboundary, and bg_h at p = 2: slot 2 reads the
+    # fiber point, which reads 0
+    face = slot_shift("g", 1, 2, n)
+    contract = dict(zip(slot_vars(2, n), map(MultiPoly.var, fiber_vars(n))))
+    contract.update(dict.fromkeys(fiber_vars(n), Fraction(0)))
+
+    def forbidden(*args):
+        raise AssertionError("a renaming went through a product or a power")
+
+    monkeypatch.setattr(polyalg, "_product", forbidden)
+    monkeypatch.setattr(MultiPoly, "__pow__", forbidden)
+    for assignment in (face, contract):
+        got = p.subst(assignment)
+        vs, terms = _ref_subst(_pair(p), {v: _operand(f) for v, f in assignment.items()})
+        assert got.vars == vs and got.terms == terms
 
 
 def test_eval_at():
@@ -394,10 +446,23 @@ def raw_polys(draw):
     return MultiPoly(vs, draw(st.dictionaries(exps, rationals, max_size=4)))
 
 
+@st.composite
+def bare_vars(draw):
+    """A variable of VARS with coefficient 1: a renaming when substituted,
+    over that variable alone or over more of VARS at exponent zero."""
+    w = draw(st.sampled_from(VARS))
+    if draw(st.booleans()):
+        return MultiPoly.var(w)
+    vs = draw(st.permutations(VARS))[: draw(st.integers(1, 4))]
+    vs = vs if w in vs else vs + [w]
+    return MultiPoly(vs, {tuple(int(v == w) for v in vs): 1})
+
+
 any_polys = st.one_of(polys(), raw_polys())
-#: Values of a substitution or a vector field: polynomials and small ints.
-values = st.dictionaries(st.sampled_from(VARS), st.one_of(any_polys, st.integers(-2, 2)),
-                         max_size=3)
+#: Values of a substitution or a vector field: polynomials, renamings and
+#: small ints.
+values = st.dictionaries(st.sampled_from(VARS),
+                         st.one_of(any_polys, bare_vars(), st.integers(-2, 2)), max_size=3)
 #: Terms ``(c, a, b)`` of a sum of products, scalars and polynomials mixed.
 products = st.lists(st.tuples(st.one_of(st.integers(-2, 2), rationals),
                               st.one_of(any_polys, rationals), st.one_of(any_polys, rationals)),
