@@ -671,17 +671,19 @@ class MultiPoly:
         lcm of those."""
         vs = self.vars
         n = len(vs)
+        kept = {k for k, v in zip(self._keys, vs) if v not in assignment}
+        if len(kept) == n:
+            return self
         raised = functools.reduce(operator.or_, self._num, 0)
         # The result lives over the canonical union of the passthrough
         # variables and those of every value some term raises to a positive
         # power.  A raised value that renames is one term of degree 1 with
         # numerator and denominator 1, the lowest set bit of whose key lies
         # in its variable's field; the others are factors.
-        subbed, value_keys, rename, factors = [], [], {}, []
+        value_keys, rename, factors = [], {}, []
         for v, f in assignment.items():
             if v not in vs:
                 continue
-            subbed.append(v)
             at = _FIELD * (n - 1 - vs.index(v))
             if not raised >> at & _FIELD_MASK:
                 continue
@@ -692,10 +694,7 @@ class MultiPoly:
                 rename[v] = f.vars[-1 - ((key & -key).bit_length() - 1) // _FIELD]
             else:
                 factors.append((at, f))
-        if not subbed:
-            return self
-        out_keys = tuple(sorted({k for k, v in zip(self._keys, vs) if v not in subbed}.union(
-            *value_keys)))
+        out_keys = tuple(sorted(kept.union(*value_keys)))
         out_vars = tuple(k[-1] for k in out_keys)
         m = len(out_vars)
         factors = [(at, f._reindexed(out_vars, out_keys)) for at, f in factors]

@@ -132,15 +132,15 @@ def test_renamings_form_no_products_or_powers(monkeypatch):
     # face 0 of the group coboundary, and bg_h at p = 2: slot 2 reads the
     # fiber point, which reads 0
     face = slot_shift("g", 1, 2, n)
-    contract = dict(zip(slot_vars(2, n), map(MultiPoly.var, fiber_vars(n))))
-    contract.update(dict.fromkeys(fiber_vars(n), Fraction(0)))
+    to_fiber = dict(zip(slot_vars(2, n), map(MultiPoly.var, fiber_vars(n))))
+    to_fiber.update(dict.fromkeys(fiber_vars(n), Fraction(0)))
 
     def forbidden(*args):
         raise AssertionError("a renaming went through a product or a power")
 
     monkeypatch.setattr(polyalg, "_product", forbidden)
     monkeypatch.setattr(MultiPoly, "__pow__", forbidden)
-    for assignment in (face, contract):
+    for assignment in (face, to_fiber):
         got = p.subst(assignment)
         vs, terms = _ref_subst(_pair(p), {v: _operand(f) for v, f in assignment.items()})
         assert got.vars == vs and got.terms == terms
