@@ -33,12 +33,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .polyalg import (
-    SCALARS, VECTORS, Linear, add_into, clear_denominators, identity, integer_rref, mat_mul,
-    mat_vec, sparse,
+    SCALARS, Linear, ValueKind, add_into, clear_denominators, identity, integer_rref, mat_mul,
+    sparse,
 )
 
 Bidegree = Tuple[int, int]
@@ -57,15 +56,71 @@ class NonTermination(PerturbError):
 # Elements
 
 
+def _scaled(rows, den: int):
+    """Integer ``rows`` over ``den`` in lowest terms: the rows as tuples over
+    a positive denominator that shares no factor with all of them; zero is
+    over 1.  A factor matrix and a payload's numerators are kept so."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    g = -g if den < 0 else g
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def _lowest(nums: Sequence[int], den: int):
+    """``_scaled`` for one row of numerators."""
+    (nums,), den = _scaled((nums,), den)
+    return nums, den
+
+
+def _add(a, b):
+    """The sum of two numerator tuples over their denominators, over the
+    lcm of the two."""
+    (x, dx), (y, dy) = a, b
+    den = math.lcm(dx, dy)
+    fx, fy = den // dx, den // dy
+    return _lowest([u * fx + v * fy for u, v in zip(x, y)], den)
+
+
+def _scale(a, c):
+    """Numerators over a denominator times the rational c."""
+    c = Fraction(c)
+    return _lowest([x * c.numerator for x in a[0]], a[1] * c.denominator)
+
+
 class Vec(Linear):
     """Exact rational coordinate vector at bidegree (p, q); the payload
-    type of matrix-model instances."""
+    type of matrix-model instances.
 
-    __slots__ = ("p", "q", "entries")
-    _kind = VECTORS
+    Stored like ``MultiPoly``: ``_ints`` is a tuple of integer numerators
+    over one positive denominator, in lowest terms, and zero is over 1.  So
+    sums, negations, scalings and zero tests make no ``Fraction``, and
+    ``entries`` is the read-only tuple of the ``Fraction``s they stand for.
+    ``Vec(p, q, entries)`` takes rationals, and copies and pickles rerun it.
+    """
+
+    __slots__ = ("p", "q", "_ints")
+    _kind = ValueKind(_add, lambda a: (tuple(-x for x in a[0]), a[1]), _scale,
+                      lambda a: not any(a[0]))
+
+    def __init__(self, p: int, q: int, entries: Sequence[Fraction]):
+        super().__init__(p, q, _lowest(*clear_denominators(entries)))
+
+    @staticmethod
+    def over(p: int, q: int, nums: Sequence[int], den: int) -> "Vec":
+        """The Vec ``nums / den`` at (p, q), for a nonzero ``den``."""
+        out = object.__new__(Vec)
+        Linear.__init__(out, p, q, _lowest(nums, den))
+        return out
+
+    @property
+    def entries(self) -> Tuple[Fraction, ...]:
+        nums, den = self._ints
+        return tuple(Fraction(x, den) for x in nums)
 
     def _shape(self):
-        return self.p, self.q, len(self.entries)
+        return self.p, self.q, len(self._ints[0])
+
+    def __reduce__(self):
+        return Vec, (self.p, self.q, self.entries)
 
     def __repr__(self):
         return f"Vec(p={self.p!r}, q={self.q!r}, entries={self.entries!r})"
@@ -393,19 +448,11 @@ def verify_instance(inst: DoubleComplexInstance, seed: int = 0, trials: int = 25
 # Matrix-model instance: an exact finite-dimensional oracle
 
 
-#: The zero of the model's rational coordinates.
-_ZERO = Fraction(0)
-
 # A factor matrix of the model is ``(rows, den)``: integer rows and one
-# positive denominator, standing for rows / den, in lowest terms.  Products
-# go through the matrix kernel over ``int`` and normalise once per matrix.
-
-
-def _scaled(rows, den: int):
-    """``rows / den`` as a factor matrix in lowest terms."""
-    g = math.gcd(den, *(x for row in rows for x in row))
-    g = -g if den < 0 else g
-    return tuple(tuple(x // g for x in row) for row in rows), den // g
+# positive denominator, standing for rows / den, in lowest terms, like a
+# ``Vec``'s numerators.  Products of factor matrices, and their images of
+# payloads (``_image``), go through the matrix kernel over ``int`` and
+# normalise once per result; no step makes a ``Fraction``.
 
 
 def _product(*mats):
@@ -416,14 +463,22 @@ def _product(*mats):
     return _scaled(rows, den)
 
 
-def _apply(mat, v: Sequence[Fraction]) -> List[Fraction]:
-    """A factor matrix applied to rational coordinates: their denominators
-    are cleared once, the integer product is taken, and each output entry
-    is divided once."""
-    rows, den = mat
-    ints, scale = clear_denominators(v)
-    den *= scale
-    return [Fraction(x, den) for x in mat_vec(rows, ints, 0)]
+def _image(x: Vec, na: int, nb: int, p: int, q: int, a=None, b=None, sign: int = 1) -> Vec:
+    """``sign`` times the image at (p, q) of the payload x under a factor
+    map: x is the integer matrix V of size na x nb over its denominator,
+    stored row-major (entry i * nb + j in row i, column j); a factor
+    matrix ``a`` acting on the rows' side takes it to a V, and one ``b``
+    on the columns' side to V b^T.  One integer product through the matrix
+    kernel, normalised once."""
+    nums, den = x._ints
+    if len(nums) != na * nb:
+        raise ValueError(f"a payload at {(x.p, x.q)} must have {na * nb} entries, not {len(nums)}")
+    rows, mat_den = a or b
+    if not nums:  # nothing to multiply over: the image is zero
+        return Vec.over(p, q, [0] * (len(rows) * (nb if a else na)), 1)
+    v = [nums[i * nb : (i + 1) * nb] for i in range(na)]
+    out = mat_mul(rows, v, 0) if a else mat_mul(v, list(zip(*rows)), 0)
+    return Vec.over(p, q, [c for row in out for c in row], sign * den * mat_den)
 
 
 def _rand_invertible(rng: random.Random, n: int):
@@ -459,8 +514,7 @@ class _BasedComplex:
     """Cochain complex of rational vector spaces with an exact contraction
     onto its degree-0 homology summand X of dimension _X_DIM: [h, d] = 1 - i p,
     p i = 1, and (by construction) h i = 0, h h = 0, p h = 0.  Each map is
-    a factor matrix, integer rows over one positive denominator; the maps
-    take and return rational coordinate sequences."""
+    a factor matrix, integer rows over one positive denominator."""
 
     dims: Tuple[int, ...]
     d_mats: Tuple  # d_mats[p]: dims[p] -> dims[p+1]
@@ -471,24 +525,12 @@ class _BasedComplex:
     def dim(self, p: int) -> int:
         return self.dims[p] if 0 <= p < len(self.dims) else 0
 
-    def zero(self, p: int) -> List[Fraction]:
-        return [_ZERO] * self.dim(p)
-
-    def d(self, p: int, v: Sequence[Fraction]) -> List[Fraction]:
-        if 0 <= p < len(self.dims) - 1:
-            return _apply(self.d_mats[p], v)
-        return self.zero(p + 1)
-
-    def h(self, p: int, v: Sequence[Fraction]) -> List[Fraction]:
-        if 1 <= p < len(self.dims):
-            return _apply(self.h_mats[p], v)
-        return self.zero(p - 1)
-
-    def proj(self, v: Sequence[Fraction]) -> List[Fraction]:
-        return _apply(self.p_mat, v)
-
-    def inc(self, v: Sequence[Fraction]) -> List[Fraction]:
-        return _apply(self.i_mat, v)
+    def at(self, mats: Tuple, p: int, shift: int):
+        """``mats[p]`` of ``d_mats`` (shift 1) or ``h_mats`` (shift -1), or
+        outside the complex the zero map to degree p + shift."""
+        if 0 <= p < len(mats) and mats[p] is not None:
+            return mats[p]
+        return [[0] * self.dim(p)] * self.dim(p + shift), 1
 
 
 def _inverse(a):
@@ -557,50 +599,40 @@ def matrix_instance(seed: int = 0, max_p: int = 3) -> DoubleComplexInstance:
     A = random_based_complex(rng, max_p + 2)
     B = random_based_complex(rng, max_q + 2)
 
-    # A payload of A^p (x) B^q is stored row-major: entry i * nb + j holds
-    # the A-coordinate i and the B-coordinate j.  X elements sit at (0, q)
-    # and Y elements at (p, 0), with the _X_DIM-dimensional X in place of
-    # A^0, respectively of B^0.  Each applier maps coordinates and takes the
-    # dimension of the factor it leaves alone.
-    def on_a(op, v, nb):
-        cols = [op(v[j::nb]) for j in range(nb)]
-        return tuple(c for row in zip(*cols) for c in row)
-
-    def on_b(op, v, na):
-        nb = len(v) // na if na else 0
-        return tuple(c for i in range(na) for c in op(v[i * nb : (i + 1) * nb]))
-
+    # A payload of A^p (x) B^q is the A.dim(p) x B.dim(q) matrix that
+    # ``_image`` reads; X elements sit at (0, q) and Y elements at (p, 0),
+    # with the _X_DIM-dimensional X in place of A^0, respectively of B^0.
     def delta(x):
-        return Vec(x.p + 1, x.q, on_a(partial(A.d, x.p), x.entries, B.dim(x.q)))
+        return _image(x, A.dim(x.p), B.dim(x.q), x.p + 1, x.q, a=A.at(A.d_mats, x.p, 1))
 
     def d(x):
-        out = Vec(x.p, x.q + 1, on_b(partial(B.d, x.q), x.entries, A.dim(x.p)))
-        return -out if x.p % 2 else out
+        b = B.at(B.d_mats, x.q, 1)
+        return _image(x, A.dim(x.p), B.dim(x.q), x.p, x.q + 1, b=b, sign=(-1) ** (x.p % 2))
 
     def h(x):
-        return Vec(x.p - 1, x.q, on_a(partial(A.h, x.p), x.entries, B.dim(x.q)))
+        return _image(x, A.dim(x.p), B.dim(x.q), x.p - 1, x.q, a=A.at(A.h_mats, x.p, -1))
 
     def k(x):
-        out = Vec(x.p, x.q - 1, on_b(partial(B.h, x.q), x.entries, A.dim(x.p)))
-        return -out if x.p % 2 else out
+        b = B.at(B.h_mats, x.q, -1)
+        return _image(x, A.dim(x.p), B.dim(x.q), x.p, x.q - 1, b=b, sign=(-1) ** (x.p % 2))
 
     def p_proj(x):
-        return Vec(0, x.q, on_a(A.proj, x.entries, B.dim(x.q)))
+        return _image(x, A.dim(0), B.dim(x.q), 0, x.q, a=A.p_mat)
 
     def i_inc(xe):
-        return Vec(0, xe.q, on_a(A.inc, xe.entries, B.dim(xe.q)))
+        return _image(xe, _X_DIM, B.dim(xe.q), 0, xe.q, a=A.i_mat)
 
     def q_proj(x):
-        return Vec(x.p, 0, on_b(B.proj, x.entries, A.dim(x.p)))
+        return _image(x, A.dim(x.p), B.dim(0), x.p, 0, b=B.p_mat)
 
     def j_inc(ye):
-        return Vec(ye.p, 0, on_b(B.inc, ye.entries, A.dim(ye.p)))
+        return _image(ye, A.dim(ye.p), _X_DIM, ye.p, 0, b=B.i_mat)
 
     def d_x(xe):
-        return Vec(0, xe.q + 1, on_b(partial(B.d, xe.q), xe.entries, _X_DIM))
+        return _image(xe, _X_DIM, B.dim(xe.q), 0, xe.q + 1, b=B.at(B.d_mats, xe.q, 1))
 
     def delta_y(ye):
-        return Vec(ye.p + 1, 0, on_a(partial(A.d, ye.p), ye.entries, _X_DIM))
+        return _image(ye, A.dim(ye.p), _X_DIM, ye.p + 1, 0, a=A.at(A.d_mats, ye.p, 1))
 
     def draw(rng2, p, q, n):
         return Vec(p, q, tuple(rng2.choice(SAMPLE_COEFFS) for _ in range(n)))

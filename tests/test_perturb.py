@@ -9,11 +9,13 @@ import pytest
 
 from cochainlab.cech_derham import CechForm, cech_instance
 from cochainlab.nilgroup import build_group
+from cochainlab import perturb
 from cochainlab.perturb import (
     Graded,
     NonTermination,
     Vec,
     ZigzagTrace,
+    _image,
     _inverse,
     _rand_invertible,
     graded_perturbed_h,
@@ -94,26 +96,206 @@ def _fractions(mat):
 
 
 def _factor_maps(cx):
-    """(factor matrix, the map that applies it) for every map of a based
-    complex."""
+    """Every factor matrix of a based complex."""
     top = len(cx.dims) - 1
-    maps = [(cx.d_mats[p], partial(cx.d, p)) for p in range(top)]
-    maps += [(cx.h_mats[p], partial(cx.h, p)) for p in range(1, top + 1)]
-    return maps + [(cx.p_mat, cx.proj), (cx.i_mat, cx.inc)]
+    return [*cx.d_mats[:top], *cx.h_mats[1 : top + 1], cx.p_mat, cx.i_mat]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_factor_maps_match_the_rational_kernel(seed):
     rng = random.Random(seed)
-    for mat, apply in _factor_maps(random_based_complex(rng, 4)):
+    for mat in _factor_maps(random_based_complex(rng, 4)):
         rows, den = mat
+        n = len(rows[0])
         # lowest terms over a positive denominator
         assert den > 0 and math.gcd(den, *(x for row in rows for x in row)) == 1
         for _ in range(5):
             v = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in rows[0]]
-            out = apply(v)
-            assert out == mat_vec(_fractions(mat), v, Fraction(0))
-            assert all(type(x) is Fraction for x in out)
+            expected = mat_vec(_fractions(mat), v, Fraction(0))
+            # v as one column, mapped from the left, and as one row, from the right
+            for out in (_image(Vec(0, 0, v), n, 1, 0, 0, a=mat).entries,
+                        _image(Vec(0, 0, v), 1, n, 0, 0, b=mat).entries):
+                assert list(out) == expected
+                assert all(type(x) is Fraction for x in out)
+
+
+# The matrix oracle's operators as they were when a Vec held Fractions: each
+# factor map applied to the rational coordinates of one column (A's maps) or
+# one row (B's) at a time, zero outside its complex.  The reference that the
+# integer products must match exactly.
+
+
+def _ref_d(cx, p):
+    if 0 <= p < len(cx.dims) - 1:
+        return partial(mat_vec, _fractions(cx.d_mats[p]), zero=Fraction(0))
+    return lambda v: [Fraction(0)] * cx.dim(p + 1)
+
+
+def _ref_h(cx, p):
+    if 1 <= p < len(cx.dims):
+        return partial(mat_vec, _fractions(cx.h_mats[p]), zero=Fraction(0))
+    return lambda v: [Fraction(0)] * cx.dim(p - 1)
+
+
+def _ref_on_a(op, v, nb):
+    cols = [op(v[j::nb]) for j in range(nb)]
+    return tuple(c for row in zip(*cols) for c in row)
+
+
+def _ref_on_b(op, v, na):
+    nb = len(v) // na if na else 0
+    return tuple(c for i in range(na) for c in op(v[i * nb : (i + 1) * nb]))
+
+
+def _ref_operators(seed, max_p=3):
+    """Per operator field, (input bidegrees, payload dims, reference map)
+    for the matrix oracle of ``seed``: the reference takes rational
+    entries at (p, q) and returns (p', q', entries)."""
+    rng = random.Random(seed)
+    A, B = random_based_complex(rng, max_p + 2), random_based_complex(rng, 5)
+    proj = {cx: partial(mat_vec, _fractions(cx.p_mat), zero=Fraction(0)) for cx in (A, B)}
+    inc = {cx: partial(mat_vec, _fractions(cx.i_mat), zero=Fraction(0)) for cx in (A, B)}
+
+    def sign(p, v):
+        return tuple(-c for c in v) if p % 2 else v
+
+    # every bidegree from one below each complex to one above its top
+    ps, qs = range(-1, len(A.dims) + 1), range(-1, len(B.dims) + 1)
+    grid = [(p, q) for p in ps for q in qs]
+    payload = lambda p, q: (A.dim(p), B.dim(q))  # noqa: E731
+    x_dims = lambda p, q: (perturb._X_DIM, B.dim(q))  # noqa: E731
+    y_dims = lambda p, q: (A.dim(p), perturb._X_DIM)  # noqa: E731
+    return A, B, {
+        "delta": (grid, payload, lambda p, q, v: (
+            p + 1, q, _ref_on_a(_ref_d(A, p), v, B.dim(q)))),
+        "d": (grid, payload, lambda p, q, v: (
+            p, q + 1, sign(p, _ref_on_b(_ref_d(B, q), v, A.dim(p))))),
+        "h": (grid, payload, lambda p, q, v: (
+            p - 1, q, _ref_on_a(_ref_h(A, p), v, B.dim(q)))),
+        "k": (grid, payload, lambda p, q, v: (
+            p, q - 1, sign(p, _ref_on_b(_ref_h(B, q), v, A.dim(p))))),
+        "p_proj": ([(0, q) for q in qs], payload, lambda p, q, v: (
+            0, q, _ref_on_a(proj[A], v, B.dim(q)))),
+        "i_inc": ([(0, q) for q in qs], x_dims, lambda p, q, v: (
+            0, q, _ref_on_a(inc[A], v, B.dim(q)))),
+        "q_proj": ([(p, 0) for p in ps], payload, lambda p, q, v: (
+            p, 0, _ref_on_b(proj[B], v, A.dim(p)))),
+        "j_inc": ([(p, 0) for p in ps], y_dims, lambda p, q, v: (
+            p, 0, _ref_on_b(inc[B], v, A.dim(p)))),
+        "d_x": ([(0, q) for q in qs], x_dims, lambda p, q, v: (
+            0, q + 1, _ref_on_b(_ref_d(B, q), v, perturb._X_DIM))),
+        "delta_y": ([(p, 0) for p in ps], y_dims, lambda p, q, v: (
+            p + 1, 0, _ref_on_a(_ref_d(A, p), v, perturb._X_DIM))),
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_operators_match_the_fraction_reference(seed):
+    inst = matrix_instance(seed)
+    A, B, ref = _ref_operators(seed)
+    assert sorted(ref) == sorted(instance_operator_fields())
+    rng = random.Random(seed)
+    seen = Counter()
+    for name, (bidegrees, dims, reference) in ref.items():
+        for p, q in bidegrees:
+            na, nb = dims(p, q)
+            for trial in range(3):
+                v = [Fraction(0)] * (na * nb) if trial == 0 else [
+                    rng.choice(perturb.SAMPLE_COEFFS) if trial == 1
+                    else Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+                    for _ in range(na * nb)
+                ]
+                out = getattr(inst, name)(Vec(p, q, v))
+                rp, rq, entries = reference(p, q, v)
+                assert (out.p, out.q, out.entries) == (rp, rq, entries), (name, p, q)
+                assert str(out) == "[" + ", ".join(map(str, entries)) + "]"
+                seen[name, len(v) > 0, len(entries) > 0] += 1
+    # the edges the engine reaches, each with a payload of the right length:
+    # k at q = 0, h at p = 0, d of a payload at q = -1 (the d k x of
+    # k_d_contraction), whose image at q = 0 is a full-length zero, and the
+    # top degrees, where d and delta leave the complex
+    assert len(inst.k(inst.sample(rng, 1, 0)).entries) == 0
+    assert len(inst.h(inst.sample(rng, 0, 2)).entries) == 0
+    image = inst.d(Vec(1, -1, ()))
+    assert (image.p, image.q, image.is_zero()) == (1, 0, True)
+    assert len(image.entries) == A.dim(1) * B.dim(0)
+    assert len(inst.d(inst.sample(rng, 1, len(B.dims) - 1)).entries) == 0
+    assert len(inst.delta(inst.sample(rng, len(A.dims) - 1, 1)).entries) == 0
+    # every operator met empty and nonempty inputs and images
+    assert all(seen[name, False, True] and seen[name, True, True] for name in ref
+               if name not in ("p_proj", "i_inc", "q_proj", "j_inc")), seen
+
+
+def test_d_below_the_complex_is_not_d_at_its_top():
+    # Python's d_mats[-1] is d at the top degree: d of a payload at q = -1
+    # must map to the full-length zero at q = 0, not through that matrix.
+    inst = matrix_instance(0)
+    for p in range(3):
+        image = inst.d(Vec(p, -1, ()))
+        full = inst.sample(random.Random(0), p, 0)
+        assert image.is_zero() and len(image.entries) == len(full.entries)
+
+
+def test_a_payload_of_the_wrong_length_is_rejected():
+    inst = matrix_instance(0)
+    full = inst.sample(random.Random(1), 1, 1).entries
+    assert len(full) == 16
+    for entries in (full[:-1], full + (Fraction(1),)):
+        for name in instance_operator_fields():
+            x = Vec(1, 1, entries)
+            if name in ("p_proj", "i_inc", "d_x"):
+                x = Vec(0, 1, entries)
+            elif name in ("q_proj", "j_inc", "delta_y"):
+                x = Vec(1, 0, entries)
+            with pytest.raises(ValueError, match=r"at \(\d, \d\) must have \d+ entries"):
+                getattr(inst, name)(x)
+    # the projections read their input at p = 0, respectively q = 0
+    for proj in (inst.p_proj, inst.q_proj):
+        with pytest.raises(ValueError, match=r"at \(1, 1\) must have \d+ entries, not 16"):
+            proj(Vec(1, 1, full))
+    with pytest.raises(ValueError, match=r"at \(1, 1\) must have 16 entries, not 15"):
+        inst.d(Vec(1, 1, full[:-1]))
+    with pytest.raises(ValueError, match=r"at \(1, 1\) must have 16 entries, not 17"):
+        inst.h(Vec(1, 1, full + (Fraction(1),)))
+
+
+# The Vec payload: integer numerators over one denominator.
+
+
+def test_vec_keeps_its_numerators_in_lowest_terms():
+    inst = matrix_instance(3)
+    images = []
+    rng = random.Random(0)
+    for p in range(4):
+        for q in range(4):
+            x = inst.sample(rng, p, q)
+            y = inst.sample(rng, p, q)
+            images += [x, inst.d(x), inst.delta(x), inst.h(x), inst.k(x), -x, x + x,
+                       x * Fraction(-3, 4), 0 * x, x - x, inst.d(x) + inst.d(y)]
+    assert any(not x.is_zero() for x in images) and any(x.is_zero() for x in images)
+    for x in images:
+        nums, den = x._ints
+        assert type(nums) is tuple and all(type(n) is int for n in nums)
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert den == 1 if x.is_zero() else True
+        assert all(type(e) is Fraction for e in x.entries)
+        assert x.entries == tuple(Fraction(n, den) for n in nums)
+    assert Vec(0, 0, (Fraction(2, 4),)) == Vec(0, 0, (Fraction(1, 2),))
+    assert Vec(0, 0, (Fraction(2, 4),))._ints == ((1,), 2)
+    assert Vec(0, 0, (Fraction(0), Fraction(0)))._ints == ((0, 0), 1)
+    assert (Vec(0, 0, (Fraction(1, 2),)) - Vec(0, 0, (Fraction(1, 2),)))._ints == ((0,), 1)
+    assert Vec(0, 0, ())._ints == ((), 1)
+
+
+def test_vec_prints_and_reads_like_its_fractions():
+    x = Vec(2, 1, (0, Fraction(-3, 2), 5))
+    assert str(x) == "[0, -3/2, 5]"
+    assert repr(x) == "Vec(p=2, q=1, entries=(Fraction(0, 1), Fraction(-3, 2), Fraction(5, 1)))"
+    assert x.entries == (Fraction(0), Fraction(-3, 2), Fraction(5))
+    assert all(type(e) is Fraction for e in x.entries)
+    assert str(Vec(0, 0, ())) == "[]"
+    with pytest.raises(AttributeError):
+        x.entries = ()
 
 
 @pytest.mark.parametrize("seed", range(4))
