@@ -224,16 +224,6 @@ class PwPoly(Linear):
             total += _eval(prim, hi) - _eval(prim, lo)
         return total
 
-    def is_continuous(self) -> bool:
-        """Continuity at every junction of two domain cells, including the
-        wrap 1 = 0."""
-        n = len(self.cells)
-        for k, p in enumerate(self.cells):
-            q, cut = self.cells[(k + 1) % n], self.grid[k + 1]
-            if p is not None and q is not None and _eval(p, cut) != _eval(q, cut % 1):
-                return False
-        return True
-
     def primitive(self, basepoint: Fraction) -> "PwPoly":
         """Continuous primitive on a single-arc domain, vanishing at the
         basepoint.  Walks the arc in circular order (continuity across the

@@ -51,6 +51,7 @@ from .polyalg import (
     format_rat,
     parse_var,
     sort_sign,
+    sum_of_products,
     to_string,
     var_key,
 )
@@ -120,14 +121,6 @@ def _scalar(p: MultiPoly) -> Value:
     return {(): p}
 
 
-def _balanced_sum(polys: List[MultiPoly]) -> MultiPoly:
-    """Sum in a balanced tree of ``+``, copying each summand about log2 n times."""
-    while len(polys) > 1:
-        pairs = [a + b for a, b in zip(polys[::2], polys[1::2])]
-        polys = pairs + polys[2 * len(pairs):]
-    return polys[0]
-
-
 def _vmul(a: Value, b: Value) -> Value:
     out: Value = {}
     for ka, pa in a.items():
@@ -192,7 +185,8 @@ class _Parser:
                 parts.setdefault(key, []).append(-poly if negate else poly)
             tok = self.peek()
             if not (tok[0] == "op" and tok[1] in "+-"):
-                sums = {key: _balanced_sum(polys) for key, polys in parts.items()}
+                sums = {key: sum_of_products((1, poly, 1) for poly in polys)
+                        for key, polys in parts.items()}
                 return {key: poly for key, poly in sums.items() if not poly.is_zero()}
             self.next()
             negate = tok[1] == "-"
@@ -352,8 +346,9 @@ class RunConfig:
     coeff_rep: str = "trivial"
 
     def __post_init__(self):
-        if self.max_p < 0 or self.max_deg < 0 or self.trials <= 0:
-            raise ValueError("bounds must be positive")
+        for name, least in (("max_p", 0), ("max_deg", 0), ("trials", 1)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if self.instance not in INSTANCES:

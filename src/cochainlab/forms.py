@@ -13,7 +13,6 @@ integration of top-degree forms over the unit cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .polyalg import SCALARS, Linear, MultiPoly, add_into, sort_sign, sparse, sum_of_products
@@ -180,17 +179,6 @@ def homotopy_T(a: PolyForm) -> PolyForm:
             products.setdefault(rest, []).append(
                 ((-1) ** pos, scaled, MultiPoly.var(a.chart.coords[j])))
     return _summed(a.chart, q - 1, products)
-
-
-def eval_at_zero(a: PolyForm) -> PolyForm:
-    """Pull back under the constant map to the chart origin (degree 0 part
-    survives as a constant-in-coords function)."""
-    if a.degree != 0:
-        return PolyForm.zero(a.chart, a.degree)
-    zeros = {name: Fraction(0) for name in a.chart.coords}
-    return PolyForm(
-        a.chart, 0, {(): a.terms.get((), MultiPoly.zero()).subst(zeros)}
-    )
 
 
 def cube_integrate(a: PolyForm) -> MultiPoly:

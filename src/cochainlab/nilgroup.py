@@ -33,7 +33,7 @@ from .forms import Chart, PolyForm, PolyVF
 from .liealg import LieAlgebra, Representation, abelian, filiform4, heisenberg3, trivial_rep
 from .polyalg import (
     VECTORS, Linear, MultiPoly, Rat, fiber_vars, identity, is_zero, mat_add, mat_mul, mat_scale,
-    mat_vec, slot_shift, slot_vars,
+    mat_vec, slot_shift, slot_vars, sum_of_products,
 )
 
 MAX_BCH_CLASS = 4
@@ -403,13 +403,12 @@ def group_delta(f: GroupCochain) -> GroupCochain:
     """Simplicial differential on polynomial group cochains; the last face
     twists by the inverse representation matrix."""
     group, rep, p = f.group, f.rep, f.p
-    out = [MultiPoly.zero() for _ in range(rep.dim)]
-    for sub, sgn in group.faces(p)[:-1]:
-        out = [o + v.subst(sub) * sgn for o, v in zip(out, f.values)]
+    faces = group.faces(p)[:-1]
     # face p+1: drop g_{p+1}, acting by rho(g_{p+1})^{-1} on the value
     rho_inv = rep.matrix_at(group.invert(_vec(slot_vars(p + 1, group.dim))))
-    sgn = (-1) ** (p + 1)
-    out = [o + t * sgn for o, t in zip(out, mat_vec(rho_inv, f.values))]
+    last = (-1) ** (p + 1)
+    out = [sum_of_products([(sgn, v.subst(sub), 1) for sub, sgn in faces] + [(last, t, 1)])
+           for v, t in zip(f.values, mat_vec(rho_inv, f.values))]
     return GroupCochain(group, rep, p + 1, out)
 
 

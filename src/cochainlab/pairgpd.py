@@ -23,7 +23,9 @@ from typing import List, Sequence, Tuple
 
 from .forms import Chart, PolyForm, cube_integrate, exterior_d, pullback, wedge
 from .perturb import check_record
-from .polyalg import Linear, MultiPoly, base_vars, cube_vars, point_vars, slot_shift, to_string
+from .polyalg import (
+    Linear, MultiPoly, base_vars, cube_vars, point_vars, slot_shift, sum_of_products, to_string,
+)
 
 Index = Tuple[int, ...]
 
@@ -65,11 +67,9 @@ def as_delta(f: ASCochain) -> ASCochain:
     """Alexander-Spanier differential: alternating sum of point omissions,
     (delta f)(m_0..m_{p+1}) = sum_i (-1)^i f(.., m_i omitted, ..)."""
     n, p = f.n, f.degree
-    acc = MultiPoly.zero()
-    for i in range(p + 2):
-        # omit point i: old point s >= i reads the new point s + 1
-        acc = acc + f.value.subst(slot_shift("m", i, p, n)) * ((-1) ** i)
-    return ASCochain(n, p + 1, acc)
+    # omit point i: old point s >= i reads the new point s + 1
+    faces = (((-1) ** i, f.value.subst(slot_shift("m", i, p, n)), 1) for i in range(p + 2))
+    return ASCochain(n, p + 1, sum_of_products(faces))
 
 
 def pair_ve(f: ASCochain) -> PolyForm:

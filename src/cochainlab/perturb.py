@@ -263,10 +263,6 @@ def perturbed_p(inst: DoubleComplexInstance, x):
     return None if comp is None else inst.p_proj(comp)
 
 
-def total_diff(inst: DoubleComplexInstance, g: Graded) -> Graded:
-    return g.map(inst.d) + g.map(inst.delta)
-
-
 def graded_perturbed_h(inst: DoubleComplexInstance, g: Graded) -> Graded:
     out = Graded({})
     for x in g.parts.values():

@@ -769,13 +769,6 @@ class MultiPoly:
             {key + step: coef * (common // ((key >> at & _FIELD_MASK) + 1))
              for key, coef in p._num.items()}, p._den * common))
 
-    def eval_at(self, point: Mapping[str, Union[int, Rat]]) -> Union[Rat, "MultiPoly"]:
-        """Partial evaluation; a full point yields a Fraction."""
-        result = self.subst({v: Fraction(c) for v, c in point.items()})
-        if result.is_constant():
-            return result.constant_value()
-        return result
-
 
 def sum_of_products(terms: Iterable[Tuple[Union[int, Rat], Union[MultiPoly, int, Rat],
                                           Union[MultiPoly, int, Rat]]]) -> MultiPoly:

@@ -64,7 +64,6 @@ from .nilgroup import (
     PolyRep,
     as_coeffs,
     group_delta,
-    left_invariant_vf,
     maurer_cartan_coframe,
     trivial_poly_rep,
 )
@@ -140,12 +139,6 @@ class BigradedElement(Linear):
 
     def component(self, idx: Index) -> Tuple[MultiPoly, ...]:
         return self.comps.get(tuple(idx), _zero_vec(self.rep.dim))
-
-    def map_comps(self, fn) -> "BigradedElement":
-        return BigradedElement(
-            self.group, self.rep, self.p, self.q,
-            {i: tuple(fn(c) for c in v) for i, v in self.comps.items()},
-        )
 
     def __repr__(self):
         body = {i: tuple(to_string(c) for c in v) for i, v in self.comps.items()}
@@ -337,30 +330,6 @@ def nabla(i: int, xi: Union[int, Sequence[Rat]], f: GroupCochain) -> GroupCochai
     vel = f.group.slot_velocity(i, f.p, xi)
     twist = _twist(f.rep.infinitesimal(), xi) if i == f.p else None
     return GroupCochain(f.group, f.rep, f.p, _act(f.values, vel, twist))
-
-
-def nabla_bigraded(
-    i: int, xi: Union[int, Sequence[Rat]], psi: BigradedElement
-) -> BigradedElement:
-    """The same covariant derivatives on D^{p,q}; the p-th action moves the
-    base point, (g_p a; a^{-1} y), instead of twisting by the
-    representation."""
-    vel = psi.group.slot_velocity(i, psi.p, xi, fiber_vars(psi.group.dim))
-    comps = {idx: _act(vec, vel) for idx, vec in psi.comps.items()}
-    return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
-
-
-def lie_bigraded(
-    xi: Union[int, Sequence[Rat]], psi: BigradedElement
-) -> BigradedElement:
-    """Module Lie derivative: left-invariant derivative on the base point
-    plus the infinitesimal V-representation."""
-    # the invariant field is the velocity of the fiber point itself
-    field = left_invariant_vf(psi.group, xi).components
-    vel = dict(zip(fiber_vars(psi.group.dim), field))
-    twist = _twist(psi.rep.infinitesimal(), xi)
-    comps = {idx: _act(vec, vel, twist) for idx, vec in psi.comps.items()}
-    return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
 
 
 # ---------------------------------------------------------------------------

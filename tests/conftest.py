@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from cochainlab.nilgroup import GroupCochain, build_group, slot_vars
-from cochainlab.perturb import DoubleComplexInstance
-from cochainlab.polyalg import MultiPoly
+from cochainlab.nilgroup import GroupCochain, build_group, left_invariant_vf, slot_vars
+from cochainlab.perturb import DoubleComplexInstance, Graded
+from cochainlab.polyalg import MultiPoly, fiber_vars
+from cochainlab.vanest import BigradedElement, _act, _twist
 
 COEFFS = tuple(
     Fraction(c) for c in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
@@ -33,6 +34,45 @@ def random_poly(rng: random.Random, variables, max_deg=2, terms=3) -> MultiPoly:
             term = term * MultiPoly.var(rng.choice(list(variables)))
         acc = acc + term
     return acc
+
+
+def eval_at(poly: MultiPoly, point):
+    """Partial evaluation; a full point yields a Fraction."""
+    result = poly.subst({v: Fraction(c) for v, c in point.items()})
+    if result.is_constant():
+        return result.constant_value()
+    return result
+
+
+def total_diff(inst: DoubleComplexInstance, g: Graded) -> Graded:
+    return g.map(inst.d) + g.map(inst.delta)
+
+
+def map_comps(psi: BigradedElement, fn) -> BigradedElement:
+    return BigradedElement(
+        psi.group, psi.rep, psi.p, psi.q,
+        {i: tuple(fn(c) for c in v) for i, v in psi.comps.items()},
+    )
+
+
+def nabla_bigraded(i, xi, psi: BigradedElement) -> BigradedElement:
+    """``vanest.nabla``'s covariant derivatives on D^{p,q}; the p-th action
+    moves the base point, (g_p a; a^{-1} y), instead of twisting by the
+    representation."""
+    vel = psi.group.slot_velocity(i, psi.p, xi, fiber_vars(psi.group.dim))
+    comps = {idx: _act(vec, vel) for idx, vec in psi.comps.items()}
+    return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
+
+
+def lie_bigraded(xi, psi: BigradedElement) -> BigradedElement:
+    """Module Lie derivative: left-invariant derivative on the base point
+    plus the infinitesimal V-representation."""
+    # the invariant field is the velocity of the fiber point itself
+    field = left_invariant_vf(psi.group, xi).components
+    vel = dict(zip(fiber_vars(psi.group.dim), field))
+    twist = _twist(psi.rep.infinitesimal(), xi)
+    comps = {idx: _act(vec, vel, twist) for idx, vec in psi.comps.items()}
+    return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
 
 
 def random_group_cochain(rng, group, p, max_deg=2, rep=None) -> GroupCochain:

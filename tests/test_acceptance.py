@@ -22,7 +22,6 @@ from cochainlab.perturb import (
     graded_perturbed_h,
     matrix_instance,
     perturbed_p,
-    total_diff,
     verify_instance,
     zigzag_xy,
     zigzag_yx,
@@ -33,8 +32,6 @@ from cochainlab.vanest import (
     bg_h,
     bg_p_proj,
     build_double_complex,
-    lie_bigraded,
-    nabla_bigraded,
     r_closed,
     r_zigzag,
     standard_poly_rep,
@@ -42,7 +39,15 @@ from cochainlab.vanest import (
     ve_zigzag,
 )
 
-from conftest import COEFFS, random_group_cochain, random_poly
+from conftest import (
+    COEFFS,
+    lie_bigraded,
+    map_comps,
+    nabla_bigraded,
+    random_group_cochain,
+    random_poly,
+    total_diff,
+)
 
 GROUPS = ("abelian-2", "abelian-3", "heisenberg3", "filiform4")
 
@@ -233,8 +238,8 @@ def test_criterion_8_normalized_subcomplex():
         norm2 = MultiPoly.var(f"g1_{1 + rng.randrange(n)}") * MultiPoly.var(
             f"g2_{1 + rng.randrange(n)}"
         )
-        psi2 = BigradedElement(group, rep, 2, q, comps).map_comps(
-            lambda c: c * norm2
+        psi2 = map_comps(
+            BigradedElement(group, rep, 2, q, comps), lambda c: c * norm2
         )
         assert bg_h(bg_h(psi2)).is_zero()
 
@@ -243,8 +248,9 @@ def test_criterion_8_normalized_subcomplex():
             idx: tuple(random_poly(rng, vars1, 2) for _ in range(rep.dim))
             for idx in combinations(range(n), q)
         }
-        psi1 = BigradedElement(group, rep, 1, q, comps1).map_comps(
-            lambda c: c * MultiPoly.var(f"g1_{1 + rng.randrange(n)}")
+        psi1 = map_comps(
+            BigradedElement(group, rep, 1, q, comps1),
+            lambda c: c * MultiPoly.var(f"g1_{1 + rng.randrange(n)}"),
         )
         assert bg_p_proj(bg_h(psi1)).is_zero()
 

@@ -165,8 +165,11 @@ def test_ve_integrate_roundtrip():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig("not-an-instance")
-    with pytest.raises(ValueError):
-        RunConfig("matrix", trials=0)
+    for field, value, least in (("trials", 0, 1), ("max_p", -1, 0), ("max_deg", -1, 0)):
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
+            RunConfig("matrix", **{field: value})
+        option = "--" + field.replace("_", "-")
+        assert main(["verify", "--instance", "matrix", option, str(value)]) == 2
 
 
 def test_instance_registry():

@@ -11,7 +11,6 @@ from cochainlab.forms import (
     PolyVF,
     contract,
     cube_integrate,
-    eval_at_zero,
     exterior_d,
     homotopy_T,
     pullback,
@@ -128,6 +127,17 @@ def test_pullback_functorial_and_commutes_with_d():
     a, b = _random_form(rng, 1), _random_form(rng, 1)
     assert pullback(wedge(a, b), phi, target) == wedge(
         pullback(a, phi, target), pullback(b, phi, target)
+    )
+
+
+def eval_at_zero(a: PolyForm) -> PolyForm:
+    """Pull back under the constant map to the chart origin (degree 0 part
+    survives as a constant-in-coords function)."""
+    if a.degree != 0:
+        return PolyForm.zero(a.chart, a.degree)
+    zeros = {name: Fraction(0) for name in a.chart.coords}
+    return PolyForm(
+        a.chart, 0, {(): a.terms.get((), MultiPoly.zero()).subst(zeros)}
     )
 
 

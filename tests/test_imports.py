@@ -1,14 +1,16 @@
 """Hygiene of the package sources: no unused imports, no dead private
-helpers, no process-wide caches, no import-time state that keeps an old
-copy of the package alive, no variable name built outside ``polyalg``, and
-no reader of a polynomial's stored numerators and denominator outside it.
-Stdlib only, so it runs wherever the tests do."""
+helpers, no function that nothing calls, no process-wide caches, no
+import-time state that keeps an old copy of the package alive, no variable
+name built outside ``polyalg``, and no reader of a polynomial's stored
+numerators and denominator outside it.  Stdlib only, so it runs wherever
+the tests do."""
 
 import ast
 import gc
 import importlib
 import re
 import sys
+import textwrap
 import weakref
 from pathlib import Path
 
@@ -73,6 +75,85 @@ def dead_private_names(paths):
 
 def test_no_dead_private_helpers():
     assert dead_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+#: Functions and methods that nothing in ``src`` calls, kept anyway, with
+#: the reason.
+UNCALLED_EXEMPT = {
+    "CEElement.basis": "README's API sketch",
+}
+
+
+def uncalled_functions(paths):
+    """Functions and methods, dunders and ``main`` aside, that no module of
+    the package references: a function through a loaded name or an import
+    (which is how ``__init__`` exports one), a method only through an
+    attribute access of its name.  Code only tests call belongs beside
+    those tests."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    defined = {}
+    for path, tree in trees.items():
+        owner = {node: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name == "main" or node.name.startswith("__") and node.name.endswith("__")
+            ):
+                qualified = f"{owner[node]}.{node.name}" if node in owner else node.name
+                defined[f"{path.name}:{node.lineno}: {qualified}"] = (node.name, node in owner)
+    names, attributes = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return [where for where, (name, method) in defined.items()
+            if name not in (attributes if method else names)]
+
+
+def test_every_src_function_has_a_caller():
+    problems = [where for where in uncalled_functions(sorted(SRC.glob("*.py")))
+                if where.rsplit(" ", 1)[-1] not in UNCALLED_EXEMPT]
+    assert problems == []
+
+
+def test_the_guards_report_a_planted_violation(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import used\n", encoding="utf-8")
+    mod = tmp_path / "mod.py"
+    mod.write_text(textwrap.dedent("""\
+        import json
+
+
+        def _dead():
+            pass
+
+
+        def helper():
+            pass
+
+
+        def used():
+            return Box().size()
+
+
+        class Box:
+            def __init__(self):
+                self.n = 0
+
+            def size(self):
+                return self.n
+
+            def uncalled(self):
+                return self.n
+        """), encoding="utf-8")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unused_imports(mod) == ["mod.py:1: json"]
+    assert dead_private_names(paths) == ["mod.py:4: _dead"]
+    assert uncalled_functions(paths) == [
+        "mod.py:4: _dead", "mod.py:8: helper", "mod.py:23: Box.uncalled"]
 
 
 #: Module-level values that a function could fill as a process-wide cache.

@@ -29,7 +29,7 @@ from cochainlab.nilgroup import (
 from cochainlab.polyalg import VECTORS, MultiPoly, mat_scale
 from cochainlab.vanest import standard_poly_rep, ve_closed
 
-from conftest import COEFFS, random_group_cochain
+from conftest import COEFFS, eval_at, random_group_cochain
 
 
 @pytest.mark.parametrize("name", registered_groups())
@@ -85,7 +85,7 @@ def test_representation_is_homomorphism_at_points(name):
     for _ in range(10):
         a = [rng.choice(COEFFS) for _ in range(n)]
         b = [rng.choice(COEFFS) for _ in range(n)]
-        ab = [c.eval_at(dict(zip(fiber_vars(n), a))) for c in group.multiply(
+        ab = [eval_at(c, dict(zip(fiber_vars(n), a))) for c in group.multiply(
             [MultiPoly.const(c) for c in a], [MultiPoly.const(c) for c in b]
         )]
         left = rep.matrix_at(ab)

@@ -24,14 +24,13 @@ from cochainlab.perturb import (
     perturbed_h,
     perturbed_p,
     random_based_complex,
-    total_diff,
     verify_instance,
     zigzag_xy,
     zigzag_yx,
 )
 from cochainlab.polyalg import identity, mat_mul, mat_vec, rref
 from cochainlab.vanest import build_double_complex, standard_poly_rep
-from conftest import instance_operator_fields
+from conftest import instance_operator_fields, total_diff
 
 
 def test_matrix_instance_all_checks_pass():

@@ -29,9 +29,7 @@ from cochainlab.vanest import (
     build_double_complex,
     frame_convert,
     gamma_map,
-    lie_bigraded,
     nabla,
-    nabla_bigraded,
     r_closed,
     r_zigzag,
     standard_poly_rep,
@@ -40,7 +38,14 @@ from cochainlab.vanest import (
 )
 from cochainlab.perturb import verify_instance
 
-from conftest import COEFFS, random_group_cochain, random_poly
+from conftest import (
+    COEFFS,
+    lie_bigraded,
+    map_comps,
+    nabla_bigraded,
+    random_group_cochain,
+    random_poly,
+)
 
 
 def test_nabla_interior_slot():
@@ -396,12 +401,12 @@ def test_normalized_h_side_conditions(heisenberg_group):
         norm = MultiPoly.var(f"g1_{1 + rng.randrange(n)}") * MultiPoly.var(
             f"g2_{1 + rng.randrange(n)}"
         )
-        psi2 = psi2.map_comps(lambda c: c * norm)
+        psi2 = map_comps(psi2, lambda c: c * norm)
         assert bg_h(bg_h(psi2)).is_zero()
 
         psi1 = _random_bigraded(rng, group, rep, 1, q)
-        psi1 = psi1.map_comps(
-            lambda c: c * MultiPoly.var(f"g1_{1 + rng.randrange(n)}")
+        psi1 = map_comps(
+            psi1, lambda c: c * MultiPoly.var(f"g1_{1 + rng.randrange(n)}")
         )
         assert bg_p_proj(bg_h(psi1)).is_zero()
 
