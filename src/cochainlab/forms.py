@@ -170,10 +170,7 @@ def homotopy_T(a: PolyForm) -> PolyForm:
         # The dt-component of the pullback of coef dy_I is a sum of
         # coef(t y) y_{i_pos} t^(q-1) dt, one per position, and a term of
         # degree e in the chart coordinates integrates to 1/(e + q) times it.
-        chart_pos = [i for i, v in enumerate(coef.vars) if v in a.chart.coords]
-        scaled = MultiPoly(coef.vars, {
-            exp: c / (sum(exp[i] for i in chart_pos) + q) for exp, c in coef.terms.items()
-        })
+        scaled = coef.degree_scaled(a.chart.coords, q)
         for pos, j in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
             products.setdefault(rest, []).append(

@@ -15,21 +15,23 @@ coordinates, so the group side and the algebra side of van Est read one
 rho_*.
 
 The structure every operator reads -- a group's right Jacobian, frame,
-coframe matrix, face substitutions and slot velocities, a representation's
-rho and rho^{-1} -- is computed once per object, on first use, and kept
-on that object as tuples and read-only mappings.
+coframe matrix, face substitutions, slot velocities and the tables of the
+vertical homotopy, a representation's rho and rho^{-1} -- is computed once
+per object, on first use, and kept on that object as tuples and read-only
+mappings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from itertools import combinations
 from math import factorial
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .forms import Chart, PolyForm, PolyVF
+from .forms import Chart, PolyForm, PolyVF, contract, homotopy_T, wedge
 from .liealg import LieAlgebra, Representation, abelian, filiform4, heisenberg3, trivial_rep
 from .polyalg import (
     VECTORS, Linear, MultiPoly, Rat, fiber_vars, identity, is_zero, mat_add, mat_mul, mat_scale,
@@ -164,6 +166,36 @@ class PolyGroup:
             faces.append((dict(zip(fiber_vars(n), merged)), (-1) ** (p + 1)))
             self._faces[p] = tuple((MappingProxyType(sub), sgn) for sub, sgn in faces)
         return self._faces[p]
+
+    @cached_property
+    def _homotopy_tables(self) -> Dict[int, Tuple[Matrix, Matrix]]:
+        return {}
+
+    def homotopy_tables(self, q: int) -> Tuple[Matrix, Matrix]:
+        """The two matrices that compile the vertical homotopy on fiberwise
+        q-forms, q >= 1, rows and columns indexed by increasing subsets in
+        ``combinations`` order, built through the form picture once per q,
+        like ``faces``: ``coframe[J][I]``, the dy_J coefficient of
+        theta^I, for q-subsets I and J; and ``contracted[K][J]``, the
+        contraction of ``homotopy_T(q dy_J)`` with the frame fields e_k of K
+        in turn, for (q - 1)-subsets K."""
+        if q not in self._homotopy_tables:
+            n = self.dim
+            chart = Chart(fiber_vars(n))
+            theta = maurer_cartan_coframe(self)
+            frames = [PolyVF(chart, field) for field in self.frame]
+            subsets = list(combinations(range(n), q))
+            wedges = [reduce(wedge, [theta[i] for i in idx]) for idx in subsets]
+            coframe = tuple(tuple(form.coefficient(idx) for form in wedges) for idx in subsets)
+            images = [homotopy_T(PolyForm(chart, q, {idx: MultiPoly.const(q)}))
+                      for idx in subsets]
+            contracted = tuple(
+                tuple(reduce(contract, [frames[k] for k in idx], form).coefficient(())
+                      for form in images)
+                for idx in combinations(range(n), q - 1)
+            )
+            self._homotopy_tables[q] = coframe, contracted
+        return self._homotopy_tables[q]
 
     @cached_property
     def _slot_velocities(self) -> Dict[tuple, Mapping[str, MultiPoly]]:

@@ -40,8 +40,8 @@ skips re-coercing coefficients.  The degree cap is checked wherever a term
 can pass it: by the public constructor; by products, powers and
 substitutions; by the fused sums, for every product before any is
 accumulated; and by ``antiderivative``.  Sums, negation, scaling,
-``extend``, ``diff``, ``truncated`` and ``defint01`` cannot raise the
-degree and skip the check.
+``extend``, ``diff``, ``truncated``, ``defint01`` and ``degree_scaled``
+cannot raise the degree and skip the check.
 The cap keeps every field of a packed monomial from carrying into the
 next, so the public constructor also rejects repeated variables and any
 exponent that is not a non-negative ``int`` before packing.
@@ -661,9 +661,10 @@ class MultiPoly:
     def subst(self, assignment: Mapping[str, Union["MultiPoly", int, Rat]]) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables pass through.
 
-        A value that is one variable with coefficient 1 renames: the
-        exponents it replaces move to that variable's field along with the
-        passthrough ones, with no power or product, and terms that land on
+        A value that is one variable times a nonzero rational c renames:
+        each term gains c^e, e its exponent of the variable replaced, and
+        the exponents it replaces move to that variable's field along with
+        the passthrough ones, with no power or product; terms that land on
         one term add.  Terms are grouped by their exponents in the other
         substituted variables, and each power of such a value is computed
         once per call.  A group's numerators times its factors' lie over the
@@ -677,10 +678,10 @@ class MultiPoly:
         raised = functools.reduce(operator.or_, self._num, 0)
         # The result lives over the canonical union of the passthrough
         # variables and those of every value some term raises to a positive
-        # power.  A raised value that renames is one term of degree 1 with
-        # numerator and denominator 1, the lowest set bit of whose key lies
-        # in its variable's field; the others are factors.
-        value_keys, rename, factors = [], {}, []
+        # power.  A raised value that renames is one term of degree 1, the
+        # lowest set bit of whose key lies in its variable's field; the
+        # others are factors.
+        value_keys, rename, scales, factors = [], {}, [], []
         for v, f in assignment.items():
             if v not in vs:
                 continue
@@ -690,20 +691,31 @@ class MultiPoly:
             f = f if isinstance(f, MultiPoly) else MultiPoly.const(f)
             value_keys.append(f._keys)
             key, c = next(iter(f._num.items())) if len(f._num) == 1 else (0, 0)
-            if c == 1 and f._den == 1 and key >> _FIELD * len(f.vars) == 1:
+            if key >> _FIELD * len(f.vars) == 1:
                 rename[v] = f.vars[-1 - ((key & -key).bit_length() - 1) // _FIELD]
+                if c != 1 or f._den != 1:
+                    scales.append((at, c, f._den))
             else:
                 factors.append((at, f))
         out_keys = tuple(sorted(kept.union(*value_keys)))
         out_vars = tuple(k[-1] for k in out_keys)
         m = len(out_vars)
         factors = [(at, f._reindexed(out_vars, out_keys)) for at, f in factors]
+        # a renaming value c w / d scales a term of exponent e by c^e d^(top - e)
+        # over d^top, top the largest such e
+        num, num_den = self._num, self._den
+        for at, c, d in scales:
+            exps = {key: key >> at & _FIELD_MASK for key in num}
+            top = max(exps.values())
+            factor = [c ** e * d ** (top - e) for e in range(top + 1)]
+            num = {key: coef * factor[exps[key]] for key, coef in num.items()}
+            num_den *= d ** top
         # Terms are grouped by the fields of their factors; the rest keeps
         # its degree field.  A term that raises a zero value vanishes.
         sig_mask = sum(_FIELD_MASK << a for a, _ in factors)
         zero_mask = sum(_FIELD_MASK << a for a, f in factors if not f._num)
         groups: Dict[int, Dict[int, int]] = {}
-        for key, coef in self._num.items():
+        for key, coef in num.items():
             if not key & zero_mask:
                 sig = key & sig_mask
                 groups.setdefault(sig, {})[key - sig] = coef
@@ -735,7 +747,7 @@ class MultiPoly:
                 out = _over(out, out_den, common)
                 terms, out_den = _over(terms, den, common), common
             _accumulate(out, terms)
-        return _make(out_vars, out_keys, *_normal(out, out_den * self._den))
+        return _make(out_vars, out_keys, *_normal(out, out_den * num_den))
 
     def defint01(self, v: str) -> "MultiPoly":
         """Definite integral over [0, 1] in ``v``; v is eliminated from the
@@ -753,6 +765,19 @@ class MultiPoly:
             new = key - e * step
             out[new] = out.get(new, 0) + coef * (common // (e + 1))
         return self._like(*_normal(out, self._den * common))
+
+    def degree_scaled(self, variables: Iterable[str], shift: int) -> "MultiPoly":
+        """Each term divided by its total degree in ``variables`` plus
+        ``shift``, a positive int, put over the lcm of those divisors: the
+        t-integral of the homotopy of y -> t y on a form of degree
+        ``shift``, the y being ``variables``."""
+        fields = {self._field(v) for v in variables if v in self.vars}
+        divisor = {key: sum([key >> at & _FIELD_MASK for at in fields]) + shift
+                   for key in self._num}
+        common = math.lcm(*divisor.values())
+        return self._like(*_normal(
+            {key: coef * (common // divisor[key]) for key, coef in self._num.items()},
+            self._den * common))
 
     def antiderivative(self, v: str) -> "MultiPoly":
         """The antiderivative in ``v`` that vanishes at v = 0, over self's

@@ -5,9 +5,8 @@ An element of bidegree (p, q) is a V-valued function of p group slots
 (variables g1_*..gp_*) and one base point (variables y_*), expanded over
 the dual basis of Lambda^q g* (the "component picture").  The equivalent
 "form picture" regards it as a V-valued fiberwise differential form
-beta = rho(y) * sum_I psi_I theta^I built from the left-invariant coframe;
-``frame_convert`` builds it and ``FormPicture.components`` reads the
-component picture back; the round trip is the identity.
+beta = rho(y) * sum_I psi_I theta^I built from the left-invariant coframe
+(``frame_convert``, which the integration map reads).
 
 Operators:
   delta  horizontal simplicial differential (pure substitution; the
@@ -19,7 +18,12 @@ Operators:
          (-1)^p psi(g_1..g_{p-1}, y; 0)
   p-hat  evaluation at the unit: D^{0,q} -> Lambda^q g* (x) V
   i-hat  inclusion of constants
-  k      (-1)^p times the linear-scaling homotopy T, in the form picture
+  k      (-1)^p times the linear-scaling homotopy T of the form picture,
+         compiled: T is linear over functions of the slot variables, and
+         T(f dy_J) = S_q(f) T(q dy_J) with S_q dividing each term of f by
+         its degree in y plus q; so k is two matrix products around one
+         scaling, between rho and rho^{-1}, with matrices built once per
+         group and q from the coframe, T and the frame
   q-hat  restriction to the unit base point: D^{p,0} -> group p-cochains
   j-hat  (j f)(g_1..g_p; y) = rho(y)^{-1} f(g_1..g_p)
 
@@ -56,7 +60,7 @@ from functools import partial
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .forms import Chart, PolyForm, PolyVF, contract, cube_integrate, homotopy_T, pullback, wedge
+from .forms import Chart, PolyForm, cube_integrate, pullback, wedge
 from .liealg import CEElement, Representation, ce_diff, ce_diff_comps, standard_rep
 from .nilgroup import (
     GroupCochain,
@@ -201,28 +205,10 @@ class FormPicture:
     q: int
     forms: Tuple[PolyForm, ...]
 
-    def components(self) -> BigradedElement:
-        """The component picture: psi_I = rho(y)^{-1} beta(e_{i_1}^L, ...,
-        e_{i_q}^L)."""
-        group, rep = self.group, self.rep
-        chart = Chart(fiber_vars(group.dim))
-        frames = [PolyVF(chart, field) for field in group.frame]
-        rho_inv = rep.inverse_matrix()
-        comps: Dict[Index, Tuple[MultiPoly, ...]] = {}
-        for idx in combinations(range(group.dim), self.q):
-            paired = []
-            for r in range(rep.dim):
-                form = self.forms[r]
-                for i in idx:
-                    form = contract(form, frames[i])
-                paired.append(form.coefficient(()))
-            comps[idx] = mat_vec(rho_inv, paired)
-        return BigradedElement(group, rep, self.p, self.q, comps)
-
 
 def frame_convert(psi: BigradedElement) -> FormPicture:
     """The form picture beta = rho(y) sum_I psi_I theta^I of a bigraded
-    element; ``FormPicture.components`` is the way back."""
+    element."""
     group, rep = psi.group, psi.rep
     theta = maurer_cartan_coframe(group)
     chart = Chart(fiber_vars(group.dim))
@@ -240,12 +226,33 @@ def frame_convert(psi: BigradedElement) -> FormPicture:
 
 def bg_k(psi: BigradedElement) -> BigradedElement:
     """Vertical homotopy: (-1)^p times the linear-scaling homotopy T
-    applied in the form picture.  Vanishes on q = 0."""
-    if psi.q == 0:
-        return BigradedElement.zero(psi.group, psi.rep, psi.p, -1)
-    tforms = tuple(-homotopy_T(f) if psi.p % 2 else homotopy_T(f)
-                   for f in frame_convert(psi).forms)
-    return FormPicture(psi.group, psi.rep, psi.p, psi.q - 1, tforms).components()
+    applied in the form picture, compiled.  Vanishes on q = 0.
+
+    T is linear over functions of the slot variables, and on a q-form
+    T(f dy_J) = S_q(f) T(q dy_J), S_q dividing each term of f by its degree
+    in y plus q (``MultiPoly.degree_scaled``).  So with the group's tables
+    (``PolyGroup.homotopy_tables``), f_J = sum_I coframe[J][I] (rho psi_I)
+    is the dy_J coefficient of the form picture, and
+    k(psi)_K = (-1)^p rho^{-1} sum_J contracted[K][J] S_q(f_J): per row of
+    V, two matrix products around one scaling."""
+    group, rep, p, q = psi.group, psi.rep, psi.p, psi.q
+    if q == 0 or not psi.comps:
+        return BigradedElement.zero(group, rep, p, q - 1)
+    coframe, contracted = group.homotopy_tables(q)
+    ys = fiber_vars(group.dim)
+    zero = _zero_vec(rep.dim)
+    twisted = {idx: mat_vec(rep.rho, vec) for idx, vec in psi.comps.items()}
+    columns = [twisted.get(idx, zero) for idx in combinations(range(group.dim), q)]
+    images = [
+        mat_vec(contracted, [f.degree_scaled(ys, q) for f in mat_vec(coframe, row)])
+        for row in zip(*columns)
+    ]
+    comps = {
+        idx: mat_vec(rep.inverse_matrix(), vec)
+        for idx, vec in zip(combinations(range(group.dim), q - 1), zip(*images))
+    }
+    k = BigradedElement(group, rep, p, q - 1, comps)
+    return -k if p % 2 else k
 
 
 # ---------------------------------------------------------------------------

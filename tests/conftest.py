@@ -2,13 +2,15 @@ import dataclasses
 import random
 import typing
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from cochainlab.forms import Chart, PolyVF, contract, homotopy_T
 from cochainlab.nilgroup import GroupCochain, build_group, left_invariant_vf, slot_vars
 from cochainlab.perturb import DoubleComplexInstance, Graded
-from cochainlab.polyalg import MultiPoly, fiber_vars
-from cochainlab.vanest import BigradedElement, _act, _twist
+from cochainlab.polyalg import MultiPoly, fiber_vars, mat_vec
+from cochainlab.vanest import BigradedElement, FormPicture, _act, _twist, frame_convert
 
 COEFFS = tuple(
     Fraction(c) for c in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
@@ -73,6 +75,36 @@ def lie_bigraded(xi, psi: BigradedElement) -> BigradedElement:
     twist = _twist(psi.rep.infinitesimal(), xi)
     comps = {idx: _act(vec, vel, twist) for idx, vec in psi.comps.items()}
     return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
+
+
+def components(picture: FormPicture) -> BigradedElement:
+    """The component picture of a form picture, the way back from
+    ``frame_convert``: psi_I = rho(y)^{-1} beta(e_{i_1}^L, ..., e_{i_q}^L)."""
+    group, rep = picture.group, picture.rep
+    chart = Chart(fiber_vars(group.dim))
+    frames = [PolyVF(chart, field) for field in group.frame]
+    rho_inv = rep.inverse_matrix()
+    comps = {}
+    for idx in combinations(range(group.dim), picture.q):
+        paired = []
+        for r in range(rep.dim):
+            form = picture.forms[r]
+            for i in idx:
+                form = contract(form, frames[i])
+            paired.append(form.coefficient(()))
+        comps[idx] = mat_vec(rho_inv, paired)
+    return BigradedElement(group, rep, picture.p, picture.q, comps)
+
+
+def form_path_bg_k(psi: BigradedElement) -> BigradedElement:
+    """The vertical homotopy through the form picture, the reference for
+    ``vanest.bg_k``: (-1)^p times ``homotopy_T`` of each form of
+    ``frame_convert``, read back by ``components``."""
+    if psi.q == 0:
+        return BigradedElement.zero(psi.group, psi.rep, psi.p, -1)
+    tforms = tuple(-homotopy_T(f) if psi.p % 2 else homotopy_T(f)
+                   for f in frame_convert(psi).forms)
+    return components(FormPicture(psi.group, psi.rep, psi.p, psi.q - 1, tforms))
 
 
 def random_group_cochain(rng, group, p, max_deg=2, rep=None) -> GroupCochain:

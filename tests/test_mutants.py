@@ -6,8 +6,8 @@ failure beyond ``expected_failures(inst)``, or raise.  The mutants that
 survive are named below: the equivalent ones, which cannot change any
 result, and the ones of ``d_x`` and ``delta_y``, which ``verify_instance``
 never calls.  Every mutant reads the input's p off the input itself.  The
-group instance is the Heisenberg group with the trivial representation at
-``max_p=1``; the standard representation is left out for its cost.
+group instances are the Heisenberg group at ``max_p=1``, with the trivial
+and with the standard representation.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import pytest
 from cochainlab.cech_derham import cech_instance
 from cochainlab.nilgroup import build_group
 from cochainlab.perturb import PerturbError, expected_failures, matrix_instance, verify_instance
-from cochainlab.vanest import build_double_complex
+from cochainlab.vanest import build_double_complex, standard_poly_rep
 from conftest import instance_operator_fields
 
 #: Mutant name -> the mutated image, from the true image and the input's p.
@@ -44,12 +44,20 @@ CECH_EQUIVALENT = {
 #: delta_y, so every mutant of theirs that is not equivalent survives.
 GAP = {(field, mutant) for field in ("d_x", "delta_y") for mutant in MUTANTS}
 
+
+def _standard(name):
+    """The double complex of a group with its standard representation."""
+    group = build_group(name)
+    return build_double_complex(group, standard_poly_rep(group), max_p=1)
+
+
 INSTANCES = {
     "matrix": (lambda: matrix_instance(0), EQUIVALENT),
     "cech-circle3": (cech_instance, {**EQUIVALENT, **CECH_EQUIVALENT}),
     "heisenberg3": (
         lambda: build_double_complex(build_group("heisenberg3"), max_p=1), EQUIVALENT
     ),
+    "heisenberg3-standard": (lambda: _standard("heisenberg3"), EQUIVALENT),
 }
 
 

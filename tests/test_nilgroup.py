@@ -262,12 +262,14 @@ def test_cached_structure_is_read_only():
     field = left_invariant_vf(group, 2).components
     faces = group.faces(2)
     vel = group.slot_velocity(1, 2, 0)
+    coframe, contracted = group.homotopy_tables(2)
     inverse = rep.inverse_matrix()
     matrices = rep.infinitesimal().matrices
     zero = MultiPoly.zero()
     for container, key in (
         (jac, 0), (jac[0], 0), (field, 0), (group.frame[2], 0), (faces, 0),
         (faces[1][0], "g1_1"), (vel, "g1_1"), (inverse[0], 0), (matrices[0][0], 0),
+        (coframe, 0), (coframe[0], 0), (contracted[1], 0),
     ):
         with pytest.raises(TypeError):
             container[key] = zero

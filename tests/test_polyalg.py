@@ -114,6 +114,13 @@ def test_renamings_match_the_reference_substitution():
         (x * t + y * t ** 2 * Fraction(1, 2), {"y_1": t, "y_2": y, "t1": t * Fraction(1, 2) + 1}),
         # a collision that cancels: zero over the passthrough variable
         (x - y, {"y_1": y}),
+        # scaled renamings c w: the negation of an inverse, and c = 2, 1/2
+        (x ** 2 * y - x * t + 3, {"y_1": -x, "t1": -t}),
+        (x ** 3 * y + x * t * Fraction(2, 3) + y, {"y_1": 2 * t, "y_2": y * Fraction(1, 2)}),
+        # a scaled renaming onto a passthrough variable, beside a factor
+        (x * y ** 2 + x ** 2 - t * x, {"y_1": y * Fraction(-1, 2), "t1": x * x + 1}),
+        # two scaled renamings onto one target, landing on one term
+        (x * t - t * x * 2 + x ** 2, {"y_1": y * 2, "t1": y * Fraction(1, 2)}),
     ]
     for p, assignment in cases:
         got = p.subst(assignment)
@@ -142,7 +149,10 @@ def test_renamings_form_no_products_or_powers(monkeypatch):
 
     monkeypatch.setattr(polyalg, "_product", forbidden)
     monkeypatch.setattr(MultiPoly, "__pow__", forbidden)
-    for assignment in (face, to_fiber):
+    # PolyGroup.invert's negation, and scalings by 2 and 1/2
+    negated = {v: -MultiPoly.var(v) for v in slot_vars(1, n)}
+    scaled = {"y_1": MultiPoly.var("g1_2") * 2, "g2_1": MultiPoly.var("y_2") * Fraction(1, 2)}
+    for assignment in (face, to_fiber, negated, scaled):
         got = p.subst(assignment)
         vs, terms = _ref_subst(_pair(p), {v: _operand(f) for v, f in assignment.items()})
         assert got.vars == vs and got.terms == terms
@@ -512,6 +522,24 @@ def test_kernel_matches_reference(a, b, n, assignment, terms, v, k, c, point):
         assert got.vars == vs
         assert got.terms == terms
         assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def _ref_degree_scaled(a, names, shift):
+    vs, terms = a
+    return _ref_make(vs, {exp: coef / (sum(e for v, e in zip(vs, exp) if v in names) + shift)
+                          for exp, coef in terms.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_polys, st.lists(st.sampled_from(VARS + ("x",)), max_size=4), st.integers(1, 4))
+def test_degree_scaling_matches_reference(a, names, shift):
+    # each term divided by its degree in ``names`` plus the shift, over a's
+    # own variables; names a lacks count for nothing
+    got = a.degree_scaled(names, shift)
+    vs, terms = _ref_degree_scaled(_pair(a), names, shift)
+    assert got.vars == vs
+    assert got.terms == terms
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_no_float_reaches_a_result():

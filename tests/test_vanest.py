@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import cochainlab.nilgroup as nilgroup
 from cochainlab.liealg import CEElement, Representation, ce_diff
 from cochainlab.nilgroup import (
     GroupCochain,
@@ -12,6 +13,7 @@ from cochainlab.nilgroup import (
     fiber_vars,
     group_delta,
     left_invariant_vf,
+    registered_groups,
     slot_vars,
     trivial_poly_rep,
     velocity,
@@ -40,6 +42,8 @@ from cochainlab.perturb import verify_instance
 
 from conftest import (
     COEFFS,
+    components,
+    form_path_bg_k,
     lie_bigraded,
     map_comps,
     nabla_bigraded,
@@ -199,8 +203,45 @@ def test_frame_convert_roundtrip(heisenberg_group):
     for p in range(3):
         for q in range(3):
             psi = inst.sample(rng, p, q)
-            back = frame_convert(psi).components()
+            back = components(frame_convert(psi))
             assert (back - psi).is_zero()
+
+
+@pytest.mark.parametrize("name", registered_groups())
+def test_bg_k_matches_the_form_path(name):
+    # The compiled homotopy against the form picture it compiles, exactly:
+    # equal elements whose components print alike, in the same order.
+    group = build_group(name)
+    rng = random.Random(27)
+    for rep in (trivial_poly_rep(group), standard_poly_rep(group)):
+        inst = build_double_complex(group, rep, max_p=2)
+        for p in range(3):
+            for q in range(group.dim + 1):
+                for psi in (inst.sample(rng, p, q), _random_bigraded(rng, group, rep, p, q)):
+                    got, expected = bg_k(psi), form_path_bg_k(psi)
+                    assert got == expected and repr(got) == repr(expected)
+
+
+def test_homotopy_tables_are_built_on_first_use_once_per_degree(monkeypatch):
+    # Building a double complex builds no table; the first bg_k at each q
+    # builds that q's, one homotopy_T per q-subset, for every representation.
+    built = []
+    build = nilgroup.homotopy_T
+    monkeypatch.setattr(nilgroup, "homotopy_T", lambda a: built.append(a.degree) or build(a))
+    group = build_group("heisenberg3")
+    reps = (standard_poly_rep(group), trivial_poly_rep(group))
+    for rep in reps:
+        build_double_complex(group, rep, max_p=2)
+    assert built == []
+    rng = random.Random(5)
+    for rep in reps:
+        for _ in range(2):
+            bg_k(_random_bigraded(rng, group, rep, 1, 2))
+    assert built == [2, 2, 2]
+    tables = group.homotopy_tables(2)
+    bg_k(_random_bigraded(rng, group, reps[0], 0, 1))
+    assert built == [2, 2, 2, 1, 1, 1]
+    assert group.homotopy_tables(2) is tables
 
 
 def test_double_complex_identities_trivial_rep(heisenberg_group):
