@@ -84,8 +84,9 @@ def _powers(p: MultiPoly) -> List[Tuple[int, Fraction]]:
     return [(exp[0] if exp else 0, coef) for exp, coef in p.terms.items()]
 
 
-#: The constant 1 as a polynomial in x, whose multiples are the constants.
-_ONE = MultiPoly((X,), {(0,): 1})
+#: The constant 1 as a polynomial in x, whose multiples are the constants,
+#: and x itself.
+_ONE, _X = MultiPoly((X,), {(0,): 1}), MultiPoly.var(X)
 
 
 def _const(c) -> MultiPoly:
@@ -96,6 +97,12 @@ def _const(c) -> MultiPoly:
 
 def _eval(p: MultiPoly, v: Fraction) -> Fraction:
     return sum((coef * v**e for e, coef in _powers(p)), Fraction(0))
+
+
+def _primitive(p: MultiPoly) -> MultiPoly:
+    """The primitive of p in x that vanishes at x = 0: x times each term
+    over its degree plus one."""
+    return _X * p.degree_scaled((X,), 1)
 
 
 class PwPoly(Linear):
@@ -220,7 +227,7 @@ class PwPoly(Linear):
     def integrate(self) -> Fraction:
         total = Fraction(0)
         for lo, hi, poly in self.segments:
-            prim = poly.antiderivative(X)
+            prim = _primitive(poly)
             total += _eval(prim, hi) - _eval(prim, lo)
         return total
 
@@ -231,7 +238,7 @@ class PwPoly(Linear):
         cells = list(self.cells)
         const = Fraction(0)
         for k in arc_cells(self.domain(), len(cells)):
-            prim = cells[k].antiderivative(X)
+            prim = _primitive(cells[k])
             # continuity at the junction (possibly across the wrap): const
             # currently holds the running value at the start of this cell
             const = const - _eval(prim, self.grid[k])

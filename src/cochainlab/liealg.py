@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .polyalg import (
-    VECTORS, Linear, add_into, identity, is_zero, mat_add, mat_mul, mat_scale, mat_vec, rref,
-    sort_sign, sparse,
+    VECTORS, Linear, add_into, clear_denominators, identity, integer_rref, is_zero, mat_add,
+    mat_mul, mat_scale, mat_vec, sort_sign, sparse,
 )
 
 Rat = Fraction
@@ -158,8 +158,8 @@ def _nilpotency_class(alg: LieAlgebra) -> int:
                 w = alg.bracket(e, v)
                 if any(x != 0 for x in w):
                     nxt.append(w)
-        nxt = rref(nxt)
-        if len(nxt) >= len(rref(current)) and nxt:
+        nxt = integer_rref([clear_denominators(w)[0] for w in nxt])[0]
+        if len(nxt) >= len(current) and nxt:
             return 0  # series stabilized at nonzero: not nilpotent
         current = nxt
         if not current:

@@ -15,10 +15,10 @@ coordinates, so the group side and the algebra side of van Est read one
 rho_*.
 
 The structure every operator reads -- a group's right Jacobian, frame,
-coframe matrix, face substitutions, slot velocities and the tables of the
-vertical homotopy, a representation's rho and rho^{-1} -- is computed once
-per object, on first use, and kept on that object as tuples and read-only
-mappings.
+coframe matrix, face substitutions, slot velocities, the coframe table of
+each form degree and the contracted table of the vertical homotopy, a
+representation's rho and rho^{-1} -- is computed once per object, on first
+use, and kept on that object as tuples and read-only mappings.
 """
 
 from __future__ import annotations
@@ -168,33 +168,46 @@ class PolyGroup:
         return self._faces[p]
 
     @cached_property
+    def _coframe_tables(self) -> Dict[int, Matrix]:
+        return {}
+
+    def coframe_table(self, q: int) -> Matrix:
+        """``table[J][I]``, the dy_J coefficient of theta^I, for q-subsets I
+        and J in ``combinations`` order; ``((1,),)`` at q = 0.  Built by
+        wedging from the unit 0-form, once per q, like ``faces``."""
+        if q not in self._coframe_tables:
+            chart = Chart(fiber_vars(self.dim))
+            theta = maurer_cartan_coframe(self)
+            unit = PolyForm.function(chart, MultiPoly.const(1))
+            subsets = list(combinations(range(self.dim), q))
+            wedges = [reduce(wedge, [theta[i] for i in idx], unit) for idx in subsets]
+            self._coframe_tables[q] = tuple(
+                tuple(form.coefficient(idx) for form in wedges) for idx in subsets)
+        return self._coframe_tables[q]
+
+    @cached_property
     def _homotopy_tables(self) -> Dict[int, Tuple[Matrix, Matrix]]:
         return {}
 
     def homotopy_tables(self, q: int) -> Tuple[Matrix, Matrix]:
         """The two matrices that compile the vertical homotopy on fiberwise
         q-forms, q >= 1, rows and columns indexed by increasing subsets in
-        ``combinations`` order, built through the form picture once per q,
-        like ``faces``: ``coframe[J][I]``, the dy_J coefficient of
-        theta^I, for q-subsets I and J; and ``contracted[K][J]``, the
-        contraction of ``homotopy_T(q dy_J)`` with the frame fields e_k of K
-        in turn, for (q - 1)-subsets K."""
+        ``combinations`` order: ``coframe_table(q)``; and
+        ``contracted[K][J]``, the contraction of ``homotopy_T(q dy_J)`` with
+        the frame fields e_k of K in turn, for (q - 1)-subsets K, built
+        once per q like ``faces``."""
         if q not in self._homotopy_tables:
             n = self.dim
             chart = Chart(fiber_vars(n))
-            theta = maurer_cartan_coframe(self)
             frames = [PolyVF(chart, field) for field in self.frame]
-            subsets = list(combinations(range(n), q))
-            wedges = [reduce(wedge, [theta[i] for i in idx]) for idx in subsets]
-            coframe = tuple(tuple(form.coefficient(idx) for form in wedges) for idx in subsets)
             images = [homotopy_T(PolyForm(chart, q, {idx: MultiPoly.const(q)}))
-                      for idx in subsets]
+                      for idx in combinations(range(n), q)]
             contracted = tuple(
                 tuple(reduce(contract, [frames[k] for k in idx], form).coefficient(())
                       for form in images)
                 for idx in combinations(range(n), q - 1)
             )
-            self._homotopy_tables[q] = coframe, contracted
+            self._homotopy_tables[q] = self.coframe_table(q), contracted
         return self._homotopy_tables[q]
 
     @cached_property
@@ -202,17 +215,16 @@ class PolyGroup:
         return {}
 
     def slot_velocity(
-        self, i: int, p: int, xi: Union[int, Sequence[Rat]], base: Sequence[str] = ()
+        self, i: int, p: int, xi: Union[int, Sequence[Rat]]
     ) -> Mapping[str, MultiPoly]:
         """Velocity at t = 0 of the i-th slot action of a = exp(t xi) on p
-        slots: (g_i a, a^{-1} g_{i+1}) for i < p, (g_p a, a^{-1} x) for
-        i = p, x the point with coordinates ``base``.  Built once per slot,
-        p, xi and base, like ``faces``."""
+        slots: (g_i a, a^{-1} g_{i+1}) for i < p, g_p a for i = p.  Built
+        once per slot, p and xi, like ``faces``."""
         if not 1 <= i <= p:
             raise GroupError(f"slot {i} out of range 1..{p}")
-        key = (i, p, tuple(as_coeffs(self.dim, xi)), tuple(base))
+        key = (i, p, tuple(as_coeffs(self.dim, xi)))
         if key not in self._slot_velocities:
-            self._slot_velocities[key] = MappingProxyType(_slot_velocity(self, i, p, xi, base))
+            self._slot_velocities[key] = MappingProxyType(_slot_velocity(self, i, p, xi))
         return self._slot_velocities[key]
 
 
@@ -283,12 +295,12 @@ def velocity(
     return {v: c.subst(sub) for v, c in zip(names, field)}
 
 
-def _slot_velocity(group: PolyGroup, i: int, p: int, xi, base) -> Dict[str, MultiPoly]:
+def _slot_velocity(group: PolyGroup, i: int, p: int, xi) -> Dict[str, MultiPoly]:
     """The velocity ``PolyGroup.slot_velocity`` keeps, built afresh."""
     field = left_invariant_vf(group, xi).components
     vel = velocity(group, field, slot_vars(i, group.dim))
-    pulled = slot_vars(i + 1, group.dim) if i < p else base
-    vel.update(velocity(group, field, pulled, left=True))
+    if i < p:
+        vel.update(velocity(group, field, slot_vars(i + 1, group.dim), left=True))
     return vel
 
 

@@ -38,10 +38,10 @@ replaces, variables included.
 Ring operations build their results through a trusted constructor that
 skips re-coercing coefficients.  The degree cap is checked wherever a term
 can pass it: by the public constructor; by products, powers and
-substitutions; by the fused sums, for every product before any is
-accumulated; and by ``antiderivative``.  Sums, negation, scaling,
-``extend``, ``diff``, ``truncated``, ``defint01`` and ``degree_scaled``
-cannot raise the degree and skip the check.
+substitutions; and by the fused sums, for every product before any is
+accumulated.  Sums, negation, scaling, ``extend``, ``diff``,
+``truncated``, ``defint01`` and ``degree_scaled`` cannot raise the degree
+and skip the check.
 The cap keeps every field of a packed monomial from carrying into the
 next, so the public constructor also rejects repeated variables and any
 exponent that is not a non-negative ``int`` before packing.
@@ -779,21 +779,6 @@ class MultiPoly:
             {key: coef * (common // divisor[key]) for key, coef in self._num.items()},
             self._den * common))
 
-    def antiderivative(self, v: str) -> "MultiPoly":
-        """The antiderivative in ``v`` that vanishes at v = 0, over self's
-        variables and v: the term of exponent e gains one in v and the
-        factor 1/(e + 1), put over the lcm of those denominators."""
-        p = self if v in self.vars else self.extend((v,))
-        n = len(p.vars)
-        _check_degree(_max_degree(p._num, n) + 1)
-        at = p._field(v)
-        # one more in v's field and in the degree field
-        step = (1 << at) + (1 << _FIELD * n)
-        common = math.lcm(*{(key >> at & _FIELD_MASK) + 1 for key in p._num})
-        return p._like(*_normal(
-            {key + step: coef * (common // ((key >> at & _FIELD_MASK) + 1))
-             for key, coef in p._num.items()}, p._den * common))
-
 
 def sum_of_products(terms: Iterable[Tuple[Union[int, Rat], Union[MultiPoly, int, Rat],
                                           Union[MultiPoly, int, Rat]]]) -> MultiPoly:
@@ -861,8 +846,8 @@ def to_string(p: MultiPoly) -> str:
 # ---------------------------------------------------------------------------
 # Shared conventions: vector spaces (``Linear``), signs, face maps, and the
 # matrix kernel (``mat_vec``, ``mat_mul``, ``identity``, ``mat_add``,
-# ``mat_scale``, ``clear_denominators``, the fraction-free ``integer_rref``
-# and the rational ``rref``)
+# ``mat_scale``, ``clear_denominators`` and the fraction-free
+# ``integer_rref``)
 
 
 def is_zero(x) -> bool:
@@ -1066,14 +1051,6 @@ def clear_denominators(v: Sequence[Rat]) -> Tuple[List[int], int]:
     of the rationals (or ints) ``v``."""
     den = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v], den
-
-
-def rref(rows: Sequence[Sequence[Rat]]) -> List[List[Rat]]:
-    """Reduced row echelon form over the rationals; drops zero rows.  Each
-    row is cleared of denominators, the integer matrix is eliminated by
-    ``integer_rref`` and the result is divided by its pivot once."""
-    reduced, den = integer_rref([clear_denominators(row)[0] for row in rows])
-    return [[Fraction(x, den) for x in row] for row in reduced]
 
 
 # The matrix kernel, one for both coefficient rings.  A matrix is a sequence

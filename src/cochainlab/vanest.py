@@ -5,8 +5,9 @@ An element of bidegree (p, q) is a V-valued function of p group slots
 (variables g1_*..gp_*) and one base point (variables y_*), expanded over
 the dual basis of Lambda^q g* (the "component picture").  The equivalent
 "form picture" regards it as a V-valued fiberwise differential form
-beta = rho(y) * sum_I psi_I theta^I built from the left-invariant coframe
-(``frame_convert``, which the integration map reads).
+beta = rho(y) * sum_I psi_I theta^I built from the left-invariant coframe.
+``frame_convert`` computes its dy_J coefficients from the group's coframe
+table, for both of its readers: k and the integration map.
 
 Operators:
   delta  horizontal simplicial differential (pure substitution; the
@@ -21,9 +22,9 @@ Operators:
   k      (-1)^p times the linear-scaling homotopy T of the form picture,
          compiled: T is linear over functions of the slot variables, and
          T(f dy_J) = S_q(f) T(q dy_J) with S_q dividing each term of f by
-         its degree in y plus q; so k is two matrix products around one
-         scaling, between rho and rho^{-1}, with matrices built once per
-         group and q from the coframe, T and the frame
+         its degree in y plus q; so k scales the dy_J coefficients of the
+         form picture, multiplies them by one matrix built once per group
+         and q from T and the frame, and applies rho^{-1}
   q-hat  restriction to the unit base point: D^{p,0} -> group p-cochains
   j-hat  (j f)(g_1..g_p; y) = rho(y)^{-1} f(g_1..g_p)
 
@@ -54,13 +55,12 @@ the algebra side (d, the covariant derivatives and the cochains VE returns).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .forms import Chart, PolyForm, cube_integrate, pullback, wedge
+from .forms import Chart, PolyForm, cube_integrate, pullback
 from .liealg import CEElement, Representation, ce_diff, ce_diff_comps, standard_rep
 from .nilgroup import (
     GroupCochain,
@@ -68,7 +68,6 @@ from .nilgroup import (
     PolyRep,
     as_coeffs,
     group_delta,
-    maurer_cartan_coframe,
     trivial_poly_rep,
 )
 from .perturb import SAMPLE_COEFFS, DoubleComplexInstance, zigzag_xy, zigzag_yx
@@ -194,34 +193,16 @@ def bg_d(psi: BigradedElement) -> BigradedElement:
 # Form picture and the vertical homotopy
 
 
-@dataclass(frozen=True)
-class FormPicture:
-    """The same bigraded element as a V-vector of fiberwise q-forms on the
-    y-chart (group slots as constants)."""
-
-    group: PolyGroup
-    rep: PolyRep
-    p: int
-    q: int
-    forms: Tuple[PolyForm, ...]
-
-
-def frame_convert(psi: BigradedElement) -> FormPicture:
+def frame_convert(psi: BigradedElement) -> List[List[MultiPoly]]:
     """The form picture beta = rho(y) sum_I psi_I theta^I of a bigraded
-    element."""
-    group, rep = psi.group, psi.rep
-    theta = maurer_cartan_coframe(group)
-    chart = Chart(fiber_vars(group.dim))
-    forms = [PolyForm.zero(chart, psi.q)] * rep.dim
-    for idx, vec in psi.comps.items():
-        for r, coef in enumerate(mat_vec(rep.rho, vec)):
-            if coef.is_zero():
-                continue
-            term = PolyForm.function(chart, coef)
-            for i in idx:
-                term = wedge(term, theta[i])
-            forms[r] = forms[r] + term
-    return FormPicture(group, rep, psi.p, psi.q, tuple(forms))
+    element: for each row of V, the dy_J coefficients
+    f_J = sum_I coframe[J][I] (rho psi_I) over the q-subsets J in
+    ``combinations`` order (``PolyGroup.coframe_table``)."""
+    group, rep, q = psi.group, psi.rep, psi.q
+    zero = _zero_vec(rep.dim)
+    twisted = {idx: mat_vec(rep.rho, vec) for idx, vec in psi.comps.items()}
+    columns = [twisted.get(idx, zero) for idx in combinations(range(group.dim), q)]
+    return [mat_vec(group.coframe_table(q), row) for row in zip(*columns)]
 
 
 def bg_k(psi: BigradedElement) -> BigradedElement:
@@ -230,23 +211,18 @@ def bg_k(psi: BigradedElement) -> BigradedElement:
 
     T is linear over functions of the slot variables, and on a q-form
     T(f dy_J) = S_q(f) T(q dy_J), S_q dividing each term of f by its degree
-    in y plus q (``MultiPoly.degree_scaled``).  So with the group's tables
-    (``PolyGroup.homotopy_tables``), f_J = sum_I coframe[J][I] (rho psi_I)
-    is the dy_J coefficient of the form picture, and
+    in y plus q (``MultiPoly.degree_scaled``).  So with the dy_J
+    coefficients f_J of the form picture (``frame_convert``) and the
+    group's contracted table (``PolyGroup.homotopy_tables``),
     k(psi)_K = (-1)^p rho^{-1} sum_J contracted[K][J] S_q(f_J): per row of
-    V, two matrix products around one scaling."""
+    V, one scaling and one matrix product."""
     group, rep, p, q = psi.group, psi.rep, psi.p, psi.q
     if q == 0 or not psi.comps:
         return BigradedElement.zero(group, rep, p, q - 1)
-    coframe, contracted = group.homotopy_tables(q)
+    _, contracted = group.homotopy_tables(q)
     ys = fiber_vars(group.dim)
-    zero = _zero_vec(rep.dim)
-    twisted = {idx: mat_vec(rep.rho, vec) for idx, vec in psi.comps.items()}
-    columns = [twisted.get(idx, zero) for idx in combinations(range(group.dim), q)]
-    images = [
-        mat_vec(contracted, [f.degree_scaled(ys, q) for f in mat_vec(coframe, row)])
-        for row in zip(*columns)
-    ]
+    images = [mat_vec(contracted, [f.degree_scaled(ys, q) for f in row])
+              for row in frame_convert(psi)]
     comps = {
         idx: mat_vec(rep.inverse_matrix(), vec)
         for idx, vec in zip(combinations(range(group.dim), q - 1), zip(*images))
@@ -406,11 +382,12 @@ def r_closed(group: PolyGroup, alpha: CEElement) -> GroupCochain:
     """
     rep = PolyRep(group, alpha.rep)
     p = alpha.q
-    cube = Chart(cube_vars(p))
+    chart, cube = Chart(fiber_vars(group.dim)), Chart(cube_vars(p))
     gamma = gamma_map(group, p)
-    phi = dict(zip(fiber_vars(group.dim), gamma))
-    twisted = frame_convert(bg_i_inc(group, rep, alpha))
-    vals = [cube_integrate(pullback(form, phi, cube)) for form in twisted.forms]
+    phi = dict(zip(chart.coords, gamma))
+    subsets = list(combinations(range(group.dim), p))
+    vals = [cube_integrate(pullback(PolyForm(chart, p, dict(zip(subsets, row))), phi, cube))
+            for row in frame_convert(bg_i_inc(group, rep, alpha))]
     # translate the V-value back to the unit, from gamma at t = (1..1)
     ones = dict.fromkeys(cube.coords, MultiPoly.const(1))
     prod = [c.subst(ones) for c in gamma]

@@ -6,11 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from cochainlab.forms import Chart, PolyVF, contract, homotopy_T
-from cochainlab.nilgroup import GroupCochain, build_group, left_invariant_vf, slot_vars
+from cochainlab.forms import Chart, PolyForm, PolyVF, contract, homotopy_T, wedge
+from cochainlab.nilgroup import (
+    GroupCochain, build_group, left_invariant_vf, maurer_cartan_coframe, slot_vars, velocity,
+)
 from cochainlab.perturb import DoubleComplexInstance, Graded
 from cochainlab.polyalg import MultiPoly, fiber_vars, mat_vec
-from cochainlab.vanest import BigradedElement, FormPicture, _act, _twist, frame_convert
+from cochainlab.vanest import BigradedElement, _act, _twist
 
 COEFFS = tuple(
     Fraction(c) for c in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
@@ -61,7 +63,11 @@ def nabla_bigraded(i, xi, psi: BigradedElement) -> BigradedElement:
     """``vanest.nabla``'s covariant derivatives on D^{p,q}; the p-th action
     moves the base point, (g_p a; a^{-1} y), instead of twisting by the
     representation."""
-    vel = psi.group.slot_velocity(i, psi.p, xi, fiber_vars(psi.group.dim))
+    group = psi.group
+    vel = dict(group.slot_velocity(i, psi.p, xi))
+    if i == psi.p:
+        field = left_invariant_vf(group, xi).components
+        vel.update(velocity(group, field, fiber_vars(group.dim), left=True))
     comps = {idx: _act(vec, vel) for idx, vec in psi.comps.items()}
     return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
 
@@ -77,34 +83,52 @@ def lie_bigraded(xi, psi: BigradedElement) -> BigradedElement:
     return BigradedElement(psi.group, psi.rep, psi.p, psi.q, comps)
 
 
-def components(picture: FormPicture) -> BigradedElement:
-    """The component picture of a form picture, the way back from
-    ``frame_convert``: psi_I = rho(y)^{-1} beta(e_{i_1}^L, ..., e_{i_q}^L)."""
-    group, rep = picture.group, picture.rep
+def form_picture(psi: BigradedElement) -> typing.Tuple[PolyForm, ...]:
+    """The form picture beta = rho(y) sum_I psi_I theta^I of a bigraded
+    element, one fiberwise q-form per row of V, by wedges with the
+    coframe: the reference for ``vanest.frame_convert``."""
+    group, rep = psi.group, psi.rep
+    theta = maurer_cartan_coframe(group)
+    chart = Chart(fiber_vars(group.dim))
+    forms = [PolyForm.zero(chart, psi.q)] * rep.dim
+    for idx, vec in psi.comps.items():
+        for r, coef in enumerate(mat_vec(rep.rho, vec)):
+            if coef.is_zero():
+                continue
+            term = PolyForm.function(chart, coef)
+            for i in idx:
+                term = wedge(term, theta[i])
+            forms[r] = forms[r] + term
+    return tuple(forms)
+
+
+def components(group, rep, p, q, forms) -> BigradedElement:
+    """The component picture of a form picture ``forms`` (one q-form per
+    row of V), the way back from ``form_picture``:
+    psi_I = rho(y)^{-1} beta(e_{i_1}^L, ..., e_{i_q}^L)."""
     chart = Chart(fiber_vars(group.dim))
     frames = [PolyVF(chart, field) for field in group.frame]
     rho_inv = rep.inverse_matrix()
     comps = {}
-    for idx in combinations(range(group.dim), picture.q):
+    for idx in combinations(range(group.dim), q):
         paired = []
         for r in range(rep.dim):
-            form = picture.forms[r]
+            form = forms[r]
             for i in idx:
                 form = contract(form, frames[i])
             paired.append(form.coefficient(()))
         comps[idx] = mat_vec(rho_inv, paired)
-    return BigradedElement(group, rep, picture.p, picture.q, comps)
+    return BigradedElement(group, rep, p, q, comps)
 
 
 def form_path_bg_k(psi: BigradedElement) -> BigradedElement:
     """The vertical homotopy through the form picture, the reference for
     ``vanest.bg_k``: (-1)^p times ``homotopy_T`` of each form of
-    ``frame_convert``, read back by ``components``."""
+    ``form_picture``, read back by ``components``."""
     if psi.q == 0:
         return BigradedElement.zero(psi.group, psi.rep, psi.p, -1)
-    tforms = tuple(-homotopy_T(f) if psi.p % 2 else homotopy_T(f)
-                   for f in frame_convert(psi).forms)
-    return components(FormPicture(psi.group, psi.rep, psi.p, psi.q - 1, tforms))
+    tforms = tuple(-homotopy_T(f) if psi.p % 2 else homotopy_T(f) for f in form_picture(psi))
+    return components(psi.group, psi.rep, psi.p, psi.q - 1, tforms)
 
 
 def random_group_cochain(rng, group, p, max_deg=2, rep=None) -> GroupCochain:

@@ -250,7 +250,7 @@ def test_slot_velocities_built_once_per_slot_and_index(monkeypatch):
     for s in (1, 2, 3):
         f = f * sum((MultiPoly.var(v) for v in slot_vars(s, 4)), MultiPoly.zero())
     ve_closed(GroupCochain.scalar(group, 3, f))
-    assert sorted(built) == [(i, 3, j, ()) for i in (1, 2, 3) for j in range(4)]
+    assert sorted(built) == [(i, 3, j) for i in (1, 2, 3) for j in range(4)]
     ve_closed(GroupCochain.scalar(group, 3, f * 2))  # the same object builds none
     assert len(built) == 12
 

@@ -28,7 +28,7 @@ from cochainlab.perturb import (
     zigzag_xy,
     zigzag_yx,
 )
-from cochainlab.polyalg import identity, mat_mul, mat_vec, rref
+from cochainlab.polyalg import identity, integer_rref, mat_mul, mat_vec
 from cochainlab.vanest import build_double_complex, standard_poly_rep
 from conftest import instance_operator_fields, total_diff
 
@@ -303,7 +303,7 @@ def test_fraction_free_inverse(seed):
     for n in range(1, 6):
         generic = ([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)], rng.randint(1, 6))
         for mat in (_rand_invertible(rng, n), generic):
-            if len(rref(_fractions(mat))) < n:  # singular
+            if len(integer_rref(mat[0])[0]) < n:  # singular
                 continue
             inv, one = _fractions(_inverse(mat)), identity(n, Fraction(0))
             assert mat_mul(inv, _fractions(mat), Fraction(0)) == one

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import cochainlab.forms as forms
 import cochainlab.nilgroup as nilgroup
 from cochainlab.liealg import CEElement, Representation, ce_diff
 from cochainlab.nilgroup import (
@@ -18,6 +19,7 @@ from cochainlab.nilgroup import (
     trivial_poly_rep,
     velocity,
 )
+from cochainlab.forms import Chart, PolyForm, homotopy_T
 from cochainlab.polyalg import MultiPoly, mat_vec, sort_sign
 from cochainlab.vanest import (
     BigradedElement,
@@ -44,6 +46,7 @@ from conftest import (
     COEFFS,
     components,
     form_path_bg_k,
+    form_picture,
     lie_bigraded,
     map_comps,
     nabla_bigraded,
@@ -198,13 +201,60 @@ def test_cochain_map_properties(heisenberg_group):
 
 def test_frame_convert_roundtrip(heisenberg_group):
     rng = random.Random(33)
-    rep = standard_poly_rep(heisenberg_group)
-    inst = build_double_complex(heisenberg_group, rep, max_p=2)
+    group = heisenberg_group
+    rep = standard_poly_rep(group)
+    inst = build_double_complex(group, rep, max_p=2)
+    chart = Chart(fiber_vars(group.dim))
     for p in range(3):
         for q in range(3):
             psi = inst.sample(rng, p, q)
-            back = components(frame_convert(psi))
+            subsets = list(combinations(range(group.dim), q))
+            picture = [PolyForm(chart, q, dict(zip(subsets, row))) for row in frame_convert(psi)]
+            back = components(group, rep, p, q, picture)
             assert (back - psi).is_zero()
+
+
+@pytest.mark.parametrize("name", registered_groups())
+def test_frame_convert_matches_the_form_picture(name):
+    # The form picture read off the coframe table against the wedges of
+    # the coframe that the table holds, exactly: equal coefficients that
+    # print alike, for every q-subset in order.
+    group = build_group(name)
+    rng = random.Random(28)
+    for rep in (trivial_poly_rep(group), standard_poly_rep(group)):
+        inst = build_double_complex(group, rep, max_p=2)
+        for p in range(3):
+            for q in range(group.dim + 1):
+                subsets = list(combinations(range(group.dim), q))
+                for psi in (inst.sample(rng, p, q), _random_bigraded(rng, group, rep, p, q)):
+                    got = frame_convert(psi)
+                    expected = [[form.coefficient(idx) for idx in subsets]
+                                for form in form_picture(psi)]
+                    assert got == expected and repr(got) == repr(expected)
+
+
+def test_r_closed_reads_coframe_tables_built_once_per_degree(monkeypatch):
+    # The integration map calls no homotopy_T, and builds the coframe table
+    # of each degree once, on first use, whatever the representation.
+    calls, built = [], []
+    for module in (forms, nilgroup):
+        monkeypatch.setattr(module, "homotopy_T", lambda a: calls.append(a) or homotopy_T(a))
+    coframe = nilgroup.maurer_cartan_coframe
+    monkeypatch.setattr(nilgroup, "maurer_cartan_coframe",
+                        lambda g: built.append(g.dim) or coframe(g))
+    group = build_group("heisenberg3")
+    reps = (trivial_poly_rep(group).infinitesimal(), standard_poly_rep(group).infinitesimal())
+    tables = {}
+    for q in range(group.dim + 1):
+        for rep in reps:
+            for idx in combinations(range(group.dim), q):
+                r_closed(group, CEElement.basis(group.algebra, idx, rep=rep, slot=rep.dim - 1))
+        tables[q] = group.coframe_table(q)
+    assert calls == []
+    assert built == [3] * (group.dim + 1)
+    assert tables[0] == ((MultiPoly.const(1),),)
+    assert all(group.coframe_table(q) is table for q, table in tables.items())
+    assert len(built) == group.dim + 1
 
 
 @pytest.mark.parametrize("name", registered_groups())
