@@ -14,11 +14,13 @@ nilpotent representation rho_* of the algebra, exact in exponential
 coordinates, so the group side and the algebra side of van Est read one
 rho_*.
 
-The structure every operator reads -- a group's right Jacobian, frame,
-coframe matrix, face substitutions, slot velocities, the coframe table of
-each form degree and the contracted table of the vertical homotopy, a
-representation's rho and rho^{-1} -- is computed once per object, on first
-use, and kept on that object as tuples and read-only mappings.
+A group stores only its law: in exponential coordinates the inverse of a
+point is its negation.  The structure every operator reads -- a group's
+right Jacobian, frame and coframe matrix; its face substitutions, slot
+velocities, and the coframe and contracted tables of each form degree,
+kept per key in one store (``PolyGroup._once``); a representation's rho
+and rho^{-1} -- is computed once per object, on first use, and kept on
+that object as tuples and read-only mappings.
 """
 
 from __future__ import annotations
@@ -90,15 +92,13 @@ def _bch(alg: LieAlgebra, x: List[MultiPoly], y: List[MultiPoly]) -> Tuple[Multi
 
 @dataclass(frozen=True)
 class PolyGroup:
-    """Nilpotent group law on coordinate space, in exponential coordinates.
-
-    ``mult`` lives in the slot variables g1_*, g2_*; ``inv`` in g1_*.
-    The unit is the origin.
-    """
+    """Nilpotent group law on coordinate space, in exponential coordinates:
+    ``mult`` lives in the slot variables g1_*, g2_*.  The unit is the
+    origin and the inverse of a point is its negation, so the law is all a
+    group stores."""
 
     algebra: LieAlgebra
     mult: Tuple[MultiPoly, ...]
-    inv: Tuple[MultiPoly, ...]
 
     @property
     def dim(self) -> int:
@@ -115,13 +115,13 @@ class PolyGroup:
         return [m.subst(sub) for m in self.mult]
 
     def invert(self, a: Sequence[MultiPoly]) -> List[MultiPoly]:
-        sub = dict(zip(slot_vars(1, self.dim), a))
-        return [m.subst(sub) for m in self.inv]
+        """Group inverse: the negation, in exponential coordinates."""
+        return [-c for c in a]
 
     def __reduce__(self):
         # The structure cached on first use stays behind (its read-only
         # mappings do not pickle) and is rebuilt on demand.
-        return PolyGroup, (self.algebra, self.mult, self.inv)
+        return PolyGroup, (self.algebra, self.mult)
 
     @cached_property
     def right_jacobian(self) -> Matrix:
@@ -145,8 +145,16 @@ class PolyGroup:
         return tuple(map(tuple, _poly_mat_inverse(self.right_jacobian)))
 
     @cached_property
-    def _faces(self) -> Dict[int, Tuple[Tuple[Mapping[str, MultiPoly], int], ...]]:
+    def _built(self) -> Dict[tuple, object]:
         return {}
+
+    def _once(self, build: Callable, *key):
+        """``build(self, *key)``, built on the first call with ``key`` and
+        kept in the group's one store of keyed structure."""
+        stored = (build, *key)
+        if stored not in self._built:
+            self._built[stored] = build(self, *key)
+        return self._built[stored]
 
     def faces(self, p: int) -> Tuple[Tuple[Mapping[str, MultiPoly], int], ...]:
         """(substitution, sign) of the simplicial faces 0..p + 1 taking a
@@ -154,78 +162,64 @@ class PolyGroup:
         face 0 drops g1, face i merges slots i and i + 1, and face p + 1
         merges g_{p+1} into y.  A group cochain has no base point; its last
         face twists by the representation instead (``group_delta``)."""
-        if p not in self._faces:
-            n = self.dim
-            faces = [(slot_shift("g", 1, p, n), 1)]
-            for i in range(1, p + 1):
-                prod = self.multiply(_vec(slot_vars(i, n)), _vec(slot_vars(i + 1, n)))
-                sub = slot_shift("g", i + 1, p, n)
-                sub.update(zip(slot_vars(i, n), prod))
-                faces.append((sub, (-1) ** i))
-            merged = self.multiply(_vec(slot_vars(p + 1, n)), _vec(fiber_vars(n)))
-            faces.append((dict(zip(fiber_vars(n), merged)), (-1) ** (p + 1)))
-            self._faces[p] = tuple((MappingProxyType(sub), sgn) for sub, sgn in faces)
-        return self._faces[p]
-
-    @cached_property
-    def _coframe_tables(self) -> Dict[int, Matrix]:
-        return {}
+        return self._once(_faces, p)
 
     def coframe_table(self, q: int) -> Matrix:
         """``table[J][I]``, the dy_J coefficient of theta^I, for q-subsets I
-        and J in ``combinations`` order; ``((1,),)`` at q = 0.  Built by
-        wedging from the unit 0-form, once per q, like ``faces``."""
-        if q not in self._coframe_tables:
-            chart = Chart(fiber_vars(self.dim))
-            theta = maurer_cartan_coframe(self)
-            unit = PolyForm.function(chart, MultiPoly.const(1))
-            subsets = list(combinations(range(self.dim), q))
-            wedges = [reduce(wedge, [theta[i] for i in idx], unit) for idx in subsets]
-            self._coframe_tables[q] = tuple(
-                tuple(form.coefficient(idx) for form in wedges) for idx in subsets)
-        return self._coframe_tables[q]
+        and J in ``combinations`` order; ``((1,),)`` at q = 0."""
+        return self._once(_coframe_table, q)
 
-    @cached_property
-    def _homotopy_tables(self) -> Dict[int, Tuple[Matrix, Matrix]]:
-        return {}
-
-    def homotopy_tables(self, q: int) -> Tuple[Matrix, Matrix]:
-        """The two matrices that compile the vertical homotopy on fiberwise
-        q-forms, q >= 1, rows and columns indexed by increasing subsets in
-        ``combinations`` order: ``coframe_table(q)``; and
-        ``contracted[K][J]``, the contraction of ``homotopy_T(q dy_J)`` with
-        the frame fields e_k of K in turn, for (q - 1)-subsets K, built
-        once per q like ``faces``."""
-        if q not in self._homotopy_tables:
-            n = self.dim
-            chart = Chart(fiber_vars(n))
-            frames = [PolyVF(chart, field) for field in self.frame]
-            images = [homotopy_T(PolyForm(chart, q, {idx: MultiPoly.const(q)}))
-                      for idx in combinations(range(n), q)]
-            contracted = tuple(
-                tuple(reduce(contract, [frames[k] for k in idx], form).coefficient(())
-                      for form in images)
-                for idx in combinations(range(n), q - 1)
-            )
-            self._homotopy_tables[q] = self.coframe_table(q), contracted
-        return self._homotopy_tables[q]
-
-    @cached_property
-    def _slot_velocities(self) -> Dict[tuple, Mapping[str, MultiPoly]]:
-        return {}
+    def contracted_table(self, q: int) -> Matrix:
+        """``contracted[K][J]``, the contraction of ``homotopy_T(q dy_J)``
+        with the frame fields e_k of K in turn, for q-subsets J and
+        (q - 1)-subsets K in ``combinations`` order, q >= 1: the matrix
+        that compiles the vertical homotopy on fiberwise q-forms."""
+        return self._once(_contracted_table, q)
 
     def slot_velocity(
         self, i: int, p: int, xi: Union[int, Sequence[Rat]]
     ) -> Mapping[str, MultiPoly]:
         """Velocity at t = 0 of the i-th slot action of a = exp(t xi) on p
-        slots: (g_i a, a^{-1} g_{i+1}) for i < p, g_p a for i = p.  Built
-        once per slot, p and xi, like ``faces``."""
+        slots: (g_i a, a^{-1} g_{i+1}) for i < p, g_p a for i = p."""
         if not 1 <= i <= p:
             raise GroupError(f"slot {i} out of range 1..{p}")
-        key = (i, p, tuple(as_coeffs(self.dim, xi)))
-        if key not in self._slot_velocities:
-            self._slot_velocities[key] = MappingProxyType(_slot_velocity(self, i, p, xi))
-        return self._slot_velocities[key]
+        return self._once(_slot_velocity, i, p, tuple(as_coeffs(self.dim, xi)))
+
+
+def _faces(group: PolyGroup, p: int) -> Tuple[Tuple[Mapping[str, MultiPoly], int], ...]:
+    n = group.dim
+    faces = [(slot_shift("g", 1, p, n), 1)]
+    for i in range(1, p + 1):
+        prod = group.multiply(_vec(slot_vars(i, n)), _vec(slot_vars(i + 1, n)))
+        sub = slot_shift("g", i + 1, p, n)
+        sub.update(zip(slot_vars(i, n), prod))
+        faces.append((sub, (-1) ** i))
+    merged = group.multiply(_vec(slot_vars(p + 1, n)), _vec(fiber_vars(n)))
+    faces.append((dict(zip(fiber_vars(n), merged)), (-1) ** (p + 1)))
+    return tuple((MappingProxyType(sub), sgn) for sub, sgn in faces)
+
+
+def _coframe_table(group: PolyGroup, q: int) -> Matrix:
+    """Wedges of the Maurer-Cartan coframe from the unit 0-form."""
+    chart = Chart(fiber_vars(group.dim))
+    theta = maurer_cartan_coframe(group)
+    unit = PolyForm.function(chart, MultiPoly.const(1))
+    subsets = list(combinations(range(group.dim), q))
+    wedges = [reduce(wedge, [theta[i] for i in idx], unit) for idx in subsets]
+    return tuple(tuple(form.coefficient(idx) for form in wedges) for idx in subsets)
+
+
+def _contracted_table(group: PolyGroup, q: int) -> Matrix:
+    n = group.dim
+    chart = Chart(fiber_vars(n))
+    frames = [PolyVF(chart, field) for field in group.frame]
+    images = [homotopy_T(PolyForm(chart, q, {idx: MultiPoly.const(q)}))
+              for idx in combinations(range(n), q)]
+    return tuple(
+        tuple(reduce(contract, [frames[k] for k in idx], form).coefficient(())
+              for form in images)
+        for idx in combinations(range(n), q - 1)
+    )
 
 
 def bch_multiplication(alg: LieAlgebra) -> PolyGroup:
@@ -241,8 +235,7 @@ def bch_multiplication(alg: LieAlgebra) -> PolyGroup:
     x = _vec(slot_vars(1, n))
     y = _vec(slot_vars(2, n))
     mult = tuple(_bch(alg, x, y))
-    inv = tuple(-xi for xi in x)  # exp coords: inverse is negation
-    group = PolyGroup(alg, mult, inv)
+    group = PolyGroup(alg, mult)
 
     zero = [MultiPoly.zero() for _ in range(n)]
     if group.multiply(x, zero) != list(x) or group.multiply(zero, x) != list(x):
@@ -285,8 +278,8 @@ def velocity(
     """Velocity at t = 0 of the point x with coordinates ``names`` moved by
     a = exp(t xi), given the left-invariant field of xi in the y_*: for x a
     it is that field at x; for a^{-1} x (``left``) it is minus the field at
-    x^{-1}, because a^{-1} x = (x^{-1} a)^{-1} and inversion is negation in
-    the exponential coordinates of bch_multiplication."""
+    x^{-1} = -x, because a^{-1} x = (x^{-1} a)^{-1} and inversion is
+    negation (``PolyGroup.invert``)."""
     if left:
         inverse = group.invert(_vec(names))
         sub = dict(zip(fiber_vars(group.dim), inverse))
@@ -295,13 +288,12 @@ def velocity(
     return {v: c.subst(sub) for v, c in zip(names, field)}
 
 
-def _slot_velocity(group: PolyGroup, i: int, p: int, xi) -> Dict[str, MultiPoly]:
-    """The velocity ``PolyGroup.slot_velocity`` keeps, built afresh."""
+def _slot_velocity(group: PolyGroup, i: int, p: int, xi) -> Mapping[str, MultiPoly]:
     field = left_invariant_vf(group, xi).components
     vel = velocity(group, field, slot_vars(i, group.dim))
     if i < p:
         vel.update(velocity(group, field, slot_vars(i + 1, group.dim), left=True))
-    return vel
+    return MappingProxyType(vel)
 
 
 def nilpotent_series(
@@ -381,18 +373,15 @@ class PolyRep:
         sub = dict(zip(fiber_vars(self.group.dim), point))
         return [[e.subst(sub) for e in row] for row in self.rho]
 
+    @cached_property
     def inverse_matrix(self) -> Matrix:
-        """rho(y)^{-1} = rho(inv(y)), polynomial by unipotence."""
-        return self._inverse
+        """rho(y)^{-1} = rho(-y), polynomial by unipotence."""
+        inverse = self.group.invert(_vec(fiber_vars(self.group.dim)))
+        return tuple(map(tuple, self.matrix_at(inverse)))
 
     def infinitesimal(self) -> Representation:
         """rho_*, the representation rho was built from."""
         return self.tangent
-
-    @cached_property
-    def _inverse(self) -> Matrix:
-        inverse = self.group.invert(_vec(fiber_vars(self.group.dim)))
-        return tuple(map(tuple, self.matrix_at(inverse)))
 
 
 def trivial_poly_rep(group: PolyGroup) -> PolyRep:

@@ -18,7 +18,7 @@ so it is not a ``DoubleComplexInstance`` and expects no failures.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations
 from typing import List, Sequence, Tuple
 
 from .forms import Chart, PolyForm, cube_integrate, exterior_d, pullback, wedge
@@ -82,23 +82,16 @@ def pair_ve(f: ASCochain) -> PolyForm:
     points = [point_vars(s, n) for s in range(p + 1)]
     xs = [MultiPoly.var(x) for x in chart.coords]
     diag = {m: x for ms in points for m, x in zip(ms, xs)}
-    acc = PolyForm.zero(chart, p)
-    for js in product(range(1, n + 1), repeat=p):
-        idx = tuple(j - 1 for j in js)
-        if len(set(idx)) != p:
-            continue
+    terms = {}
+    for idx in permutations(range(n), p):
         g = f.value
-        for s, j in enumerate(js, start=1):
-            g = g.diff(points[s][j - 1])
+        for s, j in enumerate(idx, start=1):
+            g = g.diff(points[s][j])
             if g.is_zero():
                 break
-        if g.is_zero():
-            continue
-        coef = g.subst(diag)
-        if coef.is_zero():
-            continue
-        acc = acc + PolyForm(chart, p, {idx: coef})
-    return acc
+        else:
+            terms[idx] = g.subst(diag)
+    return PolyForm(chart, p, terms)
 
 
 def geodesic_map(n: int, p: int) -> Tuple[MultiPoly, ...]:

@@ -1067,17 +1067,20 @@ POLY_ZERO = MultiPoly.zero()
 
 
 def mat_vec(mat: Sequence[Sequence], vec: Sequence, zero=POLY_ZERO) -> list:
-    """Matrix times vector."""
-    nonzero = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
+    """Matrix times vector.  Over ``MultiPoly`` zero operands are left out
+    by ``is_zero``, so they do not widen the fused sum; over numbers, by
+    their truth value."""
     if isinstance(zero, MultiPoly):
+        nonzero = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
         return [sum_of_products((1, m, v) for j, v in nonzero if not is_zero(m := row[j]))
                 for row in mat]
+    nonzero = [(j, v) for j, v in enumerate(vec) if v]
     out = []
     for row in mat:
         acc = zero
         for j, v in nonzero:
             m = row[j]
-            if not is_zero(m):
+            if m:
                 acc = acc + m * v
         out.append(acc)
     return out

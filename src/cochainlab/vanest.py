@@ -213,18 +213,18 @@ def bg_k(psi: BigradedElement) -> BigradedElement:
     T(f dy_J) = S_q(f) T(q dy_J), S_q dividing each term of f by its degree
     in y plus q (``MultiPoly.degree_scaled``).  So with the dy_J
     coefficients f_J of the form picture (``frame_convert``) and the
-    group's contracted table (``PolyGroup.homotopy_tables``),
+    group's contracted table (``PolyGroup.contracted_table``),
     k(psi)_K = (-1)^p rho^{-1} sum_J contracted[K][J] S_q(f_J): per row of
     V, one scaling and one matrix product."""
     group, rep, p, q = psi.group, psi.rep, psi.p, psi.q
     if q == 0 or not psi.comps:
         return BigradedElement.zero(group, rep, p, q - 1)
-    _, contracted = group.homotopy_tables(q)
+    contracted = group.contracted_table(q)
     ys = fiber_vars(group.dim)
     images = [mat_vec(contracted, [f.degree_scaled(ys, q) for f in row])
               for row in frame_convert(psi)]
     comps = {
-        idx: mat_vec(rep.inverse_matrix(), vec)
+        idx: mat_vec(rep.inverse_matrix, vec)
         for idx, vec in zip(combinations(range(group.dim), q - 1), zip(*images))
     }
     k = BigradedElement(group, rep, p, q - 1, comps)
@@ -275,7 +275,7 @@ def bg_i_inc(group: PolyGroup, rep: PolyRep, alpha: CEElement) -> BigradedElemen
 
 def bg_j_inc(f: GroupCochain) -> BigradedElement:
     """(j f)(g_1..g_p; y) = rho(y)^{-1} f(g_1..g_p)."""
-    vec = mat_vec(f.rep.inverse_matrix(), f.values)
+    vec = mat_vec(f.rep.inverse_matrix, f.values)
     return BigradedElement(f.group, f.rep, f.p, 0, {(): vec})
 
 

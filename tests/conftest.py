@@ -108,7 +108,7 @@ def components(group, rep, p, q, forms) -> BigradedElement:
     psi_I = rho(y)^{-1} beta(e_{i_1}^L, ..., e_{i_q}^L)."""
     chart = Chart(fiber_vars(group.dim))
     frames = [PolyVF(chart, field) for field in group.frame]
-    rho_inv = rep.inverse_matrix()
+    rho_inv = rep.inverse_matrix
     comps = {}
     for idx in combinations(range(group.dim), q):
         paired = []

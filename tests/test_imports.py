@@ -1,8 +1,9 @@
 """Hygiene of the package sources: no unused imports, no dead private
-helpers, no function that nothing calls, no process-wide caches, no
-import-time state that keeps an old copy of the package alive, no variable
-name built outside ``polyalg``, and no reader of a polynomial's stored
-numerators and denominator outside it.  Stdlib only, so it runs wherever
+helpers, no function that nothing calls, no hand-rolled keyed cache beside
+an object's one store, no process-wide caches, no import-time state that
+keeps an old copy of the package alive, no variable name built outside
+``polyalg``, and no reader of a polynomial's stored numerators and
+denominator outside it.  Stdlib only, so it runs wherever
 the tests do."""
 
 import ast
@@ -154,6 +155,58 @@ def test_the_guards_report_a_planted_violation(tmp_path):
     assert dead_private_names(paths) == ["mod.py:4: _dead"]
     assert uncalled_functions(paths) == [
         "mod.py:4: _dead", "mod.py:8: helper", "mod.py:23: Box.uncalled"]
+    store = tmp_path / "store.py"
+    store.write_text(textwrap.dedent("""\
+        from functools import cached_property
+
+
+        class Group:
+            @cached_property
+            def _faces(self):
+                \"""Faces by degree.\"""
+                return dict()
+
+            @cached_property
+            def frame(self):
+                return {0: 1}
+        """), encoding="utf-8")
+    assert keyed_caches(store) == ["store.py:6: Group._faces"]
+
+
+#: ``cached_property`` stores of keyed structure, with the reason.
+KEYED_STORE_EXEMPT = {
+    "PolyGroup._built": "the one store of a group's keyed structure, filled by _once",
+}
+
+
+def keyed_caches(path: Path):
+    """``cached_property`` methods whose body, a docstring aside, only
+    returns an empty dict: a hand-rolled cache keyed by the method's
+    arguments, beside the one store an object keeps."""
+    problems = []
+    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if not isinstance(item, ast.FunctionDef) or not any(
+                getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+                for d in item.decorator_list
+            ):
+                continue
+            body = item.body[1:] if ast.get_docstring(item) is not None else item.body
+            value = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            if (isinstance(value, ast.Dict) and not value.keys
+                    or isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
+                    and not value.args and not value.keywords):
+                problems.append(f"{path.name}:{item.lineno}: {cls.name}.{item.name}")
+    return problems
+
+
+def test_no_hand_rolled_keyed_caches():
+    # Structure built per key goes through one store per object.
+    problems = [p for path in sorted(SRC.glob("*.py")) for p in keyed_caches(path)
+                if p.rsplit(" ", 1)[-1] not in KEYED_STORE_EXEMPT]
+    assert problems == []
 
 
 #: Module-level values that a function could fill as a process-wide cache.

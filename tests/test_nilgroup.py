@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from cochainlab.nilgroup import (
     NotNilpotent,
     PolyGroup,
     PolyRep,
+    as_coeffs,
     bch_multiplication,
     build_group,
     fiber_vars,
@@ -191,6 +194,10 @@ def test_rep_inverse_is_negation(heisenberg_group):
     n = heisenberg_group.dim
     y = [MultiPoly.var(v) for v in fiber_vars(n)]
     inv = heisenberg_group.invert(y)
+    assert inv == [-v for v in y]
+    assert heisenberg_group.invert([y[0] * y[1] - 2, MultiPoly.zero(), Fraction(1, 2)]) == [
+        2 - y[0] * y[1], MultiPoly.zero(), Fraction(-1, 2)]
+    assert heisenberg_group.invert([Fraction(3, 4), 0, -5]) == [Fraction(-3, 4), 0, 5]
     sub = {v: inv[j] for j, v in enumerate(fiber_vars(n))}
     rho_inv = [[e.subst(sub) for e in row] for row in rep.rho]
     prod = [
@@ -250,20 +257,24 @@ def test_slot_velocities_built_once_per_slot_and_index(monkeypatch):
     for s in (1, 2, 3):
         f = f * sum((MultiPoly.var(v) for v in slot_vars(s, 4)), MultiPoly.zero())
     ve_closed(GroupCochain.scalar(group, 3, f))
-    assert sorted(built) == [(i, 3, j) for i in (1, 2, 3) for j in range(4)]
+    assert sorted(built) == sorted(
+        (i, 3, tuple(as_coeffs(4, j))) for i in (1, 2, 3) for j in range(4))
     ve_closed(GroupCochain.scalar(group, 3, f * 2))  # the same object builds none
     assert len(built) == 12
 
 
-def test_cached_structure_is_read_only():
+def test_cached_structure_is_read_only(monkeypatch):
+    built = []
+    build = nilgroup._faces
+    monkeypatch.setattr(nilgroup, "_faces", lambda g, p: built.append(p) or build(g, p))
     group = build_group("heisenberg3")
     rep = standard_poly_rep(group)
     jac = group.right_jacobian
     field = left_invariant_vf(group, 2).components
     faces = group.faces(2)
     vel = group.slot_velocity(1, 2, 0)
-    coframe, contracted = group.homotopy_tables(2)
-    inverse = rep.inverse_matrix()
+    coframe, contracted = group.coframe_table(2), group.contracted_table(2)
+    inverse = rep.inverse_matrix
     matrices = rep.infinitesimal().matrices
     zero = MultiPoly.zero()
     for container, key in (
@@ -275,6 +286,16 @@ def test_cached_structure_is_read_only():
             container[key] = zero
     with pytest.raises(AttributeError):
         group.frame = ()
+    # A second call on this object gives the same objects, built once per key.
+    assert group.faces(2) is faces and group.slot_velocity(1, 2, [1, 0, 0]) is vel
+    assert group.coframe_table(2) is coframe and group.contracted_table(2) is contracted
+    assert rep.inverse_matrix is inverse
+    group.faces(1)
+    assert built == [2, 1]
+    # A copy or a pickle is an equal group that keeps none of the structure.
+    for copied in (copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
+        assert copied == group and copied._built == {}
+        assert copied.faces(2) == faces and copied.faces(2) is not faces
     # A second call, on this object and on a fresh one, gives equal values.
     fresh = build_group("heisenberg3")
     for g in (group, fresh):
@@ -284,7 +305,7 @@ def test_cached_structure_is_read_only():
             (dict(sub), sgn) for sub, sgn in faces
         ]
         assert dict(g.slot_velocity(1, 2, 0)) == dict(vel)
-    assert standard_poly_rep(fresh).inverse_matrix() == inverse
+    assert standard_poly_rep(fresh).inverse_matrix == inverse
     assert rep.infinitesimal().matrices == matrices
 
 
@@ -387,7 +408,7 @@ def test_a_non_unipotent_jacobian_is_rejected():
     # g1 + 2 g2 has the right Jacobian 2, whose nilpotent part 1 does not
     # vanish at the unit
     g1, g2 = MultiPoly.var("g1_1"), MultiPoly.var("g2_1")
-    group = PolyGroup(liealg.abelian(1), (g1 + 2 * g2,), (-g1,))
+    group = PolyGroup(liealg.abelian(1), (g1 + 2 * g2,))
     with pytest.raises(NonUnipotentJacobian):
         maurer_cartan_coframe(group)
 

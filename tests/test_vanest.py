@@ -272,7 +272,7 @@ def test_bg_k_matches_the_form_path(name):
                     assert got == expected and repr(got) == repr(expected)
 
 
-def test_homotopy_tables_are_built_on_first_use_once_per_degree(monkeypatch):
+def test_contracted_tables_are_built_on_first_use_once_per_degree(monkeypatch):
     # Building a double complex builds no table; the first bg_k at each q
     # builds that q's, one homotopy_T per q-subset, for every representation.
     built = []
@@ -288,10 +288,10 @@ def test_homotopy_tables_are_built_on_first_use_once_per_degree(monkeypatch):
         for _ in range(2):
             bg_k(_random_bigraded(rng, group, rep, 1, 2))
     assert built == [2, 2, 2]
-    tables = group.homotopy_tables(2)
+    table = group.contracted_table(2)
     bg_k(_random_bigraded(rng, group, reps[0], 0, 1))
     assert built == [2, 2, 2, 1, 1, 1]
-    assert group.homotopy_tables(2) is tables
+    assert group.contracted_table(2) is table
 
 
 def test_double_complex_identities_trivial_rep(heisenberg_group):
