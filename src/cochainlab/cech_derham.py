@@ -348,6 +348,18 @@ def default_cover() -> CoverSpec:
 # Cochains and operators
 
 
+def _simplex(cover: CoverSpec, p: int, idx: Sequence[int]) -> Tuple[Index, FrozenSet[int]]:
+    """``idx`` as a key of a Cech p-cochain, with its intersection: p + 1
+    strictly increasing indices of arcs that meet."""
+    idx = tuple(idx)
+    if len(idx) != p + 1 or list(idx) != sorted(set(idx)):
+        raise CechError(f"bad index {idx}")
+    dom = cover.intersection(idx)
+    if not dom:
+        raise CechError(f"empty intersection {idx}")
+    return idx, dom
+
+
 class CechForm(Linear):
     """Cech p-cochain of q-forms: map from increasing (p+1)-tuples of arc
     indices (nonempty intersections only) to PwPoly coefficients (the
@@ -359,12 +371,7 @@ class CechForm(Linear):
     def __init__(self, cover: CoverSpec, p: int, q: int, comps: Dict[Index, PwPoly]):
         clean = {}
         for idx, fn in comps.items():
-            idx = tuple(idx)
-            if len(idx) != p + 1 or list(idx) != sorted(set(idx)):
-                raise CechError(f"bad index {idx}")
-            dom = cover.intersection(idx)
-            if not dom:
-                raise CechError(f"empty intersection {idx}")
+            idx, dom = _simplex(cover, p, idx)
             if fn.grid != cover.grid:
                 raise CechError(f"component {idx} is not on the cover's grid")
             if fn.domain() != dom:
@@ -372,9 +379,6 @@ class CechForm(Linear):
             if not fn.is_zero():
                 clean[idx] = fn
         super().__init__(cover, p, q, clean)
-
-    def _shape(self):
-        return self.p, self.q
 
     @staticmethod
     def zero(cover, p, q) -> "CechForm":
@@ -416,16 +420,11 @@ class ConstCochain(Linear):
     def __init__(self, cover: CoverSpec, p: int, comps: Dict[Index, Fraction]):
         clean = {}
         for idx, c in comps.items():
-            idx = tuple(idx)
+            idx, _ = _simplex(cover, p, idx)
             c = Fraction(c)
-            if not cover.intersection(idx):
-                raise CechError(f"empty intersection {idx}")
             if c != 0:
                 clean[idx] = c
         super().__init__(cover, p, clean)
-
-    def _shape(self):
-        return self.p
 
     def component(self, idx) -> Fraction:
         sidx, sign = sort_sign(idx)

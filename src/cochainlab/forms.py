@@ -48,9 +48,6 @@ class PolyForm(Linear):
                 clean[sidx] = c
         super().__init__(chart, degree, clean)
 
-    def _shape(self):
-        return self.chart, self.degree
-
     @staticmethod
     def zero(chart: Chart, degree: int = 0) -> "PolyForm":
         return PolyForm(chart, degree, {})

@@ -224,6 +224,8 @@ class CEElement(Linear):
         comps: Mapping[Index, Sequence[Rat]],
     ):
         rep = rep if rep is not None else trivial_rep(algebra)
+        if rep.algebra is not algebra and rep.algebra != algebra:
+            raise ValueError("the representation is not one of the cochain's algebra")
         clean: Dict[Index, Vec] = {}
         for idx, vec in comps.items():
             idx = tuple(idx)
@@ -235,9 +237,6 @@ class CEElement(Linear):
             if any(x != 0 for x in v):
                 clean[idx] = v
         super().__init__(algebra, rep, q, clean)
-
-    def _shape(self):
-        return self.q, self.rep.dim
 
     @staticmethod
     def zero(algebra, rep, degree) -> "CEElement":

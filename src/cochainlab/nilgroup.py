@@ -408,6 +408,8 @@ class GroupCochain(Linear):
         values: Sequence[MultiPoly],
     ):
         rep = rep if rep is not None else trivial_poly_rep(group)
+        if rep.group is not group and rep.group != group:
+            raise ValueError("the representation is not one of the cochain's group")
         vals = tuple(values)
         if len(vals) != rep.dim:
             raise ValueError("value vector length must equal rep dimension")
@@ -417,9 +419,6 @@ class GroupCochain(Linear):
             if extra:
                 raise ValueError(f"cochain uses variables outside its slots: {extra}")
         super().__init__(group, rep, p, vals)
-
-    def _shape(self):
-        return self.p, self.rep.dim
 
     @staticmethod
     def scalar(group, degree, poly: MultiPoly, rep=None) -> "GroupCochain":

@@ -47,9 +47,6 @@ class ASCochain(Linear):
             raise ValueError(f"cochain uses variables outside its points: {extra}")
         super().__init__(n, degree, value)
 
-    def _shape(self):
-        return self.degree
-
     @staticmethod
     def decomposable(n: int, factors: Sequence[MultiPoly]) -> "ASCochain":
         """f_0 (x) ... (x) f_p from polynomials in x_1..x_n: factor s is

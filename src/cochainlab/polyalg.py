@@ -909,15 +909,27 @@ class ShapeError(ValueError):
     """Raised by ``+`` on two ``Linear`` elements of different shapes."""
 
 
+def _mismatch(a: "Linear", b: "Linear") -> str:
+    """Why ``b`` does not add to ``a``, in a line: a shape may hold a group,
+    whose repr runs to thousands of characters."""
+    head = f"cannot add a {type(b).__name__} to a {type(a).__name__}"
+    if type(a) is type(b):
+        i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(a._shape(), b._shape()))
+                       if x != y)
+        head += f": shape entry {i} is {repr(y)[:60]}, not {repr(x)[:60]}"
+    return head
+
+
 class Linear:
     """An element of a vector space over the rationals: the one
     implementation of the protocol that every cochain and every payload of
     the perturbation engine follows.
 
     A subclass lists its constructor's arguments, in order, as its
-    ``__slots__``, the last one holding its data; names the ``ValueKind`` of
-    that data as ``_kind``; and names in ``_shape`` what two summands must
-    share (the degree or bidegree, and more where it matters).  It keeps
+    ``__slots__``, the last one holding its data, and names the ``ValueKind``
+    of that data as ``_kind``.  The other fields are the shape, which two
+    summands share: the space (group, algebra, rep, chart, cover) and the
+    degree.  Only data with a shape of its own extends ``_shape``.  It keeps
     only its validating ``__init__`` (which stores the fields through the
     base's), its ``repr`` and its domain operators.  The base makes the
     element immutable and unhashable; adds (raising ``ShapeError`` unless
@@ -949,7 +961,7 @@ class Linear:
         return getattr(self, self.__slots__[-1])
 
     def _shape(self):
-        return ()
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -965,10 +977,7 @@ class Linear:
 
     def __add__(self, other):
         if type(other) is not type(self) or other._shape() != self._shape():
-            raise ShapeError(
-                f"cannot add {type(other).__name__} to a {type(self).__name__} "
-                f"of shape {self._shape()}"
-            )
+            raise ShapeError(_mismatch(self, other))
         return self._like(self._kind.add(self._data(), other._data()))
 
     def __neg__(self):

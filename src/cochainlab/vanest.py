@@ -115,6 +115,8 @@ class BigradedElement(Linear):
         comps: Mapping[Index, Sequence[MultiPoly]],
     ):
         rep = rep if rep is not None else trivial_poly_rep(group)
+        if rep.group is not group and rep.group != group:
+            raise ValueError("the representation is not one of the cochain's group")
         n = group.dim
         allowed = {*fiber_vars(n), *(v for s in range(1, p + 1) for v in slot_vars(s, n))}
         clean: Dict[Index, Tuple[MultiPoly, ...]] = {}
@@ -132,9 +134,6 @@ class BigradedElement(Linear):
             if any(not c.is_zero() for c in v):
                 clean[idx] = v
         super().__init__(group, rep, p, q, clean)
-
-    def _shape(self):
-        return self.p, self.q, self.rep.dim
 
     @staticmethod
     def zero(group, rep, p, q) -> "BigradedElement":

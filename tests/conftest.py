@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from cochainlab.cech_derham import CoverSpec, _pl
 from cochainlab.forms import Chart, PolyForm, PolyVF, contract, homotopy_T, wedge
 from cochainlab.nilgroup import (
     GroupCochain, build_group, left_invariant_vf, maurer_cartan_coframe, slot_vars, velocity,
@@ -159,3 +160,20 @@ def abelian2_group():
 @pytest.fixture(scope="session")
 def filiform_group():
     return build_group("filiform4")
+
+
+def rotated_cover():
+    """The default cover turned by 1/6: arc 0 and the intersection of arcs
+    0 and 2 wrap through 0."""
+    F = Fraction
+    one, zero, half = F(1), F(0), F(1, 2)
+    arcs = ((F(11, 12), F(17, 12)), (F(1, 4), F(3, 4)), (F(7, 12), F(13, 12)))
+    pou = (
+        _pl([(F(0), half), (F(1, 24), one), (F(7, 24), one),
+             (F(9, 24), zero), (F(23, 24), zero), (F(1), half)]),
+        _pl([(F(0), zero), (F(7, 24), zero), (F(9, 24), one),
+             (F(15, 24), one), (F(17, 24), zero), (F(1), zero)]),
+        _pl([(F(0), half), (F(1, 24), zero), (F(15, 24), zero),
+             (F(17, 24), one), (F(23, 24), one), (F(1), half)]),
+    )
+    return CoverSpec(arcs, pou, (F(1, 6), F(1, 2), F(5, 6)))

@@ -13,7 +13,6 @@ from cochainlab.cech_derham import (
     NotCocycle,
     PwPoly,
     _eval,
-    _pl,
     arc_cells,
     cech_d,
     cech_delta,
@@ -32,6 +31,7 @@ from cochainlab.cech_derham import (
 from cochainlab.cli import RunConfig, run_verify
 from cochainlab.perturb import verify_instance, zigzag_xy, zigzag_yx
 from cochainlab.polyalg import MultiPoly
+from conftest import rotated_cover
 
 GRID = default_cover().grid
 FULL = frozenset(range(len(GRID) - 1))
@@ -210,23 +210,6 @@ def test_a_basepoint_lies_strictly_inside_its_arc():
             CoverSpec(cover.arcs, cover.pou, (bad,) + cover.basepoints[1:])
 
 
-def rotated_cover():
-    """The default cover turned by 1/6: arc 0 and the intersection of arcs
-    0 and 2 wrap through 0."""
-    F = Fraction
-    one, zero, half = F(1), F(0), F(1, 2)
-    arcs = ((F(11, 12), F(17, 12)), (F(1, 4), F(3, 4)), (F(7, 12), F(13, 12)))
-    pou = (
-        _pl([(F(0), half), (F(1, 24), one), (F(7, 24), one),
-             (F(9, 24), zero), (F(23, 24), zero), (F(1), half)]),
-        _pl([(F(0), zero), (F(7, 24), zero), (F(9, 24), one),
-             (F(15, 24), one), (F(17, 24), zero), (F(1), zero)]),
-        _pl([(F(0), half), (F(1, 24), zero), (F(15, 24), zero),
-             (F(17, 24), one), (F(23, 24), one), (F(1), half)]),
-    )
-    return CoverSpec(arcs, pou, (F(1, 6), F(1, 2), F(5, 6)))
-
-
 def test_intersection_wrapping_through_zero_has_a_basepoint():
     cover = rotated_cover()
     # the midpoint of the overlap (11/12, 13/12), read mod 1
@@ -298,6 +281,8 @@ HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
     (lambda: CechForm(default_cover(), 0, 0, {(0,): PwPoly.on(HALVES, {0, 1}, X)}),
      r"component \(0,\) is not on the cover's grid"),
     (lambda: ConstCochain(default_cover(), 2, {(0, 1, 2): 1}), r"empty intersection \(0, 1, 2\)"),
+    (lambda: ConstCochain(default_cover(), 1, {(2, 0): 1}), r"bad index \(2, 0\)"),
+    (lambda: ConstCochain(default_cover(), 1, {(0,): 5}), r"bad index \(0,\)"),
     (lambda: circle_integrate(GlobalForm(0, PwPoly.on(GRID, FULL, X))), "only 1-forms integrate"),
 ])
 def test_cech_inputs_rejected(build, message):

@@ -277,12 +277,22 @@ LINEAR_EXEMPT = {
 }
 
 
-def protocol_redefinitions(path: Path):
-    """Classes other than the exempt ones that define a protocol method,
+#: Classes that define ``_shape``, which the base reads off the fields
+#: before the data, with the reason.
+SHAPE_EXEMPT = {
+    "Linear": "the base that reads the shape off the fields",
+    "Vec": "its entries have a length",
+    "PwPoly": "its cells have a domain",
+    "GlobalForm": "its coefficient function has a grid and a domain",
+}
+
+
+def protocol_redefinitions(path: Path, methods=LINEAR_METHODS, exempt=LINEAR_EXEMPT):
+    """Classes other than the ``exempt`` ones that define one of ``methods``,
     by ``def`` or by assignment (``__rmul__ = __mul__``)."""
     problems = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not isinstance(node, ast.ClassDef) or node.name in LINEAR_EXEMPT:
+        if not isinstance(node, ast.ClassDef) or node.name in exempt:
             continue
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -292,12 +302,19 @@ def protocol_redefinitions(path: Path):
             else:
                 continue
             problems += [f"{path.name}:{item.lineno}: {node.name}.{n}"
-                         for n in names if n in LINEAR_METHODS]
+                         for n in names if n in methods]
     return problems
 
 
 def test_no_class_reimplements_the_linear_protocol():
     problems = [p for path in sorted(SRC.glob("*.py")) for p in protocol_redefinitions(path)]
+    assert problems == []
+
+
+def test_only_data_with_a_shape_of_its_own_extends_the_shape():
+    # A cochain's shape is its fields: its space beside its degree.
+    problems = [p for path in sorted(SRC.glob("*.py"))
+                for p in protocol_redefinitions(path, {"_shape"}, SHAPE_EXEMPT)]
     assert problems == []
 
 

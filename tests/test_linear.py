@@ -3,6 +3,7 @@
 immutability, unhashability, and copies and pickles that round-trip."""
 
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -10,15 +11,15 @@ from itertools import combinations
 
 import pytest
 
-from cochainlab.cech_derham import PwPoly, cech_instance
+from cochainlab.cech_derham import CechForm, ConstCochain, PwPoly, cech_instance, default_cover
 from cochainlab.forms import Chart, PolyForm
-from cochainlab.liealg import CEElement, heisenberg3
-from cochainlab.nilgroup import GroupCochain
+from cochainlab.liealg import CEElement, heisenberg3, trivial_rep
+from cochainlab.nilgroup import GroupCochain, build_group, trivial_poly_rep
 from cochainlab.pairgpd import ASCochain
 from cochainlab.perturb import Graded, Vec, matrix_instance
 from cochainlab.polyalg import MultiPoly, ShapeError
-from cochainlab.vanest import build_double_complex, standard_poly_rep
-from conftest import random_poly
+from cochainlab.vanest import BigradedElement, build_double_complex, standard_poly_rep
+from conftest import random_poly, rotated_cover
 
 #: The eleven element classes.
 NAMES = (
@@ -113,6 +114,57 @@ def test_cochains_of_different_degrees_or_coefficients_do_not_add(heisenberg_gro
     assert (wide == narrow) is False
     with pytest.raises(ValueError):
         wide + narrow
+
+
+def test_elements_over_two_spaces_neither_add_nor_compare_equal(heisenberg_group):
+    # A shape names the space beside the degree: the group (and its rep),
+    # the algebra, the n of R^n, the cover.
+    heis, flat = heisenberg_group, build_group("abelian-3")
+    g, m = MultiPoly.var("g1_1"), MultiPoly.var("m0_1")
+    cover = default_cover()
+    # the same arcs and partition, so the same grid, at other basepoints
+    moved = dataclasses.replace(
+        cover, basepoints=tuple(b + Fraction(1, 24) for b in cover.basepoints))
+    form = cech_instance(cover).sample(random.Random(0), 1, 0)
+    pairs = [
+        (GroupCochain.scalar(heis, 1, g), GroupCochain.scalar(flat, 1, g)),
+        (BigradedElement(heis, None, 1, 1, {(0,): (g,)}),
+         BigradedElement(flat, None, 1, 1, {(0,): (g,)})),
+        (CEElement.basis(heis.algebra, (0,)), CEElement.basis(flat.algebra, (0,))),
+        (ASCochain(2, 0, m), ASCochain(3, 0, m)),
+        (form, CechForm(moved, 1, 0, form.comps)),
+        (CechForm.zero(cover, 0, 0), CechForm.zero(rotated_cover(), 0, 0)),
+        (ConstCochain(cover, 1, {(0, 1): 3}), ConstCochain(rotated_cover(), 1, {(0, 1): 3})),
+    ]
+    for a, b in pairs:
+        assert type(a) is type(b) and a._data() == b._data()
+        name = type(a).__name__
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ShapeError, match=f"cannot add a {name} to a {name}") as err:
+                x + y
+            assert len(str(err.value)) <= 200
+            assert (x == y) is False and x != y
+    # a group rebuilt from its name is the same space
+    again = build_group("heisenberg3")
+    assert again is not heis and again == heis
+    for cochain in (GroupCochain.scalar, lambda group, p, c: BigradedElement(
+            group, standard_poly_rep(group), p, 0, {(): (c, c, c)})):
+        a, b = cochain(heis, 1, g), cochain(again, 1, g)
+        assert a == b and b == a and a + b == 2 * a
+
+
+def test_a_cochain_takes_a_representation_of_its_own_space(heisenberg_group):
+    flat = build_group("abelian-3")
+    g = MultiPoly.var("g1_1")
+    with pytest.raises(ValueError, match="not one of the cochain's group"):
+        GroupCochain(heisenberg_group, trivial_poly_rep(flat), 1, (g,))
+    with pytest.raises(ValueError, match="not one of the cochain's group"):
+        BigradedElement(heisenberg_group, standard_poly_rep(flat), 1, 0, {})
+    with pytest.raises(ValueError, match="not one of the cochain's algebra"):
+        CEElement(heisenberg_group.algebra, trivial_rep(flat.algebra), 1, {})
+    # a representation of an equal, rebuilt group is one of its own
+    again = build_group("heisenberg3")
+    assert GroupCochain(heisenberg_group, trivial_poly_rep(again), 1, (g,)).rep.group == again
 
 
 @pytest.mark.parametrize("name", NAMES)
