@@ -271,7 +271,9 @@ class CoverSpec:
     def __post_init__(self):
         if not len(self.arcs) == len(self.pou) == len(self.basepoints):
             raise CechError("a cover takes one partition function and one basepoint per arc")
-        cuts = {Fraction(0), Fraction(1)}
+        if not self.arcs:
+            raise CechError("an empty cover has no arcs to cover the circle")
+        cuts = set()  # every partition function's grid holds 0 and 1
         for i in range(len(self.arcs)):
             cuts.update(c for iv in self.intervals(i) for c in iv)
         for (a, b), x in zip(self.arcs, self.basepoints):

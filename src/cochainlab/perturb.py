@@ -13,15 +13,18 @@ function: the Neumann sums read their bound, the zig-zags their length and
 the traces their bidegrees off the elements themselves.  Everything is
 exact: equality means the difference is identically zero.
 
-The engine provides the finite Neumann inversion (1 + dh)^{-1}, the two
-zig-zag maps between X and Y, the perturbed homotopy/projection
-h' = h(1+dh)^{-1}, p-hat' = p-hat(1+dh)^{-1}, and a sampling verifier for
-the full list of homotopy identities, which computes each operator image
-of a sample once and reads h' and p-hat' off one Neumann sum.  It owns the
-report format: every check record is a ``check_record``, and the only
-failures an instance may expect are the ``SIDE_CHECKS`` of one whose side
-conditions fail (``expected_failures``).  A failing zig-zag back-and-forth
-carries the step-by-step ``ZigzagTrace`` of both zig-zags.
+The engine provides the finite Neumann inversion (1 + dh)^{-1}, the
+perturbed homotopy/projection h' = h(1+dh)^{-1}, p-hat' = p-hat(1+dh)^{-1},
+the two zig-zag maps between X and Y, which are the perturbed projections
+p-hat' j-hat and q-hat' i-hat, all read off one lazy walk of the Neumann
+steps (``_steps``), and a sampling verifier for the full list of homotopy
+identities, which computes each operator image of a sample once and reads
+h' and p-hat' off one Neumann sum.  It owns the report format: every check
+record is a ``check_record``, and the only failures an instance may expect
+are the ``SIDE_CHECKS`` of one whose side conditions fail
+(``expected_failures``).  A failing zig-zag back-and-forth carries the
+``ZigzagTrace`` of both zig-zags: the walk's steps, whose terms carry
+their Neumann signs.
 
 Graded commutators of odd operators are used throughout:
 [a, b] = a b + b a.
@@ -29,6 +32,7 @@ Graded commutators of odd operators are used throughout:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -208,34 +212,50 @@ SAMPLE_COEFFS = (
 # Neumann inversion and perturbed operators
 
 
+def _steps(inst: DoubleComplexInstance, which: str, x, trace=None):
+    """The Neumann walk from x, zeros included: x, its h image, the next
+    term -d h x, its h image, and so on (which='horizontal'), or the same
+    with k and delta (which='vertical').  It is lazy, so an operator runs
+    only when the next step is asked for.  ``trace`` records every step,
+    x under the name of the inclusion (j, respectively i) of a zig-zag."""
+    if which == "horizontal":
+        names, first, second = ("j", "h", "d"), inst.h, inst.d
+    elif which == "vertical":
+        names, first, second = ("i", "k", "delta"), inst.k, inst.delta
+    else:
+        raise ValueError(f"unknown direction {which!r}")
+    record = (lambda name, elt: elt) if trace is None else trace.record
+    yield record(names[0], x)
+    while True:
+        image = record(names[1], first(x))
+        yield image
+        x = record(names[2], -second(image))
+        yield x
+
+
 def _neumann_series(inst: DoubleComplexInstance, which: str, x):
     """The finite alternating sum (1 + dh)^{-1} x of the terms (-dh)^m x
     (which='horizontal'), or (1 + delta k)^{-1} x of the terms
     (-delta k)^m x (which='vertical'), together with the sum of the h
-    (respectively k) images of its terms, which the steps compute: that is
+    (respectively k) images of its terms, which the walk computes: that is
     h (1 + dh)^{-1} x, respectively k (1 + delta k)^{-1} x.  At x's
     bidegree (p, q) the sum has at most p + 1 (respectively q + 1) terms;
     a zero term or image ends it, so neither operator meets a zero."""
-    if which == "horizontal":
-        first, second, bound = inst.h, inst.d, x.p + 1
-    elif which == "vertical":
-        first, second, bound = inst.k, inst.delta, x.q + 1
-    else:
-        raise ValueError(f"unknown direction {which!r}")
-
+    bound = (x.p if which == "horizontal" else x.q) + 1
     terms, images = [], []
-    term = x
-    while not term.is_zero():
+    walk = _steps(inst, which, x)
+    for term in walk:
+        if term.is_zero():
+            break
         if len(terms) == bound:
             raise NonTermination(
                 f"Neumann series in {inst.name} exceeded {bound} terms at {(x.p, x.q)}"
             )
         terms.append(term)
-        image = first(term)
+        image = next(walk)
         if image.is_zero():
             break
         images.append(image)
-        term = -second(image)
     return Graded.of(*terms), Graded.of(*images)
 
 
@@ -276,41 +296,30 @@ def graded_perturbed_h(inst: DoubleComplexInstance, g: Graded) -> Graded:
 
 @dataclass
 class ZigzagTrace:
-    """The steps of a zig-zag as report-ready entries: the operator's name,
-    the bidegree of the element it reached and that element's text."""
+    """The steps of a zig-zag's Neumann walk as report-ready entries: the
+    operator's name, the bidegree of the element it reached and that
+    element's text.  ``record`` passes the element on."""
 
     steps: List[dict] = field(default_factory=list)
 
     def record(self, opname: str, elt):
         self.steps.append({"op": opname, "bidegree": [elt.p, elt.q], "value": str(elt)})
-
-
-def _staircase(elt, include, ops, project, trace):
-    """(-1)^p project (b a)^p include, the staircase of both zig-zags.
-
-    ``elt`` sits at (p, 0) for ``zigzag_xy`` and at (0, p) for
-    ``zigzag_yx``, so p is its total degree.  ``include`` and the
-    alternating operators a, b in ``ops`` are each (name, operator), and
-    ``trace`` records every step, the inclusion first."""
-    p = elt.p + elt.q
-    for opname, op in (include,) + ops * p:
-        elt = op(elt)
-        if trace is not None:
-            trace.record(opname, elt)
-    out = project(elt)
-    return -out if p % 2 else out
+        return elt
 
 
 def zigzag_xy(inst: DoubleComplexInstance, y, trace: Optional[ZigzagTrace] = None):
-    """(-1)^p p-hat (dh)^p j-hat: Y^p -> X^p (the differentiation direction)."""
-    return _staircase(y, ("j", inst.j_inc), (("h", inst.h), ("d", inst.d)), inst.p_proj, trace)
+    """VE = p-hat' j-hat: Y^p -> X^p (the differentiation direction).  The
+    only term of (1 + dh)^{-1} j-hat y in the column p = 0 is the walk's
+    (-dh)^p j-hat y, so this is (-1)^p p-hat (dh)^p j-hat y, zero or not."""
+    walk = _steps(inst, "horizontal", inst.j_inc(y), trace)
+    return inst.p_proj(next(itertools.islice(walk, 2 * y.p, None)))
 
 
 def zigzag_yx(inst: DoubleComplexInstance, x, trace: Optional[ZigzagTrace] = None):
-    """(-1)^p q-hat (delta k)^p i-hat: X^p -> Y^p (the integration direction)."""
-    return _staircase(
-        x, ("i", inst.i_inc), (("k", inst.k), ("delta", inst.delta)), inst.q_proj, trace
-    )
+    """R = q-hat' i-hat: X^q -> Y^q (the integration direction), the
+    vertical twin of ``zigzag_xy``: (-1)^q q-hat (delta k)^q i-hat x."""
+    walk = _steps(inst, "vertical", inst.i_inc(x), trace)
+    return inst.q_proj(next(itertools.islice(walk, 2 * x.q, None)))
 
 
 # ---------------------------------------------------------------------------

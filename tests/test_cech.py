@@ -202,6 +202,11 @@ def test_a_cover_takes_one_partition_function_and_one_basepoint_per_arc():
         CoverSpec(cover.arcs, cover.pou[:2], cover.basepoints)
 
 
+def test_an_empty_cover_is_named_as_such():
+    with pytest.raises(CechError, match="empty cover"):
+        CoverSpec((), (), ())
+
+
 def test_a_basepoint_lies_strictly_inside_its_arc():
     cover = default_cover()
     # arc 0 is (3/4, 5/4): 1/2 lies outside it and 3/4 is its end

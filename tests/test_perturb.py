@@ -8,7 +8,8 @@ from functools import partial
 import pytest
 
 from cochainlab.cech_derham import CechForm, cech_instance
-from cochainlab.nilgroup import build_group
+from cochainlab.liealg import CEElement
+from cochainlab.nilgroup import GroupCochain, build_group
 from cochainlab import perturb
 from cochainlab.perturb import (
     Graded,
@@ -28,7 +29,7 @@ from cochainlab.perturb import (
     zigzag_xy,
     zigzag_yx,
 )
-from cochainlab.polyalg import identity, integer_rref, mat_mul, mat_vec
+from cochainlab.polyalg import MultiPoly, identity, integer_rref, mat_mul, mat_vec
 from cochainlab.vanest import build_double_complex, standard_poly_rep
 from conftest import instance_operator_fields, total_diff
 
@@ -312,6 +313,15 @@ def test_fraction_free_inverse(seed):
     assert inverted >= 5
 
 
+def test_a_seed_draws_a_pinned_change_of_basis():
+    # L below the diagonal, U above it, then a permutation: swapping the
+    # two triangles draws another model that passes every check too, so
+    # only a pinned draw notices.
+    assert _rand_invertible(random.Random(0), 3) == (
+        ((2, 0, -4), (4, 2, -9), (0, 4, 0)), 2,
+    )
+
+
 def test_no_float_reaches_a_vec_entry():
     # an int / int division in the integer arithmetic would leave a float
     inst = matrix_instance(seed=2)
@@ -377,6 +387,59 @@ def test_zigzags_are_chain_maps():
             nonzero["yx", p] += not lhs.is_zero()
     # every case was checked on nonzero values at least once
     assert len(nonzero) == 4 and all(nonzero.values())
+
+
+def test_the_zigzags_are_the_perturbed_projections():
+    # VE = p-hat' j-hat and R = q-hat' i-hat: the only term of
+    # (1 + dh)^{-1} j-hat y in the column p = 0 is (-dh)^p j-hat y, and
+    # likewise with delta k for i-hat x.  Where the Neumann sum stops at a
+    # zero before that column, the zig-zag is zero.
+    heis, fil = build_group("heisenberg3"), build_group("filiform4")
+    instances = (
+        matrix_instance(0),
+        build_double_complex(heis, standard_poly_rep(heis), max_p=2),
+        build_double_complex(fil, max_p=1),
+        cech_instance(),
+    )
+    nonzero = Counter()
+    for inst in instances:
+        rng = random.Random(0)
+        for p in range(inst.max_p + 1):
+            for _ in range(3):
+                y, x = inst.sample_y(rng, p), inst.sample_x(rng, p)
+                ve, pj = zigzag_xy(inst, y), perturbed_p(inst, inst.j_inc(y))
+                assert ve.is_zero() if pj is None else ve == pj, (inst.name, p)
+                r = zigzag_yx(inst, x)
+                col = neumann_apply(inst, "vertical", 0, p, inst.i_inc(x)).component(p, 0)
+                assert r.is_zero() if col is None else r == inst.q_proj(col), (inst.name, p)
+                nonzero[inst.name, "xy"] += not ve.is_zero()
+                nonzero[inst.name, "yx"] += not r.is_zero()
+    assert len(nonzero) == 8 and all(nonzero.values())
+
+
+def test_a_zigzag_past_the_end_of_its_neumann_sum_is_a_zero_of_x():
+    # On abelian-2 the Neumann sum of j-hat y, for the constant 2-cochain
+    # y = 2, stops before the column p = 0, so p-hat' j-hat y is None.  The
+    # zig-zag walks on through the zeros, with h and d p times each and no
+    # h on its last term, and returns the zero of X^2.
+    inst = build_double_complex(build_group("abelian-2"), max_p=2)
+    rng = random.Random(0)
+    drawn, x = inst.sample_y(rng, 2), inst.sample_x(rng, 2)
+    y = GroupCochain(drawn.group, drawn.rep, 2, (MultiPoly.const(2),))
+    calls = []
+
+    def counted(name, op):
+        def wrapper(elt):
+            calls.append((name, (elt.p, elt.q)))
+            return op(elt)
+
+        return wrapper
+
+    counting = dataclasses.replace(inst, h=counted("h", inst.h), d=counted("d", inst.d))
+    assert not y.is_zero() and perturbed_p(inst, inst.j_inc(y)) is None
+    out, zero = zigzag_xy(counting, y), CEElement.zero(x.algebra, x.rep, 2)
+    assert calls == [("h", (2, 0)), ("d", (1, 0)), ("h", (1, 1)), ("d", (0, 1))]
+    assert out == zero and out._shape() == zero._shape()
 
 
 def test_a_trace_records_where_each_element_sits():
