@@ -24,7 +24,6 @@ from .liealg import (
     LieAlgebra,
     Representation,
     abelian,
-    ce_contract,
     ce_diff,
     filiform4,
     heisenberg3,
@@ -86,7 +85,7 @@ __all__ = [
     "Graded", "GroupCochain", "LieAlgebra", "MultiPoly", "PolyForm",
     "PolyGroup", "PolyRep", "PolyVF", "PwPoly", "Rat", "Representation",
     "abelian", "apply_map", "as_delta", "bch_multiplication", "build_group",
-    "build_double_complex", "canonical_vars", "ce_contract", "ce_diff",
+    "build_double_complex", "canonical_vars", "ce_diff",
     "ce_to_string", "cech_instance", "circle_integrate",
     "collate", "contract", "cube_integrate", "default_cover", "exterior_d",
     "filiform4", "gamma_map", "geodesic_map", "group_delta", "heisenberg3",

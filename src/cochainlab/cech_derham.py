@@ -4,7 +4,9 @@ Each cover has one grid of rational cuts: its arc endpoints and the
 breakpoints of its partition of unity.  A function is one polynomial per
 grid cell of its domain, and a domain (an arc or an intersection of arcs)
 is a set of cells, so sums, products and restrictions go cell by cell.
-Forms in degree one are f dx.  The horizontal contraction comes from a
+Forms in degree one are f dx.  The rows of forms and of constants share one
+Cech coboundary, and it and the partition-of-unity sums add up only the
+components a cochain has.  The horizontal contraction comes from a
 piecewise linear partition of unity (the collating zig-zag of a cocycle
 produces a global form); the vertical contraction integrates
 per-intersection primitives based at arc midpoints.  All double complex
@@ -386,14 +388,6 @@ class CechForm(Linear):
     def zero(cover, p, q) -> "CechForm":
         return CechForm(cover, p, q, {})
 
-    def component(self, idx: Sequence[int]) -> Optional[PwPoly]:
-        sidx, sign = sort_sign(idx)
-        fn = None if sidx is None else self.comps.get(sidx)
-        if fn is None:
-            dom = self.cover.intersection(idx)
-            return PwPoly.zero(self.cover.grid, dom) if dom else None
-        return fn if sign == 1 else -fn
-
     def __repr__(self):
         return f"CechForm(p={self.p}, q={self.q}, comps={self.comps})"
 
@@ -442,23 +436,30 @@ def _nonempty_tuples(cover: CoverSpec, r: int) -> List[Index]:
     return [idx for idx in combinations(range(len(cover.arcs)), r) if cover.intersection(idx)]
 
 
+def _coboundary(cover: CoverSpec, p: int, comps: dict, restrict=None) -> dict:
+    """The Cech coboundary of the p-cochain ``comps``: on each nonempty
+    (p + 2)-tuple, sum_k (-1)^k times the component of the face without i_k,
+    read through ``restrict(component, intersection)`` when given.  Faces of
+    an increasing tuple are increasing, so each is a key as it stands; faces
+    without a component add nothing."""
+    out = {}
+    for idx in _nonempty_tuples(cover, p + 2):
+        dom, total = cover.intersection(idx), None
+        for k in range(p + 2):
+            term = comps.get(idx[:k] + idx[k + 1 :])
+            if term is not None:
+                term = term if restrict is None else restrict(term, dom)
+                term = -term if k % 2 else term
+                total = term if total is None else total + term
+        if total is not None:
+            out[idx] = total
+    return out
+
+
 def cech_delta(w: CechForm) -> CechForm:
     """(delta w)_{i_0..i_{p+1}} = sum_k (-1)^k w_{.. i_k omitted ..},
     restricted to the smaller intersection."""
-    cover = w.cover
-    out: Dict[Index, PwPoly] = {}
-    for idx in _nonempty_tuples(cover, w.p + 2):
-        dom = cover.intersection(idx)
-        acc = PwPoly.zero(cover.grid, dom)
-        for k in range(len(idx)):
-            sub = idx[:k] + idx[k + 1 :]
-            fn = w.component(sub)
-            if fn is None or fn.is_zero():
-                continue
-            term = fn.restrict(dom)
-            acc = acc + (term if k % 2 == 0 else -term)
-        out[idx] = acc
-    return CechForm(cover, w.p + 1, w.q, out)
+    return CechForm(w.cover, w.p + 1, w.q, _coboundary(w.cover, w.p, w.comps, PwPoly.restrict))
 
 
 def cech_d(w: CechForm) -> CechForm:
@@ -473,14 +474,15 @@ def _pou_sum(w: CechForm, idx: Index) -> PwPoly:
     ``idx`` is empty), each term extended by zero from its support."""
     cover = w.cover
     dom = cover.intersection(idx)
-    acc = PwPoly.zero(cover.grid, dom)
-    for j in range(len(cover.arcs)):
-        fn = w.component((j,) + idx)
-        if fn is None or fn.is_zero():
+    total = None
+    for j, chi in enumerate(cover.pou):
+        key, sign = sort_sign((j,) + idx)
+        fn = w.comps.get(key)  # key is None when j is in idx
+        if fn is None:
             continue
-        chi = cover.pou[j].restrict(fn.domain())
-        acc = acc + (chi * fn).extend_zero(dom)
-    return acc
+        term = (chi.restrict(fn.domain()) * (fn if sign == 1 else -fn)).extend_zero(dom)
+        total = term if total is None else total + term
+    return PwPoly.zero(cover.grid, dom) if total is None else total
 
 
 def pou_h(w: CechForm) -> CechForm:
@@ -544,14 +546,7 @@ def global_d(g: GlobalForm) -> GlobalForm:
 
 
 def const_delta(c: ConstCochain) -> ConstCochain:
-    cover = c.cover
-    out = {}
-    for idx in _nonempty_tuples(cover, c.p + 2):
-        acc = Fraction(0)
-        for k in range(len(idx)):
-            acc += c.component(idx[:k] + idx[k + 1 :]) * ((-1) ** k)
-        out[idx] = acc
-    return ConstCochain(cover, c.p + 1, out)
+    return ConstCochain(c.cover, c.p + 1, _coboundary(c.cover, c.p, c.comps))
 
 
 def circle_integrate(g: GlobalForm) -> Fraction:

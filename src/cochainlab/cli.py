@@ -148,10 +148,12 @@ def _digits(c: Fraction) -> float:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, algebra: Optional[LieAlgebra] = None):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.algebra = algebra
+        self.covectors: Optional[str] = None  # the kind of atom read so far
 
     def peek(self):
         return self.tokens[self.i]
@@ -246,13 +248,25 @@ class _Parser:
         if kind == "name":
             m = re.fullmatch(r"e(\d+)", text)
             if m:
-                return {(("e", int(m.group(1)) - 1),): MultiPoly.const(1)}
+                return self.covector("e", int(m.group(1)) - 1, tok)
             if text.startswith("d") and parse_var(text[1:]):
-                return {(("d", text[1:]),): MultiPoly.const(1)}
+                return self.covector("d", text[1:], tok)
             if parse_var(text):
                 return _scalar(MultiPoly.var(text))
             self.error(f"unknown variable {text!r}", tok, UnknownVariable)
         self.error(f"unexpected {text!r}" if text else "unexpected end of input", tok)
+
+    def covector(self, kind: str, key, tok) -> Value:
+        """The atom (kind, key), checked where it is read, so that an error
+        names its position even when the atom cancels."""
+        if kind == "e" and self.algebra is None:
+            self.error("dual-basis atoms need a Lie algebra context", tok)
+        if kind == "e" and not 0 <= key < self.algebra.dim:
+            self.error("covector index out of range", tok, UnknownVariable)
+        if self.covectors not in (None, kind):
+            self.error("cannot mix e-atoms and d-atoms", tok)
+        self.covectors = kind
+        return {((kind, key),): MultiPoly.const(1)}
 
 
 def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
@@ -261,12 +275,10 @@ def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
     CE dual-basis atoms e<i> require ``algebra``; coordinate differentials
     d<var> produce a PolyForm on the chart spanned by the variables that
     appear."""
-    value = _Parser(text).parse()
+    value = _Parser(text, algebra).parse()
     kinds = {atom[0] for key in value for atom in key}
     if not value:
         return MultiPoly.zero()
-    if len(kinds) > 1:
-        raise ParseError("cannot mix e-atoms and d-atoms", 1, 1)
     if not kinds:
         return value[()]
     degrees = {len(key) for key in value}
@@ -274,15 +286,11 @@ def parse_expr(text: str, algebra: Optional[LieAlgebra] = None):
         raise ParseError("expression is not homogeneous", 1, 1)
     degree = degrees.pop()
     if kinds == {"e"}:
-        if algebra is None:
-            raise ParseError("dual-basis atoms need a Lie algebra context", 1, 1)
         comps: Dict[Tuple[int, ...], List[Fraction]] = {}
         for key, poly in value.items():
             if poly.support():
                 raise ParseError("CE coefficients must be rational constants", 1, 1)
             idx = tuple(atom[1] for atom in key)
-            if any(i < 0 or i >= algebra.dim for i in idx):
-                raise UnknownVariable("covector index out of range", 1, 1)
             tgt, sign = sort_sign(idx)
             coef = Fraction(poly.constant_value()) * sign
             comps[tgt] = [comps.get(tgt, [Fraction(0)])[0] + coef]
@@ -520,11 +528,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         return p
 
     pv = common(sub.add_parser("verify", help="run an instance verification suite"))
-    pv.add_argument("--max-p", type=int, default=3)
-    pv.add_argument("--max-deg", type=int, default=2)
-    pv.add_argument("--trials", type=int, default=25)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--coeff-rep", default="trivial")
+    for f in dataclasses.fields(RunConfig)[1:]:  # every option after the instance
+        pv.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     # the maps read only the instance, a group: any other bound would go unused
     for name, what in (("ve", "differentiation"), ("integrate", "integration")):
         pm = common(sub.add_parser(name, help=f"apply the {what} map"), registered_groups())

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .polyalg import (
-    VECTORS, Linear, add_into, clear_denominators, identity, integer_rref, is_zero, mat_add,
+    VECTORS, Linear, clear_denominators, identity, integer_rref, is_zero, mat_add,
     mat_mul, mat_scale, mat_vec, sort_sign, sparse,
 )
 
@@ -303,22 +303,6 @@ def ce_diff(alpha: CEElement) -> CEElement:
     matrices of alpha's representation."""
     out = ce_diff_comps(alpha.algebra, alpha.q, alpha.comps, alpha.rep.act)
     return CEElement(alpha.algebra, alpha.rep, alpha.q + 1, out)
-
-
-def ce_contract(alpha: CEElement, xi: Sequence[Rat]) -> CEElement:
-    """Contraction with the algebra vector xi = sum xi_i e_i."""
-    if alpha.q == 0:
-        return CEElement.zero(alpha.algebra, alpha.rep, 0)
-    out: Dict[Index, list] = {}
-    for idx, vec in alpha.comps.items():
-        for pos, i in enumerate(idx):
-            c = Fraction(xi[i])
-            if c == 0:
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            sgn = (-1) ** pos
-            add_into(out, rest, [x * (c * sgn) for x in vec], VECTORS.add)
-    return CEElement(alpha.algebra, alpha.rep, alpha.q - 1, out)
 
 
 # ---------------------------------------------------------------------------

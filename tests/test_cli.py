@@ -472,6 +472,12 @@ MAP_INPUT_ERRORS = [
     ("integrate", "g1_1*e1", "CE coefficients must be rational constants"),
     ("integrate", "e4", "covector index out of range"),
     ("integrate", "e0", "covector index out of range"),
+    # each atom is checked where it is read, even when it cancels
+    ("ve", "e1 - e1", "dual-basis atoms need a Lie algebra context (line 1, column 1)"),
+    ("ve", "g1_1 + e1 - e1", "dual-basis atoms need a Lie algebra context (line 1, column 8)"),
+    ("integrate", "e9 - e9", "covector index out of range (line 1, column 1)"),
+    ("integrate", "e1 + dg1_1 - dg1_1", "cannot mix e-atoms and d-atoms (line 1, column 6)"),
+    ("integrate", "g1_1 + e4", "covector index out of range (line 1, column 8)"),
 ]
 
 

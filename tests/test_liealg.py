@@ -14,7 +14,6 @@ from cochainlab.liealg import (
     NilpotencyClassWrong,
     Representation,
     abelian,
-    ce_contract,
     ce_diff,
     filiform4,
     heisenberg3,
@@ -64,17 +63,6 @@ def test_ce_diff_squares_to_zero(alg):
     for degree in range(alg.dim):
         a = _random_ce(rng, alg, degree)
         assert ce_diff(ce_diff(a)).is_zero()
-
-
-def test_contract_basis():
-    alg = heisenberg3()
-    a = CEElement.basis(alg, (0, 2))
-    xi = [Fraction(0), Fraction(0), Fraction(1)]
-    contracted = ce_contract(a, xi)
-    # iota_{e3} (e^1 ^ e^3) = -e^1
-    assert contracted.component((0,)) == (Fraction(-1),)
-    # contracting a 0-cochain gives the zero 0-cochain, not one of degree -1
-    assert ce_contract(CEElement.basis(alg, ()), xi) == CEElement(alg, trivial_rep(alg), 0, {})
 
 
 def test_ce_diff_dual_to_bracket():

@@ -417,6 +417,30 @@ def test_the_zigzags_are_the_perturbed_projections():
     assert len(nonzero) == 8 and all(nonzero.values())
 
 
+def test_the_inclusions_are_chain_maps_and_q_hat_j_hat_is_one():
+    # verify_instance checks p-hat i-hat = 1 on X; the Y side and the chain
+    # map property of both inclusions are checked here.
+    heis, fil = build_group("heisenberg3"), build_group("filiform4")
+    instances = (
+        matrix_instance(0),
+        build_double_complex(heis, standard_poly_rep(heis), max_p=2),
+        build_double_complex(fil, max_p=1),
+        cech_instance(),
+    )
+    for inst in instances:
+        rng = random.Random(0)
+        nonzero = 0
+        for p in range(inst.max_p + 1):
+            for _ in range(3):
+                y, x = inst.sample_y(rng, p), inst.sample_x(rng, p)
+                assert inst.q_proj(inst.j_inc(y)) == y, (inst.name, p)
+                dy = inst.delta_y(y)
+                assert inst.delta(inst.j_inc(y)) == inst.j_inc(dy), (inst.name, p)
+                assert inst.d(inst.i_inc(x)) == inst.i_inc(inst.d_x(x)), (inst.name, p)
+                nonzero += not dy.is_zero()
+        assert nonzero, inst.name
+
+
 def test_a_zigzag_past_the_end_of_its_neumann_sum_is_a_zero_of_x():
     # On abelian-2 the Neumann sum of j-hat y, for the constant 2-cochain
     # y = 2, stops before the column p = 0, so p-hat' j-hat y is None.  The
