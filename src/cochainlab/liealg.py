@@ -71,6 +71,13 @@ class LieAlgebra:
             if any(c != 0 for c in vec)
         )
 
+    @cached_property
+    def trivial_rep(self) -> "Representation":
+        """The trivial one-dimensional representation, checked once per
+        algebra."""
+        zero = ((Fraction(0),),)
+        return Representation(self, 1, tuple(zero for _ in range(self.dim)))
+
     def bracket(self, u: Sequence, v: Sequence):
         """Bracket of coefficient vectors; works for Fractions and for any
         ring elements supporting + and * with Fractions (e.g. MultiPoly).
@@ -201,8 +208,7 @@ class Representation:
 
 
 def trivial_rep(alg: LieAlgebra) -> Representation:
-    zero = ((Fraction(0),),)
-    return Representation(alg, 1, tuple(zero for _ in range(alg.dim)))
+    return alg.trivial_rep
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The group law in exponential coordinates comes from the Baker-Campbell-
 Hausdorff series, truncated at the nilpotency class (exact for class <= 4,
 the supported range).  Everything downstream is a polynomial identity and
 is verified as such at construction time: unit laws, associativity,
-inverses.  ``GROUPS`` registers each group by the constructor of its algebra.
+inverses.  ``GROUPS`` registers each group by the constructor of its algebra;
+``build_group`` checks a registered group's law once per name and process
+(``_LAWS``) and hands each call a new group over that law.
 
 Also provides the left-invariant frame, the dual coframe (with polynomial
 entries, by unipotence of the Jacobian), polynomial group cochains with
@@ -20,7 +22,8 @@ right Jacobian, frame and coframe matrix; its face substitutions, slot
 velocities, and the coframe and contracted tables of each form degree,
 kept per key in one store (``PolyGroup._once``); a representation's rho
 and rho^{-1} -- is computed once per object, on first use, and kept on
-that object as tuples and read-only mappings.
+that object as tuples and read-only mappings.  So it lives and dies with
+the group a call builds; only the law it is read from is shared.
 """
 
 from __future__ import annotations
@@ -456,11 +459,24 @@ GROUPS: Dict[str, Callable[[], LieAlgebra]] = {
 }
 
 
+#: The checked law ``(algebra, mult)`` of each registered group built so
+#: far in this process, by name.  A law that fails a check is not kept.
+_LAWS: Dict[str, Tuple[LieAlgebra, Tuple[MultiPoly, ...]]] = {}
+
+
 def registered_groups() -> List[str]:
     return list(GROUPS)
 
 
 def build_group(name: str) -> PolyGroup:
+    """A new group over the registered law ``name``.  The first call for a
+    name builds the law through ``bch_multiplication``, with every axiom
+    check, and keeps it in ``_LAWS``; each call returns its own
+    ``PolyGroup``, so the structure a group builds on first use (frame,
+    coframe, faces, velocities, tables) lives and dies with that group."""
     if name not in GROUPS:
         raise GroupError(f"unknown group {name!r}")
-    return bch_multiplication(GROUPS[name]())
+    if name not in _LAWS:
+        group = bch_multiplication(GROUPS[name]())
+        _LAWS[name] = (group.algebra, group.mult)
+    return PolyGroup(*_LAWS[name])

@@ -8,7 +8,7 @@ import pytest
 from cochainlab import liealg, nilgroup
 from cochainlab.cli import RunConfig, run_verify
 from cochainlab.forms import PolyVF, contract, exterior_d, wedge
-from cochainlab.liealg import validate_lie_algebra
+from cochainlab.liealg import CEElement, validate_lie_algebra
 from cochainlab.nilgroup import (
     AssociativityFailure,
     ClassTooHigh,
@@ -231,6 +231,25 @@ def test_structure_is_built_once_per_object(monkeypatch):
     assert reps and len(validations) <= len(reps)
 
 
+def test_the_trivial_rep_is_checked_once_per_algebra(monkeypatch):
+    checked = []
+    check = liealg.Representation.__post_init__
+    monkeypatch.setattr(liealg.Representation, "__post_init__",
+                        lambda rep: checked.append(rep.algebra) or check(rep))
+    alg = liealg.heisenberg3()
+    group = bch_multiplication(alg)
+    assert liealg.trivial_rep(alg) is liealg.trivial_rep(alg)
+    for q in range(3):
+        CEElement(alg, None, q, {})
+        trivial_poly_rep(group)
+    GroupCochain.scalar(group, 1, MultiPoly.var("g1_1"))
+    assert len(checked) == 1 and checked[0] is alg
+    # An equal algebra is another object, with its own check.
+    again = liealg.heisenberg3()
+    assert again == alg and liealg.trivial_rep(again) == liealg.trivial_rep(alg)
+    assert len(checked) == 2 and checked[1] is again
+
+
 @pytest.mark.parametrize("name", registered_groups())
 def test_right_jacobian_matches_derivative_formula(name):
     # B(y)[j][i] = d m_j / d g2_i at (g1, g2) = (y, 0)
@@ -370,6 +389,23 @@ def test_unregistered_name_is_an_unknown_group(name):
         build_group(name)
 
 
+def test_a_registered_law_is_checked_once_and_shared(monkeypatch):
+    monkeypatch.setattr(nilgroup, "_LAWS", {})
+    built = []
+    bch = nilgroup._bch
+    monkeypatch.setattr(nilgroup, "_bch", lambda alg, x, y: built.append(alg.name) or bch(alg, x, y))
+    first, second = build_group("filiform4"), build_group("filiform4")
+    assert built == ["filiform4"]
+    assert first is not second and first == second and first.mult is second.mult
+    # Each call's group keeps its own store.
+    table = first.coframe_table(1)
+    assert second._built == {}
+    assert second.coframe_table(1) == table and second.coframe_table(1) is not table
+    with pytest.raises(GroupError, match="unknown group 'abelian-7'"):
+        build_group("abelian-7")
+    assert list(nilgroup._LAWS) == ["filiform4"]
+
+
 def _class_four_plus_one_24th(bch):
     """BCH with +1/24 in place of -1/24 on [y, [x, [x, y]]]: the unit and
     inverse laws still hold, associativity does not."""
@@ -402,6 +438,21 @@ def test_bch_group_axiom_guards_fire(monkeypatch, mutate, dim, brackets, message
     monkeypatch.setattr(nilgroup, "_bch", mutate(nilgroup._bch))
     with pytest.raises(AssociativityFailure, match=message):
         bch_multiplication(alg)
+
+
+@pytest.mark.parametrize("mutate, dim, brackets, message", [
+    (_plus_constant, 3, {(0, 1): {2: 1}}, "unit laws fail"),
+    (_class_four_plus_one_24th, 5, FILIFORM5, "not associative"),
+], ids=["unit", "associativity"])
+def test_a_law_that_fails_a_check_is_not_registered(monkeypatch, mutate, dim, brackets, message):
+    monkeypatch.setattr(nilgroup, "_LAWS", {})
+    monkeypatch.setitem(nilgroup.GROUPS, "mutant",
+                        lambda: validate_lie_algebra("mutant", dim, brackets))
+    monkeypatch.setattr(nilgroup, "_bch", mutate(nilgroup._bch))
+    for _ in range(2):  # the second call checks again, and fails again
+        with pytest.raises(AssociativityFailure, match=message):
+            build_group("mutant")
+    assert nilgroup._LAWS == {}
 
 
 def test_a_non_unipotent_jacobian_is_rejected():
