@@ -422,12 +422,6 @@ class ConstCochain(Linear):
                 clean[idx] = c
         super().__init__(cover, p, clean)
 
-    def component(self, idx) -> Fraction:
-        sidx, sign = sort_sign(idx)
-        if sidx is None:
-            return Fraction(0)
-        return self.comps.get(sidx, Fraction(0)) * sign
-
     def __repr__(self):
         return f"ConstCochain(p={self.p}, comps={dict(self.comps)})"
 

@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .polyalg import (
-    VECTORS, Linear, clear_denominators, identity, integer_rref, is_zero, mat_add,
-    mat_mul, mat_scale, mat_vec, sort_sign, sparse,
+    POLY_ZERO, VECTORS, Linear, MultiPoly, clear_denominators, identity, integer_rref, is_zero,
+    mat_add, mat_mul, mat_scale, mat_vec, sort_sign, sparse,
 )
 
 Rat = Fraction
@@ -202,10 +202,6 @@ class Representation:
                         f"rho([e_{i}, e_{j}]) != [rho(e_{i}), rho(e_{j})]"
                     )
 
-    def act(self, i: int, vec: Sequence[Rat]) -> list:
-        """Apply rho(e_i) to a rational coefficient vector."""
-        return mat_vec(self.matrices[i], vec, Fraction(0))
-
 
 def trivial_rep(alg: LieAlgebra) -> Representation:
     return alg.trivial_rep
@@ -263,26 +259,42 @@ class CEElement(Linear):
         return f"CEElement(deg={self.q}, comps={self.comps})"
 
 
-def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[Index, Sequence]:
-    """Chevalley-Eilenberg differential on raw component maps.
+def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, rep: Representation,
+                  fields: Optional[Sequence[Mapping]] = None) -> Dict[Index, list]:
+    """Chevalley-Eilenberg differential on raw component maps, for e_i
+    acting on a coefficient vector by rho_*(e_i) (``rep``) plus, when
+    ``fields`` are given, the chain-rule derivative of each polynomial entry
+    along ``fields[i]`` (``MultiPoly.derivation``).
 
-    Coefficient-agnostic: works for any vectors supporting + and * by a
-    Fraction (rational vectors, MultiPoly vectors).  ``action(i, vec)``
-    applies the generator e_i to a coefficient vector.
+    Coefficient-agnostic: the entries are rationals or MultiPolys.  Each
+    (degree + 1)-subset J gathers its signed contributions, each a vector
+    with a rational matrix: the derivatives and the vector itself under
+    rho_*(e_{j_a}) for the action terms, and the vector for the bracket
+    inserts.  One ``mat_vec`` of those matrices, side by side, against the
+    entries of the vectors sums them: over polynomials, one fused sum per
+    entry of the result.
     """
-    out: Dict[Index, Sequence] = {}
+    def diag(c) -> list:
+        """c times the identity of V."""
+        return [[c if r == s else 0 for s in range(rep.dim)] for r in range(rep.dim)]
+
+    # the matrix of an action term's derivatives, by the parity of a
+    units = (diag(1), diag(-1))
+    out: Dict[Index, list] = {}
     for J in combinations(range(alg.dim), degree + 1):
-        total = None
+        entries, blocks = [], []
         # sum_a (-1)^a e_{j_a} . alpha(J \ j_a)
         for a, ja in enumerate(J):
             rest = J[:a] + J[a + 1 :]
             vec = comps.get(rest)
             if vec is None:
                 continue
-            acted = action(ja, vec)
-            sgn = (-1) ** a
-            term = [x * sgn for x in acted] if sgn == -1 else list(acted)
-            total = term if total is None else VECTORS.add(total, term)
+            odd = a % 2
+            if fields is not None:
+                entries += [c.derivation(fields[ja]) for c in vec]
+                blocks.append(units[odd])
+            entries += vec
+            blocks.append(mat_scale(rep.matrices[ja], -1) if odd else rep.matrices[ja])
         # sum_{a<b} (-1)^{a+b} alpha([e_{j_a}, e_{j_b}] ^ rest)
         for a in range(len(J)):
             for b in range(a + 1, len(J)):
@@ -294,20 +306,21 @@ def ce_diff_comps(alg: LieAlgebra, degree: int, comps: Mapping, action) -> Dict[
                     if ins is None:
                         continue
                     vec = comps.get(ins)
-                    if vec is None:
-                        continue
-                    sgn = ((-1) ** (a + b)) * sgn_ins
-                    term = [x * (c * sgn) for x in vec]
-                    total = term if total is None else VECTORS.add(total, term)
-        if total is not None:
-            out[J] = total
+                    if vec is not None:
+                        entries += vec
+                        blocks.append(diag(c * ((-1) ** (a + b)) * sgn_ins))
+        if entries:
+            rows = [[x for block in blocks for x in block[r]] for r in range(rep.dim)]
+            # the zero of the entries' ring picks the kernel's path
+            zero = POLY_ZERO if isinstance(entries[0], MultiPoly) else Fraction(0)
+            out[J] = mat_vec(rows, entries, zero)
     return out
 
 
 def ce_diff(alpha: CEElement) -> CEElement:
     """Chevalley-Eilenberg differential, acting on coefficients through the
     matrices of alpha's representation."""
-    out = ce_diff_comps(alpha.algebra, alpha.q, alpha.comps, alpha.rep.act)
+    out = ce_diff_comps(alpha.algebra, alpha.q, alpha.comps, alpha.rep)
     return CEElement(alpha.algebra, alpha.rep, alpha.q + 1, out)
 
 

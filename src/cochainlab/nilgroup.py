@@ -40,7 +40,7 @@ from .forms import Chart, PolyForm, PolyVF, contract, homotopy_T, wedge
 from .liealg import LieAlgebra, Representation, abelian, filiform4, heisenberg3, trivial_rep
 from .polyalg import (
     VECTORS, Linear, MultiPoly, Rat, fiber_vars, identity, is_zero, mat_add, mat_mul, mat_scale,
-    mat_vec, slot_shift, slot_vars, sum_of_products,
+    mat_vec, outside_vars, slot_shift, slot_vars,
 )
 
 MAX_BCH_CLASS = 4
@@ -418,7 +418,7 @@ class GroupCochain(Linear):
             raise ValueError("value vector length must equal rep dimension")
         allowed = {v for s in range(1, p + 1) for v in slot_vars(s, group.dim)}
         for v in vals:
-            extra = set(v.support()) - allowed
+            extra = outside_vars(v, allowed)
             if extra:
                 raise ValueError(f"cochain uses variables outside its slots: {extra}")
         super().__init__(group, rep, p, vals)
@@ -436,14 +436,14 @@ class GroupCochain(Linear):
 
 def group_delta(f: GroupCochain) -> GroupCochain:
     """Simplicial differential on polynomial group cochains; the last face
-    twists by the inverse representation matrix."""
+    twists by the inverse representation matrix, and is added to the face
+    sum of the others (``MultiPoly.subst_sum``)."""
     group, rep, p = f.group, f.rep, f.p
     faces = group.faces(p)[:-1]
     # face p+1: drop g_{p+1}, acting by rho(g_{p+1})^{-1} on the value
     rho_inv = rep.matrix_at(group.invert(_vec(slot_vars(p + 1, group.dim))))
     last = (-1) ** (p + 1)
-    out = [sum_of_products([(sgn, v.subst(sub), 1) for sub, sgn in faces] + [(last, t, 1)])
-           for v, t in zip(f.values, mat_vec(rho_inv, f.values))]
+    out = [v.subst_sum(faces) + t * last for v, t in zip(f.values, mat_vec(rho_inv, f.values))]
     return GroupCochain(group, rep, p + 1, out)
 
 

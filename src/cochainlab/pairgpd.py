@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 from .forms import Chart, PolyForm, cube_integrate, exterior_d, pullback, wedge
 from .perturb import check_record
 from .polyalg import (
-    Linear, MultiPoly, base_vars, cube_vars, point_vars, slot_shift, sum_of_products, to_string,
+    Linear, MultiPoly, base_vars, cube_vars, outside_vars, point_vars, slot_shift, to_string,
 )
 
 Index = Tuple[int, ...]
@@ -42,7 +42,7 @@ class ASCochain(Linear):
 
     def __init__(self, n: int, degree: int, value: MultiPoly):
         allowed = {v for s in range(degree + 1) for v in point_vars(s, n)}
-        extra = set(value.support()) - allowed
+        extra = outside_vars(value, allowed)
         if extra:
             raise ValueError(f"cochain uses variables outside its points: {extra}")
         super().__init__(n, degree, value)
@@ -65,8 +65,8 @@ def as_delta(f: ASCochain) -> ASCochain:
     (delta f)(m_0..m_{p+1}) = sum_i (-1)^i f(.., m_i omitted, ..)."""
     n, p = f.n, f.degree
     # omit point i: old point s >= i reads the new point s + 1
-    faces = (((-1) ** i, f.value.subst(slot_shift("m", i, p, n)), 1) for i in range(p + 2))
-    return ASCochain(n, p + 1, sum_of_products(faces))
+    faces = ((slot_shift("m", i, p, n), (-1) ** i) for i in range(p + 2))
+    return ASCochain(n, p + 1, f.value.subst_sum(faces))
 
 
 def pair_ve(f: ASCochain) -> PolyForm:

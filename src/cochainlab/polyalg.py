@@ -34,7 +34,10 @@ sum_v field[v] * d/dv) and ``sum_of_products`` (sum c * a * b) pick one
 union layout, realign each operand at most once and accumulate into one
 numerator dict over one denominator, with one normalisation, and each
 equals the fold of ``+`` and ``*`` from ``MultiPoly.zero()`` that it
-replaces, variables included.
+replaces, variables included.  So does the face sum
+``MultiPoly.subst_sum`` (sum c * p(assignment)), the fold
+``sum_of_products`` of the substitutions: it makes each substitution
+straight into the union of their variables.
 Ring operations build their results through a trusted constructor that
 skips re-coercing coefficients.  The degree cap is checked wherever a term
 can pass it: by the public constructor; by products, powers and
@@ -56,7 +59,8 @@ import operator
 import re
 from fractions import Fraction
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+    AbstractSet, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 Rat = Fraction
@@ -670,11 +674,21 @@ class MultiPoly:
         once per call.  A group's numerators times its factors' lie over the
         product of the factors' denominators; the groups are summed over the
         lcm of those."""
+        if all(v not in assignment for v in self.vars):
+            return self
+        plan = self._subst_plan(assignment)
+        keys = tuple(sorted(plan[0]))
+        vs = tuple(k[-1] for k in keys)
+        return _make(vs, keys, *_normal(*self._subst_into(plan, vs, keys)))
+
+    def _subst_plan(self, assignment: Mapping[str, Union["MultiPoly", int, Rat]]) -> tuple:
+        """How ``assignment`` acts on self: ``(keys, rename, scales,
+        factors)``, the ``var_key`` set of the variables the substitution
+        lives over, the renamed variables with their new names, the scaling
+        ``(field, c, d)`` of each value c w / d that renames, and the other
+        values some term raises, ``(field, value)``."""
         vs = self.vars
         n = len(vs)
-        kept = {k for k, v in zip(self._keys, vs) if v not in assignment}
-        if len(kept) == n:
-            return self
         raised = functools.reduce(operator.or_, self._num, 0)
         # The result lives over the canonical union of the passthrough
         # variables and those of every value some term raises to a positive
@@ -697,9 +711,17 @@ class MultiPoly:
                     scales.append((at, c, f._den))
             else:
                 factors.append((at, f))
-        out_keys = tuple(sorted(kept.union(*value_keys)))
-        out_vars = tuple(k[-1] for k in out_keys)
-        m = len(out_vars)
+        kept = {k for k, v in zip(self._keys, vs) if v not in assignment}
+        return kept.union(*value_keys), rename, scales, factors
+
+    def _subst_into(self, plan: tuple, out_vars: Tuple[str, ...],
+                    out_keys: tuple) -> Tuple[Dict[int, int], int]:
+        """The numerators and denominator of the substitution ``plan``
+        (``_subst_plan``) over ``out_vars``, which hold its variables, not
+        yet normalised."""
+        _, rename, scales, factors = plan
+        vs = self.vars
+        n, m = len(vs), len(out_vars)
         factors = [(at, f._reindexed(out_vars, out_keys)) for at, f in factors]
         # a renaming value c w / d scales a term of exponent e by c^e d^(top - e)
         # over d^top, top the largest such e
@@ -747,7 +769,7 @@ class MultiPoly:
                 out = _over(out, out_den, common)
                 terms, out_den = _over(terms, den, common), common
             _accumulate(out, terms)
-        return _make(out_vars, out_keys, *_normal(out, out_den * num_den))
+        return out, out_den * num_den
 
     def defint01(self, v: str) -> "MultiPoly":
         """Definite integral over [0, 1] in ``v``; v is eliminated from the
@@ -771,13 +793,44 @@ class MultiPoly:
         ``shift``, a positive int, put over the lcm of those divisors: the
         t-integral of the homotopy of y -> t y on a form of degree
         ``shift``, the y being ``variables``."""
-        fields = {self._field(v) for v in variables if v in self.vars}
-        divisor = {key: sum([key >> at & _FIELD_MASK for at in fields]) + shift
-                   for key in self._num}
-        common = math.lcm(*divisor.values())
+        names = set(variables)
+        n = len(self.vars)
+        mask = sum([_FIELD_MASK << _FIELD * (n - 1 - i) for i, v in enumerate(self.vars)
+                    if v in names])
+        # A key's fields in ``variables`` (``mask``) times 1 + 2^_FIELD +
+        # 2^(2 _FIELD) + ... add up in its top variable field: every partial
+        # sum is at most the term's degree, so none carries.
+        spread = ((1 << _FIELD * n) - 1) // _FIELD_MASK
+        top = _FIELD * max(n - 1, 0)
+        num = self._num
+        divisors = [((key & mask) * spread >> top & _FIELD_MASK) + shift for key in num]
+        common = math.lcm(*set(divisors))
         return self._like(*_normal(
-            {key: coef * (common // divisor[key]) for key, coef in self._num.items()},
+            {key: coef * (common // d) for (key, coef), d in zip(num.items(), divisors)},
             self._den * common))
+
+    def subst_sum(self, pairs: Iterable[Tuple[Mapping[str, Union["MultiPoly", int, Rat]],
+                                              Union[int, Rat]]]) -> "MultiPoly":
+        """The sum of ``c * self.subst(assignment)`` over ``pairs``
+        ``(assignment, c)``, c a rational (a face's sign, say), in one pass.
+        It equals ``sum_of_products`` of the terms ``(c, self.subst(assignment),
+        1)``, with the same variables (the canonical union of the
+        substitutions') and the same degree checks: each substitution is
+        made straight into that union, and the sum takes one dict and one
+        normalisation."""
+        plans = [(self._subst_plan(assignment), c) for assignment, c in pairs]
+        keys = tuple(sorted(set().union(*(plan[0] for plan, _ in plans))))
+        vs = tuple(k[-1] for k in keys)
+        parts = [(*self._subst_into(plan, vs, keys), c) for plan, c in plans]
+        common = math.lcm(*(den * c.denominator for _, den, c in parts))
+        out: Dict[int, int] = {}
+        get = out.get
+        for num, den, c in parts:
+            k = c.numerator * (common // (den * c.denominator))
+            for e, coef in num.items():
+                prev = get(e)
+                out[e] = coef * k if prev is None else prev + coef * k
+        return _make(vs, keys, *_normal(out, common))
 
 
 def sum_of_products(terms: Iterable[Tuple[Union[int, Rat], Union[MultiPoly, int, Rat],
@@ -809,6 +862,16 @@ def sum_of_products(terms: Iterable[Tuple[Union[int, Rat], Union[MultiPoly, int,
     common = math.lcm(*(den for *_, den in products))
     parts = [(na, nb, num * (common // den)) for na, nb, num, den in products]
     return _make(vs, keys, *_sum_products(parts, len(vs), common))
+
+
+def outside_vars(p: MultiPoly, allowed: AbstractSet[str]) -> Set[str]:
+    """The variables that ``p`` raises to a positive power and ``allowed``
+    lacks: the check of every cochain constructor.  Variables are read off
+    the terms only when ``p.vars`` names one outside ``allowed``, which may
+    be held at exponent 0."""
+    if allowed.issuperset(p.vars):
+        return set()
+    return set(p.support()) - allowed
 
 
 # ---------------------------------------------------------------------------

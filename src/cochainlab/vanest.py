@@ -44,8 +44,10 @@ the end, and ``ve_closed`` drops it.
 Every infinitesimal action (the covariant derivatives, the Lie derivative
 and d) is a chain-rule derivative along invariant vector fields: a point
 moved to x exp(t xi) has the left-invariant field of xi at x as velocity.
-Each value's derivative is one fused ``MultiPoly.derivation``, and each
-entry of delta one fused sum of its signed faces (``sum_of_products``).
+Each value's derivative is one fused ``MultiPoly.derivation``; each entry
+of delta is one accumulation of its signed faces (``MultiPoly.subst_sum``),
+and each entry of d one of its Chevalley-Eilenberg terms
+(``liealg.ce_diff_comps``).
 
 The coefficients V are one ``PolyRep``: its rho = exp(rho_*) twists the
 group side (j-hat, the form picture, the integration map) and its rho_*
@@ -82,10 +84,10 @@ from .polyalg import (
     mat_add,
     mat_scale,
     mat_vec,
+    outside_vars,
     slot_vars,
     sort_sign,
     sparse,
-    sum_of_products,
     to_string,
 )
 
@@ -128,7 +130,7 @@ class BigradedElement(Linear):
             if len(v) != rep.dim:
                 raise ValueError("component vector length must match rep dim")
             for c in v:
-                extra = set(c.support()) - allowed
+                extra = outside_vars(c, allowed)
                 if extra:
                     raise ValueError(f"component uses variables outside slots: {extra}")
             if any(not c.is_zero() for c in v):
@@ -153,12 +155,12 @@ class BigradedElement(Linear):
 
 def bg_delta(psi: BigradedElement) -> BigradedElement:
     """Horizontal differential: alternating sum of face substitutions; the
-    last face merges g_{p+1} into the base point."""
+    last face merges g_{p+1} into the base point.  Each entry is one face
+    sum, ``MultiPoly.subst_sum``: the faces are substituted straight into
+    the union of their variables and summed in one accumulation, with one
+    normalisation."""
     faces = psi.group.faces(psi.p)
-    out = {
-        idx: [sum_of_products((sgn, c.subst(sub), 1) for sub, sgn in faces) for c in vec]
-        for idx, vec in psi.comps.items()
-    }
+    out = {idx: [c.subst_sum(faces) for c in vec] for idx, vec in psi.comps.items()}
     return BigradedElement(psi.group, psi.rep, psi.p + 1, psi.q, out)
 
 
@@ -178,12 +180,13 @@ def bg_h(psi: BigradedElement) -> BigradedElement:
 def bg_d(psi: BigradedElement) -> BigradedElement:
     """Vertical differential: (-1)^p times the Chevalley-Eilenberg
     differential for the combined action (left-invariant derivative on the
-    base point plus the infinitesimal V-representation)."""
+    base point plus the infinitesimal V-representation), the frame fields
+    and rho_* handed to ``ce_diff_comps``, which sums each entry in one
+    accumulation."""
     group = psi.group
-    inf = psi.rep.infinitesimal()
     ys = fiber_vars(group.dim)
-    moves = [(dict(zip(ys, field)), twist) for field, twist in zip(group.frame, inf.matrices)]
-    raw = ce_diff_comps(group.algebra, psi.q, psi.comps, lambda j, vec: _act(vec, *moves[j]))
+    fields = [dict(zip(ys, field)) for field in group.frame]
+    raw = ce_diff_comps(group.algebra, psi.q, psi.comps, psi.rep.infinitesimal(), fields)
     d = BigradedElement(group, psi.rep, psi.p, psi.q + 1, raw)
     return -d if psi.p % 2 else d
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import typing
 from fractions import Fraction
@@ -12,7 +13,7 @@ from cochainlab.nilgroup import (
     GroupCochain, build_group, left_invariant_vf, maurer_cartan_coframe, slot_vars, velocity,
 )
 from cochainlab.perturb import DoubleComplexInstance, Graded
-from cochainlab.polyalg import MultiPoly, fiber_vars, mat_vec
+from cochainlab.polyalg import VECTORS, MultiPoly, fiber_vars, mat_vec, sort_sign, sum_of_products
 from cochainlab.vanest import BigradedElement, _act, _twist
 
 COEFFS = tuple(
@@ -130,6 +131,59 @@ def form_path_bg_k(psi: BigradedElement) -> BigradedElement:
         return BigradedElement.zero(psi.group, psi.rep, psi.p, -1)
     tforms = tuple(-homotopy_T(f) if psi.p % 2 else homotopy_T(f) for f in form_picture(psi))
     return components(psi.group, psi.rep, psi.p, psi.q - 1, tforms)
+
+
+def fold_bg_delta(psi: BigradedElement) -> BigradedElement:
+    """The horizontal differential as the fold it fuses, the reference for
+    ``vanest.bg_delta``: each entry is ``sum_of_products`` of its signed
+    face substitutions, made one by one."""
+    faces = psi.group.faces(psi.p)
+    out = {idx: [sum_of_products((sgn, c.subst(sub), 1) for sub, sgn in faces) for c in vec]
+           for idx, vec in psi.comps.items()}
+    return BigradedElement(psi.group, psi.rep, psi.p + 1, psi.q, out)
+
+
+def fold_group_delta(f: GroupCochain) -> GroupCochain:
+    """The simplicial differential as the fold it fuses, the reference for
+    ``nilgroup.group_delta``: the substituted faces and the twisted last
+    face, summed by ``sum_of_products``."""
+    group, rep, p = f.group, f.rep, f.p
+    faces = group.faces(p)[:-1]
+    rho_inv = rep.matrix_at(group.invert([MultiPoly.var(v) for v in slot_vars(p + 1, group.dim)]))
+    last = (-1) ** (p + 1)
+    out = [sum_of_products([(sgn, v.subst(sub), 1) for sub, sgn in faces] + [(last, t, 1)])
+           for v, t in zip(f.values, mat_vec(rho_inv, f.values))]
+    return GroupCochain(group, rep, p + 1, out)
+
+
+def fold_bg_d(psi: BigradedElement) -> BigradedElement:
+    """The vertical differential as the fold it fuses, the reference for
+    ``vanest.bg_d``: (-1)^p times the Chevalley-Eilenberg differential
+    whose terms, each action image (the derivative along the frame field
+    plus the twist, ``vanest._act``) and each bracket insert, are scaled by
+    their signs and added pairwise."""
+    group, q = psi.group, psi.q
+    alg, inf = group.algebra, psi.rep.infinitesimal()
+    ys = fiber_vars(group.dim)
+    out = {}
+    for J in combinations(range(alg.dim), q + 1):
+        terms = []
+        for a, ja in enumerate(J):
+            vec = psi.comps.get(J[:a] + J[a + 1:])
+            if vec is not None:
+                acted = _act(vec, dict(zip(ys, group.frame[ja])), inf.matrices[ja])
+                terms.append([x * (-1) ** a for x in acted])
+        for a in range(len(J)):
+            for b in range(a + 1, len(J)):
+                rest = tuple(J[x] for x in range(len(J)) if x not in (a, b))
+                for k, c in enumerate(alg.bracket_basis(J[a], J[b])):
+                    ins, sgn = sort_sign((k,) + rest)
+                    if c and ins in psi.comps:
+                        terms.append([x * (c * (-1) ** (a + b) * sgn) for x in psi.comps[ins]])
+        if terms:
+            out[J] = functools.reduce(VECTORS.add, terms)
+    d = BigradedElement(group, psi.rep, psi.p, q + 1, out)
+    return -d if psi.p % 2 else d
 
 
 def random_group_cochain(rng, group, p, max_deg=2, rep=None) -> GroupCochain:

@@ -300,6 +300,3 @@ def test_a_component_is_read_on_its_intersection():
     dom = cover.intersection((0, 1))
     whole = CechForm(cover, 1, 0, {(0, 1): PwPoly.on(GRID, FULL, X)})
     assert whole.comps[(0, 1)] == PwPoly.on(GRID, dom, X)
-    # a repeated index is a degenerate simplex, where a cochain is zero
-    c = ConstCochain(cover, 1, {(0, 1): 3})
-    assert c.component((1, 1)) == 0 and c.component((1, 0)) == -3

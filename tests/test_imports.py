@@ -2,9 +2,9 @@
 helpers, no function that nothing calls, no hand-rolled keyed cache beside
 an object's one store, no process-wide caches, no import-time state that
 keeps an old copy of the package alive, no variable name built outside
-``polyalg``, and no reader of a polynomial's stored numerators and
-denominator outside it.  Stdlib only, so it runs wherever
-the tests do."""
+``polyalg``, no reader of a polynomial's stored numerators and
+denominator outside it, and no sum of substitutions made by hand beside
+its kernel.  Stdlib only, so it runs wherever the tests do."""
 
 import ast
 import gc
@@ -179,6 +179,22 @@ def test_the_guards_report_a_planted_violation(tmp_path):
                 return {0: 1}
         """), encoding="utf-8")
     assert keyed_caches(store) == ["store.py:6: Group._faces"]
+    faces = tmp_path / "faces.py"
+    faces.write_text(textwrap.dedent("""\
+        def face_sum(p, faces):
+            return sum_of_products((sgn, p.subst(sub), 1) for sub, sgn in faces)
+
+
+        def face_sum_by_name(p, faces):
+            terms = [(sgn, p.subst(sub), 1) for sub, sgn in faces]
+            return polyalg.sum_of_products(terms)
+
+
+        def product_sum(a, b, faces):
+            terms = [(1, a, b)]
+            return sum_of_products(terms), a.subst(faces[0][0])
+        """), encoding="utf-8")
+    assert hand_summed_substitutions(faces) == ["faces.py:2", "faces.py:7"]
 
 
 #: ``cached_property`` stores of keyed structure, with the reason.
@@ -513,4 +529,38 @@ def test_only_polyalg_touches_coefficient_storage():
     assert coefficient_storage_uses(SRC / "polyalg.py")
     problems = [p for path in sorted(SRC.glob("*.py")) if path.name != "polyalg.py"
                 for p in coefficient_storage_uses(path)]
+    assert problems == []
+
+
+def hand_summed_substitutions(path: Path):
+    """Calls of ``sum_of_products`` whose terms call ``.subst(``, in the
+    call itself or in the values of the names it reads that its top-level
+    definition assigns: a sum of substitutions made by hand, beside the one
+    face-sum kernel ``MultiPoly.subst_sum``."""
+    problems = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        assigned = {}
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and "sum_of_products"
+                    == getattr(node.func, "id", getattr(node.func, "attr", None))):
+                continue
+            terms = list(node.args) + [value for arg in node.args for name in ast.walk(arg)
+                                       if isinstance(name, ast.Name)
+                                       for value in assigned.get(name.id, [])]
+            if any(isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "subst"
+                   for term in terms for call in ast.walk(term)):
+                problems.append(f"{path.name}:{node.lineno}")
+    return problems
+
+
+def test_only_polyalg_sums_substitutions():
+    # A face sum goes through MultiPoly.subst_sum, which makes each
+    # substitution straight into the sum's variables.
+    problems = [p for path in sorted(SRC.glob("*.py")) if path.name != "polyalg.py"
+                for p in hand_summed_substitutions(path)]
     assert problems == []

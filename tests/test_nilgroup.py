@@ -493,3 +493,12 @@ def test_rep_guards_fire(monkeypatch, heisenberg_group, name, mutate, message):
 def test_group_inputs_rejected(heisenberg_group, call, error, message):
     with pytest.raises(error, match=message):
         call(heisenberg_group)
+
+
+def test_only_raised_variables_must_be_slots(heisenberg_group):
+    # g2_1 lies outside a 1-cochain's slot: held at exponent 0 it passes,
+    # raised it is rejected
+    held = MultiPoly(("g1_1", "g2_1"), {(1, 0): 2})
+    assert GroupCochain(heisenberg_group, None, 1, [held]).values == (MultiPoly.var("g1_1") * 2,)
+    with pytest.raises(ValueError, match="cochain uses variables outside its slots: {'g2_1'}"):
+        GroupCochain(heisenberg_group, None, 1, [MultiPoly(("g1_1", "g2_1"), {(1, 1): 1})])

@@ -32,6 +32,15 @@ def test_delta_squared_zero():
             assert as_delta(as_delta(c)).is_zero()
 
 
+def test_only_raised_variables_must_be_points():
+    # m1_1 lies outside a 0-cochain's point m0: held at exponent 0 it passes,
+    # raised it is rejected
+    held = MultiPoly(("m0_1", "m1_1"), {(1, 0): 1})
+    assert ASCochain(1, 0, held).value == MultiPoly.var("m0_1")
+    with pytest.raises(ValueError, match="cochain uses variables outside its points: {'m1_1'}"):
+        ASCochain(1, 0, MultiPoly(("m0_1", "m1_1"), {(1, 1): 1}))
+
+
 def test_ve_on_decomposables():
     # differentiation of f0 (x) f1 (x) ... (x) fp is f0 df1 ^ ... ^ dfp
     rng = random.Random(42)

@@ -514,6 +514,13 @@ def test_kernel_matches_reference(a, b, n, assignment, terms, v, k, c, point):
         cases.append((a.derivation(f), _ref_derivation(ra, f)))
     for t in (terms, [(k, a, b)], [(c, a, 3)], [(1, c, b)], []):
         cases.append((sum_of_products(t), _ref_sum_of_products(t)))
+    # the face-sum kernel against its fold, sum_of_products of the
+    # substitutions: faces with the drawn assignment, a renaming, a zero
+    # value and the empty assignment; one renaming face; and no face
+    rename = {w: MultiPoly.var(u) for w, u in zip(VARS, VARS[1:])}
+    for pairs in ([(assignment, k), (rename, c), ({v: 0}, 1), ({}, -1)], [(rename, 1)], []):
+        fold = sum_of_products((s, a.subst(sub), 1) for sub, s in pairs)
+        cases.append((a.subst_sum(pairs), (fold.vars, fold.terms)))
     value, expected = eval_at(a, point), _ref_eval(ra, point)
     if isinstance(expected, Fraction):
         assert type(value) is Fraction and value == expected

@@ -45,6 +45,9 @@ from cochainlab.perturb import verify_instance
 from conftest import (
     COEFFS,
     components,
+    fold_bg_d,
+    fold_bg_delta,
+    fold_group_delta,
     form_path_bg_k,
     form_picture,
     lie_bigraded,
@@ -270,6 +273,31 @@ def test_bg_k_matches_the_form_path(name):
                 for psi in (inst.sample(rng, p, q), _random_bigraded(rng, group, rep, p, q)):
                     got, expected = bg_k(psi), form_path_bg_k(psi)
                     assert got == expected and repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("name, standard, max_p", [("heisenberg3", True, 2),
+                                                    ("filiform4", False, 1)])
+def test_fused_differentials_match_their_folds(name, standard, max_p):
+    # Each entry of delta and d is one accumulation, which must equal the
+    # fold it fuses exactly: equal elements whose components print alike;
+    # the face sums, over the same variables too.
+    group = build_group(name)
+    rep = standard_poly_rep(group) if standard else trivial_poly_rep(group)
+    inst = build_double_complex(group, rep, max_p=max_p)
+    rng = random.Random(34)
+    for p in range(max_p + 1):
+        for q in range(group.dim + 1):
+            for psi in (inst.sample(rng, p, q), _random_bigraded(rng, group, rep, p, q)):
+                for op, fold in ((bg_delta, fold_bg_delta), (bg_d, fold_bg_d)):
+                    got, expected = op(psi), fold(psi)
+                    assert got == expected and repr(got) == repr(expected)
+                got, expected = bg_delta(psi), fold_bg_delta(psi)
+                assert ([c.vars for vec in got.comps.values() for c in vec]
+                        == [c.vars for vec in expected.comps.values() for c in vec])
+        f = random_group_cochain(rng, group, p, rep=rep)
+        got, expected = group_delta(f), fold_group_delta(f)
+        assert got == expected and repr(got) == repr(expected)
+        assert [v.vars for v in got.values] == [v.vars for v in expected.values]
 
 
 def test_contracted_tables_are_built_on_first_use_once_per_degree(monkeypatch):
@@ -515,3 +543,14 @@ def test_normalized_h_side_conditions(heisenberg_group):
 def test_bigraded_inputs_rejected(heisenberg_group, build, message):
     with pytest.raises(ValueError, match=message):
         build(heisenberg_group)
+
+
+def test_only_raised_variables_must_be_slots(heisenberg_group):
+    # g1_1 and g2_1 lie outside a (0, 1)-element's slots: held at exponent
+    # 0 they pass, and a raised one is rejected
+    held = MultiPoly(("g1_1", "g2_1", "y_1"), {(0, 0, 2): 3})
+    psi = BigradedElement(heisenberg_group, None, 0, 1, {(0,): [held]})
+    assert psi.comps[(0,)] == (MultiPoly.var("y_1") ** 2 * 3,)
+    with pytest.raises(ValueError, match="component uses variables outside slots: {'g1_1'}"):
+        BigradedElement(heisenberg_group, None, 0, 1,
+                        {(0,): [MultiPoly(("g1_1", "y_1"), {(1, 1): 1})]})
